@@ -10,6 +10,7 @@ shipped files byte for byte:
                             502-player synthetic pool
 """
 
+import json
 import pathlib
 import sys
 import time
@@ -29,9 +30,11 @@ from batsim.defaults import (  # noqa: E402
     DEFAULT_TABLE_EVENTS,
     DEFAULT_TABLE_MIN_COUNT,
     DEFAULT_TABLE_SEED,
+    FITTED_ASSET,
     TABLE_ASSET,
     bundled_lineup_targets,
-    fitted_lineup,
+    fit_lineup,
+    lineup_cache_obj,
 )
 from batsim.synthdata import synthesize_event_log  # noqa: E402
 from batsim.transitions import build_table  # noqa: E402
@@ -45,8 +48,9 @@ N_PLAYERS = 502
 def main() -> None:
     t0 = time.time()
     targets = bundled_lineup_targets()
-    (DATA_DIR / "lineup_fitted.json").unlink(missing_ok=True)
-    fit = fitted_lineup(targets)
+    fit = fit_lineup(targets)
+    (DATA_DIR / FITTED_ASSET).write_text(
+        json.dumps(lineup_cache_obj(targets, fit), indent=1) + "\n", encoding="utf-8")
     worst = max(max(abs(r) for r in res.values()) for res in fit.residuals)
     print(f"lineup: fitted {len(fit.vectors)} slots, worst residual {worst:.4f} "
           f"({time.time() - t0:.1f}s)")

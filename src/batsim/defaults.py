@@ -58,7 +58,8 @@ def _targets_json(targets: list[SlashTargets]) -> list[dict]:
     return [{k: getattr(t, k) for k in _STAT_KEYS} for t in targets]
 
 
-def _fit_all(targets: list[SlashTargets]) -> LineupFit:
+def fit_lineup(targets: list[SlashTargets]) -> LineupFit:
+    """Fit one ability vector per target, bypassing the bundled cache."""
     vectors = []
     residuals = []
     for t in targets:
@@ -68,39 +69,32 @@ def _fit_all(targets: list[SlashTargets]) -> LineupFit:
     return LineupFit(tuple(vectors), tuple(residuals), refitted=True)
 
 
+def lineup_cache_obj(targets: list[SlashTargets], fit: LineupFit) -> dict:
+    """The JSON object of the fitted-lineup cache that fitted_lineup reads."""
+    return {
+        "targets": _targets_json(targets),
+        "vectors": [v.to_json_dict() for v in fit.vectors],
+        "residuals": list(fit.residuals),
+    }
+
+
 def fitted_lineup(targets: list[SlashTargets] | None = None) -> LineupFit:
     """The default lineup's fitted ability vectors.
 
-    Served from the bundled cache when it matches the requested targets;
-    refitted (and re-cached when the data directory is writable) otherwise.
+    Served from the bundled cache when it matches the requested targets and
+    refitted in memory otherwise.  Never writes: only
+    scripts/build_default_assets.py regenerates the cache.
     """
     if targets is None:
         targets = bundled_lineup_targets()
-    cache_path = _data_root() / FITTED_ASSET
-    wanted = _targets_json(targets)
     try:
-        obj = json.loads(cache_path.read_text(encoding="utf-8"))
+        obj = json.loads((_data_root() / FITTED_ASSET).read_text(encoding="utf-8"))
     except (FileNotFoundError, json.JSONDecodeError):
         obj = None
-    if obj is not None and obj.get("targets") == wanted:
+    if obj is not None and obj.get("targets") == _targets_json(targets):
         vectors = tuple(AbilityVector.from_json_dict(d) for d in obj["vectors"])
         return LineupFit(vectors, tuple(obj["residuals"]), refitted=False)
-
-    fit = _fit_all(targets)
-    # the cache file belongs to the bundled lineup; custom targets stay in memory
-    if wanted == _targets_json(bundled_lineup_targets()):
-        payload = {
-            "targets": wanted,
-            "vectors": [v.to_json_dict() for v in fit.vectors],
-            "residuals": list(fit.residuals),
-        }
-        try:
-            with open(str(cache_path), "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=1)
-                fh.write("\n")
-        except OSError:
-            pass  # read-only install: serve the in-memory fit
-    return fit
+    return fit_lineup(targets)
 
 
 def default_transition_table() -> TransitionTable:

@@ -2,8 +2,9 @@
 
 simulate_game walks one offense through nine half-innings, one plate
 appearance at a time, consulting the strategy policy before every batter.
-It is the reference implementation: monte_carlo (in mcengine) must agree
-with it statistically, and the tests check that it does.
+It is the reference implementation: monte_carlo, defined here and run on
+the batched engine in mcengine, must agree with it statistically, and the
+tests check that it does.
 
 A hard cap bounds plate appearances per half-inning so degenerate batter
 profiles (nothing but home runs) cannot loop forever; hitting the cap ends

@@ -1,12 +1,18 @@
 """Bundled data assets: lineup targets, fitted cache, transition table,
 trained converter."""
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
+from batsim import defaults
 from batsim.abilities import SlashTargets, onbase_share, validate, woba
 from batsim.conversion import forward
 from batsim.defaults import (
+    FITTED_ASSET,
+    TARGETS_ASSET,
     bundled_lineup_targets,
     default_converter_params,
     default_transition_table,
@@ -59,6 +65,34 @@ def test_custom_targets_refit_without_touching_cache():
     assert len(fit.vectors) == 1
     # bundled cache still intact afterwards
     assert not fitted_lineup().refitted
+
+
+def _snapshot(directory):
+    return {p.name: (p.stat().st_mtime_ns, p.read_bytes())
+            for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("cache", ["missing", "mismatched"])
+def test_refit_never_writes_the_data_directory(tmp_path, monkeypatch, cache):
+    bundled = fitted_lineup()
+    data = tmp_path / "data"
+    shutil.copytree(defaults._data_root(), data)
+    # a one-slot lineup keeps the refit short; the nine-slot cache mismatches it
+    targets_path = data / TARGETS_ASSET
+    obj = json.loads(targets_path.read_text(encoding="utf-8"))
+    obj["targets"] = obj["targets"][:1]
+    targets_path.write_text(json.dumps(obj), encoding="utf-8")
+    if cache == "missing":
+        (data / FITTED_ASSET).unlink()
+    monkeypatch.setattr(defaults, "_data_root", lambda: data)
+    before = _snapshot(data)
+
+    fit = fitted_lineup()
+    assert fit.refitted
+    assert len(fit.vectors) == 1
+    assert fit.vectors[0].as_tuple() == pytest.approx(
+        bundled.vectors[0].as_tuple(), abs=1e-12)
+    assert _snapshot(data) == before
 
 
 def test_default_transition_table():

@@ -1,0 +1,145 @@
+"""The fused Monte Carlo engine: its compiled (slot, state) table, the draw
+that searches it, exact fallback counts, and the worker pool's size."""
+
+from collections import defaultdict
+
+import numpy as np
+import pytest
+
+from batsim import mcengine
+from batsim.abilities import AbilityVector
+from batsim.defaults import (
+    default_converter_params,
+    default_transition_table,
+    fitted_lineup,
+)
+from batsim.simulation import Lineup, monte_carlo
+from batsim.strategies import always_normal, build_triple, fixed_policy
+from batsim.transitions import (
+    INNING_OVER,
+    NUM_LIVE_STATES,
+    OUTCOMES,
+    Outcome,
+    TransitionTable,
+    live_states,
+    simple_transition,
+)
+
+ALL_K = AbilityVector(0, 0, 0, 0, 0, 1.0, 0, 0)
+LAST_DRAW = 1.0 - 2.0 ** -53  # the largest double numpy's random() returns
+
+
+@pytest.fixture(scope="module")
+def lineup():
+    params = default_converter_params()
+    return Lineup(tuple(build_triple(v, params, 0.1, -0.005)
+                        for v in fitted_lineup().vectors))
+
+
+@pytest.fixture(scope="module", params=["bundled", "empty"])
+def compiled(request, lineup):
+    table = (default_transition_table() if request.param == "bundled"
+             else TransitionTable(rows={}))
+    c = mcengine.compile_simulation(lineup, fixed_policy, table,
+                                    innings=9, pa_cap=100)
+    return lineup, table, c
+
+
+def _expected_masses(lineup, table, slot, state):
+    """sum_o P(o | slot, state) * P(post, runs | state, o), keyed by
+    (post, runs, fell_back), computed entry by entry."""
+    masses = defaultdict(float)
+    probs = lineup.slots[slot].vector(fixed_policy(state)).as_tuple()
+    for p_o, outcome in zip(probs, OUTCOMES):
+        entries = table.row(state.outs, state.bases, outcome)
+        if entries is None:
+            post, runs = simple_transition(state, outcome)
+            masses[(post.index, runs, True)] += p_o
+            continue
+        for e in entries:
+            post = INNING_OVER if e.outs >= 3 else e.outs * 8 + e.bases
+            masses[(post, e.runs, False)] += p_o * e.prob
+    return {k: m for k, m in masses.items() if m > 0.0}
+
+
+def test_rows_hold_the_joint_mass(compiled):
+    lineup, table, c = compiled
+    width = c.cum.shape[1]
+    for slot in range(9):
+        for state in live_states():
+            r = slot * NUM_LIVE_STATES + state.index
+            expected = _expected_masses(lineup, table, slot, state)
+            k = len(expected)
+            assert k <= width
+            mass = np.diff(c.cum[r, :k], prepend=0.0)
+            got = {}
+            for j in range(k):
+                post = (INNING_OVER if c.over[r, j]
+                        else c.next_row[r, j] % NUM_LIVE_STATES)
+                key = (int(post), int(c.runs[r, j]), bool(c.fallback[r, j]))
+                assert key not in got  # entries are merged
+                got[key] = mass[j]
+                assert c.next_row[r, j] // NUM_LIVE_STATES == (slot + 1) % 9
+            assert got.keys() == expected.keys()
+            for key, m in expected.items():
+                assert got[key] == pytest.approx(m, rel=0, abs=1e-12)
+            assert c.cum[r, k - 1] == 1.0  # the last real entry ends the row
+            assert np.all(c.cum[r, k:] == 1.0)
+
+
+def test_unit_interval_ends_draw_positive_mass(compiled):
+    _, _, c = compiled
+    rows = np.arange(mcengine.NUM_ROWS)
+    width = c.cum.shape[1]
+    mass = np.diff(c.cum, axis=1, prepend=0.0)
+    for u in (0.0, LAST_DRAW):
+        entry = mcengine._draw(c, rows, np.full(rows.size, u))
+        assert np.all(entry // width == rows)
+        assert np.all(mass.ravel()[entry] > 0.0)
+
+
+def test_draw_matches_a_full_row_search(compiled):
+    _, _, c = compiled
+    rng = np.random.default_rng(3)
+    edges = np.arange(mcengine.GUIDE_SIZE) / mcengine.GUIDE_SIZE
+    inner = c.cum[c.cum < 1.0]
+    u = np.concatenate([
+        rng.random(20_000), edges, np.nextafter(edges[1:], 0.0), inner,
+        np.nextafter(inner, 0.0), [0.0, LAST_DRAW]])
+    rows = rng.integers(0, mcengine.NUM_ROWS, u.size)
+    expected = rows * c.cum.shape[1] + np.count_nonzero(
+        c.cum[rows] <= u[:, None], axis=1)
+    np.testing.assert_array_equal(mcengine._draw(c, rows, u), expected)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fallback_counts_are_exact(workers):
+    # only the leadoff strikeout of each inning falls back to the simple model
+    rows = dict(TransitionTable.simple().rows)
+    del rows[(0, 0, Outcome.STRIKEOUT)]
+    n_games = mcengine.BATCH_SIZE + 904
+    stats = monte_carlo(Lineup.from_vectors([ALL_K] * 9), always_normal,
+                        TransitionTable(rows=rows), n_games, seed=5,
+                        workers=workers)
+    assert stats.fallback_transitions == 9 * n_games
+    assert stats.plate_appearances == 27 * n_games
+    assert stats.histogram == (n_games,)
+    assert stats.truncated_games == 0
+
+
+def test_pool_never_outnumbers_batches(monkeypatch, lineup):
+    asked = []
+    real = mcengine.ProcessPoolExecutor
+
+    def recording_pool(*, max_workers, **kwargs):
+        asked.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    table = default_transition_table()
+    n_games = mcengine.BATCH_SIZE + 100  # two batches
+    serial = monte_carlo(lineup, fixed_policy, table, n_games, seed=8)
+    monkeypatch.setattr(mcengine, "ProcessPoolExecutor", recording_pool)
+    parallel = monte_carlo(lineup, fixed_policy, table, n_games, seed=8,
+                           workers=8)
+    assert asked == [2]
+    assert parallel == serial
