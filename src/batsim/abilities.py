@@ -15,6 +15,8 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 
+from .fileio import atomic_write
+
 OUTCOME_KEYS = ("1b", "2b", "3b", "hr", "bb", "k", "g", "f")
 
 # Strict tolerance for programmatic construction; the looser one applies only
@@ -395,7 +397,7 @@ def load_ability_vector(path) -> AbilityVector:
 
 
 def dump_ability_vector(vector: AbilityVector, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(vector.to_json_dict(), fh, indent=2, sort_keys=False)
         fh.write("\n")
 

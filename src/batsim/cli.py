@@ -50,6 +50,8 @@ from .defaults import (
     default_transition_table,
     fitted_lineup,
 )
+from .fileio import atomic_write
+from .mcengine import shutdown_pool
 from .simulation import Lineup, load_histogram_csv, monte_carlo
 from .strategies import (
     ThresholdPolicyConfig,
@@ -195,7 +197,7 @@ def cmd_train_converter(cfg: ExperimentConfig, args) -> int:
     params, metrics = train(pairs, TrainConfig(), seed=seed)
     save_params(params, out, loss_weights=LossWeights(), train_seed=seed)
     metrics_path = out + ".metrics.json"
-    with open(metrics_path, "w", encoding="utf-8") as fh:
+    with atomic_write(metrics_path) as fh:
         json.dump({
             "n_players": n_players,
             "n_pairs": len(pairs),
@@ -290,7 +292,7 @@ def cmd_validate(cfg: ExperimentConfig, args) -> int:
     ref_mean = sum(r * c for r, c in enumerate(reference)) / ref_n
     tv = total_variation(stats.histogram, reference)
     width = max(len(stats.histogram), len(reference))
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(out, newline="") as fh:
         fh.write("runs,count_sim,count_ref\n")
         for r in range(width):
             sim = stats.histogram[r] if r < len(stats.histogram) else 0
@@ -393,6 +395,8 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        shutdown_pool()  # the command's pool workers end with the command
 
 
 if __name__ == "__main__":

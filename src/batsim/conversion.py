@@ -33,6 +33,7 @@ from .abilities import (
     validate,
     woba,
 )
+from .fileio import atomic_write
 
 # The trailing fly-out component is implied by the others, so the network
 # predicts only these seven; inputs append the two requested deltas.
@@ -585,7 +586,7 @@ def save_params(params: ConverterParams, path, *,
         },
         **{name: arr.tolist() for name, arr in params.arrays().items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh)
         fh.write("\n")
 
@@ -612,7 +613,7 @@ PAIR_CSV_HEADER = ",".join(INPUT_ORDER) + "," + ",".join(
 
 def dump_pair_csv(dataset: PairDataset, path) -> None:
     """Inspection dump: 9 input columns then the 7 target-delta columns."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write(PAIR_CSV_HEADER + "\n")
         for i in range(len(dataset)):
             row = np.concatenate([dataset.inputs[i], dataset.targets[i]])

@@ -14,11 +14,23 @@ and the transition table into one cumulative row per (slot, state) over the
 merged (post state, runs, fallback) outcomes of that plate appearance, so a
 single uniform picks both the batter's outcome and the base-out transition.
 A plate-appearance cap per half-inning guards against never-ending innings.
+
+Parallel calls share one process pool per process.  The first call that
+needs more than one process starts it; every later call of the same size
+sends its batches to the same workers, so a sweep pays the pool's start
+once rather than once per cell.  Each task carries the compiled table and
+its (seed, batch index, size), so a worker keeps no state between tasks.
+A call that needs another number of processes shuts the pool down and
+starts one of the new size; a call that raises (a worker that died, an
+interrupt) shuts it down before the exception propagates, and the next
+call starts afresh.  shutdown_pool stops it on demand; otherwise it lives
+until the interpreter exits.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -182,19 +194,6 @@ def _batch_sizes(n_games: int) -> list[int]:
     return [BATCH_SIZE] * full + ([rest] if rest else [])
 
 
-_WORKER_COMPILED: CompiledSim | None = None
-
-
-def _init_worker(compiled: CompiledSim) -> None:
-    global _WORKER_COMPILED
-    _WORKER_COMPILED = compiled
-
-
-def _worker_task(args):
-    seed, batch_index, size = args
-    return batch_index, _simulate_batch(_WORKER_COMPILED, seed, batch_index, size)
-
-
 def _merge(results):
     """Sum per-batch results in batch order.  Everything is integer counts,
     so the sum is exact and independent of completion order anyway."""
@@ -218,25 +217,62 @@ def usable_cores() -> int:
 
 
 def pool_size(workers: int, n_games: int) -> int:
-    """Processes run_batches starts for n_games at the given worker count; 1
-    means it runs serially.  Fork starts every worker up front, so it never
-    asks for more than there are batches or cores to run them on."""
+    """Processes run_batches uses for n_games at the given worker count; 1
+    means it runs serially.  The shared pool starts all its workers up
+    front and keeps them between calls, so it never asks for more than
+    there are batches or cores to run them on.  A call whose size differs
+    from the running pool's replaces that pool."""
     return max(1, min(workers, len(_batch_sizes(n_games)), usable_cores()))
+
+
+# The process's one worker pool and its size.  The first parallel call
+# starts it; later calls of the same size reuse it.  The lock is held for a
+# whole parallel call, so no caller replaces or stops the pool while
+# another caller's batches run on it.
+_pool_lock = threading.RLock()
+_pool: ProcessPoolExecutor | None = None
+_pool_processes = 0
+
+
+def shutdown_pool() -> None:
+    """Stop the shared worker pool, if one is running, and wait for its
+    workers to exit.  The next parallel run_batches starts a new one."""
+    global _pool
+    with _pool_lock:
+        pool, _pool = _pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _shared_pool(processes: int) -> ProcessPoolExecutor:
+    """The shared pool, started or resized to the given number of
+    processes.  The caller holds _pool_lock."""
+    global _pool, _pool_processes
+    if _pool_processes != processes:
+        shutdown_pool()
+    if _pool is None:
+        _pool = ProcessPoolExecutor(max_workers=processes)
+        _pool_processes = processes
+    return _pool
 
 
 def run_batches(compiled: CompiledSim, *, n_games: int, seed: int, workers: int):
     sizes = _batch_sizes(n_games)
     processes = pool_size(workers, n_games)
     if processes == 1:
-        results = [_simulate_batch(compiled, seed, i, size)
-                   for i, size in enumerate(sizes)]
-        return _merge(results)
+        return _merge([_simulate_batch(compiled, seed, i, size)
+                       for i, size in enumerate(sizes)])
 
-    tasks = [(seed, i, size) for i, size in enumerate(sizes)]
-    by_index: dict[int, tuple] = {}
-    with ProcessPoolExecutor(max_workers=processes,
-                             initializer=_init_worker,
-                             initargs=(compiled,)) as pool:
-        for batch_index, result in pool.map(_worker_task, tasks):
-            by_index[batch_index] = result
-    return _merge([by_index[i] for i in range(len(sizes))])
+    n = len(sizes)
+    with _pool_lock:
+        pool = _shared_pool(processes)
+        try:
+            # map yields in batch order; each task carries the compiled table
+            results = list(pool.map(_simulate_batch, [compiled] * n, [seed] * n,
+                                    range(n), sizes))
+        except BaseException:
+            # a dead worker, an interrupt or a failing batch leaves the pool
+            # in an unknown state: stop it, so the next call starts afresh
+            shutdown_pool()
+            raise
+    return _merge(results)

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .abilities import AbilityVector, NoOutProbabilityError, validate
+from .fileio import atomic_write
 from .strategies import StrategyTriple
 from .transitions import (
     OUTCOMES,
@@ -213,11 +214,11 @@ class RunStats:
         return stats
 
     def save(self, json_path, csv_path=None) -> None:
-        with open(json_path, "w", encoding="utf-8") as fh:
+        with atomic_write(json_path) as fh:
             json.dump(self.to_json_dict(), fh, indent=1)
             fh.write("\n")
         if csv_path is not None:
-            with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            with atomic_write(csv_path, newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(("runs", "count"))
                 for r, c in enumerate(self.histogram):

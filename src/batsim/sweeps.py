@@ -15,6 +15,7 @@ from itertools import product
 import numpy as np
 
 from .abilities import AbilityVector
+from .fileio import atomic_write
 from .simulation import Lineup, RunStats, monte_carlo
 from .strategies import (
     ThresholdPolicyConfig,
@@ -172,7 +173,7 @@ def _cell(value) -> str:
 
 
 def write_sweep_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
         for r in rows:
             fh.write(",".join(_cell(v) for v in (

@@ -28,6 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .abilities import AbilityVector
+from .fileio import atomic_write
 
 NUM_BASES_MASKS = 8
 NUM_LIVE_STATES = 24  # 3 out counts x 8 masks
@@ -237,7 +238,7 @@ def parse_event_log(source, *, strict: bool = True) -> EventLogParse:
 
 
 def write_event_csv(events, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENT_CSV_HEADER)
         for e in events:
@@ -372,7 +373,7 @@ class TransitionTable:
         return cls(rows=rows)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(self.to_json_obj(), fh, indent=1)
             fh.write("\n")
 
@@ -462,7 +463,7 @@ class RunExpectancyTable:
         return {f"{s.outs}-{s.bases}": self.values[s.index] for s in live_states()}
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(self.as_dict(), fh, indent=1)
             fh.write("\n")
 

@@ -14,6 +14,7 @@ from batsim.conversion import (
     load_params,
     save_params,
 )
+from batsim.mcengine import BATCH_SIZE
 from batsim.simulation import RunStats
 from batsim.sweeps import SWEEP_CSV_HEADER
 from batsim.synthdata import synthesize_event_log
@@ -132,7 +133,10 @@ def test_simulate_seed_changes_histogram(cfg_path, tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_simulate_worker_count_invariant(cfg_path, tmp_path):
+def test_simulate_worker_count_invariant(tmp_path):
+    # two batches, so --workers 2 runs them on the pool
+    cfg_path = write_config(tmp_path / "cfg.json", n_games=BATCH_SIZE + 300,
+                            policy={"kind": "normal-only"})
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     assert main(["--config", cfg_path, "--workers", "1", "--out", str(a),
@@ -140,6 +144,20 @@ def test_simulate_worker_count_invariant(cfg_path, tmp_path):
     assert main(["--config", cfg_path, "--workers", "2", "--out", str(b),
                  "simulate"]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["strategy-grid", "threshold-grid"])
+def test_sweep_worker_count_invariant(tmp_path, mode):
+    # two batches per cell, so at 2 workers every cell runs on the shared pool
+    cfg = write_config(tmp_path / "cfg.json", n_games=BATCH_SIZE + 300,
+                       sweep={"d_alpha_grid": [0.0, 0.1], "d_woba_grid": [0.0],
+                              "theta_o_grid": [1.2, 1.5], "theta_l_grid": [0.3]})
+    out = {w: tmp_path / f"workers{w}.csv" for w in ("1", "2")}
+    for workers, path in out.items():
+        assert main(["--config", cfg, "--workers", workers, "--out", str(path),
+                     "sweep", "--mode", mode]) == EXIT_OK
+    assert len(out["1"].read_text().splitlines()) == 4  # header, baseline, 2 cells
+    assert out["1"].read_bytes() == out["2"].read_bytes()
 
 
 # ---------------------------------------------------------------- build-transitions

@@ -1,7 +1,13 @@
 """The fused Monte Carlo engine: its compiled (slot, state) table, the draw
-that searches it, exact fallback counts, and the worker pool's size."""
+that searches it, exact fallback counts, and the shared worker pool: its
+size, its reuse across calls and its recovery from a dead worker."""
 
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
 from collections import defaultdict
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -127,35 +133,81 @@ def test_fallback_counts_are_exact(workers):
     assert stats.truncated_games == 0
 
 
-def test_pool_never_outnumbers_batches(monkeypatch, lineup):
-    asked = []
-    real = mcengine.ProcessPoolExecutor
+@pytest.fixture()
+def no_shared_pool():
+    """Start the test with no shared pool and stop the one it leaves."""
+    mcengine.shutdown_pool()
+    yield
+    mcengine.shutdown_pool()
 
-    def recording_pool(*, max_workers, **kwargs):
-        asked.append(max_workers)
-        return real(max_workers=max_workers, **kwargs)
+
+def test_pool_never_outnumbers_batches(monkeypatch, lineup, no_shared_pool):
+    started, stopped = [], []
+
+    class RecordingPool(mcengine.ProcessPoolExecutor):
+        def __init__(self, *, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.size = max_workers
+            started.append(max_workers)
+
+        def shutdown(self, *args, **kwargs):
+            stopped.append(self.size)
+            super().shutdown(*args, **kwargs)
 
     table = default_transition_table()
-    n_games = mcengine.BATCH_SIZE + 100  # two batches
-    serial = monte_carlo(lineup, fixed_policy, table, n_games, seed=8)
-    monkeypatch.setattr(mcengine, "ProcessPoolExecutor", recording_pool)
+    two = mcengine.BATCH_SIZE + 100  # two batches
+    three = 2 * mcengine.BATCH_SIZE + 100
+    serial_two = monte_carlo(lineup, fixed_policy, table, two, seed=8)
+    serial_three = monte_carlo(lineup, fixed_policy, table, three, seed=8)
+    monkeypatch.setattr(mcengine, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(mcengine, "usable_cores", lambda: 8)
-    parallel = monte_carlo(lineup, fixed_policy, table, n_games, seed=8,
-                           workers=8)
-    assert asked == [2]
-    assert parallel == serial
+
+    # two calls of one size share one pool of min(workers, batches)
+    for _ in range(2):
+        assert monte_carlo(lineup, fixed_policy, table, two, seed=8,
+                           workers=8) == serial_two
+    assert started == [2]
+    assert stopped == []
+
+    # a call of another size stops that pool and starts one of its own size
+    assert monte_carlo(lineup, fixed_policy, table, three, seed=8,
+                       workers=8) == serial_three
+    assert started == [2, 3]
+    assert stopped == [2]
 
     # nor more than there are cores: three batches on two cores ask for two,
     # and one core runs serially without a pool
-    n_games = 2 * mcengine.BATCH_SIZE + 100
-    serial = monte_carlo(lineup, fixed_policy, table, n_games, seed=8)
     monkeypatch.setattr(mcengine, "usable_cores", lambda: 2)
-    assert monte_carlo(lineup, fixed_policy, table, n_games, seed=8,
-                       workers=8) == serial
+    assert monte_carlo(lineup, fixed_policy, table, three, seed=8,
+                       workers=8) == serial_three
     monkeypatch.setattr(mcengine, "usable_cores", lambda: 1)
-    assert monte_carlo(lineup, fixed_policy, table, n_games, seed=8,
-                       workers=8) == serial
-    assert asked == [2, 2]
+    assert monte_carlo(lineup, fixed_policy, table, three, seed=8,
+                       workers=8) == serial_three
+    assert started == [2, 3, 2]
+    assert stopped == [2, 3]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_pool_recovers_from_a_killed_worker(monkeypatch, lineup,
+                                            no_shared_pool):
+    monkeypatch.setattr(mcengine, "usable_cores", lambda: 2)
+    table = default_transition_table()
+    n_games = mcengine.BATCH_SIZE + 100
+    serial = monte_carlo(lineup, fixed_policy, table, n_games, seed=3)
+    assert monte_carlo(lineup, fixed_policy, table, n_games, seed=3,
+                       workers=2) == serial
+
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    assert multiprocessing.connection.wait([victim.sentinel], timeout=30)
+    # the call that meets the broken pool may fail, and must stop that pool
+    try:
+        monte_carlo(lineup, fixed_policy, table, n_games, seed=3, workers=2)
+    except BrokenProcessPool:
+        pass
+    assert monte_carlo(lineup, fixed_policy, table, n_games, seed=3,
+                       workers=2) == serial
+    assert victim.pid not in {p.pid for p in multiprocessing.active_children()}
 
 
 def test_usable_cores_without_affinity(monkeypatch):
