@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the bundled data assets under src/batsim/data.
 
-Everything is seed-deterministic, so rerunning this script reproduces the
-shipped files byte for byte:
+Everything is seed-deterministic.  Rerunning this script reproduces the
+fitted lineup and the transition table byte for byte.  The converter
+weights are reproduced byte for byte only on the same numpy/BLAS build and
+CPU: their last bits depend on both, so another host can write a
+converter_default.json that differs in the last digits.
 
   lineup_fitted.json        ability vectors fitted to the slash targets
   transitions_default.json  transition table from a synthetic event log

@@ -10,8 +10,13 @@ difference to the destination profile.
 
 The network is deliberately small (two ReLU layers of 100) and implemented
 directly in numpy with hand-written backprop; a finite-difference gradient
-check guards the derivation.  Everything is float64 and deterministic in
-the seeds.
+check guards the derivation.  One routine, :func:`_backprop`, computes the
+gradients both for :func:`gradients` and inside :func:`train`.  It writes
+the activations and the gradients into a preallocated :class:`_Workspace`,
+so a training step allocates no arrays.  The trainer holds the parameters,
+their gradients and the momentum velocity each as one flat vector of
+``N_PARAMS`` values, with the six layer arrays as views into it.
+Everything is float64 and deterministic in the seeds.
 """
 
 from __future__ import annotations
@@ -40,6 +45,14 @@ from .fileio import atomic_write
 REDUCED_KEYS = ("1b", "2b", "3b", "hr", "bb", "k", "g")
 INPUT_ORDER = REDUCED_KEYS + ("d_onbase_share", "d_woba")
 HIDDEN_WIDTH = 100
+
+# The network's layer arrays and their shapes, in flat-vector order.
+LAYOUT = (
+    ("w1", (9, HIDDEN_WIDTH)), ("b1", (HIDDEN_WIDTH,)),
+    ("w2", (HIDDEN_WIDTH, HIDDEN_WIDTH)), ("b2", (HIDDEN_WIDTH,)),
+    ("w3", (HIDDEN_WIDTH, 7)), ("b3", (7,)),
+)
+N_PARAMS = sum(math.prod(shape) for _, shape in LAYOUT)
 
 # Acceptance window for synthesized player pools.
 WOBA_RANGE = (0.230, 0.420)
@@ -153,12 +166,7 @@ class ConverterParams:
     woba_weights: WobaWeights = DEFAULT_WOBA_WEIGHTS
 
     def __post_init__(self):
-        expected = {
-            "w1": (9, HIDDEN_WIDTH), "b1": (HIDDEN_WIDTH,),
-            "w2": (HIDDEN_WIDTH, HIDDEN_WIDTH), "b2": (HIDDEN_WIDTH,),
-            "w3": (HIDDEN_WIDTH, 7), "b3": (7,),
-        }
-        for name, shape in expected.items():
+        for name, shape in LAYOUT:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ShapeMismatchError(f"{name} must have shape {shape}, "
@@ -167,6 +175,17 @@ class ConverterParams:
     def arrays(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2,
                 "b2": self.b2, "w3": self.w3, "b3": self.b3}
+
+
+def _layer_views(flat: np.ndarray) -> dict[str, np.ndarray]:
+    """The six layer arrays as views into one flat vector of N_PARAMS."""
+    views = {}
+    offset = 0
+    for name, shape in LAYOUT:
+        size = math.prod(shape)
+        views[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
 
 
 def init_params(seed: int,
@@ -197,19 +216,31 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def _forward_full(params: ConverterParams, x: np.ndarray):
-    a1 = x @ params.w1 + params.b1
-    h1 = np.maximum(a1, 0.0)
-    a2 = h1 @ params.w2 + params.b2
-    h2 = np.maximum(a2, 0.0)
-    out = h2 @ params.w3 + params.b3
-    return a1, h1, a2, h2, out
+def _forward_into(params: ConverterParams, x: np.ndarray, h1: np.ndarray,
+                  h2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Forward pass over the rows of x, writing the two hidden activations
+    and the output into the given buffers of matching row count."""
+    np.matmul(x, params.w1, out=h1)
+    h1 += params.b1
+    np.maximum(h1, 0.0, out=h1)
+    np.matmul(h1, params.w2, out=h2)
+    h2 += params.b2
+    np.maximum(h2, 0.0, out=h2)
+    np.matmul(h2, params.w3, out=out)
+    out += params.b3
+    return out
+
+
+def _forward(params: ConverterParams, x: np.ndarray) -> np.ndarray:
+    n = x.shape[0]
+    return _forward_into(params, x, np.empty((n, HIDDEN_WIDTH)),
+                         np.empty((n, HIDDEN_WIDTH)), np.empty((n, 7)))
 
 
 def forward(params: ConverterParams, x) -> np.ndarray:
     """Predicted component deltas for one input row or a batch."""
     batch, squeeze = _as_batch(x)
-    out = _forward_full(params, batch)[4]
+    out = _forward(params, batch)
     return out[0] if squeeze else out
 
 
@@ -231,14 +262,8 @@ def _unpack_batch(batch) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def loss(params: ConverterParams, batch,
-         weights: LossWeights = LossWeights()) -> float:
-    """Mean per-pair loss: squared delta error, plus the negativity hinge on
-    the implied destination components, plus the squared wOBA mismatch."""
-    x, y = _unpack_batch(batch)
-    out = _forward_full(params, x)[4]
-    wvec = _woba_component_vector(params.woba_weights)
-
+def _mean_loss(x: np.ndarray, y: np.ndarray, out: np.ndarray,
+               wvec: np.ndarray, weights: LossWeights) -> float:
     err = out - y
     sq = np.sum(err * err, axis=1)
     implied = x[:, :7] + out
@@ -249,34 +274,83 @@ def loss(params: ConverterParams, batch,
     return float(per_pair.mean())
 
 
-def gradients(params: ConverterParams, batch,
-              weights: LossWeights = LossWeights()) -> dict[str, np.ndarray]:
-    """Hand-derived backprop for :func:`loss`."""
+def loss(params: ConverterParams, batch,
+         weights: LossWeights = LossWeights()) -> float:
+    """Mean per-pair loss: squared delta error, plus the negativity hinge on
+    the implied destination components, plus the squared wOBA mismatch."""
     x, y = _unpack_batch(batch)
-    n = x.shape[0]
-    a1, h1, a2, h2, out = _forward_full(params, x)
-    wvec = _woba_component_vector(params.woba_weights)
+    return _mean_loss(x, y, _forward(params, x),
+                      _woba_component_vector(params.woba_weights), weights)
 
-    err = out - y
-    implied = x[:, :7] + out
+
+class _Workspace:
+    """Buffers for one backprop over batches of up to `rows` pairs: the
+    forward activations, the output-layer terms and a flat gradient vector
+    with per-layer views.  A shorter batch uses the leading rows.  The two
+    hidden-activation buffers are reused in place for their gradients."""
+
+    def __init__(self, rows: int, woba_weights: WobaWeights):
+        self.wvec = _woba_component_vector(woba_weights)
+        self.h1 = np.empty((rows, HIDDEN_WIDTH))
+        self.h2 = np.empty((rows, HIDDEN_WIDTH))
+        self.relu = np.empty((rows, HIDDEN_WIDTH), dtype=bool)
+        self.out = np.empty((rows, 7))
+        self.err = np.empty((rows, 7))
+        self.g_out = np.empty((rows, 7))
+        self.negative = np.empty((rows, 7), dtype=bool)
+        self.woba_err = np.empty(rows)
+        self.grad = np.empty(N_PARAMS)
+        self.grads = _layer_views(self.grad)
+
+
+def _backprop(params: ConverterParams, x: np.ndarray, y: np.ndarray,
+              weights: LossWeights, ws: _Workspace) -> None:
+    """Hand-derived backprop for :func:`loss`, written into ws.grads."""
+    n = x.shape[0]
+    h1, h2, out, err, g_out, woba_err = (
+        a[:n] for a in (ws.h1, ws.h2, ws.out, ws.err, ws.g_out, ws.woba_err))
+    relu, negative = ws.relu[:n], ws.negative[:n]
+    g = ws.grads
+    _forward_into(params, x, h1, h2, out)
+
+    np.subtract(out, y, out=err)
     # d/d out of each term; the hinge's subgradient at exactly zero is zero.
-    g_out = 2.0 * err
-    g_out -= weights.negativity * (implied < 0.0)
-    g_out += (2.0 * weights.woba_consistency) * (err @ wvec)[:, None] * wvec
+    # `out` is free once err is taken, and serves as scratch from here on.
+    np.multiply(err, 2.0, out=g_out)
+    np.add(x[:, :7], out, out=out)  # implied destination components
+    np.less(out, 0.0, out=negative)
+    np.multiply(negative, weights.negativity, out=out)
+    g_out -= out
+    np.matmul(err, ws.wvec, out=woba_err)
+    woba_err *= 2.0 * weights.woba_consistency
+    np.multiply(woba_err[:, None], ws.wvec, out=out)
+    g_out += out
     g_out /= n
 
-    g_w3 = h2.T @ g_out
-    g_b3 = g_out.sum(axis=0)
-    g_h2 = g_out @ params.w3.T
-    g_a2 = g_h2 * (a2 > 0.0)
-    g_w2 = h1.T @ g_a2
-    g_b2 = g_a2.sum(axis=0)
-    g_h1 = g_a2 @ params.w2.T
-    g_a1 = g_h1 * (a1 > 0.0)
-    g_w1 = x.T @ g_a1
-    g_b1 = g_a1.sum(axis=0)
-    return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2,
-            "w3": g_w3, "b3": g_b3}
+    # h2 and then h1 are overwritten by their gradients once their ReLU
+    # masks (h > 0 exactly where the pre-activation is) have been taken.
+    np.matmul(h2.T, g_out, out=g["w3"])
+    np.sum(g_out, axis=0, out=g["b3"])
+    np.greater(h2, 0.0, out=relu)
+    g_a2 = np.matmul(g_out, params.w3.T, out=h2)
+    g_a2 *= relu
+    np.matmul(h1.T, g_a2, out=g["w2"])
+    np.sum(g_a2, axis=0, out=g["b2"])
+    np.greater(h1, 0.0, out=relu)
+    g_a1 = np.matmul(g_a2, params.w2.T, out=h1)
+    g_a1 *= relu
+    np.matmul(x.T, g_a1, out=g["w1"])
+    np.sum(g_a1, axis=0, out=g["b1"])
+
+
+def gradients(params: ConverterParams, batch,
+              weights: LossWeights = LossWeights()) -> dict[str, np.ndarray]:
+    """Hand-derived backprop for :func:`loss`.  The arrays returned belong
+    to this call alone."""
+    x, y = _unpack_batch(batch)
+    ws = _Workspace(x.shape[0], params.woba_weights)
+    _backprop(params, x, y, weights, ws)
+    return ws.grads
 
 
 def gradient_check(params: ConverterParams, batch,
@@ -346,7 +420,7 @@ class ValidationMetrics:
 def evaluate(params: ConverterParams, batch,
              weights: LossWeights = LossWeights()) -> ValidationMetrics:
     x, y = _unpack_batch(batch)
-    out = forward(params, x)
+    out = _forward(params, x)
     wvec = _woba_component_vector(params.woba_weights)
     err = out - y
     mse_vector = float(np.sum(err * err, axis=1).mean())
@@ -363,7 +437,7 @@ def evaluate(params: ConverterParams, batch,
     return ValidationMetrics(mse_vector=mse_vector, mse_woba=mse_woba,
                              neg_mass_raw=neg_raw,
                              neg_mass_projected=neg_projected,
-                             val_loss=loss(params, (x, y), weights),
+                             val_loss=_mean_loss(x, y, out, wvec, weights),
                              epochs_run=0, best_epoch=0)
 
 
@@ -390,15 +464,17 @@ def train(dataset: PairDataset, config: TrainConfig = TrainConfig(),
     x_val, y_val = dataset.inputs[val_idx], dataset.targets[val_idx]
     x_train, y_train = dataset.inputs[train_idx], dataset.targets[train_idx]
 
-    params = init_params(seed, woba_weights)
-    arrays = {k: v.copy() for k, v in params.arrays().items()}
-    velocity = {k: np.zeros_like(v) for k, v in arrays.items()}
+    # flat is the live parameter vector and `live` views it; `best` holds a
+    # copy of flat from the best epoch so far
+    init = init_params(seed, woba_weights).arrays()
+    flat = np.concatenate([init[name].ravel() for name, _ in LAYOUT])
+    velocity = np.zeros(N_PARAMS)
+    live = ConverterParams(**_layer_views(flat), woba_weights=woba_weights)
+    rows = min(config.batch_size, len(train_idx))
+    ws = _Workspace(rows, woba_weights)
+    x_batch, y_batch = np.empty((rows, 9)), np.empty((rows, 7))
 
-    def snapshot() -> ConverterParams:
-        return ConverterParams(**{k: v.copy() for k, v in arrays.items()},
-                               woba_weights=woba_weights)
-
-    best = snapshot()
+    best = flat.copy()
     best_loss = math.inf
     best_epoch = 0
     stale = 0
@@ -408,18 +484,20 @@ def train(dataset: PairDataset, config: TrainConfig = TrainConfig(),
         order = rng.permutation(len(train_idx))
         for start in range(0, len(order), config.batch_size):
             sel = order[start:start + config.batch_size]
-            grads = gradients(snapshot_view(arrays, woba_weights),
-                              (x_train[sel], y_train[sel]),
-                              config.loss_weights)
-            for key, g in grads.items():
-                velocity[key] = config.momentum * velocity[key] \
-                    - config.learning_rate * g
-                arrays[key] += velocity[key]
-        val_loss = loss(snapshot_view(arrays, woba_weights), (x_val, y_val),
-                        config.loss_weights)
+            xb, yb = x_batch[:len(sel)], y_batch[:len(sel)]
+            # "clip" skips the buffered copy "raise" makes; sel is in range
+            np.take(x_train, sel, axis=0, out=xb, mode="clip")
+            np.take(y_train, sel, axis=0, out=yb, mode="clip")
+            _backprop(live, xb, yb, config.loss_weights, ws)
+            # velocity = momentum * velocity - learning_rate * grad
+            ws.grad *= config.learning_rate
+            velocity *= config.momentum
+            velocity -= ws.grad
+            flat += velocity
+        val_loss = loss(live, (x_val, y_val), config.loss_weights)
         if val_loss < best_loss - 1e-12:
             best_loss = val_loss
-            best = snapshot()
+            best[:] = flat
             best_epoch = epoch
             stale = 0
         else:
@@ -427,15 +505,11 @@ def train(dataset: PairDataset, config: TrainConfig = TrainConfig(),
             if stale > config.patience:
                 break
 
-    metrics = evaluate(best, (x_val, y_val), config.loss_weights)
+    best_params = ConverterParams(**_layer_views(best),
+                                  woba_weights=woba_weights)
+    metrics = evaluate(best_params, (x_val, y_val), config.loss_weights)
     metrics = replace(metrics, epochs_run=epochs_run, best_epoch=best_epoch)
-    return best, metrics
-
-
-def snapshot_view(arrays: dict[str, np.ndarray],
-                  woba_weights: WobaWeights) -> ConverterParams:
-    """Zero-copy ConverterParams over live training arrays."""
-    return ConverterParams(**arrays, woba_weights=woba_weights)
+    return best_params, metrics
 
 
 def synthesize_players(n: int = 502, seed: int = 0, *,

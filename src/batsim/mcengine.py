@@ -20,6 +20,8 @@ needs more than one process starts it; every later call of the same size
 sends its batches to the same workers, so a sweep pays the pool's start
 once rather than once per cell.  Each task carries the compiled table and
 its (seed, batch index, size), so a worker keeps no state between tasks.
+A call sends its batches in one chunk per process, and pickling sends the
+table once per chunk, not once per batch.
 A call that needs another number of processes shuts the pool down and
 starts one of the new size; a call that raises (a worker that died, an
 interrupt) shuts it down before the exception propagates, and the next
@@ -29,6 +31,7 @@ until the interpreter exits.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -267,9 +270,10 @@ def run_batches(compiled: CompiledSim, *, n_games: int, seed: int, workers: int)
     with _pool_lock:
         pool = _shared_pool(processes)
         try:
-            # map yields in batch order; each task carries the compiled table
+            # map yields in batch order; each chunk pickles the table once
             results = list(pool.map(_simulate_batch, [compiled] * n, [seed] * n,
-                                    range(n), sizes))
+                                    range(n), sizes,
+                                    chunksize=math.ceil(n / processes)))
         except BaseException:
             # a dead worker, an interrupt or a failing batch leaves the pool
             # in an unknown state: stop it, so the next call starts afresh

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from batsim.abilities import (
+    DEFAULT_WOBA_WEIGHTS,
     LEAGUE_AVERAGE,
     AbilityVector,
     onbase_share,
@@ -30,12 +31,14 @@ from batsim.conversion import (
     ReducedVector,
     ShapeMismatchError,
     TrainConfig,
+    ValidationMetrics,
     build_pair_dataset,
     convert,
     dump_pair_csv,
     evaluate,
     forward,
     gradient_check,
+    gradients,
     init_params,
     load_params,
     loss,
@@ -221,6 +224,16 @@ class TestGradients:
         worst = gradient_check(params, batch, LossWeights(), probes=100, seed=12)
         assert worst <= 1e-4
 
+    def test_returned_arrays_are_not_reused(self, pairs):
+        params = init_params(seed=7)
+        first = gradients(params, (pairs.inputs[:64], pairs.targets[:64]))
+        kept = {k: v.copy() for k, v in first.items()}
+        gradients(params, (pairs.inputs[64:128], pairs.targets[64:128]))
+        train(build_pair_dataset(synthesize_players(16, seed=2)),
+              TrainConfig(max_epochs=2), seed=1)
+        for k, v in kept.items():
+            assert first[k].tobytes() == v.tobytes(), k
+
 
 # ---------------------------------------------------------------- players
 
@@ -306,6 +319,106 @@ class TestPairDataset:
 
 # ---------------------------------------------------------------- training
 
+# A plain reference trainer: the same floating-point operations as train(),
+# with a fresh array for every intermediate and a momentum update per layer
+# instead of train()'s reused buffers and flat parameter vector.  train()
+# must reproduce it bit for bit.
+
+def reference_forward(p, x):
+    a1 = x @ p["w1"] + p["b1"]
+    h1 = np.maximum(a1, 0.0)
+    a2 = h1 @ p["w2"] + p["b2"]
+    h2 = np.maximum(a2, 0.0)
+    out = h2 @ p["w3"] + p["b3"]
+    return a1, h1, a2, h2, out
+
+
+def reference_loss(p, x, y, wvec, weights):
+    out = reference_forward(p, x)[4]
+    err = out - y
+    sq = np.sum(err * err, axis=1)
+    implied = x[:, :7] + out
+    hinge = np.sum(np.maximum(-implied, 0.0), axis=1)
+    woba_err = err @ wvec
+    per_pair = sq + weights.negativity * hinge \
+        + weights.woba_consistency * woba_err * woba_err
+    return float(per_pair.mean())
+
+
+def reference_gradients(p, x, y, wvec, weights):
+    n = x.shape[0]
+    a1, h1, a2, h2, out = reference_forward(p, x)
+    err = out - y
+    implied = x[:, :7] + out
+    g_out = 2.0 * err
+    g_out -= weights.negativity * (implied < 0.0)
+    g_out += (2.0 * weights.woba_consistency) * (err @ wvec)[:, None] * wvec
+    g_out /= n
+    g_w3 = h2.T @ g_out
+    g_b3 = g_out.sum(axis=0)
+    g_h2 = g_out @ p["w3"].T
+    g_a2 = g_h2 * (a2 > 0.0)
+    g_w2 = h1.T @ g_a2
+    g_b2 = g_a2.sum(axis=0)
+    g_h1 = g_a2 @ p["w2"].T
+    g_a1 = g_h1 * (a1 > 0.0)
+    g_w1 = x.T @ g_a1
+    g_b1 = g_a1.sum(axis=0)
+    return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2,
+            "w3": g_w3, "b3": g_b3}
+
+
+def reference_train(dataset, config, seed):
+    weights = config.loss_weights
+    wvec = np.array(DEFAULT_WOBA_WEIGHTS.as_component_array() + (0.0, 0.0))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7A11)))
+    perm = rng.permutation(len(dataset))
+    n_val = max(1, int(round(len(dataset) * config.val_fraction)))
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    x_val, y_val = dataset.inputs[val_idx], dataset.targets[val_idx]
+    x_train, y_train = dataset.inputs[train_idx], dataset.targets[train_idx]
+    arrays = {k: v.copy() for k, v in init_params(seed).arrays().items()}
+    velocity = {k: np.zeros_like(v) for k, v in arrays.items()}
+    best = {k: v.copy() for k, v in arrays.items()}
+    best_loss, best_epoch, stale = math.inf, 0, 0
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(len(train_idx))
+        for start in range(0, len(order), config.batch_size):
+            sel = order[start:start + config.batch_size]
+            grads = reference_gradients(arrays, x_train[sel], y_train[sel],
+                                        wvec, weights)
+            for key, g in grads.items():
+                velocity[key] = config.momentum * velocity[key] \
+                    - config.learning_rate * g
+                arrays[key] += velocity[key]
+        val_loss = reference_loss(arrays, x_val, y_val, wvec, weights)
+        if val_loss < best_loss - 1e-12:
+            best_loss = val_loss
+            best = {k: v.copy() for k, v in arrays.items()}
+            best_epoch = epoch
+            stale = 0
+        else:
+            stale += 1
+            if stale > config.patience:
+                break
+
+    out = reference_forward(best, x_val)[4]
+    err = out - y_val
+    woba_err = err @ wvec
+    implied7 = x_val[:, :7] + out
+    implied8 = np.hstack([implied7, 1.0 - implied7.sum(axis=1, keepdims=True)])
+    clamped = np.maximum(implied8, 0.0)
+    projected = clamped / clamped.sum(axis=1, keepdims=True)
+    metrics = ValidationMetrics(
+        mse_vector=float(np.sum(err * err, axis=1).mean()),
+        mse_woba=float((woba_err * woba_err).mean()),
+        neg_mass_raw=float(np.maximum(-implied8, 0.0).sum(axis=1).mean()),
+        neg_mass_projected=float(np.maximum(-projected, 0.0).sum()),
+        val_loss=reference_loss(best, x_val, y_val, wvec, weights),
+        epochs_run=epoch, best_epoch=best_epoch)
+    return best, metrics
+
+
 class TestTrain:
     def test_validation_quality(self, trained):
         _, metrics = trained
@@ -332,6 +445,17 @@ class TestTrain:
         ds = build_pair_dataset(synthesize_players(4, seed=2))  # 6 pairs
         with pytest.raises(DatasetTooSmallError):
             train(ds, TrainConfig(max_epochs=1), seed=0)
+
+    def test_replays_the_allocating_trainer_bit_for_bit(self):
+        ds = build_pair_dataset(synthesize_players(30, seed=4))  # 435 pairs
+        cfg = TrainConfig(max_epochs=3, batch_size=100)
+        # 348 training pairs: three full batches and a short one per epoch
+        assert (len(ds) - round(len(ds) * cfg.val_fraction)) % cfg.batch_size
+        params, metrics = train(ds, cfg, seed=8)
+        ref_params, ref_metrics = reference_train(ds, cfg, seed=8)
+        for k in ("w1", "b1", "w2", "b2", "w3", "b3"):
+            assert params.arrays()[k].tobytes() == ref_params[k].tobytes(), k
+        assert metrics == ref_metrics
 
     def test_evaluate_consistency(self, trained, pairs):
         params, _ = trained
