@@ -19,7 +19,6 @@ from .abilities import (
     LEAGUE_AVERAGE,
     AbilityVector,
     AbilityVectorError,
-    SlashTargets,
     dump_ability_vector,
     load_ability_vector,
     validate,
@@ -49,6 +48,7 @@ from .defaults import (
     default_converter_params,
     default_transition_table,
     fitted_lineup,
+    lineup_targets_from_json,
 )
 from .fileio import atomic_write
 from .mcengine import shutdown_pool
@@ -99,7 +99,7 @@ def _resolve_lineup(cfg: ExperimentConfig):
     if lc.targets_path is not None:
         with open(lc.targets_path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        targets = [SlashTargets(**row) for row in obj["targets"]]
+        targets = lineup_targets_from_json(obj, lc.targets_path)
         if len(targets) != 9:
             raise ConfigError(f"{lc.targets_path}: expected 9 target rows, "
                               f"got {len(targets)}")
@@ -113,7 +113,7 @@ def _resolve_table(cfg: ExperimentConfig) -> TransitionTable:
     if tc.source == "bundled":
         return default_transition_table()
     if tc.source == "simple":
-        return TransitionTable(rows={}, min_count=0)
+        return TransitionTable(rows={})
     if tc.source == "event-csv":
         parsed = parse_event_log(tc.event_csv, strict=True)
         return build_table(parsed.events, min_count=tc.min_count)

@@ -26,6 +26,15 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(extra)}")
 
 
+def _require_ints(section, names: tuple[str, ...], where: str) -> None:
+    """Reject a bool, float or string where an integer belongs, before any
+    range check compares it."""
+    for name in names:
+        value = getattr(section, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where}{name} must be an integer, got {value!r}")
+
+
 def _require_file(path, where: str) -> None:
     if path is not None and not os.path.isfile(path):
         raise ConfigError(f"{where}: file not found: {path}")
@@ -71,6 +80,8 @@ class TransitionConfig:
                 raise ConfigError("transitions.source 'event-csv' needs "
                                   "transitions.event_csv")
             _require_file(self.event_csv, "transitions.event_csv")
+        _require_ints(self, ("min_count", "synthetic_events", "synthetic_seed"),
+                      "transitions.")
         if self.min_count < 0:
             raise ConfigError("transitions.min_count must be >= 0")
         if self.synthetic_events < 1:
@@ -88,6 +99,7 @@ class ConverterConfig:
 
     def validate(self) -> None:
         _require_file(self.params_path, "converter.params_path")
+        _require_ints(self, ("n_players", "train_seed"), "converter.")
         if self.n_players < 2:
             raise ConfigError("converter.n_players must be >= 2")
 
@@ -166,6 +178,7 @@ class ExperimentConfig:
         self.converter.validate()
         self.policy.validate()
         self.sweep.validate()
+        _require_ints(self, _INT_FIELDS, "")
         if self.n_games < 1:
             raise ConfigError("n_games must be >= 1")
         if self.seed < 0:
@@ -187,7 +200,8 @@ _SECTION_TYPES = {
     "sweep": SweepConfig,
 }
 _GRID_FIELDS = {"d_alpha_grid", "d_woba_grid", "theta_o_grid", "theta_l_grid"}
-_TOP_LEVEL = set(_SECTION_TYPES) | {"n_games", "seed", "workers", "innings", "pa_cap"}
+_INT_FIELDS = ("n_games", "seed", "workers", "innings", "pa_cap")
+_TOP_LEVEL = set(_SECTION_TYPES) | set(_INT_FIELDS)
 
 
 def _section_from_obj(cls, obj: dict, where: str):
@@ -213,7 +227,7 @@ def config_from_json_obj(obj: dict) -> ExperimentConfig:
             if not isinstance(section, dict):
                 raise ConfigError(f"config.{name} must be an object")
             kwargs[name] = _section_from_obj(cls, section, f"config.{name}")
-    for name in ("n_games", "seed", "workers", "innings", "pa_cap"):
+    for name in _INT_FIELDS:
         if name in obj:
             kwargs[name] = obj[name]
     try:

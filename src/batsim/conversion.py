@@ -173,8 +173,7 @@ class ConverterParams:
                                          f"got {arr.shape}")
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2,
-                "b2": self.b2, "w3": self.w3, "b3": self.b3}
+        return {name: getattr(self, name) for name, _ in LAYOUT}
 
 
 def _layer_views(flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -668,17 +667,22 @@ def save_params(params: ConverterParams, path, *,
 def load_params(path) -> ConverterParams:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if obj.get("architecture") != [9, HIDDEN_WIDTH, HIDDEN_WIDTH, 7]:
-        raise ConversionError(f"unsupported architecture {obj.get('architecture')}")
-    if obj.get("input_order") != list(INPUT_ORDER):
+    if not isinstance(obj, dict):
+        raise ConversionError(f"{path}: converter params must be a JSON object")
+    missing = [key for key in ("architecture", "input_order", "woba_weights",
+                               *(name for name, _ in LAYOUT)) if key not in obj]
+    if missing:
+        raise ConversionError(f"{path}: converter params lack {missing}")
+    if obj["architecture"] != [9, HIDDEN_WIDTH, HIDDEN_WIDTH, 7]:
+        raise ConversionError(f"unsupported architecture {obj['architecture']}")
+    if obj["input_order"] != list(INPUT_ORDER):
         raise ConversionError("input order does not match this build")
-    weights = WobaWeights(**obj["woba_weights"])
-    return ConverterParams(
-        w1=np.array(obj["w1"]), b1=np.array(obj["b1"]),
-        w2=np.array(obj["w2"]), b2=np.array(obj["b2"]),
-        w3=np.array(obj["w3"]), b3=np.array(obj["b3"]),
-        woba_weights=weights,
-    )
+    try:
+        weights = WobaWeights(**obj["woba_weights"])
+        arrays = {name: np.array(obj[name], dtype=float) for name, _ in LAYOUT}
+    except (TypeError, ValueError) as exc:
+        raise ConversionError(f"{path}: malformed converter params: {exc}") from exc
+    return ConverterParams(**arrays, woba_weights=weights)
 
 
 PAIR_CSV_HEADER = ",".join(INPUT_ORDER) + "," + ",".join(

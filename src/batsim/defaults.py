@@ -18,6 +18,7 @@ from .abilities import (
     fit_ability_vector,
     fit_residuals,
 )
+from .config import ConfigError
 from .conversion import ConverterParams, load_params
 from .transitions import TransitionTable
 
@@ -38,10 +39,24 @@ def _data_root():
     return resources.files("batsim") / "data"
 
 
+def lineup_targets_from_json(obj, where) -> list[SlashTargets]:
+    """SlashTargets from a targets file: an object whose "targets" list
+    holds one row of exactly the four numeric stats per slot."""
+    rows = obj.get("targets") if isinstance(obj, dict) else None
+    if not isinstance(rows, list):
+        raise ConfigError(f"{where}: expected an object with a 'targets' list")
+    for i, row in enumerate(rows):
+        if (not isinstance(row, dict) or set(row) != set(_STAT_KEYS)
+                or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                       for v in row.values())):
+            raise ConfigError(f"{where}: target row {i} must hold exactly the "
+                              f"numbers {', '.join(_STAT_KEYS)}, got {row!r}")
+    return [SlashTargets(**row) for row in rows]
+
+
 def bundled_lineup_targets() -> list[SlashTargets]:
     obj = json.loads((_data_root() / TARGETS_ASSET).read_text(encoding="utf-8"))
-    return [SlashTargets(**{k: row[k] for k in _STAT_KEYS})
-            for row in obj["targets"]]
+    return lineup_targets_from_json(obj, TARGETS_ASSET)
 
 
 @dataclass(frozen=True)

@@ -39,15 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transitions import (
-    INNING_OVER,
-    NUM_LIVE_STATES,
-    OUTCOMES,
-    TransitionEntry,
-    TransitionTable,
-    live_states,
-    simple_transition,
-)
+from .transitions import INNING_OVER, NUM_LIVE_STATES, TransitionTable, live_states
 
 BATCH_SIZE = 4096
 NUM_ROWS = 9 * NUM_LIVE_STATES  # row = slot * 24 + state
@@ -88,29 +80,15 @@ def compile_simulation(lineup, policy, table: TransitionTable, *,
                           for triple in lineup.slots])
 
     # every (state, outcome) transition entry, flattened
-    key, post, runs, prob, fell_back = [], [], [], [], []
-    for s in states:
-        for o, outcome in enumerate(OUTCOMES):
-            entries = table.rows.get((s.outs, s.bases, outcome))
-            missing = entries is None
-            if missing:
-                after, scored = simple_transition(s, outcome)
-                entries = (TransitionEntry(after.outs, after.bases, scored, 1.0),)
-            for e in entries:
-                key.append(s.index * 8 + o)
-                post.append(INNING_OVER if e.outs >= 3 else e.outs * 8 + e.bases)
-                runs.append(e.runs)
-                prob.append(e.prob)
-                fell_back.append(missing)
-    key = np.array(key)
-    n_runs = max(runs) + 1
-    code = (np.array(post) * n_runs + np.array(runs)) * 2 + np.array(fell_back)
+    key, post, runs, prob, fell_back = table.flat()
+    n_runs = int(runs.max()) + 1
+    code = (post * n_runs + runs) * 2 + fell_back
 
     # joint mass per (row, code): sum over outcomes of P(o) * P(post, runs | o)
     state = key // 8
     entry_row = np.arange(9)[:, None] * NUM_LIVE_STATES + state  # (9, entries)
     mass = np.zeros((NUM_ROWS, (INNING_OVER + 1) * n_runs * 2))
-    np.add.at(mass, (entry_row, code), outcome_p[:, state, key % 8] * np.array(prob))
+    np.add.at(mass, (entry_row, code), outcome_p[:, state, key % 8] * prob)
 
     # left-justify the positive-mass codes of each row
     filled = mass > 0.0

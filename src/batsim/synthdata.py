@@ -17,6 +17,7 @@ import numpy as np
 
 from .abilities import LEAGUE_AVERAGE, AbilityVector, validate
 from .transitions import (
+    HITS,
     OUTCOMES,
     GameState,
     Outcome,
@@ -229,9 +230,7 @@ def stochastic_transition(state: GameState, outcome: Outcome, rng,
         return _ground_transition(state, rng, model)
     if outcome is Outcome.FLY_OUT:
         return _fly_transition(state, rng, model)
-    n = {Outcome.SINGLE: 1, Outcome.DOUBLE: 2, Outcome.TRIPLE: 3,
-         Outcome.HOME_RUN: 4}[outcome]
-    return _hit_transition(state, n, rng, model)
+    return _hit_transition(state, HITS[outcome], rng, model)
 
 
 def synthesize_event_log(n_events: int, seed: int,

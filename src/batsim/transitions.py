@@ -6,6 +6,12 @@ outcome then moves the game to a post state and scores some runs.  An inning
 is over once the post state reaches 3 outs; the bases mask of an inning-ending
 row records the runners stranded at that moment.
 
+A transition table holds the observed distribution of post states for each
+(state, outcome) key.  TransitionTable.lookup is the one place that answers a
+key the table lacks: it falls back to the deterministic simple_transition.
+TransitionTable.flat walks every key through lookup into parallel arrays,
+the Markov chain that both the Monte Carlo engine and run_expectancy read.
+
 Every recorded transition must balance the books: the batter plus the runners
 already aboard each end the play on base, scored, or out, so
 
@@ -114,12 +120,16 @@ class GameState:
 
     @property
     def runners(self) -> int:
-        return (self.bases & 1) + ((self.bases >> 1) & 1) + ((self.bases >> 2) & 1)
+        return _runner_count(self.bases)
 
     @property
     def index(self) -> int:
-        """Flat index: live states map to 0..23, inning-over to 24."""
-        return INNING_OVER if self.outs >= 3 else self.outs * 8 + self.bases
+        return state_index(self.outs, self.bases)
+
+
+def state_index(outs: int, bases: int) -> int:
+    """Flat index: live states map to 0..23, inning-over to 24."""
+    return INNING_OVER if outs >= 3 else outs * 8 + bases
 
 
 def live_states() -> list[GameState]:
@@ -302,14 +312,39 @@ Key = tuple[int, int, Outcome]
 @dataclass(frozen=True)
 class TransitionTable:
     """Conditional distributions over post states, keyed by
-    (outs, bases, outcome).  Missing keys mean "no data"; sampling falls
-    back to :func:`simple_transition` for those."""
+    (outs, bases, outcome).  Missing keys mean "no data"; :meth:`lookup`
+    answers those with :func:`simple_transition`, and every reader of the
+    table goes through it."""
 
     rows: dict[Key, tuple[TransitionEntry, ...]]
-    min_count: int = 0
 
-    def row(self, outs: int, bases: int, outcome: Outcome):
-        return self.rows.get((outs, bases, outcome))
+    def lookup(self, state: GameState, outcome: Outcome,
+               ) -> tuple[tuple[TransitionEntry, ...], bool]:
+        """The entries for (state, outcome) and whether they fell back: the
+        observed row and False, or simple_transition's point mass and True."""
+        entries = self.rows.get((state.outs, state.bases, outcome))
+        if entries is not None:
+            return entries, False
+        post, runs = simple_transition(state, outcome)
+        return (TransitionEntry(post.outs, post.bases, runs, 1.0),), True
+
+    def flat(self) -> tuple[np.ndarray, ...]:
+        """Every (state, outcome, entry) of the chain as parallel arrays:
+        key = state index * 8 + outcome index, post index (INNING_OVER
+        when the entry ends the inning), runs, probability given the key,
+        and whether the entry fell back."""
+        key, post, runs, prob, fell_back = [], [], [], [], []
+        for state in live_states():
+            for o, outcome in enumerate(OUTCOMES):
+                entries, missing = self.lookup(state, outcome)
+                for e in entries:
+                    key.append(state.index * 8 + o)
+                    post.append(state_index(e.outs, e.bases))
+                    runs.append(e.runs)
+                    prob.append(e.prob)
+                    fell_back.append(missing)
+        return (np.array(key), np.array(post), np.array(runs),
+                np.array(prob), np.array(fell_back))
 
     @property
     def coverage(self) -> float:
@@ -318,13 +353,10 @@ class TransitionTable:
     @classmethod
     def simple(cls) -> "TransitionTable":
         """Point-mass table reproducing simple_transition everywhere."""
-        rows = {}
-        for state in live_states():
-            for outcome in OUTCOMES:
-                post, runs = simple_transition(state, outcome)
-                rows[(state.outs, state.bases, outcome)] = (
-                    TransitionEntry(post.outs, post.bases, runs, 1.0),)
-        return cls(rows=rows, min_count=0)
+        empty = cls(rows={})
+        return cls(rows={(state.outs, state.bases, outcome):
+                         empty.lookup(state, outcome)[0]
+                         for state in live_states() for outcome in OUTCOMES})
 
     def to_json_obj(self) -> dict:
         obj = {}
@@ -414,7 +446,7 @@ def build_table(events, min_count: int = 5) -> TransitionTable:
         rows[key] = entries
     if not rows:
         raise EmptyInputError("no events to build a table from")
-    return TransitionTable(rows=rows, min_count=min_count)
+    return TransitionTable(rows=rows)
 
 
 def _cumulative(entries) -> list[float]:
@@ -432,16 +464,13 @@ def sample_transition(table: TransitionTable, state: GameState,
     True when the table had no row and the simple model answered instead.
     Callers accumulate the fallback count themselves, keeping tables
     immutable and sampling safe to run concurrently."""
-    entries = table.rows.get((state.outs, state.bases, outcome))
-    if entries is None:
-        post, runs = simple_transition(state, outcome)
-        return post, runs, True
+    entries, fell_back = table.lookup(state, outcome)
     if len(entries) == 1:
         e = entries[0]
     else:
         cum = _cumulative(entries)
         e = entries[bisect_right(cum, rng.random())]
-    return GameState(e.outs, e.bases), e.runs, False
+    return GameState(e.outs, e.bases), e.runs, fell_back
 
 
 @dataclass(frozen=True)
@@ -475,28 +504,6 @@ class RunExpectancyTable:
         return cls(values=tuple(vals))
 
 
-def _transition_terms(table: TransitionTable, batter: AbilityVector):
-    """Flatten (state, outcome, entry) triples into parallel arrays:
-    source index, post index (24 == inning over), runs, joint probability."""
-    probs = batter.as_tuple()
-    src, post, runs, p = [], [], [], []
-    for state in live_states():
-        for outcome, p_outcome in zip(OUTCOMES, probs):
-            if p_outcome <= 0.0:
-                continue
-            entries = table.rows.get((state.outs, state.bases, outcome))
-            if entries is None:
-                s2, r = simple_transition(state, outcome)
-                entries = (TransitionEntry(s2.outs, s2.bases, r, 1.0),)
-            for e in entries:
-                src.append(state.index)
-                post.append(INNING_OVER if e.outs >= 3 else e.outs * 8 + e.bases)
-                runs.append(e.runs)
-                p.append(p_outcome * e.prob)
-    return (np.array(src), np.array(post),
-            np.array(runs, dtype=float), np.array(p, dtype=float))
-
-
 def run_expectancy(table: TransitionTable, batter: AbilityVector, *,
                    tol: float = 1e-10, max_sweeps: int = 100_000,
                    ) -> RunExpectancyTable:
@@ -507,7 +514,9 @@ def run_expectancy(table: TransitionTable, batter: AbilityVector, *,
     within the sweep budget, which happens exactly when the inning cannot
     (or essentially cannot) reach three outs under this batter.
     """
-    src, post, runs, p = _transition_terms(table, batter)
+    key, post, runs, prob, _ = table.flat()
+    src = key // 8
+    p = np.array(batter.as_tuple())[key % 8] * prob
 
     # Immediate expected runs per state, and the live-to-live flow matrix.
     b = np.zeros(NUM_LIVE_STATES)

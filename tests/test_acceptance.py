@@ -77,7 +77,7 @@ def params():
 def test_criterion_01_closed_form_run_expectancy():
     t0 = time.monotonic()
     batter = AbilityVector(0.0, 0.0, 0.0, 0.1, 0.0, 0.9, 0.0, 0.0)
-    simple = TransitionTable(rows={}, min_count=0)
+    simple = TransitionTable(rows={})
     re_table = run_expectancy(simple, batter)
     re0 = re_table.value(GameState(0, 0))
     re2 = re_table.value(GameState(2, 0))
@@ -96,7 +96,7 @@ def test_criterion_01_closed_form_run_expectancy():
 
 def test_criterion_02_all_strikeout_lineup_never_scores():
     batter = AbilityVector(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-    simple = TransitionTable(rows={}, min_count=0)
+    simple = TransitionTable(rows={})
     stats = monte_carlo(Lineup.from_vectors([batter] * 9), always_normal,
                         simple, 10_000, SEED)
     assert stats.histogram == (10_000,)

@@ -2,6 +2,10 @@
 documented error classes, and reproducibility of file outputs."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from batsim.conversion import (
     load_params,
     save_params,
 )
+from batsim.defaults import default_converter_params
 from batsim.mcengine import BATCH_SIZE
 from batsim.simulation import RunStats
 from batsim.sweeps import SWEEP_CSV_HEADER
@@ -82,6 +87,54 @@ def test_invalid_json_config(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     assert main(["--config", str(path), "--print-config"]) == EXIT_CONFIG
+
+
+def _malformed_config(case, tmp_path):
+    """The config object for one malformed-input case, writing any file it
+    points at into tmp_path."""
+    if case == "n_games-str":
+        return {"n_games": "100"}
+    if case == "n_games-float":
+        return {"n_games": 100.5}
+    if case == "workers-float":
+        return {"workers": 1.5}
+    if case in ("params-list", "params-missing-key"):
+        params = tmp_path / "params.json"
+        if case == "params-list":
+            params.write_text("[]")
+        else:
+            save_params(default_converter_params(), params)
+            obj = json.loads(params.read_text())
+            del obj["woba_weights"]
+            params.write_text(json.dumps(obj))
+        return {"converter": {"params_path": str(params)}}
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps({"targets": [{"obp": 0.33, "slg": 0.4}] * 9}))
+    return {"lineup": {"targets_path": str(targets)}}
+
+
+@pytest.mark.parametrize("case, code", [
+    ("n_games-str", EXIT_CONFIG),
+    ("n_games-float", EXIT_CONFIG),
+    ("workers-float", EXIT_CONFIG),
+    ("params-list", EXIT_DATA),
+    ("params-missing-key", EXIT_DATA),
+    ("targets-row-missing-keys", EXIT_CONFIG),
+])
+def test_malformed_user_json_exits_cleanly(case, code, tmp_path):
+    obj = {"n_games": 400, "seed": 99, "workers": 1}
+    obj.update(_malformed_config(case, tmp_path))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "batsim.cli", "--config", str(cfg),
+         "--out", str(tmp_path / "stats.json"), "simulate"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
 
 
 # ---------------------------------------------------------------- simulate

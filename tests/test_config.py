@@ -81,10 +81,21 @@ def test_grid_must_be_list():
 
 @pytest.mark.parametrize("field,value", [
     ("n_games", 0), ("seed", -1), ("workers", 0), ("innings", 0), ("pa_cap", 0),
+    ("n_games", "100"), ("n_games", 100.5), ("workers", True), ("seed", 1.0),
 ])
 def test_top_level_bounds(field, value):
     with pytest.raises(ConfigError):
         config_from_json_obj({field: value})
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("transitions", "min_count", True), ("transitions", "synthetic_events", 1e5),
+    ("transitions", "synthetic_seed", "97"), ("converter", "n_players", 80.0),
+    ("converter", "train_seed", False),
+])
+def test_section_integers_reject_other_types(section, field, value):
+    with pytest.raises(ConfigError, match=f"{section}.{field} must be an integer"):
+        config_from_json_obj({section: {field: value}})
 
 
 class TestLineupConfig:

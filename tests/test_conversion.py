@@ -609,7 +609,7 @@ class TestBuildTriple:
         # identical vectors in every role: policy choice cannot matter
         t = build_triple(LEAGUE_AVERAGE, zero_params(), 0.0, 0.0)
         lineup = Lineup((t,) * 9)
-        table = TransitionTable(rows={}, min_count=0)
+        table = TransitionTable(rows={})
         a = monte_carlo(lineup, fixed_policy, table, 400, seed=77)
         b = monte_carlo(lineup, always_normal, table, 400, seed=77)
         assert a.histogram == b.histogram

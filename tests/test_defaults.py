@@ -98,7 +98,7 @@ def test_refit_never_writes_the_data_directory(tmp_path, monkeypatch, cache):
 def test_default_transition_table():
     table = default_transition_table()
     assert table.coverage == 1.0
-    entries = table.row(0, 0, Outcome.SINGLE)
+    entries = table.rows.get((0, 0, Outcome.SINGLE))
     assert entries is not None
     assert sum(e.prob for e in entries) == pytest.approx(1.0, abs=1e-9)
 

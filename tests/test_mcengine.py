@@ -57,7 +57,7 @@ def _expected_masses(lineup, table, slot, state):
     masses = defaultdict(float)
     probs = lineup.slots[slot].vector(fixed_policy(state)).as_tuple()
     for p_o, outcome in zip(probs, OUTCOMES):
-        entries = table.row(state.outs, state.bases, outcome)
+        entries = table.rows.get((state.outs, state.bases, outcome))
         if entries is None:
             post, runs = simple_transition(state, outcome)
             masses[(post.index, runs, True)] += p_o

@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batsim.abilities import LEAGUE_AVERAGE, AbilityVector
+from batsim.defaults import default_transition_table, fitted_lineup
+from batsim.sweeps import mean_batter
 from batsim.transitions import (
     EVENT_CSV_HEADER,
+    INNING_OVER,
+    NUM_LIVE_STATES,
     OUTCOMES,
     ConservationViolationError,
     EmptyInputError,
@@ -211,7 +215,7 @@ class TestBuildTable:
         events = [TransitionEvent(0, 0, Outcome.SINGLE, 0, 1, 0)] * 3
         events += [TransitionEvent(0, 0, Outcome.SINGLE, 0, 2, 0)]
         table = build_table(events, min_count=0)
-        row = table.row(0, 0, Outcome.SINGLE)
+        row = table.rows.get((0, 0, Outcome.SINGLE))
         assert {(e.outs, e.bases, e.runs): e.prob for e in row} == {
             (0, 1, 0): 0.75,
             (0, 2, 0): 0.25,
@@ -221,7 +225,7 @@ class TestBuildTable:
         # Two observations, both to second base; the simple model says first.
         events = [TransitionEvent(0, 0, Outcome.SINGLE, 0, 2, 0)] * 2
         table = build_table(events, min_count=5)
-        row = {(e.outs, e.bases, e.runs): e.prob for e in table.row(0, 0, Outcome.SINGLE)}
+        row = {(e.outs, e.bases, e.runs): e.prob for e in table.rows[(0, 0, Outcome.SINGLE)]}
         assert row == {(0, 2, 0): 0.5, (0, 1, 0): 0.5}
 
     def test_blend_merges_agreeing_destinations(self):
@@ -230,7 +234,7 @@ class TestBuildTable:
                   TransitionEvent(0, 0, Outcome.SINGLE, 0, 2, 0),
                   TransitionEvent(0, 0, Outcome.SINGLE, 0, 2, 0)]
         table = build_table(events, min_count=5)
-        row = {(e.outs, e.bases, e.runs): e.prob for e in table.row(0, 0, Outcome.SINGLE)}
+        row = {(e.outs, e.bases, e.runs): e.prob for e in table.rows[(0, 0, Outcome.SINGLE)]}
         assert row == {(0, 1, 0): 0.75, (0, 2, 0): 0.25}
 
     def test_no_events_rejected(self):
@@ -251,7 +255,7 @@ class TestBuildTable:
         assert synthetic_table.coverage > 0.9
         for bases in range(8):
             for outs in range(3):
-                assert synthetic_table.row(outs, bases, Outcome.SINGLE) is not None
+                assert synthetic_table.rows.get((outs, bases, Outcome.SINGLE)) is not None
 
 
 class TestTableSerialization:
@@ -375,6 +379,86 @@ class TestRunExpectancy:
     def test_dict_round_trip(self, synthetic_table):
         re = run_expectancy(synthetic_table, LEAGUE_AVERAGE)
         assert RunExpectancyTable.from_dict(re.as_dict()) == re
+
+
+TABLES = {"bundled": default_transition_table,
+          "empty": lambda: TransitionTable(rows={}),
+          "simple": TransitionTable.simple}
+
+
+class TestLookup:
+    def test_observed_key_returns_its_row(self, synthetic_table):
+        key = (1, 3, Outcome.DOUBLE)
+        entries, fell_back = synthetic_table.lookup(GameState(1, 3), Outcome.DOUBLE)
+        assert entries is synthetic_table.rows[key]
+        assert fell_back is False
+
+    def test_missing_key_falls_back_to_simple_point_mass(self):
+        state = GameState(2, 5)
+        for outcome in OUTCOMES:
+            entries, fell_back = TransitionTable(rows={}).lookup(state, outcome)
+            post, runs = simple_transition(state, outcome)
+            assert entries == (TransitionEntry(post.outs, post.bases, runs, 1.0),)
+            assert fell_back is True
+
+    @pytest.mark.parametrize("name", ["bundled", "empty", "simple", "synthetic"])
+    def test_flat_marks_exactly_the_missing_keys(self, name, synthetic_table):
+        table = synthetic_table if name == "synthetic" else TABLES[name]()
+        key, post, runs, prob, fell_back = table.flat()
+        for k in range(NUM_LIVE_STATES * 8):
+            state = live_states()[k // 8]
+            at = key == k
+            observed = (state.outs, state.bases, OUTCOMES[k % 8]) in table.rows
+            assert at.any()
+            assert np.all(fell_back[at] == (not observed))
+            assert math.fsum(prob[at]) == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert np.all((post >= 0) & (post <= INNING_OVER))
+        assert np.all(runs >= 0)
+
+
+def _replayed_run_expectancy(table, batter):
+    """Run expectancy as computed before TransitionTable.flat existed: its
+    own walk over (state, outcome, entry) skipping zero-probability
+    outcomes, then the same value iteration."""
+    probs = batter.as_tuple()
+    src, post, runs, p = [], [], [], []
+    for state in live_states():
+        for outcome, p_outcome in zip(OUTCOMES, probs):
+            if p_outcome <= 0.0:
+                continue
+            entries = table.rows.get((state.outs, state.bases, outcome))
+            if entries is None:
+                s2, r = simple_transition(state, outcome)
+                entries = (TransitionEntry(s2.outs, s2.bases, r, 1.0),)
+            for e in entries:
+                src.append(state.index)
+                post.append(INNING_OVER if e.outs >= 3 else e.outs * 8 + e.bases)
+                runs.append(e.runs)
+                p.append(p_outcome * e.prob)
+    src, post = np.array(src), np.array(post)
+    runs, p = np.array(runs, dtype=float), np.array(p, dtype=float)
+    b = np.zeros(NUM_LIVE_STATES)
+    np.add.at(b, src, p * runs)
+    m = np.zeros((NUM_LIVE_STATES, NUM_LIVE_STATES))
+    alive = post < INNING_OVER
+    np.add.at(m, (src[alive], post[alive]), p[alive])
+    re = np.zeros(NUM_LIVE_STATES)
+    for _ in range(100_000):
+        new = b + m @ re
+        residual = np.max(np.abs(new - re))
+        re = new
+        if residual < 1e-10:
+            return tuple(re.tolist())
+    raise AssertionError("the replayed value iteration did not converge")
+
+
+@pytest.mark.parametrize("batter_name", ["league", "homer-or-k", "mean-lineup"])
+@pytest.mark.parametrize("table_name", sorted(TABLES))
+def test_run_expectancy_replays_bit_for_bit(table_name, batter_name):
+    table = TABLES[table_name]()
+    batter = {"league": LEAGUE_AVERAGE, "homer-or-k": HOMER_OR_K,
+              "mean-lineup": mean_batter(fitted_lineup().vectors)}[batter_name]
+    assert run_expectancy(table, batter).values == _replayed_run_expectancy(table, batter)
 
 
 @settings(max_examples=200)
