@@ -417,9 +417,10 @@ class TestLookup:
 
 
 def _replayed_run_expectancy(table, batter):
-    """Run expectancy as computed before TransitionTable.flat existed: its
-    own walk over (state, outcome, entry) skipping zero-probability
-    outcomes, then the same value iteration."""
+    """Reference run expectancy with its own walk over (state, outcome,
+    entry), which skips zero-probability outcomes, and the same value
+    iteration.  run_expectancy adds those outcomes as exact 0.0 terms, so
+    the two must agree bit for bit."""
     probs = batter.as_tuple()
     src, post, runs, p = [], [], [], []
     for state in live_states():
