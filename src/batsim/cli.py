@@ -53,13 +53,7 @@ from .defaults import (
 from .fileio import atomic_write
 from .mcengine import shutdown_pool
 from .simulation import Lineup, load_histogram_csv, monte_carlo
-from .strategies import (
-    ThresholdPolicyConfig,
-    always_normal,
-    build_triple,
-    fixed_policy,
-    threshold_policy,
-)
+from .strategies import always_normal, build_triple, fixed_policy, threshold_policy
 from .sweeps import (
     mean_batter,
     run_strategy_grid,
@@ -95,6 +89,10 @@ def _resolve_lineup(cfg: ExperimentConfig):
         if not isinstance(obj, list) or len(obj) != 9:
             raise ConfigError(f"{lc.vectors_path}: expected a JSON list of "
                               "9 ability vectors")
+        for i, d in enumerate(obj):
+            if not isinstance(d, dict):
+                raise ConfigError(f"{lc.vectors_path}: entry {i} is not an "
+                                  f"ability vector object: {d!r}")
         return [validate(AbilityVector.from_json_dict(d)) for d in obj]
     if lc.targets_path is not None:
         with open(lc.targets_path, "r", encoding="utf-8") as fh:
@@ -139,9 +137,7 @@ def _resolve_policy(cfg: ExperimentConfig, table, normals):
     if pc.kind == "fixed":
         return lineup, fixed_policy
     re_table = run_expectancy(table, mean_batter(normals))
-    policy = threshold_policy(ThresholdPolicyConfig(pc.theta_o, pc.theta_l),
-                              re_table)
-    return lineup, policy
+    return lineup, threshold_policy(pc.theta_o, pc.theta_l, re_table)
 
 
 def _load_batter(path):

@@ -8,8 +8,9 @@ package version.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 
 class ConfigError(ValueError):
@@ -26,13 +27,25 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(extra)}")
 
 
-def _require_ints(section, names: tuple[str, ...], where: str) -> None:
-    """Reject a bool, float or string where an integer belongs, before any
-    range check compares it."""
+def _require_numbers(section, names: tuple[str, ...], where: str, *,
+                     real: bool = False) -> None:
+    """Reject a value of the wrong type before any range check compares it.
+
+    An integer field takes an int; a real field (real=True) takes a finite
+    int or float.  A bool is neither.  A grid is checked entry by entry.
+    None passes only where it is the field's default, as for the
+    thresholds and their grids."""
+    optional = {f.name for f in fields(section) if f.default is None}
+    kind, what = ((int, float), "a finite number") if real else (int, "an integer")
     for name in names:
         value = getattr(section, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}{name} must be an integer, got {value!r}")
+        if value is None and name in optional:
+            continue
+        grid = name in _GRID_FIELDS and isinstance(value, (tuple, list))
+        for v in value if grid else (value,):
+            if isinstance(v, bool) or not isinstance(v, kind) or not math.isfinite(v):
+                raise ConfigError(f"{where}{name}{' entries' if grid else ''} "
+                                  f"must be {what}, got {v!r}")
 
 
 def _require_file(path, where: str) -> None:
@@ -80,8 +93,8 @@ class TransitionConfig:
                 raise ConfigError("transitions.source 'event-csv' needs "
                                   "transitions.event_csv")
             _require_file(self.event_csv, "transitions.event_csv")
-        _require_ints(self, ("min_count", "synthetic_events", "synthetic_seed"),
-                      "transitions.")
+        _require_numbers(self, ("min_count", "synthetic_events", "synthetic_seed"),
+                         "transitions.")
         if self.min_count < 0:
             raise ConfigError("transitions.min_count must be >= 0")
         if self.synthetic_events < 1:
@@ -99,7 +112,7 @@ class ConverterConfig:
 
     def validate(self) -> None:
         _require_file(self.params_path, "converter.params_path")
-        _require_ints(self, ("n_players", "train_seed"), "converter.")
+        _require_numbers(self, ("n_players", "train_seed"), "converter.")
         if self.n_players < 2:
             raise ConfigError("converter.n_players must be >= 2")
 
@@ -115,6 +128,8 @@ class PolicyConfig:
     def validate(self) -> None:
         if self.kind not in ("normal-only", "fixed", "threshold"):
             raise ConfigError(f"policy.kind {self.kind!r} not recognized")
+        _require_numbers(self, ("d_alpha", "d_woba", "theta_o", "theta_l"),
+                         "policy.", real=True)
         if self.d_alpha < 0:
             raise ConfigError("policy.d_alpha must be >= 0")
         if self.d_woba > 0:
@@ -143,6 +158,9 @@ class SweepConfig:
     def validate(self) -> None:
         if self.mode not in ("strategy-grid", "threshold-grid"):
             raise ConfigError(f"sweep.mode {self.mode!r} not recognized")
+        _require_numbers(self, ("d_alpha_grid", "d_woba_grid", "theta_o_grid",
+                                "theta_l_grid", "threshold_d_alpha",
+                                "threshold_d_woba"), "sweep.", real=True)
         if len(self.d_alpha_grid) == 0 or len(self.d_woba_grid) == 0:
             raise ConfigError("sweep grids must be nonempty")
         if any(a < 0 for a in self.d_alpha_grid):
@@ -178,7 +196,7 @@ class ExperimentConfig:
         self.converter.validate()
         self.policy.validate()
         self.sweep.validate()
-        _require_ints(self, _INT_FIELDS, "")
+        _require_numbers(self, _INT_FIELDS, "")
         if self.n_games < 1:
             raise ConfigError("n_games must be >= 1")
         if self.seed < 0:
@@ -205,8 +223,7 @@ _TOP_LEVEL = set(_SECTION_TYPES) | set(_INT_FIELDS)
 
 
 def _section_from_obj(cls, obj: dict, where: str):
-    fields = {f.name for f in cls.__dataclass_fields__.values()}
-    _require_keys(obj, fields, where)
+    _require_keys(obj, {f.name for f in fields(cls)}, where)
     kwargs = dict(obj)
     for name in _GRID_FIELDS & set(kwargs):
         if kwargs[name] is not None:

@@ -10,6 +10,7 @@ of parallelism produces byte-identical aggregates.
 
 Step semantics mirror the scalar engine in simulation.py, fused into one
 draw per plate appearance: compile_simulation folds the lineup, the policy
+(a 24-tuple of StrategyChoice, one per live state, used as it is)
 and the transition table into one cumulative row per (slot, state) over the
 merged (post state, runs, fallback) outcomes of that plate appearance, so a
 single uniform picks both the batter's outcome and the base-out transition.
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transitions import INNING_OVER, NUM_LIVE_STATES, TransitionTable, live_states
+from .transitions import INNING_OVER, NUM_LIVE_STATES, TransitionTable
 
 BATCH_SIZE = 4096
 NUM_ROWS = 9 * NUM_LIVE_STATES  # row = slot * 24 + state
@@ -73,10 +74,10 @@ def compile_simulation(lineup, policy, table: TransitionTable, *,
                        innings: int, pa_cap: int) -> CompiledSim:
     if innings <= 0 or pa_cap <= 0:
         raise ValueError("innings and pa_cap must be positive")
-    states = live_states()
-    choices = [policy(s) for s in states]
+    if len(policy) != NUM_LIVE_STATES:
+        raise ValueError(f"a policy has {NUM_LIVE_STATES} choices, got {len(policy)}")
     # P(outcome | slot, state), shape (9, 24, 8)
-    outcome_p = np.array([[triple.vector(choice).as_tuple() for choice in choices]
+    outcome_p = np.array([[triple.vector(choice).as_tuple() for choice in policy]
                           for triple in lineup.slots])
 
     # every (state, outcome) transition entry, flattened

@@ -1,7 +1,8 @@
 """Game simulation: a readable scalar engine plus aggregate run statistics.
 
 simulate_game walks one offense through nine half-innings, one plate
-appearance at a time, consulting the strategy policy before every batter.
+appearance at a time, looking up the current state's choice in the policy
+(a 24-tuple of StrategyChoice indexed by GameState.index) before every batter.
 It is the reference implementation: monte_carlo, defined here and run on
 the batched engine in mcengine, must agree with it statistically, and the
 tests check that it does.
@@ -98,8 +99,9 @@ def play_half_inning(lineup: Lineup, cursor: int, policy, table: TransitionTable
                      rng, *, pa_cap: int = PA_CAP_PER_HALF_INNING) -> HalfInningResult:
     """Play one half-inning starting from the given batting-order cursor.
 
-    policy maps a GameState to a StrategyChoice; rng needs a .random()
-    method.  Returns the runs scored and the cursor for the next inning.
+    policy holds one StrategyChoice per live state, indexed by
+    GameState.index; rng needs a .random() method.  Returns the runs
+    scored and the cursor for the next inning.
     """
     state = START_OF_INNING
     runs = 0
@@ -108,7 +110,7 @@ def play_half_inning(lineup: Lineup, cursor: int, policy, table: TransitionTable
     truncated = False
     while True:
         triple = lineup.slots[cursor]
-        vector = triple.vector(policy(state))
+        vector = triple.vector(policy[state.index])
         outcome = OUTCOMES[_draw_outcome_index(vector.as_tuple(), rng)]
         post, scored, fell_back = sample_transition(table, state, outcome, rng)
         runs += scored

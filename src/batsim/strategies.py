@@ -2,9 +2,11 @@
 
 A strategy is a per-state choice among three versions of the same batter:
 the measured profile, an on-base-tilted variant, and a long-hit-tilted
-variant.  This module supplies the choice policies (a fixed base-out rule
-and a run-expectancy threshold rule) and the construction of the per-batter
-triples via the trained conversion model.
+variant.  A policy is plain data: the 24-tuple of those choices, one per
+live base-out state in GameState.index order.  This module supplies the
+policies (no adjustment, a fixed base-out rule, and a run-expectancy
+threshold rule) and the construction of the per-batter triples via the
+trained conversion model.
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ from .abilities import (
     onbase_share,
     validate,
 )
-from .transitions import GameState, RunExpectancyTable
+from .transitions import (
+    NUM_LIVE_STATES,
+    GameState,
+    RunExpectancyTable,
+    live_states,
+)
 
 
 class StrategyChoice(Enum):
@@ -59,12 +66,11 @@ class StrategyTriple:
         return cls(normal=vector, on_base=vector, long_hit=vector)
 
 
-def always_normal(state: GameState) -> StrategyChoice:
-    """Baseline policy: no situational adjustment."""
-    return StrategyChoice.NORMAL
+# one choice per live base-out state, indexed by GameState.index
+Policy = tuple[StrategyChoice, ...]
 
 
-def fixed_policy(state: GameState) -> StrategyChoice:
+def _fixed_choice(state: GameState) -> StrategyChoice:
     """Fixed base-out rule.
 
     Go for on-base with nobody out or with a runner in scoring position;
@@ -79,40 +85,24 @@ def fixed_policy(state: GameState) -> StrategyChoice:
     return StrategyChoice.NORMAL
 
 
-@dataclass(frozen=True)
-class ThresholdPolicyConfig:
-    """Run-expectancy cutoffs: on-base at or above theta_o, long-hit at or
-    below theta_l.  theta_l must sit strictly below theta_o so the two
-    regions cannot overlap."""
+# the baseline: no situational adjustment
+always_normal: Policy = (StrategyChoice.NORMAL,) * NUM_LIVE_STATES
 
-    theta_o: float
-    theta_l: float
-
-    def __post_init__(self):
-        if not self.theta_l < self.theta_o:
-            raise InvalidThresholdsError(
-                f"theta_l ({self.theta_l}) must be below theta_o ({self.theta_o})")
+fixed_policy: Policy = tuple(_fixed_choice(s) for s in live_states())
 
 
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """Callable policy choosing by the current state's run expectancy."""
-
-    config: ThresholdPolicyConfig
-    expectancy: RunExpectancyTable
-
-    def __call__(self, state: GameState) -> StrategyChoice:
-        value = self.expectancy.value(state)
-        if value >= self.config.theta_o:
-            return StrategyChoice.ON_BASE
-        if value <= self.config.theta_l:
-            return StrategyChoice.LONG_HIT
-        return StrategyChoice.NORMAL
-
-
-def threshold_policy(config: ThresholdPolicyConfig,
-                     expectancy: RunExpectancyTable) -> ThresholdPolicy:
-    return ThresholdPolicy(config=config, expectancy=expectancy)
+def threshold_policy(theta_o: float, theta_l: float,
+                     expectancy: RunExpectancyTable) -> Policy:
+    """Choose by each state's run expectancy: on-base at or above theta_o,
+    long-hit at or below theta_l, normal in between.  theta_l must sit
+    strictly below theta_o so the two regions cannot overlap."""
+    if not theta_l < theta_o:
+        raise InvalidThresholdsError(
+            f"theta_l ({theta_l}) must be below theta_o ({theta_o})")
+    return tuple(StrategyChoice.ON_BASE if value >= theta_o
+                 else StrategyChoice.LONG_HIT if value <= theta_l
+                 else StrategyChoice.NORMAL
+                 for value in expectancy.values)
 
 
 def build_triple(normal: AbilityVector, params, d_alpha: float, d_woba: float,

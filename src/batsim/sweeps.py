@@ -9,7 +9,7 @@ sweep modes given the same lineup, table, and seed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -17,20 +17,10 @@ import numpy as np
 from .abilities import AbilityVector
 from .fileio import atomic_write
 from .simulation import Lineup, RunStats, monte_carlo
-from .strategies import (
-    ThresholdPolicyConfig,
-    always_normal,
-    build_triple,
-    fixed_policy,
-    threshold_policy,
-)
+from .strategies import always_normal, build_triple, fixed_policy, threshold_policy
 from .transitions import RunExpectancyTable, TransitionTable, run_expectancy
 
 log = logging.getLogger(__name__)
-
-SWEEP_CSV_HEADER = ("mode,d_alpha,d_woba,theta_o,theta_l,mean_runs,stderr,"
-                    "delta_vs_baseline,n_games,truncated,fallbacks,"
-                    "infeasible_triples")
 
 
 @dataclass(frozen=True)
@@ -47,6 +37,9 @@ class SweepRow:
     truncated: int
     fallbacks: int
     infeasible_triples: int
+
+
+SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def _stats_row(mode: str, stats: RunStats, baseline_mean: float | None,
@@ -145,8 +138,7 @@ def run_threshold_grid(normals, params, table: TransitionTable, *,
             log.warning("skipping threshold cell theta_o=%s theta_l=%s: "
                         "theta_l must be < theta_o", theta_o, theta_l)
             continue
-        policy = threshold_policy(ThresholdPolicyConfig(theta_o, theta_l),
-                                  re_table)
+        policy = threshold_policy(theta_o, theta_l, re_table)
         stats = monte_carlo(lineup, policy, table, n_games, seed,
                             workers=workers, innings=innings, pa_cap=pa_cap)
         rows.append(_stats_row("threshold", stats, baseline.mean_runs,
@@ -176,10 +168,7 @@ def write_sweep_csv(rows, path) -> None:
     with atomic_write(path, newline="") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
         for r in rows:
-            fh.write(",".join(_cell(v) for v in (
-                r.mode, r.d_alpha, r.d_woba, r.theta_o, r.theta_l,
-                r.mean_runs, r.stderr, r.delta_vs_baseline, r.n_games,
-                r.truncated, r.fallbacks, r.infeasible_triples)) + "\n")
+            fh.write(",".join(_cell(v) for v in astuple(r)) + "\n")
 
 
 def read_sweep_csv(path) -> list[SweepRow]:

@@ -317,7 +317,7 @@ def test_criterion_09_invariant_suites(normals, table):
         (2, 4): O, (2, 5): O, (2, 6): O, (2, 7): O,
     }
     for state in live_states():
-        assert fixed_policy(state) is expected[(state.outs, state.bases)]
+        assert fixed_policy[state.index] is expected[(state.outs, state.bases)]
 
     print("criterion 9 PASS: stochasticity, conservation x1e6, RE(outs) "
           "monotonicity, projection idempotence, 24-state fixed rule")

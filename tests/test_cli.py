@@ -98,6 +98,18 @@ def _malformed_config(case, tmp_path):
         return {"n_games": 100.5}
     if case == "workers-float":
         return {"workers": 1.5}
+    if case == "d_alpha-str":
+        return {"policy": {"d_alpha": "0.1"}}
+    if case == "d_alpha-nan":
+        return {"policy": {"d_alpha": float("nan")}}
+    if case == "theta_o-str":
+        return {"policy": {"kind": "threshold", "theta_o": "1.0", "theta_l": 0.3}}
+    if case == "d_alpha_grid-str":
+        return {"sweep": {"d_alpha_grid": ["0.1"]}}
+    if case == "vectors-not-objects":
+        vectors = tmp_path / "vectors.json"
+        vectors.write_text(json.dumps([1] * 9))
+        return {"lineup": {"source": "vectors", "vectors_path": str(vectors)}}
     if case in ("params-list", "params-missing-key"):
         params = tmp_path / "params.json"
         if case == "params-list":
@@ -117,6 +129,11 @@ def _malformed_config(case, tmp_path):
     ("n_games-str", EXIT_CONFIG),
     ("n_games-float", EXIT_CONFIG),
     ("workers-float", EXIT_CONFIG),
+    ("d_alpha-str", EXIT_CONFIG),
+    ("d_alpha-nan", EXIT_CONFIG),
+    ("theta_o-str", EXIT_CONFIG),
+    ("d_alpha_grid-str", EXIT_CONFIG),
+    ("vectors-not-objects", EXIT_CONFIG),
     ("params-list", EXIT_DATA),
     ("params-missing-key", EXIT_DATA),
     ("targets-row-missing-keys", EXIT_CONFIG),

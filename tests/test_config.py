@@ -82,6 +82,7 @@ def test_grid_must_be_list():
 @pytest.mark.parametrize("field,value", [
     ("n_games", 0), ("seed", -1), ("workers", 0), ("innings", 0), ("pa_cap", 0),
     ("n_games", "100"), ("n_games", 100.5), ("workers", True), ("seed", 1.0),
+    ("n_games", None),
 ])
 def test_top_level_bounds(field, value):
     with pytest.raises(ConfigError):
@@ -96,6 +97,28 @@ def test_top_level_bounds(field, value):
 def test_section_integers_reject_other_types(section, field, value):
     with pytest.raises(ConfigError, match=f"{section}.{field} must be an integer"):
         config_from_json_obj({section: {field: value}})
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("policy", "d_alpha", "0.1"), ("policy", "d_alpha", float("inf")),
+    ("policy", "d_alpha", None), ("policy", "d_woba", True),
+    ("policy", "theta_o", "1.0"), ("policy", "theta_l", float("nan")),
+    ("sweep", "d_alpha_grid", ["0.1"]), ("sweep", "d_woba_grid", [float("nan")]),
+    ("sweep", "theta_o_grid", [1.0, True]), ("sweep", "theta_l_grid", ["0.2"]),
+    ("sweep", "threshold_d_alpha", "0.1"),
+    ("sweep", "threshold_d_woba", float("-inf")),
+])
+def test_section_reals_reject_other_types(section, field, value):
+    with pytest.raises(ConfigError,
+                       match=f"{section}.{field}( entries)? must be a finite number"):
+        config_from_json_obj({section: {field: value}})
+
+
+def test_reals_take_ints_and_optional_none():
+    cfg = config_from_json_obj({
+        "policy": {"kind": "threshold", "d_woba": 0, "theta_o": 2, "theta_l": 0},
+        "sweep": {"d_alpha_grid": [0, 0.1], "theta_o_grid": None}})
+    assert cfg.policy.theta_o == 2 and cfg.sweep.d_alpha_grid == (0, 0.1)
 
 
 class TestLineupConfig:

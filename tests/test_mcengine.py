@@ -20,7 +20,14 @@ from batsim.defaults import (
     fitted_lineup,
 )
 from batsim.simulation import Lineup, monte_carlo
-from batsim.strategies import always_normal, build_triple, fixed_policy
+from batsim.strategies import (
+    StrategyChoice,
+    always_normal,
+    build_triple,
+    fixed_policy,
+    threshold_policy,
+)
+from batsim.sweeps import mean_batter
 from batsim.transitions import (
     INNING_OVER,
     NUM_LIVE_STATES,
@@ -28,6 +35,7 @@ from batsim.transitions import (
     Outcome,
     TransitionTable,
     live_states,
+    run_expectancy,
     simple_transition,
 )
 
@@ -42,20 +50,41 @@ def lineup():
                         for v in fitted_lineup().vectors))
 
 
-@pytest.fixture(scope="module", params=["bundled", "empty"])
-def compiled(request, lineup):
-    table = (default_transition_table() if request.param == "bundled"
+@pytest.fixture(scope="module")
+def policies(lineup):
+    """The three policy kinds.  The threshold policy splits the 24 states
+    into thirds by the bundled table's run expectancy for the mean batter."""
+    re_table = run_expectancy(default_transition_table(),
+                              mean_batter(lineup.normals))
+    values = sorted(re_table.values)
+    threshold = threshold_policy(values[16], values[7], re_table)
+    assert set(threshold) == set(StrategyChoice)
+    return {"fixed": fixed_policy, "normal-only": always_normal,
+            "threshold": threshold}
+
+
+# (table, policy kind); the fixed-policy cases keep their table-only ids
+CASES = [(t, k) for k in ("fixed", "normal-only", "threshold")
+         for t in ("bundled", "empty")]
+
+
+@pytest.fixture(scope="module", params=CASES,
+                ids=[t if k == "fixed" else f"{t}-{k}" for t, k in CASES])
+def compiled(request, lineup, policies):
+    table_kind, policy_kind = request.param
+    table = (default_transition_table() if table_kind == "bundled"
              else TransitionTable(rows={}))
-    c = mcengine.compile_simulation(lineup, fixed_policy, table,
+    policy = policies[policy_kind]
+    c = mcengine.compile_simulation(lineup, policy, table,
                                     innings=9, pa_cap=100)
-    return lineup, table, c
+    return lineup, table, policy, c
 
 
-def _expected_masses(lineup, table, slot, state):
+def _expected_masses(lineup, policy, table, slot, state):
     """sum_o P(o | slot, state) * P(post, runs | state, o), keyed by
     (post, runs, fell_back), computed entry by entry."""
     masses = defaultdict(float)
-    probs = lineup.slots[slot].vector(fixed_policy(state)).as_tuple()
+    probs = lineup.slots[slot].vector(policy[state.index]).as_tuple()
     for p_o, outcome in zip(probs, OUTCOMES):
         entries = table.rows.get((state.outs, state.bases, outcome))
         if entries is None:
@@ -69,12 +98,12 @@ def _expected_masses(lineup, table, slot, state):
 
 
 def test_rows_hold_the_joint_mass(compiled):
-    lineup, table, c = compiled
+    lineup, table, policy, c = compiled
     width = c.cum.shape[1]
     for slot in range(9):
         for state in live_states():
             r = slot * NUM_LIVE_STATES + state.index
-            expected = _expected_masses(lineup, table, slot, state)
+            expected = _expected_masses(lineup, policy, table, slot, state)
             k = len(expected)
             assert k <= width
             mass = np.diff(c.cum[r, :k], prepend=0.0)
@@ -94,7 +123,7 @@ def test_rows_hold_the_joint_mass(compiled):
 
 
 def test_unit_interval_ends_draw_positive_mass(compiled):
-    _, _, c = compiled
+    *_, c = compiled
     rows = np.arange(mcengine.NUM_ROWS)
     width = c.cum.shape[1]
     mass = np.diff(c.cum, axis=1, prepend=0.0)
@@ -105,7 +134,7 @@ def test_unit_interval_ends_draw_positive_mass(compiled):
 
 
 def test_draw_matches_a_full_row_search(compiled):
-    _, _, c = compiled
+    *_, c = compiled
     rng = np.random.default_rng(3)
     edges = np.arange(mcengine.GUIDE_SIZE) / mcengine.GUIDE_SIZE
     inner = c.cum[c.cum < 1.0]
@@ -116,6 +145,14 @@ def test_draw_matches_a_full_row_search(compiled):
     expected = rows * c.cum.shape[1] + np.count_nonzero(
         c.cum[rows] <= u[:, None], axis=1)
     np.testing.assert_array_equal(mcengine._draw(c, rows, u), expected)
+
+
+@pytest.mark.parametrize("length", [0, 23, 25])
+def test_compile_rejects_a_policy_of_another_length(lineup, length):
+    policy = (StrategyChoice.NORMAL,) * length
+    with pytest.raises(ValueError, match="24 choices"):
+        mcengine.compile_simulation(lineup, policy, TransitionTable.simple(),
+                                    innings=9, pa_cap=100)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

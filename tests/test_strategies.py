@@ -5,12 +5,11 @@ from batsim.strategies import (
     InvalidThresholdsError,
     StrategyChoice,
     StrategyTriple,
-    ThresholdPolicyConfig,
     always_normal,
     fixed_policy,
     threshold_policy,
 )
-from batsim.transitions import GameState, RunExpectancyTable, live_states
+from batsim.transitions import RunExpectancyTable, live_states
 
 N, O, L = StrategyChoice.NORMAL, StrategyChoice.ON_BASE, StrategyChoice.LONG_HIT
 
@@ -24,12 +23,13 @@ FIXED_EXPECTED = {
 
 
 def test_fixed_policy_full_table():
+    assert len(fixed_policy) == 24
     for state in live_states():
-        assert fixed_policy(state) is FIXED_EXPECTED[(state.outs, state.bases)], state
+        assert fixed_policy[state.index] is FIXED_EXPECTED[(state.outs, state.bases)], state
 
 
 def test_always_normal():
-    assert all(always_normal(s) is N for s in live_states())
+    assert always_normal == (N,) * 24
 
 
 class TestThresholdPolicy:
@@ -38,14 +38,15 @@ class TestThresholdPolicy:
 
     def test_config_requires_gap(self):
         with pytest.raises(InvalidThresholdsError):
-            ThresholdPolicyConfig(theta_o=0.5, theta_l=0.5)
+            threshold_policy(0.5, 0.5, self.RE)
         with pytest.raises(InvalidThresholdsError):
-            ThresholdPolicyConfig(theta_o=0.3, theta_l=0.9)
-        ThresholdPolicyConfig(theta_o=0.9, theta_l=0.3)
+            threshold_policy(0.3, 0.9, self.RE)
+        threshold_policy(0.9, 0.3, self.RE)
 
     def test_regions(self):
-        policy = threshold_policy(ThresholdPolicyConfig(theta_o=1.5, theta_l=0.4), self.RE)
-        chosen = [policy(s) for s in live_states()]
+        policy = threshold_policy(1.5, 0.4, self.RE)
+        assert len(policy) == 24
+        chosen = [policy[s.index] for s in live_states()]
         for state, choice in zip(live_states(), chosen):
             value = self.RE.value(state)
             if value >= 1.5:
@@ -57,11 +58,11 @@ class TestThresholdPolicy:
         assert O in chosen and L in chosen and N in chosen
 
     def test_boundaries_are_inclusive(self):
-        policy = threshold_policy(ThresholdPolicyConfig(theta_o=1.5, theta_l=0.4), self.RE)
+        policy = threshold_policy(1.5, 0.4, self.RE)
         at_theta_o = next(s for s in live_states() if self.RE.value(s) == 1.5)
         at_theta_l = next(s for s in live_states() if self.RE.value(s) == 0.4)
-        assert policy(at_theta_o) is O
-        assert policy(at_theta_l) is L
+        assert policy[at_theta_o.index] is O
+        assert policy[at_theta_l.index] is L
 
 
 class TestStrategyTriple:
