@@ -2,11 +2,11 @@
 
 The pipeline, in dependency order: ability vectors and their rate stats
 (:mod:`batsim.abilities`), base-out transition tables and run expectancy
-(:mod:`batsim.transitions`), the game simulator (:mod:`batsim.simulation`),
-per-state strategy policies (:mod:`batsim.strategies`), the strategy
-conversion model (:mod:`batsim.conversion`), parameter sweeps
-(:mod:`batsim.sweeps`), and bundled defaults plus the CLI
-(:mod:`batsim.defaults`, :mod:`batsim.cli`).
+(:mod:`batsim.transitions`), lineups and Monte Carlo simulation
+(:mod:`batsim.simulation`, :mod:`batsim.mcengine`), per-state strategy
+policies (:mod:`batsim.strategies`), the strategy conversion model
+(:mod:`batsim.conversion`), parameter sweeps (:mod:`batsim.sweeps`), and
+bundled defaults plus the CLI (:mod:`batsim.defaults`, :mod:`batsim.cli`).
 """
 
 from .abilities import (
@@ -53,7 +53,6 @@ from .simulation import (
     RunStats,
     load_histogram_csv,
     monte_carlo,
-    simulate_game,
 )
 from .strategies import (
     Policy,
@@ -132,7 +131,6 @@ __all__ = [
     "RunStats",
     "load_histogram_csv",
     "monte_carlo",
-    "simulate_game",
     "Policy",
     "StrategyChoice",
     "StrategyTriple",

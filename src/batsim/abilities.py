@@ -105,6 +105,10 @@ class AbilityVector:
         extra = [k for k in obj if k not in OUTCOME_KEYS]
         if extra:
             raise AbilityVectorError(f"unknown outcome keys: {extra}")
+        for k in OUTCOME_KEYS:
+            if isinstance(obj[k], bool) or not isinstance(obj[k], (int, float)):
+                raise AbilityVectorError(f"component {k} must be a number, "
+                                         f"got {obj[k]!r}")
         vec = cls(*(float(obj[k]) for k in OUTCOME_KEYS))
         total = math.fsum(vec.as_tuple())
         if abs(total - 1.0) > SUM_TOLERANCE:

@@ -21,7 +21,6 @@ from .abilities import (
     AbilityVectorError,
     dump_ability_vector,
     load_ability_vector,
-    validate,
 )
 from .config import (
     ConfigError,
@@ -93,7 +92,7 @@ def _resolve_lineup(cfg: ExperimentConfig):
             if not isinstance(d, dict):
                 raise ConfigError(f"{lc.vectors_path}: entry {i} is not an "
                                   f"ability vector object: {d!r}")
-        return [validate(AbilityVector.from_json_dict(d)) for d in obj]
+        return [AbilityVector.from_json_dict(d) for d in obj]
     if lc.targets_path is not None:
         with open(lc.targets_path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)

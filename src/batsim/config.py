@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -27,23 +29,43 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(extra)}")
 
 
-def _require_numbers(section, names: tuple[str, ...], where: str, *,
-                     real: bool = False) -> None:
-    """Reject a value of the wrong type before any range check compares it.
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),
+          str: ((str,), "a string")}
 
-    An integer field takes an int; a real field (real=True) takes a finite
-    int or float.  A bool is neither.  A grid is checked entry by entry.
-    None passes only where it is the field's default, as for the
-    thresholds and their grids."""
-    optional = {f.name for f in fields(section) if f.default is None}
-    kind, what = ((int, float), "a finite number") if real else (int, "an integer")
-    for name in names:
-        value = getattr(section, name)
-        if value is None and name in optional:
+
+@cache
+def _declared(cls) -> tuple[tuple[str, type, bool, bool], ...]:
+    """Each non-section field's declared type, read from its annotation, as
+    (name, scalar type, whether it is a tuple grid of them, whether None is
+    allowed)."""
+    declared = []
+    for name, hint in get_type_hints(cls).items():
+        if is_dataclass(hint):
             continue
-        grid = name in _GRID_FIELDS and isinstance(value, (tuple, list))
+        optional = type(None) in get_args(hint)
+        if optional:
+            hint = next(a for a in get_args(hint) if a is not type(None))
+        grid = get_origin(hint) is tuple
+        declared.append((name, get_args(hint)[0] if grid else hint, grid, optional))
+    return tuple(declared)
+
+
+def _require_types(section, where: str) -> None:
+    """Reject a value of the wrong type before any range or file check reads
+    it.  Each field's type is its annotation: an int takes an int, a float
+    a finite int or float, a str a str, and a tuple grid a list of those,
+    checked entry by entry; "| None" lets None pass.  A bool is none of
+    these."""
+    for name, kind, grid, optional in _declared(type(section)):
+        value = getattr(section, name)
+        if value is None and optional:
+            continue
+        if grid and not isinstance(value, (tuple, list)):
+            raise ConfigError(f"{where}{name} must be a list, got {value!r}")
+        allowed, what = _KINDS[kind]
         for v in value if grid else (value,):
-            if isinstance(v, bool) or not isinstance(v, kind) or not math.isfinite(v):
+            if (isinstance(v, bool) or not isinstance(v, allowed)
+                    or (kind is not str and not math.isfinite(v))):
                 raise ConfigError(f"{where}{name}{' entries' if grid else ''} "
                                   f"must be {what}, got {v!r}")
 
@@ -64,6 +86,7 @@ class LineupConfig:
     vectors_path: str | None = None
 
     def validate(self) -> None:
+        _require_types(self, "lineup.")
         if self.source not in ("targets", "vectors"):
             raise ConfigError(f"lineup.source must be 'targets' or 'vectors', "
                               f"got {self.source!r}")
@@ -86,6 +109,7 @@ class TransitionConfig:
     synthetic_seed: int = 97
 
     def validate(self) -> None:
+        _require_types(self, "transitions.")
         if self.source not in ("bundled", "simple", "event-csv", "synthetic"):
             raise ConfigError(f"transitions.source {self.source!r} not recognized")
         if self.source == "event-csv":
@@ -93,8 +117,6 @@ class TransitionConfig:
                 raise ConfigError("transitions.source 'event-csv' needs "
                                   "transitions.event_csv")
             _require_file(self.event_csv, "transitions.event_csv")
-        _require_numbers(self, ("min_count", "synthetic_events", "synthetic_seed"),
-                         "transitions.")
         if self.min_count < 0:
             raise ConfigError("transitions.min_count must be >= 0")
         if self.synthetic_events < 1:
@@ -111,8 +133,8 @@ class ConverterConfig:
     train_seed: int = 0
 
     def validate(self) -> None:
+        _require_types(self, "converter.")
         _require_file(self.params_path, "converter.params_path")
-        _require_numbers(self, ("n_players", "train_seed"), "converter.")
         if self.n_players < 2:
             raise ConfigError("converter.n_players must be >= 2")
 
@@ -126,10 +148,9 @@ class PolicyConfig:
     theta_l: float | None = None
 
     def validate(self) -> None:
+        _require_types(self, "policy.")
         if self.kind not in ("normal-only", "fixed", "threshold"):
             raise ConfigError(f"policy.kind {self.kind!r} not recognized")
-        _require_numbers(self, ("d_alpha", "d_woba", "theta_o", "theta_l"),
-                         "policy.", real=True)
         if self.d_alpha < 0:
             raise ConfigError("policy.d_alpha must be >= 0")
         if self.d_woba > 0:
@@ -156,11 +177,9 @@ class SweepConfig:
     threshold_d_woba: float = -0.005
 
     def validate(self) -> None:
+        _require_types(self, "sweep.")
         if self.mode not in ("strategy-grid", "threshold-grid"):
             raise ConfigError(f"sweep.mode {self.mode!r} not recognized")
-        _require_numbers(self, ("d_alpha_grid", "d_woba_grid", "theta_o_grid",
-                                "theta_l_grid", "threshold_d_alpha",
-                                "threshold_d_woba"), "sweep.", real=True)
         if len(self.d_alpha_grid) == 0 or len(self.d_woba_grid) == 0:
             raise ConfigError("sweep grids must be nonempty")
         if any(a < 0 for a in self.d_alpha_grid):
@@ -196,7 +215,7 @@ class ExperimentConfig:
         self.converter.validate()
         self.policy.validate()
         self.sweep.validate()
-        _require_numbers(self, _INT_FIELDS, "")
+        _require_types(self, "")
         if self.n_games < 1:
             raise ConfigError("n_games must be >= 1")
         if self.seed < 0:
@@ -217,18 +236,14 @@ _SECTION_TYPES = {
     "policy": PolicyConfig,
     "sweep": SweepConfig,
 }
-_GRID_FIELDS = {"d_alpha_grid", "d_woba_grid", "theta_o_grid", "theta_l_grid"}
-_INT_FIELDS = ("n_games", "seed", "workers", "innings", "pa_cap")
-_TOP_LEVEL = set(_SECTION_TYPES) | set(_INT_FIELDS)
+_TOP_LEVEL = {f.name for f in fields(ExperimentConfig)}
 
 
 def _section_from_obj(cls, obj: dict, where: str):
     _require_keys(obj, {f.name for f in fields(cls)}, where)
     kwargs = dict(obj)
-    for name in _GRID_FIELDS & set(kwargs):
-        if kwargs[name] is not None:
-            if not isinstance(kwargs[name], (list, tuple)):
-                raise ConfigError(f"{where}.{name} must be a list")
+    for name, _, grid, _ in _declared(cls):
+        if grid and isinstance(kwargs.get(name), list):
             kwargs[name] = tuple(kwargs[name])
     return cls(**kwargs)
 
@@ -244,7 +259,7 @@ def config_from_json_obj(obj: dict) -> ExperimentConfig:
             if not isinstance(section, dict):
                 raise ConfigError(f"config.{name} must be an object")
             kwargs[name] = _section_from_obj(cls, section, f"config.{name}")
-    for name in _INT_FIELDS:
+    for name in _TOP_LEVEL - set(_SECTION_TYPES):
         if name in obj:
             kwargs[name] = obj[name]
     try:

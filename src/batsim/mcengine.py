@@ -8,13 +8,15 @@ iteration count of a batch therefore depends only on its own games, batch
 histograms are integers, and their sum is order-independent, so any degree
 of parallelism produces byte-identical aggregates.
 
-Step semantics mirror the scalar engine in simulation.py, fused into one
-draw per plate appearance: compile_simulation folds the lineup, the policy
-(a 24-tuple of StrategyChoice, one per live state, used as it is)
-and the transition table into one cumulative row per (slot, state) over the
+Each plate appearance is one draw: compile_simulation folds the lineup, the
+policy (a 24-tuple of StrategyChoice, one per live state, used as it is) and
+the transition table into one cumulative row per (slot, state) over the
 merged (post state, runs, fallback) outcomes of that plate appearance, so a
 single uniform picks both the batter's outcome and the base-out transition.
 A plate-appearance cap per half-inning guards against never-ending innings.
+The reference for these semantics is exact: the tests compute each game's
+run distribution from the same chain by pushing probability mass through it,
+and check the engine's histograms against it.
 
 Parallel calls share one process pool per process.  The first call that
 needs more than one process starts it; every later call of the same size

@@ -1,11 +1,11 @@
-"""Game simulation: a readable scalar engine plus aggregate run statistics.
+"""Lineups, aggregate run statistics, and monte_carlo, the entry point that
+simulates games on the batched engine in mcengine.
 
-simulate_game walks one offense through nine half-innings, one plate
-appearance at a time, looking up the current state's choice in the policy
-(a 24-tuple of StrategyChoice indexed by GameState.index) before every batter.
-It is the reference implementation: monte_carlo, defined here and run on
-the batched engine in mcengine, must agree with it statistically, and the
-tests check that it does.
+A Lineup is nine strategy triples in batting order.  monte_carlo compiles it
+with a policy (a 24-tuple of StrategyChoice indexed by GameState.index) and
+a transition table, runs the games in seed-determined batches, and returns
+their RunStats: the runs histogram with its mean and standard error, and the
+truncation, fallback and plate-appearance counts.
 
 A hard cap bounds plate appearances per half-inning so degenerate batter
 profiles (nothing but home runs) cannot loop forever; hitting the cap ends
@@ -22,12 +22,7 @@ from dataclasses import dataclass
 from .abilities import AbilityVector, NoOutProbabilityError, validate
 from .fileio import atomic_write
 from .strategies import StrategyTriple
-from .transitions import (
-    OUTCOMES,
-    START_OF_INNING,
-    TransitionTable,
-    sample_transition,
-)
+from .transitions import TransitionTable
 from . import mcengine
 
 PA_CAP_PER_HALF_INNING = 100
@@ -61,91 +56,6 @@ class Lineup:
     @property
     def normals(self) -> tuple[AbilityVector, ...]:
         return tuple(t.normal for t in self.slots)
-
-
-@dataclass(frozen=True)
-class HalfInningResult:
-    runs: int
-    next_cursor: int
-    plate_appearances: int
-    fallback_transitions: int
-    truncated: bool
-
-
-@dataclass(frozen=True)
-class GameResult:
-    runs: int
-    inning_runs: tuple[int, ...]
-    plate_appearances: int
-    fallback_transitions: int
-    truncated: bool
-
-
-def _draw_outcome_index(probs, rng) -> int:
-    u = rng.random()
-    total = 0.0
-    last_positive = 0
-    for i, p in enumerate(probs):
-        if p <= 0.0:
-            continue
-        total += p
-        last_positive = i
-        if u < total:
-            return i
-    return last_positive  # float crumbs left u at/above the accumulated sum
-
-
-def play_half_inning(lineup: Lineup, cursor: int, policy, table: TransitionTable,
-                     rng, *, pa_cap: int = PA_CAP_PER_HALF_INNING) -> HalfInningResult:
-    """Play one half-inning starting from the given batting-order cursor.
-
-    policy holds one StrategyChoice per live state, indexed by
-    GameState.index; rng needs a .random() method.  Returns the runs
-    scored and the cursor for the next inning.
-    """
-    state = START_OF_INNING
-    runs = 0
-    pa = 0
-    fallbacks = 0
-    truncated = False
-    while True:
-        triple = lineup.slots[cursor]
-        vector = triple.vector(policy[state.index])
-        outcome = OUTCOMES[_draw_outcome_index(vector.as_tuple(), rng)]
-        post, scored, fell_back = sample_transition(table, state, outcome, rng)
-        runs += scored
-        pa += 1
-        fallbacks += fell_back
-        cursor = (cursor + 1) % 9
-        if post.is_over:
-            break
-        if pa >= pa_cap:
-            truncated = True
-            break
-        state = post
-    return HalfInningResult(runs=runs, next_cursor=cursor, plate_appearances=pa,
-                            fallback_transitions=fallbacks, truncated=truncated)
-
-
-def simulate_game(lineup: Lineup, policy, table: TransitionTable, rng, *,
-                  innings: int = DEFAULT_INNINGS,
-                  pa_cap: int = PA_CAP_PER_HALF_INNING) -> GameResult:
-    """One team's offensive half of a game: nine half-innings by default."""
-    cursor = 0
-    inning_runs = []
-    pa = 0
-    fallbacks = 0
-    truncated = False
-    for _ in range(innings):
-        half = play_half_inning(lineup, cursor, policy, table, rng, pa_cap=pa_cap)
-        inning_runs.append(half.runs)
-        cursor = half.next_cursor
-        pa += half.plate_appearances
-        fallbacks += half.fallback_transitions
-        truncated = truncated or half.truncated
-    return GameResult(runs=sum(inning_runs), inning_runs=tuple(inning_runs),
-                      plate_appearances=pa, fallback_transitions=fallbacks,
-                      truncated=truncated)
 
 
 @dataclass(frozen=True)

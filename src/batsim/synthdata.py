@@ -22,7 +22,9 @@ from .transitions import (
     GameState,
     Outcome,
     TransitionEvent,
+    _advance_all,
     _forced_walk,
+    simple_transition,
 )
 
 
@@ -145,15 +147,8 @@ def _ground_transition(state: GameState, rng,
     on1 = bool(bases & 1)
     u = rng.random()
 
-    if u < m.ground_reach_error:
-        new, runs = 0, 0
-        for bit, nxt in ((4, None), (2, 4), (1, 2)):
-            if bases & bit:
-                if nxt is None:
-                    runs += 1
-                else:
-                    new |= nxt
-        return GameState(outs, new | 1), runs
+    if u < m.ground_reach_error:  # everyone moves up one, as on a single
+        return simple_transition(state, Outcome.SINGLE)
 
     if on1 and outs <= 1:
         v = rng.random()
@@ -174,13 +169,7 @@ def _ground_transition(state: GameState, rng,
 
     # Batter out at first.
     if outs <= 1 and rng.random() < m.ground_runners_advance:
-        new, runs = 0, 0
-        if bases & 4:
-            runs += 1
-        if bases & 2:
-            new |= 4
-        if bases & 1:
-            new |= 2
+        new, runs = _advance_all(bases, 1)
         return GameState(outs + 1, new), runs
     return GameState(outs + 1, bases), 0
 
@@ -191,15 +180,8 @@ def _fly_transition(state: GameState, rng,
     bases = state.bases
     u = rng.random()
 
-    if u < m.fly_reach_error:
-        new, runs = 0, 0
-        if bases & 4:
-            runs += 1
-        if bases & 2:
-            new |= 4
-        if bases & 1:
-            new |= 2
-        return GameState(outs, new | 1), runs
+    if u < m.fly_reach_error:  # everyone moves up one, as on a single
+        return simple_transition(state, Outcome.SINGLE)
 
     if outs >= 2:
         return GameState(3, bases), 0

@@ -136,9 +136,6 @@ def live_states() -> list[GameState]:
     return [GameState(o, b) for o in range(3) for b in range(8)]
 
 
-START_OF_INNING = GameState(0, 0)
-
-
 def _runner_count(bases: int) -> int:
     return (bases & 1) + ((bases >> 1) & 1) + ((bases >> 2) & 1)
 

@@ -110,6 +110,18 @@ def _malformed_config(case, tmp_path):
         vectors = tmp_path / "vectors.json"
         vectors.write_text(json.dumps([1] * 9))
         return {"lineup": {"source": "vectors", "vectors_path": str(vectors)}}
+    if case.startswith("vector-component-"):
+        bad = {"list": [0.15], "null": None, "bool": True, "str": "0.15"}[
+            case.removeprefix("vector-component-")]
+        vectors = tmp_path / "vectors.json"
+        vectors.write_text(json.dumps(
+            [LEAGUE_AVERAGE.to_json_dict()] * 8
+            + [{**LEAGUE_AVERAGE.to_json_dict(), "1b": bad}]))
+        return {"lineup": {"source": "vectors", "vectors_path": str(vectors)}}
+    if case == "targets_path-int":
+        return {"lineup": {"targets_path": 3}}
+    if case == "targets_path-list":
+        return {"lineup": {"targets_path": [1]}}
     if case in ("params-list", "params-missing-key"):
         params = tmp_path / "params.json"
         if case == "params-list":
@@ -134,6 +146,12 @@ def _malformed_config(case, tmp_path):
     ("theta_o-str", EXIT_CONFIG),
     ("d_alpha_grid-str", EXIT_CONFIG),
     ("vectors-not-objects", EXIT_CONFIG),
+    ("vector-component-list", EXIT_DATA),
+    ("vector-component-null", EXIT_DATA),
+    ("vector-component-bool", EXIT_DATA),
+    ("vector-component-str", EXIT_DATA),
+    ("targets_path-int", EXIT_CONFIG),
+    ("targets_path-list", EXIT_CONFIG),
     ("params-list", EXIT_DATA),
     ("params-missing-key", EXIT_DATA),
     ("targets-row-missing-keys", EXIT_CONFIG),
@@ -314,6 +332,16 @@ def test_compute_re_missing_batter_file(tmp_path, capsys):
     rc = main(["--out", str(tmp_path / "re.json"), "compute-re",
                "--batter", str(tmp_path / "nope.json")])
     assert rc == EXIT_DATA
+
+
+@pytest.mark.parametrize("bad", [[0.15], None, False])
+def test_compute_re_batter_component_not_a_number(tmp_path, capsys, bad):
+    batter = tmp_path / "batter.json"
+    batter.write_text(json.dumps({**LEAGUE_AVERAGE.to_json_dict(), "k": bad}))
+    rc = main(["--out", str(tmp_path / "re.json"), "compute-re",
+               "--batter", str(batter)])
+    assert rc == EXIT_DATA
+    assert "component k must be a number" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- train-converter

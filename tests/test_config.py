@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import pytest
 
@@ -112,6 +113,29 @@ def test_section_reals_reject_other_types(section, field, value):
     with pytest.raises(ConfigError,
                        match=f"{section}.{field}( entries)? must be a finite number"):
         config_from_json_obj({section: {field: value}})
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("lineup", "targets_path", [1]), ("lineup", "vectors_path", 3.0),
+    ("lineup", "source", 3), ("transitions", "event_csv", ["a.csv"]),
+    ("transitions", "source", None), ("converter", "params_path", True),
+    ("policy", "kind", ["fixed"]), ("sweep", "mode", {}),
+])
+def test_section_strings_reject_other_types(section, field, value):
+    with pytest.raises(ConfigError, match=f"{section}.{field} must be a string"):
+        config_from_json_obj({section: {field: value}})
+
+
+def test_path_is_not_taken_as_a_file_descriptor(tmp_path):
+    # os.path.isfile accepts an open descriptor, so an int path to an open
+    # file would pass a file check that came before the type check
+    fd = os.open(tmp_path / "open.json", os.O_CREAT | os.O_RDONLY)
+    try:
+        assert os.path.isfile(fd)
+        with pytest.raises(ConfigError, match="lineup.targets_path must be a string"):
+            config_from_json_obj({"lineup": {"targets_path": fd}})
+    finally:
+        os.close(fd)
 
 
 def test_reals_take_ints_and_optional_none():

@@ -1,6 +1,13 @@
+"""Lineups, run statistics and monte_carlo.
+
+The Monte Carlo engine is checked against the exact run distribution of the
+chain it samples: (batting slot, base-out state) is a finite Markov chain
+(Bukiet, Harold & Palacios, "A Markov Chain Approach to Baseball", 1997), so
+P(game runs = r) can be computed by pushing probability mass through it.
+"""
+
 import json
 import math
-import random
 
 import numpy as np
 import pytest
@@ -8,24 +15,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batsim.abilities import LEAGUE_AVERAGE, AbilityVector
-from batsim.simulation import (
-    GameResult,
-    Lineup,
-    RunStats,
-    load_histogram_csv,
-    monte_carlo,
-    play_half_inning,
-    simulate_game,
+from batsim.defaults import (
+    default_converter_params,
+    default_transition_table,
+    fitted_lineup,
 )
-from batsim.strategies import StrategyTriple, always_normal, fixed_policy
+from batsim.simulation import Lineup, RunStats, load_histogram_csv, monte_carlo
+from batsim.strategies import (
+    StrategyChoice,
+    StrategyTriple,
+    always_normal,
+    build_triple,
+    fixed_policy,
+)
 from batsim.synthdata import synthesize_event_log
-from batsim.transitions import TransitionTable, build_table
+from batsim.transitions import (
+    INNING_OVER,
+    NUM_LIVE_STATES,
+    TransitionTable,
+    build_table,
+    run_expectancy,
+)
+from conftest import ability_vectors
 
 ALL_K = AbilityVector(0, 0, 0, 0, 0, 1.0, 0, 0)
 ALL_HR = AbilityVector(0, 0, 0, 1.0, 0, 0, 0, 0)
 HRK = AbilityVector(0, 0, 0, 0.1, 0, 0.9, 0, 0)
 
 SIMPLE = TransitionTable.simple()
+
+# A check against the exact distribution fails by chance with probability
+# at most about 1e-6: |z| of the mean beyond the two-sided normal 1e-6
+# point, or Pearson's chi-squared beyond its upper 1e-6 point.
+Z_MAX = 4.892
+Z_CHI2 = 4.753  # one-sided normal 1e-6 point, for the chi-squared bound
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +59,118 @@ def league_table():
 @pytest.fixture(scope="session")
 def league_lineup():
     return Lineup.from_vectors([LEAGUE_AVERAGE] * 9)
+
+
+@pytest.fixture(scope="module")
+def converted_lineup():
+    """The bundled lineup with its on-base and long-hit variants, so the
+    policy's choice changes the batter."""
+    params = default_converter_params()
+    return Lineup(tuple(build_triple(v, params, 0.1, -0.005)
+                        for v in fitted_lineup().vectors))
+
+
+def _game_runs(flow, ends, innings, pa_cap, max_runs):
+    """P(game runs = r) for r <= max_runs; mass past max_runs is dropped."""
+    n = max_runs + 1
+    lead = np.arange(9)
+    # half[l, m, r]: an inning led off by slot l scores r, slot m leads the next
+    half = np.zeros((9, 9, n))
+    mass = np.zeros((9, NUM_LIVE_STATES, n))  # [leadoff, state, runs so far]
+    mass[:, 0, 0] = 1.0
+    for t in range(pa_cap):
+        slot = (lead + t) % 9
+        new = np.zeros_like(mass)
+        for k in range(flow.shape[1]):
+            before = mass[:, :, :n - k]
+            new[:, :, k:] += flow[slot, k] @ before
+            half[lead, (lead + t + 1) % 9, k:] += np.einsum(
+                "ls,lsr->lr", ends[slot, k], before)
+        mass = new
+    # an inning still live after pa_cap is capped: the next batter leads off
+    half[lead, (lead + pa_cap) % 9] += mass.sum(axis=1)
+
+    game = np.zeros((9, n))  # [slot leading off the next inning, runs]
+    game[0, 0] = 1.0
+    for _ in range(innings):
+        nxt = np.zeros_like(game)
+        for r in range(n):
+            nxt[:, r:] += np.tensordot(game[:, r], half[:, :, :n - r], axes=1)
+        game = nxt
+    return game.sum(axis=0)
+
+
+def _exact_run_distribution(lineup, policy, table, *, innings, pa_cap):
+    """P(game runs = r), computed from the chain without compile_simulation
+    or run_batches, so it checks both.
+
+    Per batting slot, flow[slot, k] is the 24x24 live-to-live mass of a
+    plate appearance that scores k runs and ends[slot, k] the mass that
+    ends the inning.  The run cap starts at 80 and grows until the mass
+    beyond it is below 1e-9; no cap past the most runs a game can score is
+    ever needed."""
+    key, post, runs, prob, _ = table.flat()
+    state = key // 8
+    outcome_p = np.array([[triple.vector(choice).as_tuple() for choice in policy]
+                          for triple in lineup.slots])
+    p = outcome_p[:, state, key % 8] * prob  # (slot, entry)
+    live = post < INNING_OVER
+    flow = np.zeros((9, int(runs.max()) + 1, NUM_LIVE_STATES, NUM_LIVE_STATES))
+    ends = np.zeros((9, int(runs.max()) + 1, NUM_LIVE_STATES))
+    for slot in range(9):
+        np.add.at(flow[slot], (runs[live], post[live], state[live]), p[slot, live])
+        np.add.at(ends[slot], (runs[~live], state[~live]), p[slot, ~live])
+
+    most = int(runs.max()) * pa_cap * innings
+    max_runs = 80
+    while True:
+        dist = _game_runs(flow, ends, innings, pa_cap, min(max_runs, most))
+        if 1.0 - dist.sum() < 1e-9 or max_runs >= most:
+            break
+        max_runs *= 4
+    assert 1.0 - dist.sum() < 1e-9
+    return dist
+
+
+def _pooled_chi2(histogram, exact):
+    """Pearson's chi-squared of a histogram against the exact distribution,
+    over runs bins pooled left to right until each expects at least 5
+    games; the tail past the last full bin joins it.  Returns (statistic,
+    degrees of freedom)."""
+    n = sum(histogram)
+    size = max(len(histogram), exact.size)
+    observed = np.zeros(size)
+    observed[:len(histogram)] = histogram
+    expected = np.zeros(size)
+    expected[:exact.size] = n * exact
+    starts, filled = [0], 0.0
+    for r, e in enumerate(expected):
+        filled += e
+        if filled >= 5.0:
+            starts.append(r + 1)
+            filled = 0.0
+    starts = starts[:-1]  # the last start opens the tail
+    obs = np.add.reduceat(observed, starts)
+    exp = np.add.reduceat(expected, starts)
+    return float(np.sum((obs - exp) ** 2 / exp)), len(starts) - 1
+
+
+def _chi2_bound(df):
+    """Upper 1e-6 point of chi-squared with df degrees of freedom, by the
+    Wilson-Hilferty cube-root approximation, which lies a little above the
+    true point for every df >= 1."""
+    return df * (1 - 2 / (9 * df) + Z_CHI2 * math.sqrt(2 / (9 * df))) ** 3
+
+
+def _assert_matches_exact(stats, exact):
+    r = np.arange(exact.size)
+    mean = r @ exact
+    sd = math.sqrt(r ** 2 @ exact - mean ** 2)
+    z = (stats.mean - mean) / (sd / math.sqrt(stats.n_games))
+    assert abs(z) < Z_MAX, f"mean {stats.mean} vs exact {mean}: z = {z:.2f}"
+    chi2, df = _pooled_chi2(stats.histogram, exact)
+    if df > 0:
+        assert chi2 < _chi2_bound(df), f"chi-squared {chi2:.1f} on {df} df"
 
 
 class TestLineup:
@@ -59,64 +194,6 @@ class TestLineup:
 
     def test_all_strikeout_lineup_is_legal(self):
         Lineup.from_vectors([ALL_K] * 9)
-
-
-class TestPlayHalfInning:
-    def test_three_strikeouts(self):
-        lineup = Lineup.from_vectors([ALL_K] * 9)
-        half = play_half_inning(lineup, 0, always_normal, SIMPLE, random.Random(1))
-        assert half.runs == 0
-        assert half.plate_appearances == 3
-        assert half.next_cursor == 3
-        assert not half.truncated
-
-    def test_cursor_wraps_around_the_order(self):
-        lineup = Lineup.from_vectors([ALL_K] * 9)
-        half = play_half_inning(lineup, 7, always_normal, SIMPLE, random.Random(1))
-        assert half.next_cursor == 1
-
-    def test_pa_cap_stops_endless_innings(self):
-        lineup = Lineup.from_vectors([ALL_HR] * 9)
-        half = play_half_inning(lineup, 0, always_normal, SIMPLE, random.Random(1))
-        assert half.truncated
-        assert half.plate_appearances == 100
-        assert half.runs == 100  # every plate appearance was a solo homer
-
-    def test_fallbacks_counted_when_table_is_empty(self):
-        lineup = Lineup.from_vectors([LEAGUE_AVERAGE] * 9)
-        half = play_half_inning(lineup, 0, always_normal,
-                                TransitionTable(rows={}), random.Random(3))
-        assert half.fallback_transitions == half.plate_appearances > 0
-
-    def test_accepts_numpy_generators_too(self):
-        lineup = Lineup.from_vectors([ALL_K] * 9)
-        half = play_half_inning(lineup, 0, always_normal, SIMPLE,
-                                np.random.default_rng(0))
-        assert half.plate_appearances == 3
-
-
-class TestSimulateGame:
-    def test_all_strikeout_game(self):
-        lineup = Lineup.from_vectors([ALL_K] * 9)
-        game = simulate_game(lineup, always_normal, SIMPLE, random.Random(0))
-        assert game.runs == 0
-        assert game.plate_appearances == 27
-        assert game.inning_runs == (0,) * 9
-        assert not game.truncated
-
-    def test_runs_equal_inning_sum_and_respect_pa_bound(self, league_lineup, league_table):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            game = simulate_game(league_lineup, fixed_policy, league_table, rng)
-            assert game.runs == sum(game.inning_runs)
-            assert len(game.inning_runs) == 9
-            assert 0 <= game.runs <= 4 * game.plate_appearances
-            assert game.plate_appearances >= 27
-
-    def test_innings_knob(self, league_lineup, league_table):
-        game = simulate_game(league_lineup, always_normal, league_table,
-                             np.random.default_rng(1), innings=3)
-        assert len(game.inning_runs) == 3
 
 
 class TestRunStats:
@@ -189,10 +266,32 @@ class TestMonteCarlo:
 
     def test_all_strikeout_lineup_never_scores(self):
         lineup = Lineup.from_vectors([ALL_K] * 9)
-        stats = monte_carlo(lineup, always_normal, SIMPLE, 5_000, seed=4)
-        assert stats.histogram == (5_000,)
-        assert stats.mean == 0.0
-        assert stats.plate_appearances == 27 * 5_000
+        for innings in (9, 3):
+            stats = monte_carlo(lineup, always_normal, SIMPLE, 5_000, seed=4,
+                                innings=innings)
+            assert stats.histogram == (5_000,)
+            assert stats.mean == 0.0
+            assert stats.plate_appearances == 3 * innings * 5_000
+            assert stats.truncated_games == stats.fallback_transitions == 0
+
+    def test_batting_order_carries_across_innings(self):
+        # Three strikeouts an inning, except slot 3 homers: it bats in
+        # innings 2, 4 and 7, so every game scores exactly 3 runs in 30 PA.
+        # An inning that restarted the order, or lost its place, would not.
+        lineup = Lineup.from_vectors([ALL_K] * 3 + [ALL_HR] + [ALL_K] * 5)
+        stats = monte_carlo(lineup, always_normal, SIMPLE, 1_000, seed=3)
+        assert stats.histogram == (0, 0, 0, 1_000)
+        assert stats.plate_appearances == 30 * 1_000
+        exact = _exact_run_distribution(lineup, always_normal, SIMPLE,
+                                        innings=9, pa_cap=100)
+        assert exact[3] == pytest.approx(1.0, abs=1e-12)
+
+    def test_empty_table_falls_back_on_every_plate_appearance(self, league_lineup):
+        stats = monte_carlo(league_lineup, always_normal,
+                            TransitionTable(rows={}), 2_000, seed=12)
+        assert stats.fallback_transitions == stats.plate_appearances > 27 * 2_000
+        assert monte_carlo(league_lineup, always_normal, SIMPLE, 2_000,
+                           seed=12).fallback_transitions == 0
 
     def test_histogram_accounts_for_every_game(self, league_lineup, league_table):
         stats = monte_carlo(league_lineup, always_normal, league_table, 9_000, seed=5)
@@ -216,22 +315,38 @@ class TestMonteCarlo:
                                seed=9, workers=2)
         assert serial == parallel
 
-    def test_agrees_with_scalar_reference(self, league_lineup, league_table):
-        stats = monte_carlo(league_lineup, fixed_policy, league_table, 60_000, seed=10)
-        rng = np.random.default_rng(1234)
-        n = 2_500
-        scalar_mean = sum(
-            simulate_game(league_lineup, fixed_policy, league_table, rng).runs
-            for _ in range(n)
-        ) / n
-        scalar_sigma = stats.stderr * math.sqrt(stats.n_games / n)
-        assert abs(scalar_mean - stats.mean) < 4 * scalar_sigma
-
     def test_truncation_is_reported(self):
         lineup = Lineup.from_vectors([ALL_HR] * 9)
         stats = monte_carlo(lineup, always_normal, SIMPLE, 100, seed=11)
         assert stats.truncated_games == 100
         assert stats.mean == 900.0  # nine capped innings of 100 solo homers
+        assert stats.plate_appearances == 900 * 100
+        # the cap counts plate appearances per inning, not per game
+        stats = monte_carlo(lineup, always_normal, SIMPLE, 100, seed=11,
+                            innings=3, pa_cap=5)
+        assert stats.histogram == (0,) * 15 + (100,)
+        assert stats.plate_appearances == 15 * 100
+        assert stats.truncated_games == 100
+
+    # (id, table, policy, innings, pa_cap, games)
+    EXACT_CASES = [
+        ("bundled-fixed", "bundled", fixed_policy, 9, 100, 60_000),
+        ("empty-truncated", "empty", fixed_policy, 3, 5, 20_000),
+        ("innings-3", "bundled", always_normal, 3, 100, 20_000),
+    ]
+
+    @pytest.mark.parametrize("table_kind, policy, innings, pa_cap, n_games",
+                             [c[1:] for c in EXACT_CASES],
+                             ids=[c[0] for c in EXACT_CASES])
+    def test_agrees_with_exact_distribution(self, converted_lineup, table_kind,
+                                            policy, innings, pa_cap, n_games):
+        table = (default_transition_table() if table_kind == "bundled"
+                 else TransitionTable(rows={}))
+        stats = monte_carlo(converted_lineup, policy, table, n_games, seed=10,
+                            innings=innings, pa_cap=pa_cap)
+        exact = _exact_run_distribution(converted_lineup, policy, table,
+                                        innings=innings, pa_cap=pa_cap)
+        _assert_matches_exact(stats, exact)
 
 
 @settings(max_examples=20, deadline=None)
@@ -244,3 +359,47 @@ def test_stats_are_internally_consistent(seed):
     assert stats.stderr >= 0.0
     total = sum(r * c for r, c in enumerate(stats.histogram))
     assert stats.mean == total / 500
+
+
+def test_exact_one_inning_mean_is_the_run_expectancy(league_table):
+    # the oracle's own check: one inning of one batter from the empty-bases,
+    # no-out state scores on average its run expectancy, found by value
+    # iteration instead of by pushing mass
+    lineup = Lineup.from_vectors([LEAGUE_AVERAGE] * 9)
+    exact = _exact_run_distribution(lineup, always_normal, league_table,
+                                    innings=1, pa_cap=100)
+    expected = run_expectancy(league_table, LEAGUE_AVERAGE).values[0]
+    assert np.arange(exact.size) @ exact == pytest.approx(expected, abs=1e-9)
+
+
+@st.composite
+def chains(draw):
+    """(lineup, policy, table, innings, pa_cap), with or without truncation."""
+    slots = tuple(StrategyTriple(draw(ability_vectors()), draw(ability_vectors()),
+                                 draw(ability_vectors())) for _ in range(9))
+    policy = tuple(draw(st.lists(st.sampled_from(StrategyChoice),
+                                 min_size=NUM_LIVE_STATES,
+                                 max_size=NUM_LIVE_STATES)))
+    kind = draw(st.sampled_from(("synthetic", "empty", "simple")))
+    if kind == "synthetic":
+        # estimated from a short log: rows unlike the bundled ones, and the
+        # keys it never saw fall back
+        events = synthesize_event_log(draw(st.integers(300, 3_000)),
+                                      seed=draw(st.integers(0, 2**16)))
+        table = build_table(events, min_count=5)
+    else:
+        table = TransitionTable(rows={}) if kind == "empty" else SIMPLE
+    innings = draw(st.integers(1, 9))
+    pa_cap = draw(st.one_of(st.just(100), st.integers(3, 6)))
+    return Lineup(slots), policy, table, innings, pa_cap
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(chain=chains(), seed=st.integers(0, 2**31 - 1))
+def test_monte_carlo_matches_the_exact_distribution(chain, seed):
+    lineup, policy, table, innings, pa_cap = chain
+    stats = monte_carlo(lineup, policy, table, 8_192, seed=seed,
+                        innings=innings, pa_cap=pa_cap)
+    exact = _exact_run_distribution(lineup, policy, table,
+                                    innings=innings, pa_cap=pa_cap)
+    _assert_matches_exact(stats, exact)
