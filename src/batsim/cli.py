@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -213,6 +214,9 @@ def cmd_train_converter(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_convert(cfg: ExperimentConfig, args) -> int:
+    for flag, value in (("--d-alpha", args.d_alpha), ("--d-woba", args.d_woba)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     if args.d_woba > 0:
         raise ConfigError(f"--d-woba must be <= 0, got {args.d_woba}")
     params = _resolve_params(cfg)

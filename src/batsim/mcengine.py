@@ -8,6 +8,15 @@ iteration count of a batch therefore depends only on its own games, batch
 histograms are integers, and their sum is order-independent, so any degree
 of parallelism produces byte-identical aggregates.
 
+Several cells (lineup, policy and table triples, as in a sweep) run on the
+same batches.  A step of batch i draws its one vector of uniforms
+and every cell's game g uses its g-th entry, so at its k-th plate
+appearance game g sees the same uniform in every cell, and each cell's
+histogram and counts are exactly those of a run of that cell alone.  The
+kernel steps (cell, game) pairs over a stack of at most STEP_PAIRS //
+BATCH_SIZE compiled cells, so a step's arrays stay as small as a batch or
+two.
+
 Each plate appearance is one draw: compile_simulation folds the lineup, the
 policy (a 24-tuple of StrategyChoice, one per live state, used as it is) and
 the transition table into one cumulative row per (slot, state) over the
@@ -18,13 +27,17 @@ The reference for these semantics is exact: the tests compute each game's
 run distribution from the same chain by pushing probability mass through it,
 and check the engine's histograms against it.
 
+A call splits its cells x batches units, cell by cell, into one task of
+near-equal length per process: a task is a group of cells with a range of
+batches (only its first and last cell can have part of theirs).  Tasks
+carry what compiles their cells, not compiled tables, and compile them
+where they run, two at a time, just before running them.  A call that runs
+on one process runs its one task in place.
+
 Parallel calls share one process pool per process.  The first call that
 needs more than one process starts it; every later call of the same size
-sends its batches to the same workers, so a sweep pays the pool's start
-once rather than once per cell.  Each task carries the compiled table and
-its (seed, batch index, size), so a worker keeps no state between tasks.
-A call sends its batches in one chunk per process, and pickling sends the
-table once per chunk, not once per batch.
+sends its tasks to the same workers, so a program pays the pool's start
+once rather than once per call.  A worker keeps no state between tasks.
 A call that needs another number of processes shuts the pool down and
 starts one of the new size; a call that raises (a worker that died, an
 interrupt) shuts it down before the exception propagates, and the next
@@ -34,17 +47,20 @@ until the interpreter exits.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .transitions import INNING_OVER, NUM_LIVE_STATES, TransitionTable
 
 BATCH_SIZE = 4096
+# (cell, game) pairs one kernel step may hold: two cells of a full batch.
+# Fusing seven cells per step raised a sweep's peak RSS by 17% in a prototype.
+STEP_PAIRS = 2 * BATCH_SIZE
 NUM_ROWS = 9 * NUM_LIVE_STATES  # row = slot * 24 + state
 GUIDE_SIZE = 32  # guide cells per row; a power of two, so u * GUIDE_SIZE is exact
 
@@ -60,6 +76,8 @@ class CompiledSim:
     Entries are addressed flat, as row * W + column.  guide[row, k] is the
     first entry of the row whose cum exceeds k / GUIDE_SIZE, where the
     search for a draw in [k / GUIDE_SIZE, (k + 1) / GUIDE_SIZE) starts.
+    A stack of cells is a CompiledSim too: cell k's rows follow at
+    k * NUM_ROWS, and its next_row points into them.
     """
 
     cum: np.ndarray        # (216, W) cumulative mass
@@ -114,6 +132,29 @@ def compile_simulation(lineup, policy, table: TransitionTable, *,
                        guide=guide, innings=innings, pa_cap=pa_cap)
 
 
+def _stack(cells: list[CompiledSim]) -> CompiledSim:
+    """The cells as one table: cell k's rows at k * NUM_ROWS, every row
+    padded to the widest cell with cum 1.0, which no draw passes.  The
+    cells share innings and pa_cap."""
+    if len(cells) == 1:
+        return cells[0]
+    width = max(c.cum.shape[1] for c in cells)
+
+    def stacked(field, fill):
+        return np.concatenate([
+            np.pad(getattr(c, field), ((0, 0), (0, width - c.cum.shape[1])),
+                   constant_values=fill) for c in cells])
+
+    rows = np.arange(len(cells) * NUM_ROWS)[:, None]
+    column = np.concatenate([c.guide % c.cum.shape[1] for c in cells])
+    return CompiledSim(cum=stacked("cum", 1.0),
+                       next_row=stacked("next_row", 0) + rows // NUM_ROWS * NUM_ROWS,
+                       over=stacked("over", False), runs=stacked("runs", 0),
+                       fallback=stacked("fallback", False),
+                       guide=rows * width + column,
+                       innings=cells[0].innings, pa_cap=cells[0].pa_cap)
+
+
 def _draw(c: CompiledSim, row: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Flat entry drawn by each uniform u in [0, 1) from its row: the first
     entry whose cum exceeds u.  The guide gives a start at or before it, and
@@ -128,31 +169,38 @@ def _draw(c: CompiledSim, row: np.ndarray, u: np.ndarray) -> np.ndarray:
     return entry
 
 
-def _simulate_batch(c: CompiledSim, seed: int, batch_index: int, n: int):
-    """Run one batch of n games; returns (histogram, truncated, fallbacks, pa)."""
+def _simulate_cells(c: CompiledSim, cells: int, seed: int, batch_index: int,
+                    n: int):
+    """Run batch batch_index, n games, in each of the cells stacked in c;
+    returns each cell's (histogram, truncated, fallbacks, pa)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, batch_index)))
     next_row, over_at, runs_at, fallback_at = (
         a.ravel() for a in (c.next_row, c.over, c.runs, c.fallback))
     u = np.empty(n)
-    final_runs = np.zeros(n, dtype=np.int64)
-    truncated = np.zeros(n, dtype=bool)
-    pa = fallbacks = 0
+    final_runs = np.zeros(cells * n, dtype=np.int64)
+    final_pa = np.zeros(cells * n, dtype=np.int64)
+    truncated = np.zeros(cells * n, dtype=bool)
+    fallbacks = np.zeros(cells, dtype=np.int64)
+    step = 0
 
-    # per-game state, compacted to the live games; live indexes the batch
-    live = np.arange(n)
-    row = np.zeros(n, dtype=np.int64)
-    runs = np.zeros(n, dtype=np.int64)
-    inning = np.zeros(n, dtype=np.int64)
-    pa_inning = np.zeros(n, dtype=np.int64)
+    # per-pair state, compacted to the live pairs; pair p is game p % n of
+    # cell p // n, and live indexes the pairs
+    live = np.arange(cells * n)
+    row = live // n * NUM_ROWS
+    runs = np.zeros(cells * n, dtype=np.int64)
+    inning = np.zeros(cells * n, dtype=np.int64)
+    pa_inning = np.zeros(cells * n, dtype=np.int64)
 
     while live.size:
         rng.random(out=u)
-        entry = _draw(c, row, u[live])
+        step += 1
+        entry = _draw(c, row, np.take(u, live, mode="wrap"))
         row = next_row[entry]
         runs += runs_at[entry]
         over = over_at[entry]
-        fallbacks += np.count_nonzero(fallback_at[entry])
-        pa += live.size
+        fell = fallback_at[entry]
+        if fell.any():
+            fallbacks += np.bincount(live[fell] // n, minlength=cells)
         pa_inning += 1
 
         capped = ~over & (pa_inning >= c.pa_cap)
@@ -166,11 +214,15 @@ def _simulate_batch(c: CompiledSim, seed: int, batch_index: int, n: int):
         done = inning >= c.innings
         if done.any():
             final_runs[live[done]] = runs[done]
+            final_pa[live[done]] = step  # one plate appearance per live step
             keep = ~done
             live, row, runs, inning, pa_inning = (
                 a[keep] for a in (live, row, runs, inning, pa_inning))
 
-    return np.bincount(final_runs), int(truncated.sum()), int(fallbacks), pa
+    final_runs, final_pa, truncated = (
+        a.reshape(cells, n) for a in (final_runs, final_pa, truncated))
+    return [(np.bincount(final_runs[k]), int(np.count_nonzero(truncated[k])),
+             int(fallbacks[k]), int(final_pa[k].sum())) for k in range(cells)]
 
 
 def _batch_sizes(n_games: int) -> list[int]:
@@ -192,6 +244,35 @@ def _merge(results):
     return total, truncated, fallbacks, pa
 
 
+def _run_task(cells, n_games: int, seed: int, first: int, stop: int):
+    """Run the units first..stop-1 of the cells' (cell, batch) units, taken
+    cell by cell; returns the merged result of each cell that has units,
+    in order.  A cell is a CompiledSim or a callable that compiles one.
+    Cells with the same batch range run fused, STEP_PAIRS // BATCH_SIZE at
+    a time, each group compiled just before it runs."""
+    sizes = _batch_sizes(n_games)
+    b = len(sizes)
+    ranges = [(k, max(first - k * b, 0), min(stop - k * b, b))
+              for k in range(first // b, -(-stop // b))]
+    groups = []
+    for k, lo, hi in ranges:
+        if (groups and groups[-1][1:] == (lo, hi)
+                and len(groups[-1][0]) < STEP_PAIRS // BATCH_SIZE):
+            groups[-1][0].append(k)
+        else:
+            groups.append(([k], lo, hi))
+
+    results = []
+    for members, lo, hi in groups:
+        stack = _stack([cells[k] if isinstance(cells[k], CompiledSim)
+                        else cells[k]() for k in members])
+        per_batch = [_simulate_cells(stack, len(members), seed, i, sizes[i])
+                     for i in range(lo, hi)]
+        results.extend(_merge([batch[j] for batch in per_batch])
+                       for j in range(len(members)))
+    return results
+
+
 def usable_cores() -> int:
     """Cores this process may run on: its CPU affinity where the platform
     reports one, else the machine's core count."""
@@ -200,19 +281,20 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def pool_size(workers: int, n_games: int) -> int:
-    """Processes run_batches uses for n_games at the given worker count; 1
-    means it runs serially.  The shared pool starts all its workers up
-    front and keeps them between calls, so it never asks for more than
-    there are batches or cores to run them on.  A call whose size differs
-    from the running pool's replaces that pool."""
-    return max(1, min(workers, len(_batch_sizes(n_games)), usable_cores()))
+def pool_size(workers: int, n_games: int, cells: int = 1) -> int:
+    """Processes a call of n_games in each of `cells` cells uses at the
+    given worker count; 1 means it runs serially.  The shared pool starts
+    all its workers up front and keeps them between calls, so it never asks
+    for more than there are (cell, batch) units or cores to run them on.
+    A call whose size differs from the running pool's replaces that pool."""
+    units = cells * len(_batch_sizes(n_games))
+    return max(1, min(workers, units, usable_cores()))
 
 
 # The process's one worker pool and its size.  The first parallel call
 # starts it; later calls of the same size reuse it.  The lock is held for a
 # whole parallel call, so no caller replaces or stops the pool while
-# another caller's batches run on it.
+# another caller's tasks run on it.
 _pool_lock = threading.RLock()
 _pool: ProcessPoolExecutor | None = None
 _pool_processes = 0
@@ -220,7 +302,7 @@ _pool_processes = 0
 
 def shutdown_pool() -> None:
     """Stop the shared worker pool, if one is running, and wait for its
-    workers to exit.  The next parallel run_batches starts a new one."""
+    workers to exit.  The next parallel call starts a new one."""
     global _pool
     with _pool_lock:
         pool, _pool = _pool, None
@@ -240,24 +322,46 @@ def _shared_pool(processes: int) -> ProcessPoolExecutor:
     return _pool
 
 
-def run_batches(compiled: CompiledSim, *, n_games: int, seed: int, workers: int):
-    sizes = _batch_sizes(n_games)
-    processes = pool_size(workers, n_games)
+def _run(cells, *, n_games: int, seed: int, workers: int):
+    """Each cell's merged (histogram, truncated, fallbacks, pa), from one
+    task per process."""
+    b = len(_batch_sizes(n_games))
+    units = len(cells) * b
+    processes = pool_size(workers, n_games, len(cells))
     if processes == 1:
-        return _merge([_simulate_batch(compiled, seed, i, size)
-                       for i, size in enumerate(sizes)])
+        return _run_task(cells, n_games, seed, 0, units)
 
-    n = len(sizes)
+    bounds = [-(-units * t // processes) for t in range(processes + 1)]
+    tasks = [(cells[lo // b:-(-hi // b)], n_games, seed, lo % b, hi - lo // b * b)
+             for lo, hi in zip(bounds, bounds[1:])]
     with _pool_lock:
         pool = _shared_pool(processes)
         try:
-            # map yields in batch order; each chunk pickles the table once
-            results = list(pool.map(_simulate_batch, [compiled] * n, [seed] * n,
-                                    range(n), sizes,
-                                    chunksize=math.ceil(n / processes)))
+            results = list(pool.map(_run_task, *zip(*tasks)))
         except BaseException:
-            # a dead worker, an interrupt or a failing batch leaves the pool
+            # a dead worker, an interrupt or a failing task leaves the pool
             # in an unknown state: stop it, so the next call starts afresh
             shutdown_pool()
             raise
-    return _merge(results)
+    # a cell cut between two tasks has a result from each
+    per_cell = [[] for _ in cells]
+    for lo, task_results in zip(bounds, results):
+        for k, result in enumerate(task_results, start=lo // b):
+            per_cell[k].append(result)
+    return [_merge(parts) for parts in per_cell]
+
+
+def run_batches(compiled: CompiledSim, *, n_games: int, seed: int, workers: int):
+    """One compiled cell's (histogram, truncated, fallbacks, pa) over
+    n_games games."""
+    return _run([compiled], n_games=n_games, seed=seed, workers=workers)[0]
+
+
+def run_cells(cells, *, innings: int, pa_cap: int, n_games: int, seed: int,
+              workers: int):
+    """Each (lineup, policy, table) cell's (histogram, truncated,
+    fallbacks, pa) over n_games games, equal to run_batches on that cell
+    alone.  The cells are compiled where their tasks run."""
+    return _run([partial(compile_simulation, *cell, innings=innings,
+                         pa_cap=pa_cap) for cell in cells],
+                n_games=n_games, seed=seed, workers=workers)

@@ -5,7 +5,8 @@ A Lineup is nine strategy triples in batting order.  monte_carlo compiles it
 with a policy (a 24-tuple of StrategyChoice indexed by GameState.index) and
 a transition table, runs the games in seed-determined batches, and returns
 their RunStats: the runs histogram with its mean and standard error, and the
-truncation, fallback and plate-appearance counts.
+truncation, fallback and plate-appearance counts.  monte_carlo_cells does
+the same for many (lineup, policy, table) cells in one engine call.
 
 A hard cap bounds plate appearances per half-inning so degenerate batter
 profiles (nothing but home runs) cannot loop forever; hitting the cap ends
@@ -168,6 +169,22 @@ def load_histogram_csv(path) -> tuple[int, ...]:
     return tuple(hist)
 
 
+def _check_run_args(n_games: int, seed: int, workers: int) -> None:
+    if n_games <= 0:
+        raise ValueError("n_games must be positive")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+
+
+def _run_stats(result) -> RunStats:
+    hist, truncated, fallbacks, pa = result
+    return RunStats.from_histogram(hist, truncated_games=truncated,
+                                   fallback_transitions=fallbacks,
+                                   plate_appearances=pa)
+
+
 def monte_carlo(lineup: Lineup, policy, table: TransitionTable, n_games: int,
                 seed: int, *, workers: int = 1, innings: int = DEFAULT_INNINGS,
                 pa_cap: int = PA_CAP_PER_HALF_INNING) -> RunStats:
@@ -178,16 +195,23 @@ def monte_carlo(lineup: Lineup, policy, table: TransitionTable, n_games: int,
     own child stream seeded by (seed, batch index), and batch histograms are
     merged by integer addition.  Worker count affects wall time only.
     """
-    if n_games <= 0:
-        raise ValueError("n_games must be positive")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    _check_run_args(n_games, seed, workers)
     compiled = mcengine.compile_simulation(lineup, policy, table,
                                            innings=innings, pa_cap=pa_cap)
-    hist, truncated, fallbacks, pa = mcengine.run_batches(
-        compiled, n_games=n_games, seed=seed, workers=workers)
-    return RunStats.from_histogram(hist, truncated_games=truncated,
-                                   fallback_transitions=fallbacks,
-                                   plate_appearances=pa)
+    return _run_stats(mcengine.run_batches(
+        compiled, n_games=n_games, seed=seed, workers=workers))
+
+
+def monte_carlo_cells(cells, n_games: int, seed: int, *, workers: int = 1,
+                      innings: int = DEFAULT_INNINGS,
+                      pa_cap: int = PA_CAP_PER_HALF_INNING) -> list[RunStats]:
+    """monte_carlo for each (lineup, policy, table) cell, in one engine call.
+
+    Every cell's RunStats equals monte_carlo's for that cell alone with the
+    same n_games and seed: the cells share each batch's draws, so their
+    deltas are common-random-number comparisons.
+    """
+    _check_run_args(n_games, seed, workers)
+    return [_run_stats(result) for result in mcengine.run_cells(
+        cells, innings=innings, pa_cap=pa_cap, n_games=n_games, seed=seed,
+        workers=workers)]

@@ -3,7 +3,8 @@
 Every sweep re-simulates its own baseline (normal-only lineup) under the
 same seed, so row deltas are common-random-number comparisons: game i sees
 identical uniforms in every row, and the baseline row is identical across
-sweep modes given the same lineup, table, and seed.
+sweep modes given the same lineup, table, and seed.  The baseline runs
+first; the grid cells then run together in one monte_carlo_cells call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .abilities import AbilityVector
 from .fileio import atomic_write
-from .simulation import Lineup, RunStats, monte_carlo
+from .simulation import Lineup, RunStats, monte_carlo, monte_carlo_cells
 from .strategies import always_normal, build_triple, fixed_policy, threshold_policy
 from .transitions import RunExpectancyTable, TransitionTable, run_expectancy
 
@@ -76,17 +77,17 @@ def run_strategy_grid(normals, params, table: TransitionTable, *,
     """
     baseline = run_baseline(normals, table, n_games=n_games, seed=seed,
                             workers=workers, innings=innings, pa_cap=pa_cap)
-    rows = [baseline]
-    for d_alpha, d_woba in sorted(product(set(d_alpha_grid), set(d_woba_grid))):
-        triples = [build_triple(v, params, d_alpha, d_woba) for v in normals]
-        infeasible = sum(1 for t in triples if not t.ordering_ok)
-        stats = monte_carlo(Lineup(tuple(triples)), fixed_policy, table,
-                            n_games, seed, workers=workers, innings=innings,
-                            pa_cap=pa_cap)
-        rows.append(_stats_row("strategy", stats, baseline.mean_runs,
-                               d_alpha=d_alpha, d_woba=d_woba,
-                               infeasible=infeasible))
-    return rows
+    grid = sorted(product(set(d_alpha_grid), set(d_woba_grid)))
+    lineups = [Lineup(tuple(build_triple(v, params, d_alpha, d_woba)
+                            for v in normals)) for d_alpha, d_woba in grid]
+    stats = monte_carlo_cells(
+        [(lineup, fixed_policy, table) for lineup in lineups], n_games, seed,
+        workers=workers, innings=innings, pa_cap=pa_cap)
+    return [baseline] + [
+        _stats_row("strategy", cell, baseline.mean_runs,
+                   d_alpha=d_alpha, d_woba=d_woba,
+                   infeasible=sum(not t.ordering_ok for t in lineup.slots))
+        for (d_alpha, d_woba), lineup, cell in zip(grid, lineups, stats)]
 
 
 def mean_batter(normals) -> AbilityVector:
@@ -127,25 +128,26 @@ def run_threshold_grid(normals, params, table: TransitionTable, *,
 
     baseline = run_baseline(normals, table, n_games=n_games, seed=seed,
                             workers=workers, innings=innings, pa_cap=pa_cap)
-    rows = [baseline]
-
     triples = [build_triple(v, params, d_alpha, d_woba) for v in normals]
     infeasible = sum(1 for t in triples if not t.ordering_ok)
     lineup = Lineup(tuple(triples))
 
+    grid = []
     for theta_o, theta_l in sorted(product(set(theta_o_grid), set(theta_l_grid))):
-        if not theta_l < theta_o:
+        if theta_l < theta_o:
+            grid.append((theta_o, theta_l))
+        else:
             log.warning("skipping threshold cell theta_o=%s theta_l=%s: "
                         "theta_l must be < theta_o", theta_o, theta_l)
-            continue
-        policy = threshold_policy(theta_o, theta_l, re_table)
-        stats = monte_carlo(lineup, policy, table, n_games, seed,
-                            workers=workers, innings=innings, pa_cap=pa_cap)
-        rows.append(_stats_row("threshold", stats, baseline.mean_runs,
-                               d_alpha=d_alpha, d_woba=d_woba,
-                               theta_o=theta_o, theta_l=theta_l,
-                               infeasible=infeasible))
-    return rows
+    stats = monte_carlo_cells(
+        [(lineup, threshold_policy(theta_o, theta_l, re_table), table)
+         for theta_o, theta_l in grid],
+        n_games, seed, workers=workers, innings=innings, pa_cap=pa_cap)
+    return [baseline] + [
+        _stats_row("threshold", cell, baseline.mean_runs,
+                   d_alpha=d_alpha, d_woba=d_woba,
+                   theta_o=theta_o, theta_l=theta_l, infeasible=infeasible)
+        for (theta_o, theta_l), cell in zip(grid, stats)]
 
 
 def sweep_totals(rows) -> dict[str, int]:

@@ -19,6 +19,7 @@ from batsim.conversion import (
     save_params,
 )
 from batsim.defaults import default_converter_params
+from batsim import mcengine
 from batsim.mcengine import BATCH_SIZE
 from batsim.simulation import RunStats
 from batsim.sweeps import SWEEP_CSV_HEADER
@@ -155,21 +156,33 @@ def _malformed_config(case, tmp_path):
     ("params-list", EXIT_DATA),
     ("params-missing-key", EXIT_DATA),
     ("targets-row-missing-keys", EXIT_CONFIG),
+    ("convert --d-alpha nan --d-woba -0.005", EXIT_CONFIG),
+    ("convert --d-alpha inf --d-woba -0.005", EXIT_CONFIG),
+    ("convert --d-alpha 0.1 --d-woba nan", EXIT_CONFIG),
 ])
 def test_malformed_user_json_exits_cleanly(case, code, tmp_path):
+    """A malformed config for simulate, or a convert command line, exits
+    with a clean error; a rejected flag is named."""
     obj = {"n_games": 400, "seed": 99, "workers": 1}
-    obj.update(_malformed_config(case, tmp_path))
+    if case.startswith("convert "):
+        command = case.split()
+    else:
+        obj.update(_malformed_config(case, tmp_path))
+        command = ["simulate"]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(obj))
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-m", "batsim.cli", "--config", str(cfg),
-         "--out", str(tmp_path / "stats.json"), "simulate"],
+         "--out", str(tmp_path / "stats.json"), *command],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+    bad_flags = [flag for flag, value in zip(command, command[1:])
+                 if flag.startswith("--") and value in ("nan", "inf")]
+    assert all(flag in proc.stderr for flag in bad_flags)
 
 
 # ---------------------------------------------------------------- simulate
@@ -235,20 +248,20 @@ def test_simulate_worker_count_invariant(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["strategy-grid", "threshold-grid"])
-def test_sweep_worker_count_invariant(tmp_path, mode):
-    # two batches per cell, so at 2 workers every cell runs on the shared pool
+def test_sweep_worker_count_invariant(tmp_path, mode, monkeypatch):
+    # two batches per cell, so at 2 and 3 workers the grid's cells x batches
+    # are split across the shared pool, at 2 workers mid-cell
+    monkeypatch.setattr(mcengine, "usable_cores", lambda: 8)
     cfg = write_config(tmp_path / "cfg.json", n_games=BATCH_SIZE + 300,
-                       sweep={"d_alpha_grid": [0.0, 0.1], "d_woba_grid": [0.0],
-                              "theta_o_grid": [1.2, 1.5], "theta_l_grid": [0.3]})
-    out = {w: tmp_path / f"workers{w}.csv" for w in ("1", "2")}
+                       sweep={"d_alpha_grid": [0.0, 0.1, 0.2], "d_woba_grid": [0.0],
+                              "theta_o_grid": [1.2, 1.5, 1.8], "theta_l_grid": [0.3]})
+    out = {w: tmp_path / f"workers{w}.csv" for w in ("1", "2", "3")}
     for workers, path in out.items():
         assert main(["--config", cfg, "--workers", workers, "--out", str(path),
                      "sweep", "--mode", mode]) == EXIT_OK
-    assert len(out["1"].read_text().splitlines()) == 4  # header, baseline, 2 cells
-    assert out["1"].read_bytes() == out["2"].read_bytes()
+    assert len(out["1"].read_text().splitlines()) == 5  # header, baseline, 3 cells
+    assert out["1"].read_bytes() == out["2"].read_bytes() == out["3"].read_bytes()
 
-
-# ---------------------------------------------------------------- build-transitions
 
 def test_build_transitions(events_csv, tmp_path, capsys):
     out = tmp_path / "table.json"

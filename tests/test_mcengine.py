@@ -1,6 +1,7 @@
 """The fused Monte Carlo engine: its compiled (slot, state) table, the draw
-that searches it, exact fallback counts, and the shared worker pool: its
-size, its reuse across calls and its recovery from a dead worker."""
+that searches it, exact fallback counts, many cells in one call, and the
+shared worker pool: its size, its reuse across calls and its recovery from
+a dead worker."""
 
 import multiprocessing
 import multiprocessing.connection
@@ -19,7 +20,7 @@ from batsim.defaults import (
     default_transition_table,
     fitted_lineup,
 )
-from batsim.simulation import Lineup, monte_carlo
+from batsim.simulation import Lineup, monte_carlo, monte_carlo_cells
 from batsim.strategies import (
     StrategyChoice,
     always_normal,
@@ -40,6 +41,7 @@ from batsim.transitions import (
 )
 
 ALL_K = AbilityVector(0, 0, 0, 0, 0, 1.0, 0, 0)
+HR_OR_K = AbilityVector(0, 0, 0, 0.6, 0, 0.4, 0, 0)
 LAST_DRAW = 1.0 - 2.0 ** -53  # the largest double numpy's random() returns
 
 
@@ -170,6 +172,37 @@ def test_fallback_counts_are_exact(workers):
     assert stats.truncated_games == 0
 
 
+CELL_GAMES = mcengine.BATCH_SIZE + 300  # two batches
+CELL_PA_CAP = 12
+
+
+@pytest.fixture(scope="module")
+def mixed_cells(lineup, policies):
+    """Five (lineup, policy, table) cells of differing table widths and
+    counts: one reaches the plate-appearance cap in most games, one falls
+    back on every plate appearance, one on some."""
+    rows = dict(TransitionTable.simple().rows)
+    del rows[(0, 0, Outcome.STRIKEOUT)]
+    bundled = default_transition_table()
+    return [
+        (Lineup.from_vectors([HR_OR_K] * 9), always_normal, TransitionTable.simple()),
+        (Lineup.from_vectors(lineup.normals), always_normal, TransitionTable(rows={})),
+        (lineup, policies["fixed"], bundled),
+        (lineup, policies["threshold"], TransitionTable(rows=rows)),
+        (lineup, always_normal, bundled),
+    ]
+
+
+@pytest.fixture(scope="module")
+def cells_alone(mixed_cells):
+    stats = [monte_carlo(*cell, CELL_GAMES, seed=21, pa_cap=CELL_PA_CAP)
+             for cell in mixed_cells]
+    # the cells' counts differ, so a count that leaks between cells shows
+    for count in ("truncated_games", "fallback_transitions", "plate_appearances"):
+        assert len({getattr(s, count) for s in stats}) >= 3
+    return stats
+
+
 @pytest.fixture()
 def no_shared_pool():
     """Start the test with no shared pool and stop the one it leaves."""
@@ -224,6 +257,36 @@ def test_pool_never_outnumbers_batches(monkeypatch, lineup, no_shared_pool):
     assert stopped == [2, 3]
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n_cells", [1, 2, 3, 5])
+def test_cells_equal_each_cell_alone(monkeypatch, mixed_cells, cells_alone,
+                                     n_cells, workers, no_shared_pool):
+    # at 2 and 3 workers some cells' batches are split between two tasks
+    monkeypatch.setattr(mcengine, "usable_cores", lambda: 8)
+    got = monte_carlo_cells(mixed_cells[:n_cells], CELL_GAMES, seed=21,
+                            workers=workers, pa_cap=CELL_PA_CAP)
+    assert got == cells_alone[:n_cells]
+
+
+def test_no_cells_is_no_work():
+    assert mcengine.run_cells([], innings=9, pa_cap=100, n_games=10, seed=1,
+                              workers=2) == []
+
+
+class KilledInAWorker:
+    """Stands in for a lineup.  Compiling it in any process but the one
+    that made it kills that process, as a worker dying mid-call would."""
+
+    def __init__(self):
+        self.maker = os.getpid()
+
+    @property
+    def slots(self):
+        if os.getpid() != self.maker:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("compiled outside a pool worker")
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
 def test_pool_recovers_from_a_killed_worker(monkeypatch, lineup,
                                             no_shared_pool):
@@ -245,6 +308,24 @@ def test_pool_recovers_from_a_killed_worker(monkeypatch, lineup,
     assert monte_carlo(lineup, fixed_policy, table, n_games, seed=3,
                        workers=2) == serial
     assert victim.pid not in {p.pid for p in multiprocessing.active_children()}
+
+    # a worker killed mid-call fails a multi-cell call and stops the pool;
+    # the next call, multi-cell or one-cell, starts afresh
+    cells = [(lineup, fixed_policy, table), (lineup, always_normal, table)]
+    together = monte_carlo_cells(cells, n_games, seed=3, workers=2)
+    assert together == [monte_carlo(*cell, n_games, seed=3) for cell in cells]
+    killer = [*cells, (KilledInAWorker(), fixed_policy, table)]
+    for next_call in ("cells", "one cell"):
+        workers = multiprocessing.active_children()
+        with pytest.raises(BrokenProcessPool):
+            monte_carlo_cells(killer, n_games, seed=3, workers=2)
+        assert mcengine._pool is None
+        assert not any(p.is_alive() for p in workers)
+        if next_call == "cells":
+            assert monte_carlo_cells(cells, n_games, seed=3, workers=2) == together
+        else:
+            assert monte_carlo(lineup, fixed_policy, table, n_games, seed=3,
+                               workers=2) == serial
 
 
 def test_usable_cores_without_affinity(monkeypatch):
