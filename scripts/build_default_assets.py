@@ -20,6 +20,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from batsim.config import ConverterConfig, TransitionConfig  # noqa: E402
 from batsim.conversion import (  # noqa: E402
     LossWeights,
     TrainConfig,
@@ -30,9 +31,6 @@ from batsim.conversion import (  # noqa: E402
 )
 from batsim.defaults import (  # noqa: E402
     CONVERTER_ASSET,
-    DEFAULT_TABLE_EVENTS,
-    DEFAULT_TABLE_MIN_COUNT,
-    DEFAULT_TABLE_SEED,
     FITTED_ASSET,
     TABLE_ASSET,
     bundled_lineup_targets,
@@ -43,9 +41,6 @@ from batsim.synthdata import synthesize_event_log  # noqa: E402
 from batsim.transitions import build_table  # noqa: E402
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "src" / "batsim" / "data"
-
-TRAIN_SEED = 0
-N_PLAYERS = 502
 
 
 def main() -> None:
@@ -59,18 +54,22 @@ def main() -> None:
           f"({time.time() - t0:.1f}s)")
 
     t0 = time.time()
-    events = synthesize_event_log(DEFAULT_TABLE_EVENTS, seed=DEFAULT_TABLE_SEED)
-    table = build_table(events, min_count=DEFAULT_TABLE_MIN_COUNT)
+    # the bundled table is the one transitions.source "synthetic" rebuilds
+    # under the default config
+    tc = TransitionConfig()
+    events = synthesize_event_log(tc.synthetic_events, seed=tc.synthetic_seed)
+    table = build_table(events, min_count=tc.min_count)
     table.save(DATA_DIR / TABLE_ASSET)
     print(f"transitions: {len(table.rows)} rows, coverage {table.coverage:.3f} "
           f"({time.time() - t0:.1f}s)")
 
     t0 = time.time()
-    players = synthesize_players(N_PLAYERS, seed=TRAIN_SEED)
+    cc = ConverterConfig()
+    players = synthesize_players(cc.n_players, seed=cc.train_seed)
     pairs = build_pair_dataset(players)
-    params, metrics = train(pairs, TrainConfig(), seed=TRAIN_SEED)
+    params, metrics = train(pairs, TrainConfig(), seed=cc.train_seed)
     save_params(params, DATA_DIR / CONVERTER_ASSET,
-                loss_weights=LossWeights(), train_seed=TRAIN_SEED)
+                loss_weights=LossWeights(), train_seed=cc.train_seed)
     print(f"converter: {len(pairs)} pairs, val MSE(vector) {metrics.mse_vector:.2e}, "
           f"val MSE(wOBA) {metrics.mse_woba:.2e}, "
           f"negative mass after projection {metrics.neg_mass_projected:.1e} "

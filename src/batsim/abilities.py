@@ -87,13 +87,6 @@ class AbilityVector:
     def out_mass(self) -> float:
         return self.p_k + self.p_g + self.p_f
 
-    @classmethod
-    def from_iterable(cls, values) -> "AbilityVector":
-        vals = tuple(float(v) for v in values)
-        if len(vals) != 8:
-            raise AbilityVectorError(f"expected 8 components, got {len(vals)}")
-        return cls(*vals)
-
     def to_json_dict(self) -> dict[str, float]:
         return dict(zip(OUTCOME_KEYS, self.as_tuple()))
 
@@ -122,15 +115,12 @@ class AbilityVector:
         return validate(vec)
 
 
-def validate(vector) -> AbilityVector:
-    """Check invariants, returning the (possibly coerced) vector.
+def validate(vector: AbilityVector) -> AbilityVector:
+    """Check invariants, returning the vector.
 
-    Accepts an :class:`AbilityVector` or any iterable of eight floats.
     Raises :class:`NegativeComponentError`, :class:`SumNotOneError`, or
     :class:`NoOutProbabilityError`.
     """
-    if not isinstance(vector, AbilityVector):
-        vector = AbilityVector.from_iterable(vector)
     for key, value in zip(OUTCOME_KEYS, vector.as_tuple()):
         if not math.isfinite(value):
             raise AbilityVectorError(f"component {key} is not finite: {value!r}")
@@ -158,22 +148,11 @@ class RunValues:
     extra_triple: float = 1.117
     extra_homer: float = 1.408
 
-    def __post_init__(self):
-        vals = (self.single, self.walk, self.extra_double,
-                self.extra_triple, self.extra_homer)
-        if any(not math.isfinite(v) or v <= 0.0 for v in vals):
-            raise ValueError(f"run values must be positive and finite: {vals}")
-        if not (self.extra_double < self.extra_triple < self.extra_homer):
-            raise ValueError("extra-base increments must increase with bases")
-
 
 @dataclass(frozen=True)
 class WobaWeights:
-    """Linear weights for the wOBA-style aggregate rate stat.
-
-    Defaults are a widely used published set; any season-specific set can be
-    substituted as long as the ordering bb < 1b < 2b < 3b < hr holds.
-    """
+    """Linear weights for the wOBA-style aggregate rate stat: a widely used
+    published set, increasing bb < 1b < 2b < 3b < hr."""
 
     walk: float = 0.692
     single: float = 0.865
@@ -181,16 +160,14 @@ class WobaWeights:
     triple: float = 1.725
     homer: float = 2.065
 
-    def __post_init__(self):
-        vals = (self.walk, self.single, self.double, self.triple, self.homer)
-        if any(not math.isfinite(v) or v <= 0.0 for v in vals):
-            raise ValueError(f"woba weights must be positive and finite: {vals}")
-        if not (self.walk < self.single < self.double < self.triple < self.homer):
-            raise ValueError("woba weights must increase with outcome value")
-
     def as_component_array(self):
         """Weights aligned with the (1b, 2b, 3b, hr, bb) component order."""
         return (self.single, self.double, self.triple, self.homer, self.walk)
+
+
+# The one set of each that every stat, fit and conversion in batsim uses.
+RUN_VALUES = RunValues()
+WOBA_WEIGHTS = WobaWeights()
 
 
 @dataclass(frozen=True)
@@ -211,19 +188,20 @@ class SlashTargets:
             raise ValueError(f"slg must lie in [0, 4], got {self.slg!r}")
 
 
-DEFAULT_RUN_VALUES = RunValues()
-DEFAULT_WOBA_WEIGHTS = WobaWeights()
+# fit_ability_vector's acceptance tolerance on each stat and its budget of
+# line minimizations
+FIT_TOL = 0.005
+FIT_MAX_STEPS = 10_000
 
 
-def onbase_share(vector: AbilityVector,
-                 run_values: RunValues = DEFAULT_RUN_VALUES) -> float:
+def onbase_share(vector: AbilityVector) -> float:
     """Fraction of a batter's expected run production owed to singles and walks.
 
     Values near 1 mark a batter whose value is almost entirely reaching base;
     values near 0 mark one whose value is almost entirely extra-base power.
     Raises :class:`ZeroDenominatorError` when no on-base outcome has mass.
     """
-    rv = run_values
+    rv = RUN_VALUES
     num = rv.single * vector.p_1b + rv.walk * vector.p_bb
     den = num + (rv.extra_double * vector.p_2b
                  + rv.extra_triple * vector.p_3b
@@ -233,9 +211,9 @@ def onbase_share(vector: AbilityVector,
     return num / den
 
 
-def woba(vector: AbilityVector,
-         weights: WobaWeights = DEFAULT_WOBA_WEIGHTS) -> float:
-    """Weighted on-base average of the vector under the given linear weights."""
+def woba(vector: AbilityVector) -> float:
+    """Weighted on-base average of the vector under WOBA_WEIGHTS."""
+    weights = WOBA_WEIGHTS
     return (weights.single * vector.p_1b
             + weights.double * vector.p_2b
             + weights.triple * vector.p_3b
@@ -259,9 +237,10 @@ def slash_stats(vector: AbilityVector) -> tuple[float, float]:
     return obp, total_bases / ab
 
 
-def _stat_residuals(x, targets, rv, w):
+def _stat_residuals(x, targets):
     """Residuals (fit minus target) for the four stats, from the five
     positive components x = (p_1b, p_2b, p_3b, p_hr, p_bb)."""
+    rv, w = RUN_VALUES, WOBA_WEIGHTS
     p1, p2, p3, ph, pb = x
     obp = p1 + p2 + p3 + ph + pb
     ab = 1.0 - pb
@@ -275,8 +254,8 @@ def _stat_residuals(x, targets, rv, w):
             wv - targets.woba, share - targets.onbase_share)
 
 
-def _objective(x, targets, rv, w) -> float:
-    return sum(r * r for r in _stat_residuals(x, targets, rv, w))
+def _objective(x, targets) -> float:
+    return sum(r * r for r in _stat_residuals(x, targets))
 
 
 def _line_minimize(f, lo, hi, coarse=33, refine=40):
@@ -310,13 +289,8 @@ def _line_minimize(f, lo, hi, coarse=33, refine=40):
 
 
 def fit_ability_vector(targets: SlashTargets,
-                       league: AbilityVector,
-                       run_values: RunValues = DEFAULT_RUN_VALUES,
-                       woba_weights: WobaWeights = DEFAULT_WOBA_WEIGHTS,
-                       *,
-                       tol: float = 0.005,
-                       max_steps: int = 10_000) -> AbilityVector:
-    """Find a valid ability vector matching all four targets within tol.
+                       league: AbilityVector) -> AbilityVector:
+    """Find a valid ability vector matching all four targets within FIT_TOL.
 
     Only the five positive components affect the four stats, so the search
     runs projected coordinate descent over those, constrained to the simplex
@@ -325,7 +299,7 @@ def fit_ability_vector(targets: SlashTargets,
     untouched (outs never enter OBP, SLG, wOBA, or the on-base share).
 
     Raises :class:`InfeasibleTargetsError` if some stat still misses its
-    target by more than tol after the iteration budget.
+    target by more than FIT_TOL after FIT_MAX_STEPS line minimizations.
     """
     league = validate(league)
     league_pos = league.positives
@@ -337,11 +311,8 @@ def fit_ability_vector(targets: SlashTargets,
     scale = min(targets.obp / league_obp, 0.999 / league_obp)
     x = [p * scale for p in league_pos]
 
-    def objective(v):
-        return _objective(v, targets, run_values, woba_weights)
-
     steps = 0
-    while steps < max_steps:
+    while steps < FIT_MAX_STEPS:
         moved = 0.0
         for i in range(5):
             others = sum(x) - x[i]
@@ -350,25 +321,25 @@ def fit_ability_vector(targets: SlashTargets,
             def f(v, i=i):
                 trial = list(x)
                 trial[i] = v
-                return objective(trial)
+                return _objective(trial, targets)
 
             new = _line_minimize(f, 0.0, hi)
             moved = max(moved, abs(new - x[i]))
             x[i] = new
             steps += 1
-            if steps >= max_steps:
+            if steps >= FIT_MAX_STEPS:
                 break
-        residuals = _stat_residuals(x, targets, run_values, woba_weights)
-        if max(abs(r) for r in residuals) <= tol * 0.25:
+        residuals = _stat_residuals(x, targets)
+        if max(abs(r) for r in residuals) <= FIT_TOL * 0.25:
             break
         if moved < 1e-12:
             break
 
-    residuals = _stat_residuals(x, targets, run_values, woba_weights)
+    residuals = _stat_residuals(x, targets)
     worst = max(abs(r) for r in residuals)
-    if worst > tol:
+    if worst > FIT_TOL:
         raise InfeasibleTargetsError(
-            f"no vector within {tol} of targets {targets}; "
+            f"no vector within {FIT_TOL} of targets {targets}; "
             f"worst residual {worst:.4f} after {steps} steps"
         )
 
@@ -383,12 +354,10 @@ def fit_ability_vector(targets: SlashTargets,
     return validate(fitted)
 
 
-def fit_residuals(vector: AbilityVector, targets: SlashTargets,
-                  run_values: RunValues = DEFAULT_RUN_VALUES,
-                  woba_weights: WobaWeights = DEFAULT_WOBA_WEIGHTS,
-                  ) -> dict[str, float]:
+def fit_residuals(vector: AbilityVector,
+                  targets: SlashTargets) -> dict[str, float]:
     """Signed stat errors (fit minus target) of a fitted vector."""
-    res = _stat_residuals(vector.positives, targets, run_values, woba_weights)
+    res = _stat_residuals(vector.positives, targets)
     return dict(zip(("obp", "slg", "woba", "onbase_share"), res))
 
 

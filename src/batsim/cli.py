@@ -52,7 +52,7 @@ from .defaults import (
 )
 from .fileio import atomic_write
 from .mcengine import shutdown_pool
-from .simulation import Lineup, load_histogram_csv, monte_carlo
+from .simulation import Lineup, RunStats, load_histogram_csv, monte_carlo
 from .strategies import always_normal, build_triple, fixed_policy, threshold_policy
 from .sweeps import (
     mean_batter,
@@ -150,12 +150,15 @@ def _load_batter(path):
 
 def cmd_build_transitions(cfg: ExperimentConfig, args) -> int:
     out = args.out or "transitions.json"
+    min_count = cfg.transitions.min_count
+    if args.min_count is not None:
+        if args.min_count < 0:
+            raise ConfigError(f"--min-count must be >= 0, got {args.min_count}")
+        min_count = args.min_count
     parsed = parse_event_log(args.events, strict=not args.lenient)
     if not parsed.events:
         raise EventLogError(f"{args.events}: no usable events")
-    table = build_table(parsed.events,
-                        min_count=args.min_count if args.min_count is not None
-                        else cfg.transitions.min_count)
+    table = build_table(parsed.events, min_count=min_count)
     table.save(out)
     print(f"built {len(table.rows)} transition rows from "
           f"{len(parsed.events)} events (coverage {table.coverage:.3f})")
@@ -183,7 +186,11 @@ def cmd_compute_re(cfg: ExperimentConfig, args) -> int:
 
 def cmd_train_converter(cfg: ExperimentConfig, args) -> int:
     out = args.out or "converter_params.json"
-    n_players = args.players or cfg.converter.n_players
+    n_players = cfg.converter.n_players
+    if args.players is not None:
+        if args.players < 2:
+            raise ConfigError(f"--players must be >= 2, got {args.players}")
+        n_players = args.players
     seed = args.seed if args.seed is not None else cfg.converter.train_seed
     players = synthesize_players(n_players, seed=seed)
     pairs = build_pair_dataset(players)
@@ -281,14 +288,13 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 def cmd_validate(cfg: ExperimentConfig, args) -> int:
     out = args.out or "validate_hist.csv"
     reference = load_histogram_csv(args.reference)
+    ref_stats = RunStats.from_histogram(reference)  # rejects an all-zero one
     table = _resolve_table(cfg)
     normals = _resolve_lineup(cfg)
     lineup = Lineup.from_vectors(normals)
     stats = monte_carlo(lineup, always_normal, table, cfg.n_games, cfg.seed,
                         workers=cfg.workers, innings=cfg.innings,
                         pa_cap=cfg.pa_cap)
-    ref_n = sum(reference)
-    ref_mean = sum(r * c for r, c in enumerate(reference)) / ref_n
     tv = total_variation(stats.histogram, reference)
     width = max(len(stats.histogram), len(reference))
     with atomic_write(out, newline="") as fh:
@@ -298,8 +304,8 @@ def cmd_validate(cfg: ExperimentConfig, args) -> int:
             ref = reference[r] if r < len(reference) else 0
             fh.write(f"{r},{sim},{ref}\n")
     print(f"simulated mean {stats.mean:.4f} over {stats.n_games} games; "
-          f"reference mean {ref_mean:.4f} over {ref_n}")
-    print(f"mean difference {stats.mean - ref_mean:+.4f}; "
+          f"reference mean {ref_stats.mean:.4f} over {ref_stats.n_games}")
+    print(f"mean difference {stats.mean - ref_stats.mean:+.4f}; "
           f"total variation distance {tv:.4f}")
     print(f"wrote {out}")
     return EXIT_OK

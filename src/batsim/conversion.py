@@ -23,17 +23,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .abilities import (
-    DEFAULT_RUN_VALUES,
-    DEFAULT_WOBA_WEIGHTS,
+    WOBA_WEIGHTS,
     AbilityVector,
     NoOutProbabilityError,
-    RunValues,
-    WobaWeights,
     onbase_share,
     validate,
     woba,
@@ -53,6 +50,10 @@ LAYOUT = (
     ("w3", (HIDDEN_WIDTH, 7)), ("b3", (7,)),
 )
 N_PARAMS = sum(math.prod(shape) for _, shape in LAYOUT)
+
+# wOBA coefficients aligned with REDUCED_KEYS; outs carry no weight.
+WOBA_COMPONENTS = np.array(WOBA_WEIGHTS.as_component_array() + (0.0, 0.0))
+WOBA_COMPONENTS.flags.writeable = False
 
 # Acceptance window for synthesized player pools.
 WOBA_RANGE = (0.230, 0.420)
@@ -84,36 +85,6 @@ class ProjectionFailureError(ConversionError):
 
 
 @dataclass(frozen=True)
-class ReducedVector:
-    """The seven free components of an ability vector (fly out dropped)."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) != 7:
-            raise ShapeMismatchError(f"expected 7 components, got {len(self.values)}")
-        if any(v < 0.0 for v in self.values):
-            raise ConversionError(f"negative component in {self.values}")
-        if math.fsum(self.values) > 1.0 + 1e-9:
-            raise ConversionError("components exceed total probability 1")
-
-    @classmethod
-    def from_ability(cls, vector: AbilityVector) -> "ReducedVector":
-        return cls(values=vector.as_tuple()[:7])
-
-    def to_ability(self) -> AbilityVector:
-        return AbilityVector(*self.values, 1.0 - math.fsum(self.values))
-
-
-@dataclass(frozen=True)
-class ConversionSample:
-    source: ReducedVector
-    d_onbase_share: float
-    d_woba: float
-    delta: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class PairDataset:
     """Training pairs: inputs (N, 9) and component-delta targets (N, 7)."""
 
@@ -128,15 +99,6 @@ class PairDataset:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-    def sample(self, i: int) -> ConversionSample:
-        row = self.inputs[i]
-        return ConversionSample(
-            source=ReducedVector(values=tuple(row[:7])),
-            d_onbase_share=float(row[7]),
-            d_woba=float(row[8]),
-            delta=tuple(self.targets[i]),
-        )
 
 
 @dataclass(frozen=True)
@@ -155,7 +117,7 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class ConverterParams:
-    """Network weights, plus the stat coefficients they were trained under."""
+    """Network weights."""
 
     w1: np.ndarray  # (9, 100)
     b1: np.ndarray  # (100,)
@@ -163,7 +125,6 @@ class ConverterParams:
     b2: np.ndarray  # (100,)
     w3: np.ndarray  # (100, 7)
     b3: np.ndarray  # (7,)
-    woba_weights: WobaWeights = DEFAULT_WOBA_WEIGHTS
 
     def __post_init__(self):
         for name, shape in LAYOUT:
@@ -187,8 +148,7 @@ def _layer_views(flat: np.ndarray) -> dict[str, np.ndarray]:
     return views
 
 
-def init_params(seed: int,
-                woba_weights: WobaWeights = DEFAULT_WOBA_WEIGHTS) -> ConverterParams:
+def init_params(seed: int) -> ConverterParams:
     """He-style initialization; the output layer starts small so initial
     predictions sit near zero delta, which is the right prior."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x1217)))
@@ -198,8 +158,7 @@ def init_params(seed: int,
     w3 = rng.normal(0.0, 0.1 * math.sqrt(1.0 / HIDDEN_WIDTH),
                     size=(HIDDEN_WIDTH, 7))
     return ConverterParams(w1=w1, b1=np.zeros(HIDDEN_WIDTH), w2=w2,
-                           b2=np.zeros(HIDDEN_WIDTH), w3=w3, b3=np.zeros(7),
-                           woba_weights=woba_weights)
+                           b2=np.zeros(HIDDEN_WIDTH), w3=w3, b3=np.zeros(7))
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -243,11 +202,6 @@ def forward(params: ConverterParams, x) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def _woba_component_vector(weights: WobaWeights) -> np.ndarray:
-    # wOBA coefficients aligned with REDUCED_KEYS; outs carry no weight.
-    return np.array(weights.as_component_array() + (0.0, 0.0))
-
-
 def _unpack_batch(batch) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(batch, PairDataset):
         return batch.inputs, batch.targets
@@ -262,12 +216,12 @@ def _unpack_batch(batch) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mean_loss(x: np.ndarray, y: np.ndarray, out: np.ndarray,
-               wvec: np.ndarray, weights: LossWeights) -> float:
+               weights: LossWeights) -> float:
     err = out - y
     sq = np.sum(err * err, axis=1)
     implied = x[:, :7] + out
     hinge = np.sum(np.maximum(-implied, 0.0), axis=1)
-    woba_err = err @ wvec
+    woba_err = err @ WOBA_COMPONENTS
     per_pair = sq + weights.negativity * hinge \
         + weights.woba_consistency * woba_err * woba_err
     return float(per_pair.mean())
@@ -278,8 +232,7 @@ def loss(params: ConverterParams, batch,
     """Mean per-pair loss: squared delta error, plus the negativity hinge on
     the implied destination components, plus the squared wOBA mismatch."""
     x, y = _unpack_batch(batch)
-    return _mean_loss(x, y, _forward(params, x),
-                      _woba_component_vector(params.woba_weights), weights)
+    return _mean_loss(x, y, _forward(params, x), weights)
 
 
 class _Workspace:
@@ -288,8 +241,7 @@ class _Workspace:
     with per-layer views.  A shorter batch uses the leading rows.  The two
     hidden-activation buffers are reused in place for their gradients."""
 
-    def __init__(self, rows: int, woba_weights: WobaWeights):
-        self.wvec = _woba_component_vector(woba_weights)
+    def __init__(self, rows: int):
         self.h1 = np.empty((rows, HIDDEN_WIDTH))
         self.h2 = np.empty((rows, HIDDEN_WIDTH))
         self.relu = np.empty((rows, HIDDEN_WIDTH), dtype=bool)
@@ -320,9 +272,9 @@ def _backprop(params: ConverterParams, x: np.ndarray, y: np.ndarray,
     np.less(out, 0.0, out=negative)
     np.multiply(negative, weights.negativity, out=out)
     g_out -= out
-    np.matmul(err, ws.wvec, out=woba_err)
+    np.matmul(err, WOBA_COMPONENTS, out=woba_err)
     woba_err *= 2.0 * weights.woba_consistency
-    np.multiply(woba_err[:, None], ws.wvec, out=out)
+    np.multiply(woba_err[:, None], WOBA_COMPONENTS, out=out)
     g_out += out
     g_out /= n
 
@@ -347,7 +299,7 @@ def gradients(params: ConverterParams, batch,
     """Hand-derived backprop for :func:`loss`.  The arrays returned belong
     to this call alone."""
     x, y = _unpack_batch(batch)
-    ws = _Workspace(x.shape[0], params.woba_weights)
+    ws = _Workspace(x.shape[0])
     _backprop(params, x, y, weights, ws)
     return ws.grads
 
@@ -420,10 +372,9 @@ def evaluate(params: ConverterParams, batch,
              weights: LossWeights = LossWeights()) -> ValidationMetrics:
     x, y = _unpack_batch(batch)
     out = _forward(params, x)
-    wvec = _woba_component_vector(params.woba_weights)
     err = out - y
     mse_vector = float(np.sum(err * err, axis=1).mean())
-    woba_err = err @ wvec
+    woba_err = err @ WOBA_COMPONENTS
     mse_woba = float((woba_err * woba_err).mean())
 
     implied7 = x[:, :7] + out
@@ -436,14 +387,12 @@ def evaluate(params: ConverterParams, batch,
     return ValidationMetrics(mse_vector=mse_vector, mse_woba=mse_woba,
                              neg_mass_raw=neg_raw,
                              neg_mass_projected=neg_projected,
-                             val_loss=_mean_loss(x, y, out, wvec, weights),
+                             val_loss=_mean_loss(x, y, out, weights),
                              epochs_run=0, best_epoch=0)
 
 
 def train(dataset: PairDataset, config: TrainConfig = TrainConfig(),
-          seed: int = 0, *,
-          woba_weights: WobaWeights = DEFAULT_WOBA_WEIGHTS,
-          ) -> tuple[ConverterParams, ValidationMetrics]:
+          seed: int = 0) -> tuple[ConverterParams, ValidationMetrics]:
     """Mini-batch gradient descent with momentum and early stopping.
 
     The pair set is split 80/20 (by config.val_fraction) with a permutation
@@ -465,12 +414,12 @@ def train(dataset: PairDataset, config: TrainConfig = TrainConfig(),
 
     # flat is the live parameter vector and `live` views it; `best` holds a
     # copy of flat from the best epoch so far
-    init = init_params(seed, woba_weights).arrays()
+    init = init_params(seed).arrays()
     flat = np.concatenate([init[name].ravel() for name, _ in LAYOUT])
     velocity = np.zeros(N_PARAMS)
-    live = ConverterParams(**_layer_views(flat), woba_weights=woba_weights)
+    live = ConverterParams(**_layer_views(flat))
     rows = min(config.batch_size, len(train_idx))
-    ws = _Workspace(rows, woba_weights)
+    ws = _Workspace(rows)
     x_batch, y_batch = np.empty((rows, 9)), np.empty((rows, 7))
 
     best = flat.copy()
@@ -504,17 +453,13 @@ def train(dataset: PairDataset, config: TrainConfig = TrainConfig(),
             if stale > config.patience:
                 break
 
-    best_params = ConverterParams(**_layer_views(best),
-                                  woba_weights=woba_weights)
+    best_params = ConverterParams(**_layer_views(best))
     metrics = evaluate(best_params, (x_val, y_val), config.loss_weights)
     metrics = replace(metrics, epochs_run=epochs_run, best_epoch=best_epoch)
     return best_params, metrics
 
 
-def synthesize_players(n: int = 502, seed: int = 0, *,
-                       run_values: RunValues = DEFAULT_RUN_VALUES,
-                       woba_weights: WobaWeights = DEFAULT_WOBA_WEIGHTS,
-                       ) -> list[AbilityVector]:
+def synthesize_players(n: int = 502, seed: int = 0) -> list[AbilityVector]:
     """Generate a plausible player pool spanning the on-base/power plane.
 
     Profiles come from two latent traits (overall quality and a
@@ -554,8 +499,8 @@ def synthesize_players(n: int = 502, seed: int = 0, *,
         vec = AbilityVector(p_1b, p_2b, p_3b, p_hr, p_bb,
                             out_mass * k_frac, out_mass * g_frac,
                             out_mass * f_frac)
-        w = woba(vec, woba_weights)
-        share = onbase_share(vec, run_values)
+        w = woba(vec)
+        share = onbase_share(vec)
         if not (WOBA_RANGE[0] <= w <= WOBA_RANGE[1]):
             continue
         if not (SHARE_RANGE[0] <= share <= SHARE_RANGE[1]):
@@ -564,10 +509,7 @@ def synthesize_players(n: int = 502, seed: int = 0, *,
     return players
 
 
-def build_pair_dataset(players, *,
-                       run_values: RunValues = DEFAULT_RUN_VALUES,
-                       woba_weights: WobaWeights = DEFAULT_WOBA_WEIGHTS,
-                       ) -> PairDataset:
+def build_pair_dataset(players) -> PairDataset:
     """All unordered player pairs, oriented so the conversion never gains
     wOBA: the higher-wOBA profile is the source.  Equal-wOBA ties take the
     lower-share profile as source, so tied pairs ask for a non-negative
@@ -576,8 +518,8 @@ def build_pair_dataset(players, *,
     if len(players) < 2:
         raise InsufficientPlayersError("need at least 2 players to form pairs")
     comp = np.array([p.as_tuple()[:7] for p in players])
-    wob = np.array([woba(p, woba_weights) for p in players])
-    share = np.array([onbase_share(p, run_values) for p in players])
+    wob = np.array([woba(p) for p in players])
+    share = np.array([onbase_share(p) for p in players])
 
     ii, jj = np.triu_indices(len(players), k=1)
     take_j = (wob[jj] > wob[ii]) | ((wob[jj] == wob[ii]) & (share[jj] < share[ii]))
@@ -636,8 +578,9 @@ def convert(params: ConverterParams, vector: AbilityVector,
 def save_params(params: ConverterParams, path, *,
                 loss_weights: LossWeights | None = None,
                 train_seed: int | None = None) -> None:
-    """Write params as JSON: layer arrays plus a metadata block recording the
-    input ordering and, when known, the loss weights and training seed."""
+    """Write params as JSON: layer arrays, the wOBA weights they were
+    trained under, and a metadata block recording the input ordering and,
+    when known, the loss weights and training seed."""
     metadata: dict = {"input_order": list(INPUT_ORDER)}
     if loss_weights is not None:
         metadata["loss_weights"] = {
@@ -650,13 +593,7 @@ def save_params(params: ConverterParams, path, *,
         "architecture": [9, HIDDEN_WIDTH, HIDDEN_WIDTH, 7],
         "input_order": list(INPUT_ORDER),
         "metadata": metadata,
-        "woba_weights": {
-            "walk": params.woba_weights.walk,
-            "single": params.woba_weights.single,
-            "double": params.woba_weights.double,
-            "triple": params.woba_weights.triple,
-            "homer": params.woba_weights.homer,
-        },
+        "woba_weights": asdict(WOBA_WEIGHTS),
         **{name: arr.tolist() for name, arr in params.arrays().items()},
     }
     with atomic_write(path) as fh:
@@ -677,12 +614,14 @@ def load_params(path) -> ConverterParams:
         raise ConversionError(f"unsupported architecture {obj['architecture']}")
     if obj["input_order"] != list(INPUT_ORDER):
         raise ConversionError("input order does not match this build")
+    if obj["woba_weights"] != asdict(WOBA_WEIGHTS):
+        raise ConversionError(f"{path}: trained under wOBA weights "
+                              f"{obj['woba_weights']}, not this build's")
     try:
-        weights = WobaWeights(**obj["woba_weights"])
         arrays = {name: np.array(obj[name], dtype=float) for name, _ in LAYOUT}
     except (TypeError, ValueError) as exc:
         raise ConversionError(f"{path}: malformed converter params: {exc}") from exc
-    return ConverterParams(**arrays, woba_weights=weights)
+    return ConverterParams(**arrays)
 
 
 PAIR_CSV_HEADER = ",".join(INPUT_ORDER) + "," + ",".join(

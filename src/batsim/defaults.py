@@ -27,11 +27,6 @@ FITTED_ASSET = "lineup_fitted.json"
 TABLE_ASSET = "transitions_default.json"
 CONVERTER_ASSET = "converter_default.json"
 
-# generation knobs for the bundled transition table
-DEFAULT_TABLE_EVENTS = 150_000
-DEFAULT_TABLE_SEED = 97
-DEFAULT_TABLE_MIN_COUNT = 5
-
 _STAT_KEYS = ("obp", "slg", "woba", "onbase_share")
 
 

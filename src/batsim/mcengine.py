@@ -34,15 +34,16 @@ carry what compiles their cells, not compiled tables, and compile them
 where they run, two at a time, just before running them.  A call that runs
 on one process runs its one task in place.
 
-Parallel calls share one process pool per process.  The first call that
-needs more than one process starts it; every later call of the same size
-sends its tasks to the same workers, so a program pays the pool's start
+Parallel calls share one process pool per process, of min(workers, usable
+cores) processes.  The first call with more than one task starts it;
+every later call at the same worker count sends its tasks to the same
+workers, whatever its number of units, so a program pays the pool's start
 once rather than once per call.  A worker keeps no state between tasks.
-A call that needs another number of processes shuts the pool down and
-starts one of the new size; a call that raises (a worker that died, an
-interrupt) shuts it down before the exception propagates, and the next
-call starts afresh.  shutdown_pool stops it on demand; otherwise it lives
-until the interpreter exits.
+A call at another worker count shuts the pool down and starts one of its
+own size; a call that raises (a worker that died, an interrupt) shuts it
+down before the exception propagates, and the next call starts afresh.
+shutdown_pool stops it on demand; otherwise it lives until the
+interpreter exits.
 """
 
 from __future__ import annotations
@@ -281,19 +282,17 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def pool_size(workers: int, n_games: int, cells: int = 1) -> int:
-    """Processes a call of n_games in each of `cells` cells uses at the
-    given worker count; 1 means it runs serially.  The shared pool starts
-    all its workers up front and keeps them between calls, so it never asks
-    for more than there are (cell, batch) units or cores to run them on.
-    A call whose size differs from the running pool's replaces that pool."""
-    units = cells * len(_batch_sizes(n_games))
-    return max(1, min(workers, units, usable_cores()))
+def pool_size(workers: int) -> int:
+    """Processes of the shared pool at the given worker count: no more
+    than the cores they can run on.  A call splits its (cell, batch) units
+    into min(pool_size(workers), units) tasks and runs in place when that
+    is one."""
+    return max(1, min(workers, usable_cores()))
 
 
 # The process's one worker pool and its size.  The first parallel call
-# starts it; later calls of the same size reuse it.  The lock is held for a
-# whole parallel call, so no caller replaces or stops the pool while
+# starts it; later calls at the same pool size reuse it.  The lock is held
+# for a whole parallel call, so no caller replaces or stops the pool while
 # another caller's tasks run on it.
 _pool_lock = threading.RLock()
 _pool: ProcessPoolExecutor | None = None
@@ -323,15 +322,16 @@ def _shared_pool(processes: int) -> ProcessPoolExecutor:
 
 
 def _run(cells, *, n_games: int, seed: int, workers: int):
-    """Each cell's merged (histogram, truncated, fallbacks, pa), from one
-    task per process."""
+    """Each cell's merged (histogram, truncated, fallbacks, pa), from at
+    most one task per pool process."""
     b = len(_batch_sizes(n_games))
     units = len(cells) * b
-    processes = pool_size(workers, n_games, len(cells))
-    if processes == 1:
+    processes = pool_size(workers)
+    n_tasks = min(processes, units)
+    if n_tasks <= 1:
         return _run_task(cells, n_games, seed, 0, units)
 
-    bounds = [-(-units * t // processes) for t in range(processes + 1)]
+    bounds = [-(-units * t // n_tasks) for t in range(n_tasks + 1)]
     tasks = [(cells[lo // b:-(-hi // b)], n_games, seed, lo % b, hi - lo // b * b)
              for lo, hi in zip(bounds, bounds[1:])]
     with _pool_lock:

@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .abilities import (
-    DEFAULT_RUN_VALUES,
-    AbilityVector,
-    RunValues,
-    onbase_share,
-    validate,
-)
+from .abilities import AbilityVector, onbase_share, validate
 from .transitions import (
     NUM_LIVE_STATES,
     GameState,
@@ -37,6 +31,11 @@ class StrategyChoice(Enum):
 
 class InvalidThresholdsError(ValueError):
     pass
+
+
+# How far a converted variant's on-base share may sit on the wrong side of
+# the normal profile's before its triple is flagged (StrategyTriple.ordering_ok).
+ORDERING_SLACK = 0.02
 
 
 @dataclass(frozen=True)
@@ -105,9 +104,8 @@ def threshold_policy(theta_o: float, theta_l: float,
                  for value in expectancy.values)
 
 
-def build_triple(normal: AbilityVector, params, d_alpha: float, d_woba: float,
-                 *, run_values: RunValues = DEFAULT_RUN_VALUES,
-                 ordering_slack: float = 0.02) -> StrategyTriple:
+def build_triple(normal: AbilityVector, params, d_alpha: float,
+                 d_woba: float) -> StrategyTriple:
     """Convert one batter into a strategy triple.
 
     The on-base variant shifts the batter's on-base value share up by
@@ -124,11 +122,10 @@ def build_triple(normal: AbilityVector, params, d_alpha: float, d_woba: float,
     validate(normal)
     on_base = convert(params, normal, d_alpha, d_woba)
     long_hit = convert(params, normal, -d_alpha, d_woba)
-    slack = ordering_slack
-    share_n = onbase_share(normal, run_values)
+    share_n = onbase_share(normal)
     ordering_ok = (
-        onbase_share(long_hit, run_values) <= share_n + slack
-        and share_n <= onbase_share(on_base, run_values) + slack
+        onbase_share(long_hit) <= share_n + ORDERING_SLACK
+        and share_n <= onbase_share(on_base) + ORDERING_SLACK
     )
     return StrategyTriple(normal=normal, on_base=on_base, long_hit=long_hit,
                           ordering_ok=ordering_ok)

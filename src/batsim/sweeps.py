@@ -17,7 +17,14 @@ import numpy as np
 
 from .abilities import AbilityVector
 from .fileio import atomic_write
-from .simulation import Lineup, RunStats, monte_carlo, monte_carlo_cells
+from .simulation import (
+    DEFAULT_INNINGS,
+    PA_CAP_PER_HALF_INNING,
+    Lineup,
+    RunStats,
+    monte_carlo,
+    monte_carlo_cells,
+)
 from .strategies import always_normal, build_triple, fixed_policy, threshold_policy
 from .transitions import RunExpectancyTable, TransitionTable, run_expectancy
 
@@ -58,8 +65,8 @@ def _stats_row(mode: str, stats: RunStats, baseline_mean: float | None,
 
 
 def run_baseline(normals, table: TransitionTable, *, n_games: int, seed: int,
-                 workers: int = 1, innings: int = 9, pa_cap: int = 100,
-                 ) -> SweepRow:
+                 workers: int = 1, innings: int = DEFAULT_INNINGS,
+                 pa_cap: int = PA_CAP_PER_HALF_INNING) -> SweepRow:
     lineup = Lineup.from_vectors(normals)
     stats = monte_carlo(lineup, always_normal, table, n_games, seed,
                         workers=workers, innings=innings, pa_cap=pa_cap)
@@ -68,8 +75,8 @@ def run_baseline(normals, table: TransitionTable, *, n_games: int, seed: int,
 
 def run_strategy_grid(normals, params, table: TransitionTable, *,
                       d_alpha_grid, d_woba_grid, n_games: int, seed: int,
-                      workers: int = 1, innings: int = 9, pa_cap: int = 100,
-                      ) -> list[SweepRow]:
+                      workers: int = 1, innings: int = DEFAULT_INNINGS,
+                      pa_cap: int = PA_CAP_PER_HALF_INNING) -> list[SweepRow]:
     """Fixed-condition policy over every (d_alpha, d_woba) cell.
 
     The baseline row comes first; grid rows follow in parameter-tuple order
@@ -111,9 +118,10 @@ def default_theta_grids(re_table: RunExpectancyTable,
 
 def run_threshold_grid(normals, params, table: TransitionTable, *,
                        theta_o_grid=None, theta_l_grid=None,
-                       d_alpha: float = 0.1, d_woba: float = -0.005,
+                       d_alpha: float, d_woba: float,
                        n_games: int, seed: int, workers: int = 1,
-                       innings: int = 9, pa_cap: int = 100,
+                       innings: int = DEFAULT_INNINGS,
+                       pa_cap: int = PA_CAP_PER_HALF_INNING,
                        re_table: RunExpectancyTable | None = None,
                        ) -> list[SweepRow]:
     """Threshold-activation policy over every valid (theta_o, theta_l) cell
@@ -148,14 +156,6 @@ def run_threshold_grid(normals, params, table: TransitionTable, *,
                    d_alpha=d_alpha, d_woba=d_woba,
                    theta_o=theta_o, theta_l=theta_l, infeasible=infeasible)
         for (theta_o, theta_l), cell in zip(grid, stats)]
-
-
-def sweep_totals(rows) -> dict[str, int]:
-    return {
-        "truncated": sum(r.truncated for r in rows),
-        "fallbacks": sum(r.fallbacks for r in rows),
-        "infeasible_triples": sum(r.infeasible_triples for r in rows),
-    }
 
 
 def _cell(value) -> str:

@@ -61,31 +61,16 @@ class AdvancementModel:
     fly_third_tags: float = 0.74
     fly_second_tags: float = 0.12
 
-    def __post_init__(self):
-        groups = (
-            (self.single_second_scores, self.single_second_thrown_out),
-            (self.single_first_to_third, self.single_first_thrown_out),
-            (self.double_first_scores, self.double_first_thrown_out),
-            (self.ground_double_play, self.ground_force_at_second),
-        )
-        singles = (self.ground_reach_error, self.ground_runners_advance,
-                   self.fly_reach_error, self.fly_third_tags, self.fly_second_tags)
-        for group in groups:
-            if any(p < 0.0 for p in group) or sum(group) > 1.0:
-                raise ValueError(f"branch group {group} must sum within [0, 1]")
-        if any(not 0.0 <= p <= 1.0 for p in singles):
-            raise ValueError("advancement rates must lie in [0, 1]")
+
+ADVANCEMENT = AdvancementModel()
 
 
-DEFAULT_ADVANCEMENT = AdvancementModel()
-
-
-def _hit_transition(state: GameState, n: int, rng,
-                    m: AdvancementModel) -> tuple[GameState, int]:
+def _hit_transition(state: GameState, n: int, rng) -> tuple[GameState, int]:
     """Advancement on an n-base hit.  Lead runners resolve first; once a
     thrown-out runner makes the third out the play is dead, and any
     unresolved trailing runner takes the forced base just vacated ahead of
     it, so nobody is ever lost from the accounting or doubled up on a base."""
+    m = ADVANCEMENT
     outs = state.outs
     runs = 0
     on1 = bool(state.bases & 1)
@@ -140,8 +125,8 @@ def _hit_transition(state: GameState, n: int, rng,
     return GameState(outs, new), runs
 
 
-def _ground_transition(state: GameState, rng,
-                       m: AdvancementModel) -> tuple[GameState, int]:
+def _ground_transition(state: GameState, rng) -> tuple[GameState, int]:
+    m = ADVANCEMENT
     outs = state.outs
     bases = state.bases
     on1 = bool(bases & 1)
@@ -174,8 +159,8 @@ def _ground_transition(state: GameState, rng,
     return GameState(outs + 1, bases), 0
 
 
-def _fly_transition(state: GameState, rng,
-                    m: AdvancementModel) -> tuple[GameState, int]:
+def _fly_transition(state: GameState, rng) -> tuple[GameState, int]:
+    m = ADVANCEMENT
     outs = state.outs
     bases = state.bases
     u = rng.random()
@@ -195,9 +180,8 @@ def _fly_transition(state: GameState, rng,
     return GameState(outs + 1, new), runs
 
 
-def stochastic_transition(state: GameState, outcome: Outcome, rng,
-                          model: AdvancementModel = DEFAULT_ADVANCEMENT,
-                          ) -> tuple[GameState, int]:
+def stochastic_transition(state: GameState, outcome: Outcome,
+                          rng) -> tuple[GameState, int]:
     """One plate appearance under the synthetic advancement model.
 
     rng needs only a .random() method returning uniforms in [0, 1)."""
@@ -209,15 +193,14 @@ def stochastic_transition(state: GameState, outcome: Outcome, rng,
     if outcome is Outcome.STRIKEOUT:
         return GameState(state.outs + 1, state.bases), 0
     if outcome is Outcome.GROUND_OUT:
-        return _ground_transition(state, rng, model)
+        return _ground_transition(state, rng)
     if outcome is Outcome.FLY_OUT:
-        return _fly_transition(state, rng, model)
-    return _hit_transition(state, HITS[outcome], rng, model)
+        return _fly_transition(state, rng)
+    return _hit_transition(state, HITS[outcome], rng)
 
 
 def synthesize_event_log(n_events: int, seed: int,
                          batter: AbilityVector = LEAGUE_AVERAGE,
-                         model: AdvancementModel = DEFAULT_ADVANCEMENT,
                          ) -> list[TransitionEvent]:
     """Simulate half-innings with one batter profile at the plate and record
     every plate appearance as a transition event.  Deterministic in seed."""
@@ -233,7 +216,7 @@ def synthesize_event_log(n_events: int, seed: int,
     state = GameState(0, 0)
     while len(events) < n_events:
         outcome = OUTCOMES[int(np.searchsorted(cum, rng.random(), side="right"))]
-        post, runs = stochastic_transition(state, outcome, rng, model)
+        post, runs = stochastic_transition(state, outcome, rng)
         events.append(TransitionEvent(state.outs, state.bases, outcome,
                                       post.outs, post.bases, runs))
         state = GameState(0, 0) if post.is_over else post

@@ -67,7 +67,11 @@ OUTCOME_BY_CODE = {o.value: o for o in OUTCOMES}
 
 HITS = {Outcome.SINGLE: 1, Outcome.DOUBLE: 2, Outcome.TRIPLE: 3,
         Outcome.HOME_RUN: 4}
-OUTS = (Outcome.STRIKEOUT, Outcome.GROUND_OUT, Outcome.FLY_OUT)
+
+# run_expectancy's value iteration stops once a sweep changes no value by
+# RE_TOL, and gives up after RE_MAX_SWEEPS sweeps
+RE_TOL = 1e-10
+RE_MAX_SWEEPS = 100_000
 
 
 class EventLogError(ValueError):
@@ -117,10 +121,6 @@ class GameState:
     @property
     def is_over(self) -> bool:
         return self.outs >= 3
-
-    @property
-    def runners(self) -> int:
-        return _runner_count(self.bases)
 
     @property
     def index(self) -> int:
@@ -493,22 +493,14 @@ class RunExpectancyTable:
             json.dump(self.as_dict(), fh, indent=1)
             fh.write("\n")
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RunExpectancyTable":
-        vals = [0.0] * NUM_LIVE_STATES
-        for s in live_states():
-            vals[s.index] = float(obj[f"{s.outs}-{s.bases}"])
-        return cls(values=tuple(vals))
 
-
-def run_expectancy(table: TransitionTable, batter: AbilityVector, *,
-                   tol: float = 1e-10, max_sweeps: int = 100_000,
-                   ) -> RunExpectancyTable:
+def run_expectancy(table: TransitionTable,
+                   batter: AbilityVector) -> RunExpectancyTable:
     """Solve for expected runs-to-end-of-inning with a fixed batter at the
-    plate, by value iteration to the stated residual.
+    plate, by value iteration to a residual below RE_TOL.
 
-    Raises :class:`NonAbsorbingError` when the residual fails to reach tol
-    within the sweep budget, which happens exactly when the inning cannot
+    Raises :class:`NonAbsorbingError` when the residual fails to reach
+    RE_TOL within RE_MAX_SWEEPS sweeps, which happens exactly when the inning cannot
     (or essentially cannot) reach three outs under this batter.
     """
     key, post, runs, prob, _ = table.flat()
@@ -523,12 +515,12 @@ def run_expectancy(table: TransitionTable, batter: AbilityVector, *,
     np.add.at(m, (src[alive], post[alive]), p[alive])
 
     re = np.zeros(NUM_LIVE_STATES)
-    for _ in range(max_sweeps):
+    for _ in range(RE_MAX_SWEEPS):
         new = b + m @ re
         residual = np.max(np.abs(new - re))
         re = new
-        if residual < tol:
+        if residual < RE_TOL:
             return RunExpectancyTable(values=tuple(re.tolist()))
     raise NonAbsorbingError(
-        f"run expectancy did not converge within {max_sweeps} sweeps "
+        f"run expectancy did not converge within {RE_MAX_SWEEPS} sweeps "
         f"(last residual {residual:.3g})")

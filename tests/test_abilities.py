@@ -12,10 +12,8 @@ from batsim.abilities import (
     InfeasibleTargetsError,
     NegativeComponentError,
     NoOutProbabilityError,
-    RunValues,
     SlashTargets,
     SumNotOneError,
-    WobaWeights,
     ZeroDenominatorError,
     fit_ability_vector,
     fit_residuals,
@@ -55,10 +53,6 @@ class TestValidate:
     def test_sum_within_strict_tolerance_passes(self):
         nudged = AbilityVector(0.15, 0.05, 0.005, 0.03, 0.08, 0.18, 0.30, 0.205 + 5e-10)
         validate(nudged)
-
-    def test_from_iterable_length_check(self):
-        with pytest.raises(AbilityVectorError):
-            validate([0.5, 0.5])
 
     @given(ability_vectors())
     def test_generated_vectors_validate(self, vec):
@@ -133,11 +127,6 @@ class TestWoba:
         vec = AbilityVector(0, 0, 0, 0.05, 0, 0.95, 0, 0)
         assert woba(vec) == pytest.approx(2.065 * 0.05, abs=1e-15)
 
-    def test_custom_weights(self):
-        flat = WobaWeights(walk=0.1, single=0.2, double=0.3, triple=0.4, homer=0.5)
-        vec = AbilityVector(0.1, 0.1, 0.1, 0.1, 0.1, 0.5, 0, 0)
-        assert woba(vec, flat) == pytest.approx(0.15, abs=1e-12)
-
     @given(ability_vectors())
     def test_monotone_in_outcome_upgrades(self, vec):
         """Moving mass from a single to a homer never lowers the stat."""
@@ -173,18 +162,6 @@ class TestSlashStats:
 
 
 class TestParameterValidation:
-    def test_run_values_reject_nonpositive(self):
-        with pytest.raises(ValueError):
-            RunValues(single=0.0)
-
-    def test_run_values_reject_unordered_increments(self):
-        with pytest.raises(ValueError):
-            RunValues(extra_double=2.0)
-
-    def test_woba_weights_reject_unordered(self):
-        with pytest.raises(ValueError):
-            WobaWeights(walk=1.0)
-
     def test_slash_targets_range_checks(self):
         with pytest.raises(ValueError):
             SlashTargets(obp=1.2, slg=0.4, woba=0.3, onbase_share=0.5)

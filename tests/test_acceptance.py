@@ -348,7 +348,7 @@ def test_criterion_10_throughput(normals, params, table):
     bar = 3.0 * min(8, cores) / 8
     print(f"criterion 10: best of 5, single-thread {t_single:.3f}s for {GAMES} "
           f"games; 8 workers {t_eight:.3f}s in a pool of "
-          f"{pool_size(8, GAMES)}; speedup {speedup:.2f}x on {cores} usable "
+          f"{pool_size(8)}; speedup {speedup:.2f}x on {cores} usable "
           f"core(s), bar {bar:.3f}x")
     if cores < 2:
         pytest.skip(f"{cores} usable core: no parallel speed-up to measure")

@@ -159,13 +159,19 @@ def _malformed_config(case, tmp_path):
     ("convert --d-alpha nan --d-woba -0.005", EXIT_CONFIG),
     ("convert --d-alpha inf --d-woba -0.005", EXIT_CONFIG),
     ("convert --d-alpha 0.1 --d-woba nan", EXIT_CONFIG),
+    ("train-converter --players 0", EXIT_CONFIG),
+    ("train-converter --players 1", EXIT_CONFIG),
+    ("build-transitions --events events.csv --min-count -3", EXIT_CONFIG),
+    ("validate --reference zeros.csv", EXIT_DATA),
 ])
 def test_malformed_user_json_exits_cleanly(case, code, tmp_path):
-    """A malformed config for simulate, or a convert command line, exits
-    with a clean error; a rejected flag is named."""
+    """A malformed config for simulate, or a malformed command line or
+    reference file, exits with a clean error; a rejected flag is named."""
     obj = {"n_games": 400, "seed": 99, "workers": 1}
-    if case.startswith("convert "):
+    if " " in case:  # a command line, run under the default config
         command = case.split()
+        write_event_csv(synthesize_event_log(50, seed=1), tmp_path / "events.csv")
+        (tmp_path / "zeros.csv").write_text("runs,count\n0,0\n")
     else:
         obj.update(_malformed_config(case, tmp_path))
         command = ["simulate"]
@@ -181,7 +187,8 @@ def test_malformed_user_json_exits_cleanly(case, code, tmp_path):
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
     bad_flags = [flag for flag, value in zip(command, command[1:])
-                 if flag.startswith("--") and value in ("nan", "inf")]
+                 if flag.startswith("--")
+                 and value in ("nan", "inf", "0", "1", "-3")]
     assert all(flag in proc.stderr for flag in bad_flags)
 
 

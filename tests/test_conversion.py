@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 from batsim.abilities import (
-    DEFAULT_WOBA_WEIGHTS,
     LEAGUE_AVERAGE,
+    WOBA_WEIGHTS,
     AbilityVector,
     onbase_share,
     validate,
@@ -28,7 +28,6 @@ from batsim.conversion import (
     LossWeights,
     PairDataset,
     ProjectionFailureError,
-    ReducedVector,
     ShapeMismatchError,
     TrainConfig,
     ValidationMetrics,
@@ -78,31 +77,6 @@ def zero_params() -> ConverterParams:
         w2=np.zeros((HIDDEN_WIDTH, HIDDEN_WIDTH)), b2=np.zeros(HIDDEN_WIDTH),
         w3=np.zeros((HIDDEN_WIDTH, 7)), b3=np.zeros(7),
     )
-
-
-# ---------------------------------------------------------------- reduced vectors
-
-class TestReducedVector:
-    def test_round_trip(self):
-        rv = ReducedVector.from_ability(LEAGUE_AVERAGE)
-        back = rv.to_ability()
-        assert back == LEAGUE_AVERAGE
-
-    def test_fly_mass_reconstituted(self):
-        rv = ReducedVector((0.1, 0.05, 0.01, 0.02, 0.07, 0.2, 0.3))
-        assert rv.to_ability().p_f == pytest.approx(0.25)
-
-    def test_negative_component_rejected(self):
-        with pytest.raises(ConversionError):
-            ReducedVector((-0.01, 0.05, 0.01, 0.02, 0.07, 0.2, 0.3))
-
-    def test_sum_above_one_rejected(self):
-        with pytest.raises(ConversionError):
-            ReducedVector((0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0))
-
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ConversionError):
-            ReducedVector((0.1, 0.2))
 
 
 # ---------------------------------------------------------------- forward
@@ -172,7 +146,7 @@ class TestLoss:
         y = np.array([0.01, -0.002, 0.0, 0.003, -0.01, 0.0, 0.004])
         lw = LossWeights()
         wvec = np.zeros(7)
-        weights = init_params(0).woba_weights.as_component_array()
+        weights = WOBA_WEIGHTS.as_component_array()
         wvec[:5] = weights  # (1b, 2b, 3b, hr, bb) order matches REDUCED_KEYS
         expected = float(y @ y) + lw.woba_consistency * float(y @ wvec) ** 2
         got = loss(zero_params(), (x[None, :], y[None, :]), lw)
@@ -281,25 +255,27 @@ class TestPairDataset:
         players = synthesize_players(3, seed=4)
         ds = build_pair_dataset(players)
         assert len(ds) == 3
-        assert all(ds.sample(i).d_woba <= 1e-9 for i in range(3))
+        assert all(ds.inputs[:, 8] <= 1e-9)
 
     def test_sample_deltas_match_reconstruction(self, pairs):
         # input d-columns must equal the stat changes implied by the target
+        def ability(reduced):  # the fly-out mass is what the seven leave
+            return AbilityVector(*reduced, 1.0 - math.fsum(reduced))
+
         for i in (0, 17, len(pairs) - 1):
-            s = pairs.sample(i)
-            src = s.source.to_ability()
-            dest_reduced = tuple(a + b for a, b in zip(s.source.values, s.delta))
-            dest = ReducedVector(dest_reduced).to_ability()
-            assert s.d_onbase_share == pytest.approx(
+            src_reduced = pairs.inputs[i, :7]
+            src = ability(src_reduced)
+            dest = ability(src_reduced + pairs.targets[i])
+            assert pairs.inputs[i, 7] == pytest.approx(
                 onbase_share(dest) - onbase_share(src), abs=1e-9)
-            assert s.d_woba == pytest.approx(woba(dest) - woba(src), abs=1e-9)
+            assert pairs.inputs[i, 8] == pytest.approx(
+                woba(dest) - woba(src), abs=1e-9)
 
     def test_duplicate_vectors_zero_delta(self):
         ds = build_pair_dataset([LEAGUE_AVERAGE, LEAGUE_AVERAGE])
         assert len(ds) == 1
-        s = ds.sample(0)
-        assert s.d_woba == 0.0 and s.d_onbase_share == 0.0
-        assert all(d == 0.0 for d in s.delta)
+        assert ds.inputs[0, 8] == 0.0 and ds.inputs[0, 7] == 0.0
+        assert all(ds.targets[0] == 0.0)
 
     def test_too_few_vectors(self):
         with pytest.raises(ConversionError):
@@ -370,7 +346,7 @@ def reference_gradients(p, x, y, wvec, weights):
 
 def reference_train(dataset, config, seed):
     weights = config.loss_weights
-    wvec = np.array(DEFAULT_WOBA_WEIGHTS.as_component_array() + (0.0, 0.0))
+    wvec = np.array(WOBA_WEIGHTS.as_component_array() + (0.0, 0.0))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7A11)))
     perm = rng.permutation(len(dataset))
     n_val = max(1, int(round(len(dataset) * config.val_fraction)))
@@ -536,7 +512,6 @@ class TestPersistence:
         back = load_params(path)
         for k in ("w1", "b1", "w2", "b2", "w3", "b3"):
             assert np.array_equal(params.arrays()[k], back.arrays()[k])
-        assert back.woba_weights == params.woba_weights
 
     def test_metadata_block_written(self, trained, tmp_path):
         import json
@@ -571,6 +546,22 @@ class TestPersistence:
         obj["input_order"] = list(reversed(obj["input_order"]))
         path.write_text(json.dumps(obj))
         with pytest.raises(ConversionError):
+            load_params(path)
+
+    def test_woba_weights_mismatch_rejected(self, trained, tmp_path):
+        import json
+
+        params, _ = trained
+        path = tmp_path / "params.json"
+        save_params(params, path)
+        obj = json.loads(path.read_text())
+        assert obj["woba_weights"] == {
+            "walk": 0.692, "single": 0.865, "double": 1.334,
+            "triple": 1.725, "homer": 2.065}
+        # a valid ordered set, but not the one the network was trained under
+        obj["woba_weights"]["homer"] = 2.1
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ConversionError, match="wOBA weights"):
             load_params(path)
 
 

@@ -28,7 +28,7 @@ from batsim.strategies import (
     fixed_policy,
     threshold_policy,
 )
-from batsim.sweeps import mean_batter
+from batsim.sweeps import mean_batter, run_strategy_grid
 from batsim.transitions import (
     INNING_OVER,
     NUM_LIVE_STATES,
@@ -211,8 +211,8 @@ def no_shared_pool():
     mcengine.shutdown_pool()
 
 
-def test_pool_never_outnumbers_batches(monkeypatch, lineup, no_shared_pool):
-    started, stopped = [], []
+def test_one_pool_per_worker_count(monkeypatch, lineup, no_shared_pool):
+    started, stopped, tasks = [], [], []
 
     class RecordingPool(mcengine.ProcessPoolExecutor):
         def __init__(self, *, max_workers):
@@ -220,41 +220,60 @@ def test_pool_never_outnumbers_batches(monkeypatch, lineup, no_shared_pool):
             self.size = max_workers
             started.append(max_workers)
 
+        def map(self, fn, *columns, **kwargs):
+            tasks.append(len(columns[0]))
+            return super().map(fn, *columns, **kwargs)
+
         def shutdown(self, *args, **kwargs):
             stopped.append(self.size)
             super().shutdown(*args, **kwargs)
 
     table = default_transition_table()
-    two = mcengine.BATCH_SIZE + 100  # two batches
+    one = 100  # one batch
+    two = mcengine.BATCH_SIZE + 100
     three = 2 * mcengine.BATCH_SIZE + 100
-    serial_two = monte_carlo(lineup, fixed_policy, table, two, seed=8)
-    serial_three = monte_carlo(lineup, fixed_policy, table, three, seed=8)
+    serial = {n: monte_carlo(lineup, fixed_policy, table, n, seed=8)
+              for n in (one, two, three)}
     monkeypatch.setattr(mcengine, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(mcengine, "usable_cores", lambda: 8)
 
-    # two calls of one size share one pool of min(workers, batches)
-    for _ in range(2):
-        assert monte_carlo(lineup, fixed_policy, table, two, seed=8,
-                           workers=8) == serial_two
-    assert started == [2]
+    # calls of two and three batches at one worker count share one pool of
+    # min(workers, cores), each with one task per batch
+    for n in (two, three, two):
+        assert monte_carlo(lineup, fixed_policy, table, n, seed=8,
+                           workers=8) == serial[n]
+    assert started == [8]
+    assert tasks == [2, 3, 2]
     assert stopped == []
 
-    # a call of another size stops that pool and starts one of its own size
-    assert monte_carlo(lineup, fixed_policy, table, three, seed=8,
-                       workers=8) == serial_three
-    assert started == [2, 3]
-    assert stopped == [2]
+    # a one-batch call runs in place and leaves the pool as it is
+    assert monte_carlo(lineup, fixed_policy, table, one, seed=8,
+                       workers=8) == serial[one]
+    assert (started, tasks, stopped) == ([8], [2, 3, 2], [])
 
-    # nor more than there are cores: three batches on two cores ask for two,
-    # and one core runs serially without a pool
-    monkeypatch.setattr(mcengine, "usable_cores", lambda: 2)
+    # a call at another worker count replaces the pool
     assert monte_carlo(lineup, fixed_policy, table, three, seed=8,
-                       workers=8) == serial_three
+                       workers=2) == serial[three]
+    assert (started, stopped) == ([8, 2], [8])
+
+    # on one core every call runs in place, with no pool
+    mcengine.shutdown_pool()
     monkeypatch.setattr(mcengine, "usable_cores", lambda: 1)
     assert monte_carlo(lineup, fixed_policy, table, three, seed=8,
-                       workers=8) == serial_three
-    assert started == [2, 3, 2]
-    assert stopped == [2, 3]
+                       workers=8) == serial[three]
+    assert (started, stopped) == ([8, 2], [8, 2])
+
+    # a sweep's baseline and grid calls run on one pool
+    normals = fitted_lineup().vectors
+    params = default_converter_params()
+    grids = dict(d_alpha_grid=(0.0, 0.1), d_woba_grid=(0.0, -0.005))
+    serial_rows = run_strategy_grid(normals, params, table, n_games=three,
+                                    seed=8, **grids)
+    monkeypatch.setattr(mcengine, "usable_cores", lambda: 8)
+    started.clear()
+    assert run_strategy_grid(normals, params, table, n_games=three, seed=8,
+                             workers=8, **grids) == serial_rows
+    assert started == [8]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

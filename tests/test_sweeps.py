@@ -22,7 +22,6 @@ from batsim.sweeps import (
     run_baseline,
     run_strategy_grid,
     run_threshold_grid,
-    sweep_totals,
     total_variation,
     write_sweep_csv,
 )
@@ -61,7 +60,7 @@ def threshold_rows(normals, params, table):
     return run_threshold_grid(
         normals, params, table,
         theta_o_grid=(1.2, 1.6), theta_l_grid=(0.3, 0.5),
-        n_games=N_GAMES, seed=SEED)
+        d_alpha=0.1, d_woba=-0.005, n_games=N_GAMES, seed=SEED)
 
 
 # ---------------------------------------------------------------- baseline
@@ -172,7 +171,7 @@ def test_threshold_grid_skips_inverted_cells(normals, params, table, caplog):
         rows = run_threshold_grid(
             normals, params, table,
             theta_o_grid=(0.4, 1.5), theta_l_grid=(0.3, 0.9),
-            n_games=N_GAMES, seed=SEED)
+            d_alpha=0.1, d_woba=-0.005, n_games=N_GAMES, seed=SEED)
     # (0.4, 0.9) violates theta_l < theta_o; (0.4, 0.3) etc. survive
     cells = {(r.theta_o, r.theta_l) for r in rows[1:]}
     assert cells == {(0.4, 0.3), (1.5, 0.3), (1.5, 0.9)}
@@ -182,6 +181,7 @@ def test_threshold_grid_skips_inverted_cells(normals, params, table, caplog):
 
 def test_threshold_grid_derives_grids_when_missing(normals, params, table):
     rows = run_threshold_grid(normals, params, table,
+                              d_alpha=0.1, d_woba=-0.005,
                               n_games=200, seed=SEED)
     # 4x4 derived grid, upper quantiles all above lower quantiles: no skips
     assert len(rows) == 17
@@ -189,16 +189,6 @@ def test_threshold_grid_derives_grids_when_missing(normals, params, table):
 
 def test_baseline_identical_across_sweep_modes(strategy_rows, threshold_rows):
     assert strategy_rows[0] == threshold_rows[0]
-
-
-# ---------------------------------------------------------------- totals
-
-def test_sweep_totals(strategy_rows):
-    totals = sweep_totals(strategy_rows)
-    assert totals["truncated"] == sum(r.truncated for r in strategy_rows)
-    assert totals["fallbacks"] == sum(r.fallbacks for r in strategy_rows)
-    assert totals["infeasible_triples"] >= 0
-    assert set(totals) == {"truncated", "fallbacks", "infeasible_triples"}
 
 
 # ---------------------------------------------------------------- CSV

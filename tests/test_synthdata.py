@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from batsim.abilities import LEAGUE_AVERAGE, AbilityVector
 from batsim.synthdata import (
-    AdvancementModel,
+    ADVANCEMENT,
     stochastic_transition,
     synthesize_event_log,
 )
@@ -55,29 +55,30 @@ def test_strikeout_is_pure():
 
 class TestAdvancementModel:
     def test_default_is_valid(self):
-        AdvancementModel()
-
-    def test_rejects_overfull_branch_group(self):
-        with pytest.raises(ValueError):
-            AdvancementModel(single_second_scores=0.99, single_second_thrown_out=0.02)
-
-    def test_rejects_negative_rate(self):
-        with pytest.raises(ValueError):
-            AdvancementModel(fly_third_tags=-0.1)
+        m = ADVANCEMENT
+        groups = (
+            (m.single_second_scores, m.single_second_thrown_out),
+            (m.single_first_to_third, m.single_first_thrown_out),
+            (m.double_first_scores, m.double_first_thrown_out),
+            (m.ground_double_play, m.ground_force_at_second),
+            (m.ground_reach_error,), (m.ground_runners_advance,),
+            (m.fly_reach_error,), (m.fly_third_tags,), (m.fly_second_tags,),
+        )
+        for group in groups:
+            assert all(p >= 0.0 for p in group) and sum(group) < 1.0, group
 
     def test_zeroed_model_reduces_toward_station_to_station(self):
-        frozen = AdvancementModel(
-            single_second_scores=0.0, single_second_thrown_out=0.0,
-            single_first_to_third=0.0, single_first_thrown_out=0.0,
-            double_first_scores=0.0, double_first_thrown_out=0.0,
-            ground_reach_error=0.0, ground_double_play=0.0,
-            ground_force_at_second=0.0, ground_runners_advance=0.0,
-            fly_reach_error=0.0, fly_third_tags=0.0, fly_second_tags=0.0,
-        )
-        rng = np.random.default_rng(0)
-        post, runs = stochastic_transition(GameState(0, 3), Outcome.SINGLE, rng, frozen)
+        class NoBranchTaken:
+            """Every draw lands past every branch: runners move station
+            to station."""
+
+            def random(self):
+                return 0.999
+
+        rng = NoBranchTaken()
+        post, runs = stochastic_transition(GameState(0, 3), Outcome.SINGLE, rng)
         assert (post.outs, post.bases, runs) == (0, 7, 0)
-        post, runs = stochastic_transition(GameState(0, 1), Outcome.GROUND_OUT, rng, frozen)
+        post, runs = stochastic_transition(GameState(0, 1), Outcome.GROUND_OUT, rng)
         assert (post.outs, post.bases, runs) == (1, 1, 0)
 
 

@@ -21,11 +21,11 @@ from batsim.transitions import (
     MalformedRowError,
     NonAbsorbingError,
     Outcome,
-    RunExpectancyTable,
     TransitionEntry,
     TransitionEvent,
     TransitionTable,
     UnknownOutcomeError,
+    _runner_count,
     build_table,
     check_event,
     live_states,
@@ -68,9 +68,8 @@ class TestGameState:
         assert not GameState(2, 7).is_over
 
     def test_runner_count(self):
-        assert GameState(0, 0).runners == 0
-        assert GameState(0, 5).runners == 2
-        assert GameState(0, 7).runners == 3
+        # the count check_event balances: one per set bit of the mask
+        assert [_runner_count(b) for b in range(8)] == [0, 1, 1, 2, 1, 2, 2, 3]
 
 
 def _simple_oracle(outs, bases, outcome):
@@ -350,7 +349,7 @@ class TestRunExpectancy:
 
     def test_never_ending_inning_raises(self):
         with pytest.raises(NonAbsorbingError):
-            run_expectancy(TransitionTable.simple(), ALL_HOMERS, max_sweeps=2000)
+            run_expectancy(TransitionTable.simple(), ALL_HOMERS)
 
     def test_more_outs_never_help(self, synthetic_table):
         re = run_expectancy(synthetic_table, LEAGUE_AVERAGE)
@@ -375,10 +374,6 @@ class TestRunExpectancy:
     def test_value_is_zero_after_three_outs(self, synthetic_table):
         re = run_expectancy(synthetic_table, LEAGUE_AVERAGE)
         assert re.value(GameState(3, 5)) == 0.0
-
-    def test_dict_round_trip(self, synthetic_table):
-        re = run_expectancy(synthetic_table, LEAGUE_AVERAGE)
-        assert RunExpectancyTable.from_dict(re.as_dict()) == re
 
 
 TABLES = {"bundled": default_transition_table,
