@@ -83,7 +83,6 @@ from .transitions import (
     build_table,
     parse_event_log,
     run_expectancy,
-    sample_transition,
     simple_transition,
     write_event_csv,
 )
@@ -155,7 +154,6 @@ __all__ = [
     "build_table",
     "parse_event_log",
     "run_expectancy",
-    "sample_transition",
     "simple_transition",
     "write_event_csv",
     "__version__",

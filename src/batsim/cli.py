@@ -24,6 +24,7 @@ from .abilities import (
     load_ability_vector,
 )
 from .config import (
+    MIN_PLAYERS,
     ConfigError,
     ExperimentConfig,
     dump_config,
@@ -188,8 +189,9 @@ def cmd_train_converter(cfg: ExperimentConfig, args) -> int:
     out = args.out or "converter_params.json"
     n_players = cfg.converter.n_players
     if args.players is not None:
-        if args.players < 2:
-            raise ConfigError(f"--players must be >= 2, got {args.players}")
+        if args.players < MIN_PLAYERS:
+            raise ConfigError(
+                f"--players must be >= {MIN_PLAYERS}, got {args.players}")
         n_players = args.players
     seed = args.seed if args.seed is not None else cfg.converter.train_seed
     players = synthesize_players(n_players, seed=seed)

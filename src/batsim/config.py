@@ -123,6 +123,9 @@ class TransitionConfig:
             raise ConfigError("transitions.synthetic_events must be >= 1")
 
 
+MIN_PLAYERS = 5  # the fewest whose pairs reach the 10 that training needs
+
+
 @dataclass(frozen=True)
 class ConverterConfig:
     """params_path null means the bundled trained model. n_players and
@@ -135,8 +138,8 @@ class ConverterConfig:
     def validate(self) -> None:
         _require_types(self, "converter.")
         _require_file(self.params_path, "converter.params_path")
-        if self.n_players < 2:
-            raise ConfigError("converter.n_players must be >= 2")
+        if self.n_players < MIN_PLAYERS:
+            raise ConfigError(f"converter.n_players must be >= {MIN_PLAYERS}")
 
 
 @dataclass(frozen=True)

@@ -621,6 +621,9 @@ def load_params(path) -> ConverterParams:
         arrays = {name: np.array(obj[name], dtype=float) for name, _ in LAYOUT}
     except (TypeError, ValueError) as exc:
         raise ConversionError(f"{path}: malformed converter params: {exc}") from exc
+    bad = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
+    if bad:
+        raise ConversionError(f"{path}: non-finite weights in {bad}")
     return ConverterParams(**arrays)
 
 

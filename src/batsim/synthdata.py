@@ -23,7 +23,6 @@ from .transitions import (
     Outcome,
     TransitionEvent,
     _advance_all,
-    _forced_walk,
     simple_transition,
 )
 
@@ -66,10 +65,11 @@ ADVANCEMENT = AdvancementModel()
 
 
 def _hit_transition(state: GameState, n: int, rng) -> tuple[GameState, int]:
-    """Advancement on an n-base hit.  Lead runners resolve first; once a
-    thrown-out runner makes the third out the play is dead, and any
-    unresolved trailing runner takes the forced base just vacated ahead of
-    it, so nobody is ever lost from the accounting or doubled up on a base."""
+    """Advancement on a single (n = 1) or double (n = 2).  Lead runners
+    resolve first; once a thrown-out runner makes the third out the play is
+    dead, and any unresolved trailing runner takes the forced base just
+    vacated ahead of it, so nobody is ever lost from the accounting or
+    doubled up on a base."""
     m = ADVANCEMENT
     outs = state.outs
     runs = 0
@@ -77,14 +77,6 @@ def _hit_transition(state: GameState, n: int, rng) -> tuple[GameState, int]:
     on2 = bool(state.bases & 2)
     on3 = bool(state.bases & 4)
     new = 0
-
-    if n >= 3:  # triple or homer clears the bases
-        runs += on1 + on2 + on3
-        if n == 4:
-            runs += 1
-        else:
-            new |= 4
-        return GameState(outs, new), runs
 
     if n == 2:
         runs += on3 + on2
@@ -187,16 +179,14 @@ def stochastic_transition(state: GameState, outcome: Outcome,
     rng needs only a .random() method returning uniforms in [0, 1)."""
     if state.is_over:
         raise ValueError("no transitions from an ended inning")
-    if outcome is Outcome.WALK:
-        new, runs = _forced_walk(state.bases)
-        return GameState(state.outs, new), runs
-    if outcome is Outcome.STRIKEOUT:
-        return GameState(state.outs + 1, state.bases), 0
     if outcome is Outcome.GROUND_OUT:
         return _ground_transition(state, rng)
     if outcome is Outcome.FLY_OUT:
         return _fly_transition(state, rng)
-    return _hit_transition(state, HITS[outcome], rng)
+    if outcome in (Outcome.SINGLE, Outcome.DOUBLE):
+        return _hit_transition(state, HITS[outcome], rng)
+    # walks, strikeouts, triples and homers leave the runners no choice
+    return simple_transition(state, outcome)
 
 
 def synthesize_event_log(n_events: int, seed: int,

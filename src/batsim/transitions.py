@@ -10,7 +10,9 @@ A transition table holds the observed distribution of post states for each
 (state, outcome) key.  TransitionTable.lookup is the one place that answers a
 key the table lacks: it falls back to the deterministic simple_transition.
 TransitionTable.flat walks every key through lookup into parallel arrays,
-the Markov chain that both the Monte Carlo engine and run_expectancy read.
+the Markov chain that the Monte Carlo engine samples and run_expectancy
+solves: with a fixed batter it is absorbing (Bukiet, Harold & Palacios 1997),
+so expected runs are one linear solve of (I - M) re = b.
 
 Every recorded transition must balance the books: the batter plus the runners
 already aboard each end the play on base, scored, or out, so
@@ -27,7 +29,6 @@ import csv
 import json
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,10 +69,8 @@ OUTCOME_BY_CODE = {o.value: o for o in OUTCOMES}
 HITS = {Outcome.SINGLE: 1, Outcome.DOUBLE: 2, Outcome.TRIPLE: 3,
         Outcome.HOME_RUN: 4}
 
-# run_expectancy's value iteration stops once a sweep changes no value by
-# RE_TOL, and gives up after RE_MAX_SWEEPS sweeps
-RE_TOL = 1e-10
-RE_MAX_SWEEPS = 100_000
+# run_expectancy rejects a chain whose spectral radius is within this of 1
+ABSORBING_MARGIN = 1e-9
 
 
 class EventLogError(ValueError):
@@ -100,8 +99,7 @@ class TransitionTableError(ValueError):
 
 
 class NonAbsorbingError(RuntimeError):
-    """Run expectancies failed to converge: the inning never (or almost
-    never) ends under this batter and table."""
+    """The inning (almost) never ends, so run expectancy is not finite."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -446,30 +444,6 @@ def build_table(events, min_count: int = 5) -> TransitionTable:
     return TransitionTable(rows=rows)
 
 
-def _cumulative(entries) -> list[float]:
-    cum, total = [], 0.0
-    for e in entries:
-        total += e.prob
-        cum.append(total)
-    cum[-1] = 1.0  # absorb float crumbs so a unit draw cannot escape
-    return cum
-
-
-def sample_transition(table: TransitionTable, state: GameState,
-                      outcome: Outcome, rng) -> tuple[GameState, int, bool]:
-    """Draw a post state.  Returns (state, runs, fell_back); fell_back is
-    True when the table had no row and the simple model answered instead.
-    Callers accumulate the fallback count themselves, keeping tables
-    immutable and sampling safe to run concurrently."""
-    entries, fell_back = table.lookup(state, outcome)
-    if len(entries) == 1:
-        e = entries[0]
-    else:
-        cum = _cumulative(entries)
-        e = entries[bisect_right(cum, rng.random())]
-    return GameState(e.outs, e.bases), e.runs, fell_back
-
-
 @dataclass(frozen=True)
 class RunExpectancyTable:
     """Expected runs to the end of the inning from each live state."""
@@ -496,31 +470,26 @@ class RunExpectancyTable:
 
 def run_expectancy(table: TransitionTable,
                    batter: AbilityVector) -> RunExpectancyTable:
-    """Solve for expected runs-to-end-of-inning with a fixed batter at the
-    plate, by value iteration to a residual below RE_TOL.
+    """Expected runs to the end of the inning with a fixed batter at the
+    plate: re solves (I - M) re = b, where M is the chain's live-to-live
+    matrix and b the expected runs of one plate appearance from each state.
 
-    Raises :class:`NonAbsorbingError` when the residual fails to reach
-    RE_TOL within RE_MAX_SWEEPS sweeps, which happens exactly when the inning cannot
-    (or essentially cannot) reach three outs under this batter.
+    Raises :class:`NonAbsorbingError` when M's spectral radius is within
+    ABSORBING_MARGIN of 1: the inning (essentially) never reaches 3 outs.
     """
     key, post, runs, prob, _ = table.flat()
     src = key // 8
     p = np.array(batter.as_tuple())[key % 8] * prob
 
-    # Immediate expected runs per state, and the live-to-live flow matrix.
     b = np.zeros(NUM_LIVE_STATES)
     np.add.at(b, src, p * runs)
     m = np.zeros((NUM_LIVE_STATES, NUM_LIVE_STATES))
     alive = post < INNING_OVER
     np.add.at(m, (src[alive], post[alive]), p[alive])
 
-    re = np.zeros(NUM_LIVE_STATES)
-    for _ in range(RE_MAX_SWEEPS):
-        new = b + m @ re
-        residual = np.max(np.abs(new - re))
-        re = new
-        if residual < RE_TOL:
-            return RunExpectancyTable(values=tuple(re.tolist()))
-    raise NonAbsorbingError(
-        f"run expectancy did not converge within {RE_MAX_SWEEPS} sweeps "
-        f"(last residual {residual:.3g})")
+    radius = np.max(np.abs(np.linalg.eigvals(m)))
+    if radius >= 1.0 - ABSORBING_MARGIN:
+        raise NonAbsorbingError(
+            f"the inning never ends: the chain's spectral radius is {radius:.12g}")
+    re = np.linalg.solve(np.eye(NUM_LIVE_STATES) - m, b)
+    return RunExpectancyTable(values=tuple(re.tolist()))

@@ -123,14 +123,17 @@ def _malformed_config(case, tmp_path):
         return {"lineup": {"targets_path": 3}}
     if case == "targets_path-list":
         return {"lineup": {"targets_path": [1]}}
-    if case in ("params-list", "params-missing-key"):
+    if case in ("params-list", "params-missing-key", "params-nan"):
         params = tmp_path / "params.json"
         if case == "params-list":
             params.write_text("[]")
         else:
             save_params(default_converter_params(), params)
             obj = json.loads(params.read_text())
-            del obj["woba_weights"]
+            if case == "params-nan":  # would be clamped to zero mass
+                obj["b3"][0] = float("nan")
+            else:
+                del obj["woba_weights"]
             params.write_text(json.dumps(obj))
         return {"converter": {"params_path": str(params)}}
     targets = tmp_path / "targets.json"
@@ -155,23 +158,32 @@ def _malformed_config(case, tmp_path):
     ("targets_path-list", EXIT_CONFIG),
     ("params-list", EXIT_DATA),
     ("params-missing-key", EXIT_DATA),
+    ("params-nan", EXIT_DATA),
     ("targets-row-missing-keys", EXIT_CONFIG),
     ("convert --d-alpha nan --d-woba -0.005", EXIT_CONFIG),
     ("convert --d-alpha inf --d-woba -0.005", EXIT_CONFIG),
     ("convert --d-alpha 0.1 --d-woba nan", EXIT_CONFIG),
     ("train-converter --players 0", EXIT_CONFIG),
     ("train-converter --players 1", EXIT_CONFIG),
+    ("train-converter --players 4", EXIT_CONFIG),
     ("build-transitions --events events.csv --min-count -3", EXIT_CONFIG),
+    ("compute-re --batter homer.json", EXIT_RUNTIME),
     ("validate --reference zeros.csv", EXIT_DATA),
 ])
 def test_malformed_user_json_exits_cleanly(case, code, tmp_path):
-    """A malformed config for simulate, or a malformed command line or
-    reference file, exits with a clean error; a rejected flag is named."""
+    """A malformed config for simulate, a malformed command line or
+    reference file, or a batter whose inning never ends, exits with a clean
+    error; a rejected flag is named."""
     obj = {"n_games": 400, "seed": 99, "workers": 1}
     if " " in case:  # a command line, run under the default config
         command = case.split()
         write_event_csv(synthesize_event_log(50, seed=1), tmp_path / "events.csv")
         (tmp_path / "zeros.csv").write_text("runs,count\n0,0\n")
+        # homers all but once in 1e12 plate appearances: valid (a pure
+        # homer vector has no out mass), but the inning never ends
+        (tmp_path / "homer.json").write_text(json.dumps(
+            {**dict.fromkeys(LEAGUE_AVERAGE.to_json_dict(), 0.0),
+             "hr": 1.0 - 1e-12, "k": 1e-12}))
     else:
         obj.update(_malformed_config(case, tmp_path))
         command = ["simulate"]
@@ -188,7 +200,7 @@ def test_malformed_user_json_exits_cleanly(case, code, tmp_path):
     assert "error:" in proc.stderr
     bad_flags = [flag for flag, value in zip(command, command[1:])
                  if flag.startswith("--")
-                 and value in ("nan", "inf", "0", "1", "-3")]
+                 and value in ("nan", "inf", "0", "1", "4", "-3")]
     assert all(flag in proc.stderr for flag in bad_flags)
 
 
@@ -365,6 +377,15 @@ def test_compute_re_batter_component_not_a_number(tmp_path, capsys, bad):
 
 
 # ---------------------------------------------------------------- train-converter
+
+def test_train_converter_five_players_is_enough(tmp_path):
+    """Five players give the 10 pairs training needs (four are rejected
+    with the other malformed command lines)."""
+    rc = main(["--out", str(tmp_path / "p5.json"), "train-converter",
+               "--players", "5"])
+    assert rc == EXIT_OK
+    assert json.loads((tmp_path / "p5.json.metrics.json").read_text())["n_pairs"] == 10
+
 
 def test_train_converter_reproducible(tmp_path, capsys):
     a = tmp_path / "a.json"

@@ -184,8 +184,11 @@ class TestTransitionConfig:
 
 class TestConverterConfig:
     def test_too_few_players(self):
-        with pytest.raises(ConfigError):
-            ConverterConfig(n_players=1).validate()
+        # 4 players give 6 pairs; training needs 10
+        for n in (1, 4):
+            with pytest.raises(ConfigError, match="converter.n_players"):
+                ConverterConfig(n_players=n).validate()
+        ConverterConfig(n_players=5).validate()
 
     def test_missing_params_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -9,16 +9,19 @@ import pytest
 
 from batsim import defaults
 from batsim.abilities import SlashTargets, onbase_share, validate, woba
+from batsim.config import TransitionConfig
 from batsim.conversion import forward
 from batsim.defaults import (
     FITTED_ASSET,
+    TABLE_ASSET,
     TARGETS_ASSET,
     bundled_lineup_targets,
     default_converter_params,
     default_transition_table,
     fitted_lineup,
 )
-from batsim.transitions import Outcome
+from batsim.synthdata import synthesize_event_log
+from batsim.transitions import Outcome, build_table
 
 
 def test_bundled_targets():
@@ -101,6 +104,17 @@ def test_default_transition_table():
     entries = table.rows.get((0, 0, Outcome.SINGLE))
     assert entries is not None
     assert sum(e.prob for e in entries) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_bundled_table_regenerates_byte_for_byte(tmp_path):
+    """The bundled table is the one the default config's synthetic event log
+    builds, so a change to the event generator or the table builder that
+    moves any event shows here."""
+    tc = TransitionConfig()
+    events = synthesize_event_log(tc.synthetic_events, seed=tc.synthetic_seed)
+    build_table(events, min_count=tc.min_count).save(tmp_path / TABLE_ASSET)
+    bundled = (defaults._data_root() / TABLE_ASSET).read_bytes()
+    assert (tmp_path / TABLE_ASSET).read_bytes() == bundled
 
 
 def test_default_converter_params():

@@ -31,7 +31,6 @@ from batsim.transitions import (
     live_states,
     parse_event_log,
     run_expectancy,
-    sample_transition,
     simple_transition,
 )
 from batsim.synthdata import synthesize_event_log
@@ -287,47 +286,6 @@ class TestTableSerialization:
             TransitionTable.from_json_obj({"3-0-K": [{"outs": 3, "bases": 0, "runs": 0, "p": 1.0}]})
 
 
-class TestSampleTransition:
-    def test_point_mass_row_is_deterministic(self):
-        table = TransitionTable.simple()
-        rng = np.random.default_rng(0)
-        post, runs, fell_back = sample_transition(
-            table, GameState(0, 7), Outcome.HOME_RUN, rng)
-        assert (post.outs, post.bases, runs, fell_back) == (0, 0, 4, False)
-
-    def test_missing_row_falls_back(self):
-        table = TransitionTable(rows={})
-        rng = np.random.default_rng(0)
-        post, runs, fell_back = sample_transition(
-            table, GameState(1, 1), Outcome.DOUBLE, rng)
-        assert fell_back
-        expected_post, expected_runs = simple_transition(GameState(1, 1), Outcome.DOUBLE)
-        assert (post, runs) == (expected_post, expected_runs)
-
-    def test_sampling_tracks_probabilities(self):
-        entries = (TransitionEntry(0, 1, 0, 0.7), TransitionEntry(0, 2, 0, 0.3))
-        table = TransitionTable(rows={(0, 0, Outcome.SINGLE): entries})
-        rng = np.random.default_rng(123)
-        n = 20_000
-        hits = sum(
-            sample_transition(table, GameState(0, 0), Outcome.SINGLE, rng)[0].bases == 1
-            for _ in range(n)
-        )
-        # five sigma around 0.7
-        sigma = math.sqrt(0.7 * 0.3 / n)
-        assert abs(hits / n - 0.7) < 5 * sigma
-
-    def test_same_seed_same_draws(self):
-        entries = (TransitionEntry(0, 1, 0, 0.5), TransitionEntry(0, 2, 0, 0.5))
-        table = TransitionTable(rows={(0, 0, Outcome.SINGLE): entries})
-        draw = lambda: [
-            sample_transition(table, GameState(0, 0), Outcome.SINGLE,
-                              np.random.default_rng(s))[0].bases
-            for s in range(64)
-        ]
-        assert draw() == draw()
-
-
 ALL_HOMERS = AbilityVector(0, 0, 0, 1.0, 0, 0, 0, 0)
 HOMER_OR_K = AbilityVector(0, 0, 0, 0.1, 0, 0.9, 0, 0)
 
@@ -350,6 +308,17 @@ class TestRunExpectancy:
     def test_never_ending_inning_raises(self):
         with pytest.raises(NonAbsorbingError):
             run_expectancy(TransitionTable.simple(), ALL_HOMERS)
+
+    def test_nearly_never_ending_inning_is_finite(self):
+        """One strikeout in a million plate appearances still ends the
+        inning: r_n = p/q + r_{n+1} gives 3p/q, 2p/q, p/q runs from 0, 1, 2
+        outs, which value iteration would need millions of sweeps to reach."""
+        q = 1e-6
+        re = run_expectancy(TransitionTable.simple(),
+                            AbilityVector(0, 0, 0, 1.0 - q, 0, q, 0, 0))
+        for outs in range(3):
+            assert re.value(GameState(outs, 0)) == pytest.approx(
+                (3 - outs) * (1.0 - q) / q, rel=1e-9)
 
     def test_more_outs_never_help(self, synthetic_table):
         re = run_expectancy(synthetic_table, LEAGUE_AVERAGE)
@@ -413,9 +382,9 @@ class TestLookup:
 
 def _replayed_run_expectancy(table, batter):
     """Reference run expectancy with its own walk over (state, outcome,
-    entry), which skips zero-probability outcomes, and the same value
-    iteration.  run_expectancy adds those outcomes as exact 0.0 terms, so
-    the two must agree bit for bit."""
+    entry), which skips zero-probability outcomes, and the same linear
+    solve.  run_expectancy adds those outcomes as exact 0.0 terms, so the
+    two build bit-identical matrices and must agree bit for bit."""
     probs = batter.as_tuple()
     src, post, runs, p = [], [], [], []
     for state in live_states():
@@ -438,14 +407,7 @@ def _replayed_run_expectancy(table, batter):
     m = np.zeros((NUM_LIVE_STATES, NUM_LIVE_STATES))
     alive = post < INNING_OVER
     np.add.at(m, (src[alive], post[alive]), p[alive])
-    re = np.zeros(NUM_LIVE_STATES)
-    for _ in range(100_000):
-        new = b + m @ re
-        residual = np.max(np.abs(new - re))
-        re = new
-        if residual < 1e-10:
-            return tuple(re.tolist())
-    raise AssertionError("the replayed value iteration did not converge")
+    return tuple(np.linalg.solve(np.eye(NUM_LIVE_STATES) - m, b).tolist())
 
 
 @pytest.mark.parametrize("batter_name", ["league", "homer-or-k", "mean-lineup"])
