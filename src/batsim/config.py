@@ -14,6 +14,8 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
+from .mcengine import count_shifts
+
 
 class ConfigError(ValueError):
     pass
@@ -229,6 +231,10 @@ class ExperimentConfig:
             raise ConfigError("innings must be >= 1")
         if self.pa_cap < 1:
             raise ConfigError("pa_cap must be >= 1")
+        try:
+            count_shifts(self.innings, self.pa_cap)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return self
 
 

@@ -2,30 +2,36 @@
 
 The determinism contract: games are split into fixed-size batches
 (BATCH_SIZE, never a function of worker count), batch i draws from a
-dedicated generator seeded with (seed, i), and every step of a batch draws
-one uniform for each of its games whether or not they have finished.  The
-iteration count of a batch therefore depends only on its own games, batch
-histograms are integers, and their sum is order-independent, so any degree
-of parallelism produces byte-identical aggregates.
+dedicated generator seeded with (seed, i), and every step draws one uniform
+for each of a batch's games whether or not they have finished.  A game
+plays one plate appearance per step from the first step until it ends, so
+the k-th draw at its position feeds its k-th plate appearance.  A batch
+stepped beside another may draw past its own last game while the other
+runs on; those draws feed no game.  A batch's histogram therefore depends
+only on its own games, batch histograms are integers, and their sum is
+order-independent, so any degree of parallelism and any grouping of
+batches into steps produce byte-identical aggregates.
 
 Several cells (lineup, policy and table triples, as in a sweep) run on the
 same batches.  A step of batch i draws its one vector of uniforms
 and every cell's game g uses its g-th entry, so at its k-th plate
 appearance game g sees the same uniform in every cell, and each cell's
-histogram and counts are exactly those of a run of that cell alone.  The
-kernel steps (cell, game) pairs over a stack of at most STEP_PAIRS //
-BATCH_SIZE compiled cells, so a step's arrays stay as small as a batch or
-two.
+histogram and counts are exactly those of a run of that cell alone.  A
+step holds up to STEP_PAIRS // BATCH_SIZE (cell, batch) units: two cells of
+one batch, or two batches of one cell, so its arrays stay as small as two
+batches.
 
 Each plate appearance is one draw: compile_simulation folds the lineup, the
 policy (a 24-tuple of StrategyChoice, one per live state, used as it is) and
 the transition table into one cumulative row per (slot, state) over the
 merged (post state, runs, fallback) outcomes of that plate appearance, so a
 single uniform picks both the batter's outcome and the base-out transition.
-A plate-appearance cap per half-inning guards against never-ending innings.
-The reference for these semantics is exact: the tests compute each game's
-run distribution from the same chain by pushing probability mass through it,
-and check the engine's histograms against it.
+A plate-appearance cap per half-inning guards against never-ending innings;
+compile_simulation rejects an innings x pa_cap whose counts would not fit
+their packed fields (count_shifts).  The reference for these semantics is
+exact: the tests compute each game's run distribution from the same chain
+by pushing probability mass through it, and check the engine's histograms
+against it.
 
 A call splits its cells x batches units, cell by cell, into one task of
 near-equal length per process: a task is a group of cells with a range of
@@ -59,8 +65,9 @@ import numpy as np
 from .transitions import INNING_OVER, NUM_LIVE_STATES, TransitionTable
 
 BATCH_SIZE = 4096
-# (cell, game) pairs one kernel step may hold: two cells of a full batch.
-# Fusing seven cells per step raised a sweep's peak RSS by 17% in a prototype.
+# (cell, game) pairs one kernel step may hold: two cells of a full batch, or
+# two batches of one cell.  Fusing seven cells per step raised a sweep's peak
+# RSS by 17% in a prototype.
 STEP_PAIRS = 2 * BATCH_SIZE
 NUM_ROWS = 9 * NUM_LIVE_STATES  # row = slot * 24 + state
 GUIDE_SIZE = 32  # guide cells per row; a power of two, so u * GUIDE_SIZE is exact
@@ -74,11 +81,6 @@ class CompiledSim:
     fallback) results of that plate appearance, left-justified.  cum holds
     their cumulative mass; the last real entry is exactly 1.0 and padding
     columns are 1.0 too, so a unit draw selects a positive-mass entry.
-    Entries are addressed flat, as row * W + column.  guide[row, k] is the
-    first entry of the row whose cum exceeds k / GUIDE_SIZE, where the
-    search for a draw in [k / GUIDE_SIZE, (k + 1) / GUIDE_SIZE) starts.
-    A stack of cells is a CompiledSim too: cell k's rows follow at
-    k * NUM_ROWS, and its next_row points into them.
     """
 
     cum: np.ndarray        # (216, W) cumulative mass
@@ -86,9 +88,25 @@ class CompiledSim:
     over: np.ndarray       # (216, W) True where the entry ends the inning
     runs: np.ndarray       # (216, W) runs scored by the entry
     fallback: np.ndarray   # (216, W) True where the table had no row
-    guide: np.ndarray      # (216, GUIDE_SIZE) flat entry where a search starts
     innings: int
     pa_cap: int
+
+
+def count_shifts(innings: int, pa_cap: int) -> tuple[int, int, int]:
+    """Bit offsets of the plate-appearance, fallback and inning fields of a
+    game's packed count, above its runs.  Each holds a game's most: innings
+    * pa_cap runs, plate appearances and fallbacks (compile_simulation
+    admits no entry that scores more than its batter and the runners it
+    clears, so a half-inning scores at most one run per plate appearance),
+    and, on top, its innings plus one per step it stays parked."""
+    most_pa = innings * pa_cap
+    pa_at = most_pa.bit_length()
+    fallback_at = 2 * pa_at
+    inning_at = 3 * pa_at
+    if inning_at + (innings + most_pa).bit_length() > 63:
+        raise ValueError(f"innings x pa_cap = {innings} x {pa_cap} is too large:"
+                         f" a game's counts would not fit in 63 bits")
+    return pa_at, fallback_at, inning_at
 
 
 def compile_simulation(lineup, policy, table: TransitionTable, *,
@@ -103,11 +121,18 @@ def compile_simulation(lineup, policy, table: TransitionTable, *,
 
     # every (state, outcome) transition entry, flattened
     key, post, runs, prob, fell_back = table.flat()
+    state = key // 8
+    # runners on base by state index; INNING_OVER, 24, has none
+    bases = np.arange(INNING_OVER + 1) % 8
+    on_base = (bases & 1) + (bases >> 1 & 1) + (bases >> 2)
+    if np.any(runs > 1 + on_base[state] - on_base[post]):
+        raise ValueError("a transition scores more runs than its batter and the"
+                         " runners it clears")
+    count_shifts(innings, pa_cap)
     n_runs = int(runs.max()) + 1
     code = (post * n_runs + runs) * 2 + fell_back
 
     # joint mass per (row, code): sum over outcomes of P(o) * P(post, runs | o)
-    state = key // 8
     entry_row = np.arange(9)[:, None] * NUM_LIVE_STATES + state  # (9, entries)
     mass = np.zeros((NUM_ROWS, (INNING_OVER + 1) * n_runs * 2))
     np.add.at(mass, (entry_row, code), outcome_p[:, state, key % 8] * prob)
@@ -126,104 +151,146 @@ def compile_simulation(lineup, policy, table: TransitionTable, *,
     rows = np.arange(NUM_ROWS)[:, None]
     next_row = ((rows // NUM_LIVE_STATES + 1) % 9 * NUM_LIVE_STATES
                 + np.where(over, 0, post_state))
-    starts = np.arange(GUIDE_SIZE) / GUIDE_SIZE
-    guide = rows * width + np.sum(cum[:, None, :] <= starts[:, None], axis=2)
     return CompiledSim(cum=cum, next_row=next_row, over=over,
                        runs=order // 2 % n_runs, fallback=order % 2 == 1,
-                       guide=guide, innings=innings, pa_cap=pa_cap)
+                       innings=innings, pa_cap=pa_cap)
 
 
-def _stack(cells: list[CompiledSim]) -> CompiledSim:
-    """The cells as one table: cell k's rows at k * NUM_ROWS, every row
-    padded to the widest cell with cum 1.0, which no draw passes.  The
-    cells share innings and pa_cap."""
-    if len(cells) == 1:
-        return cells[0]
+@dataclass(frozen=True)
+class _Steps:
+    """A stack of cells as the step loop reads it, every table flat: cell
+    k's rows at k * NUM_ROWS, padded to the widest cell with cum 1.0, then
+    a parking row.  Rows are addressed by guide offset, row * GUIDE_SIZE,
+    and cum is scaled by GUIDE_SIZE, so a scaled draw indexes the guide.
+    A finished game parked on the last row stays there, and its count
+    gains only an inning's end a step, so it is never capped."""
+
+    cum: np.ndarray     # GUIDE_SIZE * cumulative mass
+    guide: np.ndarray   # entry of a scaled draw in [k, k + 1), or ~search start
+    next: np.ndarray    # guide offset of the next batter's row
+    count: np.ndarray   # packed runs, plate appearance, fallback and inning end
+    park: int           # guide offset of the parking row
+    shifts: tuple[int, int, int]
+    innings: int
+    pa_cap: int
+
+
+def _stack(cells: list[CompiledSim]) -> _Steps:
+    """The step tables of the cells, which share innings and pa_cap."""
     width = max(c.cum.shape[1] for c in cells)
+    park = len(cells) * NUM_ROWS
 
-    def stacked(field, fill):
+    def stacked(field, fill):  # the parking row is all fill
         return np.concatenate([
             np.pad(getattr(c, field), ((0, 0), (0, width - c.cum.shape[1])),
-                   constant_values=fill) for c in cells])
+                   constant_values=fill) for c in cells]
+            + [np.full((1, width), fill)])
 
-    rows = np.arange(len(cells) * NUM_ROWS)[:, None]
-    column = np.concatenate([c.guide % c.cum.shape[1] for c in cells])
-    return CompiledSim(cum=stacked("cum", 1.0),
-                       next_row=stacked("next_row", 0) + rows // NUM_ROWS * NUM_ROWS,
-                       over=stacked("over", False), runs=stacked("runs", 0),
-                       fallback=stacked("fallback", False),
-                       guide=rows * width + column,
-                       innings=cells[0].innings, pa_cap=cells[0].pa_cap)
+    rows = np.arange(park + 1)[:, None]
+    innings, pa_cap = cells[0].innings, cells[0].pa_cap
+    shifts = count_shifts(innings, pa_cap)
+    pa_at, fallback_at, inning_at = shifts
+    count = (stacked("runs", 0) + (1 << pa_at)
+             + (stacked("fallback", False).astype(np.int64) << fallback_at)
+             + (stacked("over", False).astype(np.int64) << inning_at))
+    count[park] = 1 << inning_at
+    next_row = stacked("next_row", 0) + rows // NUM_ROWS * NUM_ROWS
+    cum = GUIDE_SIZE * stacked("cum", 1.0)
+    # the draws of guide cell k, in [k, k + 1), start at the first entry e
+    # whose cum exceeds k; where cum[e] may not exceed them all, the guide
+    # holds ~e, and the draws search on from e
+    k = np.arange(GUIDE_SIZE)
+    guide = rows * width + np.sum(cum[:, None, :] <= k[:, None], axis=2)
+    guide = np.where(cum.ravel()[guide] < k + 1, ~guide, guide)
+    return _Steps(cum=cum.ravel(), guide=guide.ravel(),
+                  next=GUIDE_SIZE * next_row.ravel(), count=count.ravel(),
+                  park=park * GUIDE_SIZE, shifts=shifts,
+                  innings=innings, pa_cap=pa_cap)
 
 
-def _draw(c: CompiledSim, row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Flat entry drawn by each uniform u in [0, 1) from its row: the first
-    entry whose cum exceeds u.  The guide gives a start at or before it, and
-    the few draws short of it step forward; the row's last real entry is
-    1.0, so no search leaves its row."""
-    cum = c.cum.ravel()
-    entry = c.guide.ravel()[row * GUIDE_SIZE + (u * GUIDE_SIZE).astype(np.int64)]
-    behind = np.flatnonzero(cum[entry] <= u)
-    while behind.size:
-        entry[behind] += 1
-        behind = behind[cum[entry[behind]] <= u[behind]]
+def _draw(s: _Steps, row: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Flat entry drawn by each scaled draw x = GUIDE_SIZE * u, u in [0, 1),
+    from the row at guide offset row: the first entry whose scaled cum
+    exceeds x.  The guide gives that entry for most draws, and for the
+    rest ~start, a start at or before it, from which they step forward;
+    the row's last real entry is 1.0, so no search leaves its row."""
+    start = x.astype(np.int64)
+    start += row
+    entry = s.guide.take(start)
+    behind = np.flatnonzero(entry < 0)
+    if behind.size:
+        at, x = ~entry[behind], x[behind]
+        short = s.cum.take(at) <= x
+        while short.any():
+            at += short
+            short = s.cum.take(at) <= x
+        entry[behind] = at
     return entry
 
 
-def _simulate_cells(c: CompiledSim, cells: int, seed: int, batch_index: int,
-                    n: int):
-    """Run batch batch_index, n games, in each of the cells stacked in c;
-    returns each cell's (histogram, truncated, fallbacks, pa)."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, batch_index)))
-    next_row, over_at, runs_at, fallback_at = (
-        a.ravel() for a in (c.next_row, c.over, c.runs, c.fallback))
-    u = np.empty(n)
-    final_runs = np.zeros(cells * n, dtype=np.int64)
-    final_pa = np.zeros(cells * n, dtype=np.int64)
-    truncated = np.zeros(cells * n, dtype=bool)
-    fallbacks = np.zeros(cells, dtype=np.int64)
+def _simulate_cells(s: _Steps, cells: int, seed: int, batches):
+    """Run each (batch index, games) batch in each of the cells stacked in
+    s, all in one step loop; returns each cell's list of per-batch
+    (histogram, truncated, fallbacks, pa)."""
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, i)))
+            for i, _ in batches]
+    ends = np.cumsum([n for _, n in batches])
+    # one row of draws per cell: the first is drawn, the others copy it
+    u = np.empty((cells, ends[-1]))
+    draws = np.split(u[0], ends[:-1])
+    final = np.zeros(u.size, dtype=np.int64)
+    truncated = np.zeros(u.size, dtype=bool)
+    pa_at, fallback_at, inning_at = s.shifts
+    inning = 1 << inning_at
+    game_over = s.innings * inning
+    slot_rows = NUM_LIVE_STATES * GUIDE_SIZE
     step = 0
 
-    # per-pair state, compacted to the live pairs; pair p is game p % n of
-    # cell p // n, and live indexes the pairs
-    live = np.arange(cells * n)
-    row = live // n * NUM_ROWS
-    runs = np.zeros(cells * n, dtype=np.int64)
-    inning = np.zeros(cells * n, dtype=np.int64)
-    pa_inning = np.zeros(cells * n, dtype=np.int64)
+    # per-pair state, compacted to the unfinished pairs now and then; pair
+    # p is game p % ends[-1] of cell p // ends[-1] and takes draw p, and a
+    # finished pair is parked until the next compaction
+    pair = np.arange(u.size)
+    row = pair // ends[-1] * (NUM_ROWS * GUIDE_SIZE)
+    count = np.zeros(pair.size, dtype=np.int64)
+    inning_end = np.zeros(pair.size, dtype=np.int64)  # step the last inning ended
 
-    while live.size:
-        rng.random(out=u)
+    while pair.size:
+        for rng, out in zip(rngs, draws):
+            rng.random(out=out)
+        u[0] *= GUIDE_SIZE
+        u[1:] = u[0]
         step += 1
-        entry = _draw(c, row, np.take(u, live, mode="wrap"))
-        row = next_row[entry]
-        runs += runs_at[entry]
-        over = over_at[entry]
-        fell = fallback_at[entry]
-        if fell.any():
-            fallbacks += np.bincount(live[fell] // n, minlength=cells)
-        pa_inning += 1
+        entry = _draw(s, row, u.take(pair))
+        row = s.next.take(entry)
+        counted = s.count.take(entry)
+        count += counted
+        np.maximum(inning_end, (counted >> inning_at) * step, out=inning_end)
+        # no half-inning reaches pa_cap plate appearances sooner
+        if step >= s.pa_cap:
+            capped = np.flatnonzero(inning_end <= step - s.pa_cap)
+            if capped.size:
+                truncated[pair[capped]] = True
+                row[capped] -= row[capped] % slot_rows  # next slot, fresh inning
+                count[capped] += inning
+                inning_end[capped] = step
 
-        capped = ~over & (pa_inning >= c.pa_cap)
-        if capped.any():
-            truncated[live[capped]] = True
-            row[capped] -= row[capped] % NUM_LIVE_STATES  # next slot, fresh inning
-            over |= capped
-        inning += over
-        pa_inning[over] = 0
+        done = count >= game_over
+        np.maximum(row, done * s.park, out=row)  # the parking row is the last
+        if 4 * np.count_nonzero(done) >= pair.size:
+            gone = np.flatnonzero(done)
+            final[pair.take(gone)] = count.take(gone)
+            keep = np.flatnonzero(~done)
+            pair, row, count, inning_end = (
+                a.take(keep) for a in (pair, row, count, inning_end))
 
-        done = inning >= c.innings
-        if done.any():
-            final_runs[live[done]] = runs[done]
-            final_pa[live[done]] = step  # one plate appearance per live step
-            keep = ~done
-            live, row, runs, inning, pa_inning = (
-                a[keep] for a in (live, row, runs, inning, pa_inning))
-
-    final_runs, final_pa, truncated = (
-        a.reshape(cells, n) for a in (final_runs, final_pa, truncated))
-    return [(np.bincount(final_runs[k]), int(np.count_nonzero(truncated[k])),
-             int(fallbacks[k]), int(final_pa[k].sum())) for k in range(cells)]
+    runs = final & ((1 << pa_at) - 1)
+    pa = final >> pa_at & ((1 << (fallback_at - pa_at)) - 1)
+    fallbacks = final >> fallback_at & ((1 << (inning_at - fallback_at)) - 1)
+    return [[(np.bincount(runs[unit]), int(np.count_nonzero(truncated[unit])),
+              int(fallbacks[unit].sum()), int(pa[unit].sum()))
+             for unit in (slice(k * ends[-1] + hi - n, k * ends[-1] + hi)
+                          for (_, n), hi in zip(batches, ends))]
+            for k in range(cells)]
 
 
 def _batch_sizes(n_games: int) -> list[int]:
@@ -249,16 +316,19 @@ def _run_task(cells, n_games: int, seed: int, first: int, stop: int):
     """Run the units first..stop-1 of the cells' (cell, batch) units, taken
     cell by cell; returns the merged result of each cell that has units,
     in order.  A cell is a CompiledSim or a callable that compiles one.
-    Cells with the same batch range run fused, STEP_PAIRS // BATCH_SIZE at
-    a time, each group compiled just before it runs."""
+    Cells with the same batch range run fused, up to STEP_PAIRS //
+    BATCH_SIZE cells at a time, each group compiled just before it runs; a
+    step holds that many units, so a group of one cell steps as many
+    batches at once."""
     sizes = _batch_sizes(n_games)
     b = len(sizes)
+    per_step = STEP_PAIRS // BATCH_SIZE
     ranges = [(k, max(first - k * b, 0), min(stop - k * b, b))
               for k in range(first // b, -(-stop // b))]
     groups = []
     for k, lo, hi in ranges:
         if (groups and groups[-1][1:] == (lo, hi)
-                and len(groups[-1][0]) < STEP_PAIRS // BATCH_SIZE):
+                and len(groups[-1][0]) < per_step):
             groups[-1][0].append(k)
         else:
             groups.append(([k], lo, hi))
@@ -267,10 +337,14 @@ def _run_task(cells, n_games: int, seed: int, first: int, stop: int):
     for members, lo, hi in groups:
         stack = _stack([cells[k] if isinstance(cells[k], CompiledSim)
                         else cells[k]() for k in members])
-        per_batch = [_simulate_cells(stack, len(members), seed, i, sizes[i])
-                     for i in range(lo, hi)]
-        results.extend(_merge([batch[j] for batch in per_batch])
-                       for j in range(len(members)))
+        fused = per_step // len(members)
+        per_cell = [[] for _ in members]
+        for start in range(lo, hi, fused):
+            batches = [(i, sizes[i]) for i in range(start, min(start + fused, hi))]
+            for part, got in zip(per_cell, _simulate_cells(
+                    stack, len(members), seed, batches)):
+                part.extend(got)
+        results.extend(_merge(part) for part in per_cell)
     return results
 
 

@@ -99,6 +99,8 @@ def _malformed_config(case, tmp_path):
         return {"n_games": 100.5}
     if case == "workers-float":
         return {"workers": 1.5}
+    if case == "pa_cap-too-large":
+        return {"innings": 9, "pa_cap": 3641}
     if case == "d_alpha-str":
         return {"policy": {"d_alpha": "0.1"}}
     if case == "d_alpha-nan":
@@ -145,6 +147,7 @@ def _malformed_config(case, tmp_path):
     ("n_games-str", EXIT_CONFIG),
     ("n_games-float", EXIT_CONFIG),
     ("workers-float", EXIT_CONFIG),
+    ("pa_cap-too-large", EXIT_CONFIG),
     ("d_alpha-str", EXIT_CONFIG),
     ("d_alpha-nan", EXIT_CONFIG),
     ("theta_o-str", EXIT_CONFIG),

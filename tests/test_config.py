@@ -90,6 +90,17 @@ def test_top_level_bounds(field, value):
         config_from_json_obj({field: value})
 
 
+@pytest.mark.parametrize("innings, fits, too_large", [(9, 3640, 3641),
+                                                      (1, 32767, 32768)])
+def test_innings_times_pa_cap_is_bounded(innings, fits, too_large):
+    # the engine packs a game's runs, plate appearances, fallbacks and
+    # innings into one int64; the defaults, 9 x 100, are far inside
+    assert config_from_json_obj({"innings": innings, "pa_cap": fits}).pa_cap == fits
+    bound = f"innings x pa_cap = {innings} x {too_large}"
+    with pytest.raises(ConfigError, match=bound):
+        config_from_json_obj({"innings": innings, "pa_cap": too_large})
+
+
 @pytest.mark.parametrize("section,field,value", [
     ("transitions", "min_count", True), ("transitions", "synthetic_events", 1e5),
     ("transitions", "synthetic_seed", "97"), ("converter", "n_players", 80.0),

@@ -34,6 +34,7 @@ from batsim.transitions import (
     NUM_LIVE_STATES,
     OUTCOMES,
     Outcome,
+    TransitionEntry,
     TransitionTable,
     live_states,
     run_expectancy,
@@ -42,6 +43,7 @@ from batsim.transitions import (
 
 ALL_K = AbilityVector(0, 0, 0, 0, 0, 1.0, 0, 0)
 HR_OR_K = AbilityVector(0, 0, 0, 0.6, 0, 0.4, 0, 0)
+ALL_HR = AbilityVector(0, 0, 0, 1.0, 0, 0, 0, 0)
 LAST_DRAW = 1.0 - 2.0 ** -53  # the largest double numpy's random() returns
 
 
@@ -126,13 +128,19 @@ def test_rows_hold_the_joint_mass(compiled):
 
 def test_unit_interval_ends_draw_positive_mass(compiled):
     *_, c = compiled
+    steps = mcengine._stack([c])
     rows = np.arange(mcengine.NUM_ROWS)
     width = c.cum.shape[1]
     mass = np.diff(c.cum, axis=1, prepend=0.0)
     for u in (0.0, LAST_DRAW):
-        entry = mcengine._draw(c, rows, np.full(rows.size, u))
-        assert np.all(entry // width == rows)
-        assert np.all(mass.ravel()[entry] > 0.0)
+        x = np.full(rows.size + 1, u * mcengine.GUIDE_SIZE)
+        entry = mcengine._draw(steps, np.append(rows, mcengine.NUM_ROWS)
+                               * mcengine.GUIDE_SIZE, x)
+        assert np.all(entry[:-1] // width == rows)
+        assert np.all(mass.ravel()[entry[:-1]] > 0.0)
+        # the parking row draws its one entry, which leads back to it
+        assert entry[-1] == mcengine.NUM_ROWS * width
+        assert steps.next[entry[-1]] == steps.park
 
 
 def test_draw_matches_a_full_row_search(compiled):
@@ -144,9 +152,22 @@ def test_draw_matches_a_full_row_search(compiled):
         rng.random(20_000), edges, np.nextafter(edges[1:], 0.0), inner,
         np.nextafter(inner, 0.0), [0.0, LAST_DRAW]])
     rows = rng.integers(0, mcengine.NUM_ROWS, u.size)
-    expected = rows * c.cum.shape[1] + np.count_nonzero(
-        c.cum[rows] <= u[:, None], axis=1)
-    np.testing.assert_array_equal(mcengine._draw(c, rows, u), expected)
+    count = np.count_nonzero(c.cum[rows] <= u[:, None], axis=1)
+    x = u * mcengine.GUIDE_SIZE
+    alone = mcengine._stack([c])
+    np.testing.assert_array_equal(
+        mcengine._draw(alone, rows * mcengine.GUIDE_SIZE, x),
+        rows * c.cum.shape[1] + count)
+    # second in a stack, behind a cell of another width
+    other = mcengine.compile_simulation(
+        Lineup.from_vectors([HR_OR_K] * 9), always_normal,
+        TransitionTable.simple(), innings=9, pa_cap=100)
+    stacked = mcengine._stack([other, c])
+    width = max(other.cum.shape[1], c.cum.shape[1])
+    rows += mcengine.NUM_ROWS
+    np.testing.assert_array_equal(
+        mcengine._draw(stacked, rows * mcengine.GUIDE_SIZE, x),
+        rows * width + count)
 
 
 @pytest.mark.parametrize("length", [0, 23, 25])
@@ -155,6 +176,62 @@ def test_compile_rejects_a_policy_of_another_length(lineup, length):
     with pytest.raises(ValueError, match="24 choices"):
         mcengine.compile_simulation(lineup, policy, TransitionTable.simple(),
                                     innings=9, pa_cap=100)
+
+
+@pytest.mark.parametrize("innings, fits, too_large", [(9, 3640, 3641),
+                                                      (1, 32767, 32768)])
+def test_compile_rejects_counts_that_overflow(lineup, innings, fits,
+                                              too_large):
+    # a game's counts, packed in one int64, fit just up to the bound
+    table = default_transition_table()
+    mcengine.compile_simulation(lineup, fixed_policy, table,
+                                innings=innings, pa_cap=fits)
+    with pytest.raises(ValueError, match=f"{innings} x {too_large}"):
+        mcengine.compile_simulation(lineup, fixed_policy, table,
+                                    innings=innings, pa_cap=too_large)
+
+
+def test_compile_rejects_runs_beyond_the_runners_cleared(lineup):
+    # a game's runs share its plate appearances' field width, so no
+    # transition may score more than its batter and the runners it clears
+    homer = (0, 0, Outcome.HOME_RUN)
+    for runs, ok in ((1, True), (2, False)):
+        table = TransitionTable(rows={homer: (TransitionEntry(0, 0, runs, 1.0),)})
+        if ok:
+            mcengine.compile_simulation(lineup, fixed_policy, table,
+                                        innings=9, pa_cap=100)
+        else:
+            with pytest.raises(ValueError, match="more runs than its batter"):
+                mcengine.compile_simulation(lineup, fixed_policy, table,
+                                            innings=9, pa_cap=100)
+
+
+def test_counts_at_the_bound_are_exact():
+    # every plate appearance of the first four cells is a home run with the
+    # bases empty that falls back to the simple model, so their games are
+    # capped in every inning and fill the runs, plate-appearance and
+    # fallback fields to innings * pa_cap, the most each field is sized
+    # for; the fifth cell's game ends early and stays parked
+    # for the rest of the loop, one inning a step on top of its count
+    innings, pa_cap = 9, 3640
+    homers = mcengine.compile_simulation(
+        Lineup.from_vectors([ALL_HR] * 9), always_normal,
+        TransitionTable(rows={}), innings=innings, pa_cap=pa_cap)
+    short = mcengine.compile_simulation(
+        Lineup.from_vectors([HR_OR_K] * 9), always_normal,
+        TransitionTable.simple(), innings=innings, pa_cap=pa_cap)
+    *long_games, parked = mcengine._simulate_cells(
+        mcengine._stack([homers] * 4 + [short]), 5, 1, [(0, 1)])
+    most = innings * pa_cap
+    for [(hist, truncated, fallbacks, pa)] in long_games:
+        assert tuple(hist) == (0,) * most + (1,)
+        assert (truncated, fallbacks, pa) == (1, most, most)
+    [[(hist, *counts)]] = mcengine._simulate_cells(
+        mcengine._stack([short]), 1, 1, [(0, 1)])
+    assert tuple(parked[0][0]) == tuple(hist)
+    assert list(parked[0][1:]) == counts
+    truncated, fallbacks, pa = counts
+    assert pa < most // 100  # parked for all but a few steps
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -201,6 +278,49 @@ def cells_alone(mixed_cells):
     for count in ("truncated_games", "fallback_transitions", "plate_appearances"):
         assert len({getattr(s, count) for s in stats}) >= 3
     return stats
+
+
+@pytest.mark.parametrize("members", [[0], [0, 2]], ids=["one-cell", "two-cells"])
+def test_fused_batches_equal_each_batch_alone(mixed_cells, members):
+    # cell 0 reaches the cap in most games; the second batch is a short tail
+    compiled = [mcengine.compile_simulation(*mixed_cells[k], innings=9,
+                                            pa_cap=CELL_PA_CAP) for k in members]
+    batches = [(3, mcengine.BATCH_SIZE), (7, 300)]
+    together = mcengine._simulate_cells(mcengine._stack(compiled), len(members),
+                                        21, batches)
+    for c, cell in zip(compiled, together):
+        for batch, (hist, *counts) in zip(batches, cell):
+            [[(hist_alone, *counts_alone)]] = mcengine._simulate_cells(
+                mcengine._stack([c]), 1, 21, [batch])
+            assert tuple(hist) == tuple(hist_alone)
+            assert counts == counts_alone
+    truncated = together[0][0][1]
+    assert truncated > mcengine.BATCH_SIZE // 2
+
+
+# full RunStats (histogram, truncated, fallbacks, plate appearances) of two
+# small runs, recorded from the engine: a kernel change that alters a byte
+# of a run's output fails here, where comparing reruns would not show it
+PINNED = {
+    "bundled": ((492, 816, 1085, 1094, 1089, 938, 799, 631, 478, 334, 252,
+                 175, 114, 75, 49, 23, 20, 9, 9, 4, 2, 0, 2, 1, 0, 0, 1),
+                0, 0, 341935),
+    "empty-3-innings-cap-5": ((4878, 1867, 1037, 468, 174, 46, 14, 6, 2),
+                              4425, 104752, 104752),
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_runs_match_pinned_output(lineup, case):
+    n_games = 2 * mcengine.BATCH_SIZE + 300  # two batches and a tail
+    if case == "bundled":
+        table, limits = default_transition_table(), {}
+    else:
+        table, limits = TransitionTable(rows={}), dict(innings=3, pa_cap=5)
+    stats = monte_carlo(lineup, fixed_policy, table, n_games, seed=2026,
+                        **limits)
+    assert (stats.histogram, stats.truncated_games, stats.fallback_transitions,
+            stats.plate_appearances) == PINNED[case]
 
 
 @pytest.fixture()

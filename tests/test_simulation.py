@@ -390,7 +390,7 @@ def chains(draw):
     else:
         table = TransitionTable(rows={}) if kind == "empty" else SIMPLE
     innings = draw(st.integers(1, 9))
-    pa_cap = draw(st.one_of(st.just(100), st.integers(3, 6)))
+    pa_cap = draw(st.one_of(st.just(100), st.integers(1, 6)))
     return Lineup(slots), policy, table, innings, pa_cap
 
 
