@@ -4,8 +4,8 @@ The determinism contract: games are split into fixed-size batches
 (BATCH_SIZE, never a function of worker count), batch i draws from a
 dedicated generator seeded with (seed, i), and every step draws one uniform
 for each of a batch's games whether or not they have finished.  A game
-plays one plate appearance per step from the first step until it ends, so
-the k-th draw at its position feeds its k-th plate appearance.  A batch
+takes one step from the first step until it ends, so the k-th draw at its
+position feeds its k-th step of one or two plate appearances.  A batch
 stepped beside another may draw past its own last game while the other
 runs on; those draws feed no game.  A batch's histogram therefore depends
 only on its own games, batch histograms are integers, and their sum is
@@ -14,24 +14,28 @@ batches into steps produce byte-identical aggregates.
 
 Several cells (lineup, policy and table triples, as in a sweep) run on the
 same batches.  A step of batch i draws its one vector of uniforms
-and every cell's game g uses its g-th entry, so at its k-th plate
-appearance game g sees the same uniform in every cell, and each cell's
+and every cell's game g uses its g-th entry, so at its k-th step game g
+sees the same uniform in every cell, and each cell's
 histogram and counts are exactly those of a run of that cell alone.  A
 step holds up to STEP_PAIRS // BATCH_SIZE (cell, batch) units: two cells of
 one batch, or two batches of one cell, so its arrays stay as small as two
 batches.
 
-Each plate appearance is one draw: compile_simulation folds the lineup, the
-policy (a 24-tuple of StrategyChoice, one per live state, used as it is) and
-the transition table into one cumulative row per (slot, state) over the
-merged (post state, runs, fallback) outcomes of that plate appearance, so a
-single uniform picks both the batter's outcome and the base-out transition.
-A plate-appearance cap per half-inning guards against never-ending innings;
-compile_simulation rejects an innings x pa_cap whose counts would not fit
-their packed fields (count_shifts).  The reference for these semantics is
-exact: the tests compute each game's run distribution from the same chain
-by pushing probability mass through it, and check the engine's histograms
-against it.
+compile_simulation folds the lineup, the policy (a 24-tuple of
+StrategyChoice, one per live state, used as it is) and the transition table
+into one cumulative row per (slot, state) over the merged (post state,
+runs, fallback) outcomes of that plate appearance, so a single uniform
+picks both the batter's outcome and the base-out transition.  A step plays
+two plate appearances on one uniform: _stack folds each row with the rows
+of the next batter it leads to, into a composite row over the merged
+results of both, or of the first alone where it ends the half-inning.  A
+plate-appearance cap per half-inning guards against never-ending innings.
+It counts plate appearances, not steps: a game one short of the cap steps
+on its one-plate-appearance row.  compile_simulation rejects an innings x
+pa_cap whose counts would not fit their packed fields (count_shifts).  The
+reference for these semantics is exact: the tests compute each game's run
+distribution from the same chain by pushing probability mass through it,
+and check the engine's histograms against it.
 
 A call splits its cells x batches units, cell by cell, into one task of
 near-equal length per process: a task is a group of cells with a range of
@@ -48,21 +52,26 @@ once rather than once per call.  A worker keeps no state between tasks.
 A call at another worker count shuts the pool down and starts one of its
 own size; a call that raises (a worker that died, an interrupt) shuts it
 down before the exception propagates, and the next call starts afresh.
-shutdown_pool stops it on demand; otherwise it lives until the
-interpreter exits.
+shutdown_pool stops it on demand, and at the latest when the interpreter
+exits.  The pool module is imported by the call that starts a pool, so a
+program that runs in place never loads it.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .transitions import INNING_OVER, NUM_LIVE_STATES, TransitionTable
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 BATCH_SIZE = 4096
 # (cell, game) pairs one kernel step may hold: two cells of a full batch, or
@@ -70,7 +79,7 @@ BATCH_SIZE = 4096
 # RSS by 17% in a prototype.
 STEP_PAIRS = 2 * BATCH_SIZE
 NUM_ROWS = 9 * NUM_LIVE_STATES  # row = slot * 24 + state
-GUIDE_SIZE = 32  # guide cells per row; a power of two, so u * GUIDE_SIZE is exact
+GUIDE_SIZE = 64  # guide cells per row; a power of two, so u * GUIDE_SIZE is exact
 
 
 @dataclass(frozen=True)
@@ -158,52 +167,136 @@ def compile_simulation(lineup, policy, table: TransitionTable, *,
 
 @dataclass(frozen=True)
 class _Steps:
-    """A stack of cells as the step loop reads it, every table flat: cell
-    k's rows at k * NUM_ROWS, padded to the widest cell with cum 1.0, then
-    a parking row.  Rows are addressed by guide offset, row * GUIDE_SIZE,
-    and cum is scaled by GUIDE_SIZE, so a scaled draw indexes the guide.
-    A finished game parked on the last row stays there, and its count
-    gains only an inning's end a step, so it is never capped."""
+    """A stack of cells as the step loop reads it, every table flat.  Cell
+    k's composite rows (_two_steps) sit at k * NUM_ROWS; its one-plate-
+    appearance rows, for a game one short of pa_cap, sit a block further
+    on, at single + k * NUM_ROWS (with pa_cap 1 every step plays one, and
+    single is 0: the one-PA rows are the only block).  Every row is padded
+    to the widest with cum 1.0, and a parking row ends the stack.  Rows are
+    addressed by guide offset, row * GUIDE_SIZE, and cum is scaled by
+    GUIDE_SIZE, so a scaled draw indexes the guide.  Every entry leads to a
+    composite row.  A finished game parked on the last row stays there, and
+    its count gains only an inning's end a step, so it is never capped."""
 
     cum: np.ndarray     # GUIDE_SIZE * cumulative mass
     guide: np.ndarray   # entry of a scaled draw in [k, k + 1), or ~search start
-    next: np.ndarray    # guide offset of the next batter's row
-    count: np.ndarray   # packed runs, plate appearance, fallback and inning end
+    next: np.ndarray    # guide offset of the next batter's composite row
+    count: np.ndarray   # packed runs, plate appearances, fallbacks and inning end
+    single: int         # guide offset of the one-PA block
     park: int           # guide offset of the parking row
     shifts: tuple[int, int, int]
     innings: int
     pa_cap: int
 
 
+def _two_steps(c: CompiledSim, count: np.ndarray):
+    """One cell's composite rows as (cum, next_row, count), each (216, W):
+    a step from row r plays r's plate appearance and, unless that ends the
+    half-inning, one of the next batter's, and the row lists the distinct
+    (next row, count) results of that step, left-justified.  They are
+    ordered by whether the step ends the half-inning, then the base-out
+    state after it, then its count, so that a draw picks a like result in
+    every cell and sweep deltas keep their common random numbers.  count
+    is the packed count of each of c's entries."""
+    w = c.cum.shape[1]
+    nxt, over = c.next_row.ravel(), c.over.ravel()
+    # c's entries, flat, then one that stands for no second plate appearance
+    none = NUM_ROWS * w
+    mass = np.append(np.diff(c.cum, axis=1, prepend=0.0), 1.0)
+    count = np.append(count, 0)
+    # the sort key of a step: its row, the state after it (24 once the
+    # half-inning is over), then its count fields in the count's order, as
+    # one code that adds up over its two entries: a step scores at most 8
+    # runs, so runs + 9 * plate appearances + 27 * fallbacks is below 81
+    codes, afters = 81, NUM_LIVE_STATES + 1
+    code = (c.runs + 9 + 27 * c.fallback).ravel()
+    after = np.where(over, NUM_LIVE_STATES, nxt % NUM_LIVE_STATES)
+    head = np.arange(none) // w * afters * codes + code
+    tail = np.append(after * codes + code, NUM_LIVE_STATES * codes)
+
+    # each drawable first entry with each entry of the row it leads to, up
+    # to its 1.0 entry, or with none after an inning's end; a pair of zero
+    # mass would never be drawn
+    first = np.flatnonzero(mass[:-1])
+    reach = np.count_nonzero(c.cum < 1.0, axis=1) + 1
+    seconds = np.where(over[first], 1, reach[nxt[first]])
+    begin = np.where(over[first], none, nxt[first] * w) - (np.cumsum(seconds) - seconds)
+    second = np.repeat(begin, seconds) + np.arange(seconds.sum())
+    first = np.repeat(first, seconds)
+
+    # merge equal keys, sorted with each pair's index in the low bits,
+    # which is faster than an argsort
+    bits = first.size.bit_length()
+    key = (head[first] + tail[second]) << bits | np.arange(first.size)
+    key.sort()
+    pair = key & ((1 << bits) - 1)
+    key >>= bits
+    merged = np.flatnonzero(np.diff(key, prepend=-1))
+    p = np.add.reduceat(mass[first[pair]] * mass[second[pair]], merged)
+    first, second = first[pair[merged]], second[pair[merged]]
+    row = key[merged] // (afters * codes)
+    n = np.bincount(row, minlength=NUM_ROWS)
+    col = np.arange(row.size) - (np.cumsum(n) - n)[row]
+
+    width = n.max()
+    cum = np.zeros((NUM_ROWS, width))
+    cum[row, col] = p
+    cum = np.minimum(np.cumsum(cum, axis=1), 1.0)
+    cum[np.arange(width) >= n[:, None] - 1] = 1.0  # padding, and float crumbs
+    next_row = np.zeros((NUM_ROWS, width), dtype=np.int64)
+    # a step of one plate appearance leads where its entry does
+    next_row[row, col] = np.where(second == none, nxt[first], nxt[second % none])
+    steps = np.zeros((NUM_ROWS, width), dtype=np.int64)
+    steps[row, col] = count[first] + count[second]
+    return cum, next_row, steps
+
+
 def _stack(cells: list[CompiledSim]) -> _Steps:
-    """The step tables of the cells, which share innings and pa_cap."""
-    width = max(c.cum.shape[1] for c in cells)
-    park = len(cells) * NUM_ROWS
-
-    def stacked(field, fill):  # the parking row is all fill
-        return np.concatenate([
-            np.pad(getattr(c, field), ((0, 0), (0, width - c.cum.shape[1])),
-                   constant_values=fill) for c in cells]
-            + [np.full((1, width), fill)])
-
-    rows = np.arange(park + 1)[:, None]
+    """The step tables of the cells, which share innings and pa_cap: each
+    cell's composite rows, then, unless pa_cap is 1, each cell's one-PA
+    rows, then the parking row (see _Steps)."""
     innings, pa_cap = cells[0].innings, cells[0].pa_cap
     shifts = count_shifts(innings, pa_cap)
     pa_at, fallback_at, inning_at = shifts
-    count = (stacked("runs", 0) + (1 << pa_at)
-             + (stacked("fallback", False).astype(np.int64) << fallback_at)
-             + (stacked("over", False).astype(np.int64) << inning_at))
-    count[park] = 1 << inning_at
-    next_row = stacked("next_row", 0) + rows // NUM_ROWS * NUM_ROWS
-    cum = GUIDE_SIZE * stacked("cum", 1.0)
+    one_pa = [(c.cum, c.next_row,
+               c.runs + (1 << pa_at) + (c.fallback.astype(np.int64) << fallback_at)
+               + (c.over.astype(np.int64) << inning_at)) for c in cells]
+    blocks = one_pa
+    if pa_cap > 1:
+        blocks = [_two_steps(c, count) for c, (_, _, count) in zip(cells, one_pa)
+                  ] + one_pa
+    width = max(cum.shape[1] for cum, _, _ in blocks)
+    park = len(blocks) * NUM_ROWS
+
+    def stacked(field, fill, parked):
+        return np.concatenate([
+            np.pad(block[field], ((0, 0), (0, width - block[field].shape[1])),
+                   constant_values=fill) for block in blocks]
+            + [np.full((1, width), parked)])
+
+    cum = stacked(0, 1.0, 1.0)
+    cum *= GUIDE_SIZE
+    next_row = stacked(1, 0, park)
+    first_row = np.arange(len(blocks)) % len(cells) * NUM_ROWS  # of each block's cell
+    next_row[:-1] += np.repeat(first_row, NUM_ROWS)[:, None]
+    next_row *= GUIDE_SIZE
+    count = stacked(2, 0, 1 << inning_at)
     # the draws of guide cell k, in [k, k + 1), start at the first entry e
-    # whose cum exceeds k; where cum[e] may not exceed them all, the guide
-    # holds ~e, and the draws search on from e
-    k = np.arange(GUIDE_SIZE)
-    guide = rows * width + np.sum(cum[:, None, :] <= k[:, None], axis=2)
-    guide = np.where(cum.ravel()[guide] < k + 1, ~guide, guide)
+    # whose cum exceeds k, the number of entries whose cum rounds up to at
+    # most k; where cum[e] may not exceed them all, the guide holds ~e, and
+    # the draws search on from e.  Built in place: a sweep's peak memory is
+    # a stack's build
+    rows = park + 1
+    up = np.ceil(cum).astype(np.int64)
+    up += np.arange(rows)[:, None] * (GUIDE_SIZE + 1)
+    guide = np.bincount(up.ravel(), minlength=rows * (GUIDE_SIZE + 1)).reshape(rows, -1)
+    np.cumsum(guide, axis=1, out=guide)
+    guide = guide[:, :GUIDE_SIZE] + np.arange(rows)[:, None] * width
+    np.invert(guide, out=guide,
+              where=cum.ravel()[guide] < np.arange(1, GUIDE_SIZE + 1))
     return _Steps(cum=cum.ravel(), guide=guide.ravel(),
-                  next=GUIDE_SIZE * next_row.ravel(), count=count.ravel(),
+                  next=next_row.ravel(), count=count.ravel(),
+                  single=GUIDE_SIZE * NUM_ROWS * len(cells) * (pa_cap > 1),
                   park=park * GUIDE_SIZE, shifts=shifts,
                   innings=innings, pa_cap=pa_cap)
 
@@ -241,6 +334,7 @@ def _simulate_cells(s: _Steps, cells: int, seed: int, batches):
     final = np.zeros(u.size, dtype=np.int64)
     truncated = np.zeros(u.size, dtype=bool)
     pa_at, fallback_at, inning_at = s.shifts
+    pa_field = (1 << (fallback_at - pa_at)) - 1
     inning = 1 << inning_at
     game_over = s.innings * inning
     slot_rows = NUM_LIVE_STATES * GUIDE_SIZE
@@ -252,7 +346,7 @@ def _simulate_cells(s: _Steps, cells: int, seed: int, batches):
     pair = np.arange(u.size)
     row = pair // ends[-1] * (NUM_ROWS * GUIDE_SIZE)
     count = np.zeros(pair.size, dtype=np.int64)
-    inning_end = np.zeros(pair.size, dtype=np.int64)  # step the last inning ended
+    inning_end = np.zeros(pair.size, dtype=np.int64)  # count as the last inning ended
 
     while pair.size:
         for rng, out in zip(rngs, draws):
@@ -264,15 +358,18 @@ def _simulate_cells(s: _Steps, cells: int, seed: int, batches):
         row = s.next.take(entry)
         counted = s.count.take(entry)
         count += counted
-        np.maximum(inning_end, (counted >> inning_at) * step, out=inning_end)
-        # no half-inning reaches pa_cap plate appearances sooner
-        if step >= s.pa_cap:
-            capped = np.flatnonzero(inning_end <= step - s.pa_cap)
+        np.maximum(inning_end, (counted >> inning_at) * count, out=inning_end)
+        # a step plays at most two plate appearances, so no half-inning
+        # comes within one of pa_cap sooner
+        if 2 * step >= s.pa_cap - 1:
+            played = (count - inning_end) >> pa_at & pa_field  # this half-inning
+            capped = np.flatnonzero(played >= s.pa_cap)
             if capped.size:
                 truncated[pair[capped]] = True
                 row[capped] -= row[capped] % slot_rows  # next slot, fresh inning
                 count[capped] += inning
-                inning_end[capped] = step
+                inning_end[capped] = count[capped]
+            row[played == s.pa_cap - 1] += s.single  # one plate appearance left
 
         done = count >= game_over
         np.maximum(row, done * s.park, out=row)  # the parking row is the last
@@ -284,7 +381,7 @@ def _simulate_cells(s: _Steps, cells: int, seed: int, batches):
                 a.take(keep) for a in (pair, row, count, inning_end))
 
     runs = final & ((1 << pa_at) - 1)
-    pa = final >> pa_at & ((1 << (fallback_at - pa_at)) - 1)
+    pa = final >> pa_at & pa_field
     fallbacks = final >> fallback_at & ((1 << (inning_at - fallback_at)) - 1)
     return [[(np.bincount(runs[unit]), int(np.count_nonzero(truncated[unit])),
               int(fallbacks[unit].sum()), int(pa[unit].sum()))
@@ -345,6 +442,7 @@ def _run_task(cells, n_games: int, seed: int, first: int, stop: int):
                     stack, len(members), seed, batches)):
                 part.extend(got)
         results.extend(_merge(part) for part in per_cell)
+        del stack  # freed before the next group's is built
     return results
 
 
@@ -383,9 +481,17 @@ def shutdown_pool() -> None:
             pool.shutdown(wait=True, cancel_futures=True)
 
 
+# stopped while the pool module is still whole: it is imported after this
+# one, so the interpreter's teardown would clear it first
+atexit.register(shutdown_pool)
+
+
 def _shared_pool(processes: int) -> ProcessPoolExecutor:
     """The shared pool, started or resized to the given number of
-    processes.  The caller holds _pool_lock."""
+    processes.  The caller holds _pool_lock.  The pool module is imported
+    here, so a program that runs in place never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+
     global _pool, _pool_processes
     if _pool_processes != processes:
         shutdown_pool()

@@ -31,6 +31,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -327,7 +328,13 @@ class TransitionTable:
         """Every (state, outcome, entry) of the chain as parallel arrays:
         key = state index * 8 + outcome index, post index (INNING_OVER
         when the entry ends the inning), runs, probability given the key,
-        and whether the entry fell back."""
+        and whether the entry fell back.  The chain is walked once per
+        table: every call returns the same read-only arrays, and a pickled
+        table carries them."""
+        return self._flat
+
+    @cached_property
+    def _flat(self) -> tuple[np.ndarray, ...]:
         key, post, runs, prob, fell_back = [], [], [], [], []
         for state in live_states():
             for o, outcome in enumerate(OUTCOMES):
@@ -338,8 +345,10 @@ class TransitionTable:
                     runs.append(e.runs)
                     prob.append(e.prob)
                     fell_back.append(missing)
-        return (np.array(key), np.array(post), np.array(runs),
-                np.array(prob), np.array(fell_back))
+        arrays = tuple(np.array(a) for a in (key, post, runs, prob, fell_back))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     @property
     def coverage(self) -> float:

@@ -3,10 +3,14 @@ that searches it, exact fallback counts, many cells in one call, and the
 shared worker pool: its size, its reuse across calls and its recovery from
 a dead worker."""
 
+import concurrent.futures
 import multiprocessing
 import multiprocessing.connection
 import os
+import pathlib
 import signal
+import subprocess
+import sys
 from collections import defaultdict
 from concurrent.futures.process import BrokenProcessPool
 
@@ -126,48 +130,118 @@ def test_rows_hold_the_joint_mass(compiled):
             assert np.all(c.cum[r, k:] == 1.0)
 
 
+def _rows(steps):
+    """A stack's tables as (rows, width) arrays: cum unscaled, next rows as
+    row numbers, and the packed counts."""
+    rows = steps.park // mcengine.GUIDE_SIZE + 1
+    return (steps.cum.reshape(rows, -1) / mcengine.GUIDE_SIZE,
+            steps.next.reshape(rows, -1) // mcengine.GUIDE_SIZE,
+            steps.count.reshape(rows, -1))
+
+
+def test_composite_rows_hold_the_two_step_mass(compiled):
+    # a composite row lists the merged (next row, count) results of its
+    # plate appearance and, unless that ends the half-inning, one of the
+    # next batter's; the one-PA block behind it is the compiled table
+    *_, c = compiled
+    steps = mcengine._stack([c])
+    cum, nxt, count = _rows(steps)
+    pa_at, fallback_at, inning_at = steps.shifts
+    one = (c.runs + (1 << pa_at) + (c.fallback.astype(np.int64) << fallback_at)
+           + (c.over.astype(np.int64) << inning_at))
+    single = steps.single // mcengine.GUIDE_SIZE
+    assert single == mcengine.NUM_ROWS
+    w = c.cum.shape[1]
+    for got, want in ((cum, c.cum), (nxt, c.next_row), (count, one)):
+        np.testing.assert_array_equal(got[single:single + mcengine.NUM_ROWS, :w], want)
+    assert np.all(cum[single:single + mcengine.NUM_ROWS, w:] == 1.0)
+
+    mass = np.diff(c.cum, axis=1, prepend=0.0)
+    for r in range(mcengine.NUM_ROWS):
+        expected = defaultdict(float)
+        for e in np.flatnonzero(mass[r]):
+            after = c.next_row[r, e]
+            if c.over[r, e]:
+                expected[(after, one[r, e])] += mass[r, e]
+                continue
+            for e2 in np.flatnonzero(mass[after]):
+                expected[(c.next_row[after, e2], one[r, e] + one[after, e2])] += (
+                    mass[r, e] * mass[after, e2])
+        k = len(expected)
+        got = dict(zip(zip(nxt[r, :k], count[r, :k]),
+                       np.diff(cum[r, :k], prepend=0.0)))
+        assert got.keys() == expected.keys()  # merged: k distinct entries
+        for key, m in expected.items():
+            assert got[key] == pytest.approx(m, rel=0, abs=1e-12)
+        assert cum[r, k - 1] == 1.0  # the last real entry ends the row
+        assert np.all(cum[r, k:] == 1.0)
+        # ordered by the half-inning's end, the state after, then the count
+        ends = count[r, :k] >> inning_at
+        after = np.where(ends == 1, INNING_OVER, nxt[r, :k] % NUM_LIVE_STATES)
+        order = list(zip(ends, after, count[r, :k]))
+        assert order == sorted(order)
+
+
 def test_unit_interval_ends_draw_positive_mass(compiled):
     *_, c = compiled
     steps = mcengine._stack([c])
-    rows = np.arange(mcengine.NUM_ROWS)
-    width = c.cum.shape[1]
-    mass = np.diff(c.cum, axis=1, prepend=0.0)
+    cum, _, _ = _rows(steps)
+    rows = np.arange(cum.shape[0])  # both blocks and the parking row
+    width = cum.shape[1]
+    mass = np.diff(cum, axis=1, prepend=0.0)
     for u in (0.0, LAST_DRAW):
-        x = np.full(rows.size + 1, u * mcengine.GUIDE_SIZE)
-        entry = mcengine._draw(steps, np.append(rows, mcengine.NUM_ROWS)
-                               * mcengine.GUIDE_SIZE, x)
-        assert np.all(entry[:-1] // width == rows)
-        assert np.all(mass.ravel()[entry[:-1]] > 0.0)
+        x = np.full(rows.size, u * mcengine.GUIDE_SIZE)
+        entry = mcengine._draw(steps, rows * mcengine.GUIDE_SIZE, x)
+        assert np.all(entry // width == rows)
+        assert np.all(mass.ravel()[entry] > 0.0)
         # the parking row draws its one entry, which leads back to it
-        assert entry[-1] == mcengine.NUM_ROWS * width
+        assert entry[-1] == rows[-1] * width
         assert steps.next[entry[-1]] == steps.park
 
 
 def test_draw_matches_a_full_row_search(compiled):
     *_, c = compiled
+    alone = mcengine._stack([c])
+    cum, _, _ = _rows(alone)
     rng = np.random.default_rng(3)
     edges = np.arange(mcengine.GUIDE_SIZE) / mcengine.GUIDE_SIZE
-    inner = c.cum[c.cum < 1.0]
+    inner = cum[cum < 1.0]
     u = np.concatenate([
         rng.random(20_000), edges, np.nextafter(edges[1:], 0.0), inner,
         np.nextafter(inner, 0.0), [0.0, LAST_DRAW]])
-    rows = rng.integers(0, mcengine.NUM_ROWS, u.size)
-    count = np.count_nonzero(c.cum[rows] <= u[:, None], axis=1)
+    rows = rng.integers(0, 2 * mcengine.NUM_ROWS, u.size)  # both blocks
+    count = np.count_nonzero(cum[rows] <= u[:, None], axis=1)
     x = u * mcengine.GUIDE_SIZE
-    alone = mcengine._stack([c])
     np.testing.assert_array_equal(
         mcengine._draw(alone, rows * mcengine.GUIDE_SIZE, x),
-        rows * c.cum.shape[1] + count)
-    # second in a stack, behind a cell of another width
+        rows * cum.shape[1] + count)
+    # second in a stack, behind a cell of another width: each block of c
+    # sits one cell further on
     other = mcengine.compile_simulation(
         Lineup.from_vectors([HR_OR_K] * 9), always_normal,
         TransitionTable.simple(), innings=9, pa_cap=100)
     stacked = mcengine._stack([other, c])
-    width = max(other.cum.shape[1], c.cum.shape[1])
-    rows += mcengine.NUM_ROWS
+    width = _rows(stacked)[0].shape[1]
+    rows += mcengine.NUM_ROWS * (1 + rows // mcengine.NUM_ROWS)
     np.testing.assert_array_equal(
         mcengine._draw(stacked, rows * mcengine.GUIDE_SIZE, x),
         rows * width + count)
+
+
+def test_compiled_tables_do_not_depend_on_the_flat_cache(lineup):
+    # a table walks its chain once; compiling from the kept arrays gives
+    # the table a fresh walk gives
+    rows = default_transition_table().rows
+    fresh = mcengine.compile_simulation(lineup, fixed_policy,
+                                        TransitionTable(rows=dict(rows)),
+                                        innings=9, pa_cap=100)
+    table = TransitionTable(rows=dict(rows))
+    for _ in range(2):
+        again = mcengine.compile_simulation(lineup, fixed_policy, table,
+                                            innings=9, pa_cap=100)
+        for field in ("cum", "next_row", "over", "runs", "fallback"):
+            np.testing.assert_array_equal(getattr(again, field),
+                                          getattr(fresh, field))
 
 
 @pytest.mark.parametrize("length", [0, 23, 25])
@@ -298,15 +372,33 @@ def test_fused_batches_equal_each_batch_alone(mixed_cells, members):
     assert truncated > mcengine.BATCH_SIZE // 2
 
 
+def test_shared_draws_keep_per_game_runs_correlated(lineup):
+    # a sweep's deltas are common-random-number comparisons: game g of the
+    # baseline and of a strategy cell steps on the same draws, and the
+    # composite rows' order (the half-inning's end, the state after, the
+    # count) makes a draw pick a like result in both.  One-game batches
+    # give each game's runs: 0.90 here, where the one-PA kernel gave 0.91
+    table = default_transition_table()
+    baseline = mcengine.compile_simulation(
+        Lineup.from_vectors(lineup.normals), always_normal, table,
+        innings=9, pa_cap=100)
+    cell = mcengine.compile_simulation(lineup, fixed_policy, table,
+                                       innings=9, pa_cap=100)
+    games = mcengine._simulate_cells(mcengine._stack([baseline, cell]), 2, 99,
+                                     [(i, 1) for i in range(4096)])
+    runs = [[len(hist) - 1 for hist, *_ in cell_games] for cell_games in games]
+    assert np.corrcoef(runs)[0, 1] >= 0.88
+
+
 # full RunStats (histogram, truncated, fallbacks, plate appearances) of two
 # small runs, recorded from the engine: a kernel change that alters a byte
 # of a run's output fails here, where comparing reruns would not show it
 PINNED = {
-    "bundled": ((492, 816, 1085, 1094, 1089, 938, 799, 631, 478, 334, 252,
-                 175, 114, 75, 49, 23, 20, 9, 9, 4, 2, 0, 2, 1, 0, 0, 1),
-                0, 0, 341935),
-    "empty-3-innings-cap-5": ((4878, 1867, 1037, 468, 174, 46, 14, 6, 2),
-                              4425, 104752, 104752),
+    "bundled": ((483, 780, 1100, 1141, 1064, 985, 829, 621, 484, 353, 217,
+                 145, 93, 77, 41, 29, 23, 12, 7, 3, 2, 1, 1, 1),
+                0, 0, 341666),
+    "empty-3-innings-cap-5": ((4865, 1884, 1044, 453, 168, 61, 13, 3, 0, 1),
+                              4381, 104533, 104533),
 }
 
 
@@ -334,7 +426,7 @@ def no_shared_pool():
 def test_one_pool_per_worker_count(monkeypatch, lineup, no_shared_pool):
     started, stopped, tasks = [], [], []
 
-    class RecordingPool(mcengine.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *, max_workers):
             super().__init__(max_workers=max_workers)
             self.size = max_workers
@@ -354,7 +446,8 @@ def test_one_pool_per_worker_count(monkeypatch, lineup, no_shared_pool):
     three = 2 * mcengine.BATCH_SIZE + 100
     serial = {n: monte_carlo(lineup, fixed_policy, table, n, seed=8)
               for n in (one, two, three)}
-    monkeypatch.setattr(mcengine, "ProcessPoolExecutor", RecordingPool)
+    # the pool class is looked up where the first parallel call starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(mcengine, "usable_cores", lambda: 8)
 
     # calls of two and three batches at one worker count share one pool of
@@ -465,6 +558,18 @@ def test_pool_recovers_from_a_killed_worker(monkeypatch, lineup,
         else:
             assert monte_carlo(lineup, fixed_policy, table, n_games, seed=3,
                                workers=2) == serial
+
+
+def test_cli_import_loads_no_pool_module():
+    # the first call that starts a pool imports it, so a command that runs
+    # in place never pays for it
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, batsim.cli; print([m for m in ('multiprocessing',"
+            " 'concurrent.futures.process') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_usable_cores_without_affinity(monkeypatch):

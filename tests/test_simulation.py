@@ -333,6 +333,10 @@ class TestMonteCarlo:
         ("bundled-fixed", "bundled", fixed_policy, 9, 100, 60_000),
         ("empty-truncated", "empty", fixed_policy, 3, 5, 20_000),
         ("innings-3", "bundled", always_normal, 3, 100, 20_000),
+        # an odd cap that binds often: games one plate appearance short of
+        # it step on one-PA rows, and many steps end the half-inning at
+        # their first plate appearance
+        ("bundled-cap-3", "bundled", fixed_policy, 3, 3, 20_000),
     ]
 
     @pytest.mark.parametrize("table_kind, policy, innings, pa_cap, n_games",

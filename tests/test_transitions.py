@@ -379,6 +379,17 @@ class TestLookup:
         assert np.all((post >= 0) & (post <= INNING_OVER))
         assert np.all(runs >= 0)
 
+    def test_flat_walks_the_chain_once(self):
+        # every call returns the arrays of the first walk, read-only, so no
+        # reader can change what the next one sees
+        table = TransitionTable(rows=dict(default_transition_table().rows))
+        first = table.flat()
+        assert all(a is b for a, b in zip(table.flat(), first))
+        for a in first:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
 
 def _replayed_run_expectancy(table, batter):
     """Reference run expectancy with its own walk over (state, outcome,
