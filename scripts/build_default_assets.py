@@ -22,8 +22,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from batsim.config import ConverterConfig, TransitionConfig  # noqa: E402
 from batsim.conversion import (  # noqa: E402
-    LossWeights,
-    TrainConfig,
     build_pair_dataset,
     save_params,
     synthesize_players,
@@ -67,9 +65,8 @@ def main() -> None:
     cc = ConverterConfig()
     players = synthesize_players(cc.n_players, seed=cc.train_seed)
     pairs = build_pair_dataset(players)
-    params, metrics = train(pairs, TrainConfig(), seed=cc.train_seed)
-    save_params(params, DATA_DIR / CONVERTER_ASSET,
-                loss_weights=LossWeights(), train_seed=cc.train_seed)
+    params, metrics = train(pairs, seed=cc.train_seed)
+    save_params(params, DATA_DIR / CONVERTER_ASSET, train_seed=cc.train_seed)
     print(f"converter: {len(pairs)} pairs, val MSE(vector) {metrics.mse_vector:.2e}, "
           f"val MSE(wOBA) {metrics.mse_woba:.2e}, "
           f"negative mass after projection {metrics.neg_mass_projected:.1e} "

@@ -28,9 +28,7 @@ from .config import ConfigError, ExperimentConfig, dump_config, load_config
 from .conversion import (
     ConversionError,
     ConverterParams,
-    LossWeights,
     PairDataset,
-    TrainConfig,
     build_pair_dataset,
     convert,
     forward,
@@ -109,9 +107,7 @@ __all__ = [
     "load_config",
     "ConversionError",
     "ConverterParams",
-    "LossWeights",
     "PairDataset",
-    "TrainConfig",
     "build_pair_dataset",
     "convert",
     "forward",

@@ -33,9 +33,7 @@ from .config import (
 )
 from .conversion import (
     ConversionError,
-    LossWeights,
     ProjectionFailureError,
-    TrainConfig,
     build_pair_dataset,
     convert,
     dump_pair_csv,
@@ -199,8 +197,8 @@ def cmd_train_converter(cfg: ExperimentConfig, args) -> int:
     if args.pairs_csv:
         dump_pair_csv(pairs, args.pairs_csv)
         print(f"wrote {len(pairs)} training pairs to {args.pairs_csv}")
-    params, metrics = train(pairs, TrainConfig(), seed=seed)
-    save_params(params, out, loss_weights=LossWeights(), train_seed=seed)
+    params, metrics = train(pairs, seed=seed)
+    save_params(params, out, train_seed=seed)
     metrics_path = out + ".metrics.json"
     with atomic_write(metrics_path) as fh:
         json.dump({
@@ -398,8 +396,7 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (EventLogError, TransitionTableError, ConversionError,
-            AbilityVectorError, FileNotFoundError, json.JSONDecodeError,
-            ValueError) as exc:
+            AbilityVectorError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     finally:

@@ -15,6 +15,7 @@ from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
 from .mcengine import count_shifts
+from .simulation import DEFAULT_INNINGS, PA_CAP_PER_HALF_INNING
 
 
 class ConfigError(ValueError):
@@ -57,7 +58,8 @@ def _require_types(section, where: str) -> None:
     it.  Each field's type is its annotation: an int takes an int, a float
     a finite int or float, a str a str, and a tuple grid a list of those,
     checked entry by entry; "| None" lets None pass.  A bool is none of
-    these."""
+    these.  An accepted float field or grid is stored as floats, so a JSON
+    0 and 0.0 give the same config and write the same bytes."""
     for name, kind, grid, optional in _declared(type(section)):
         value = getattr(section, name)
         if value is None and optional:
@@ -70,6 +72,9 @@ def _require_types(section, where: str) -> None:
                     or (kind is not str and not math.isfinite(v))):
                 raise ConfigError(f"{where}{name}{' entries' if grid else ''} "
                                   f"must be {what}, got {v!r}")
+        if kind is float:
+            object.__setattr__(section, name, tuple(map(float, value))
+                               if grid else float(value))
 
 
 def _require_file(path, where: str) -> None:
@@ -211,8 +216,8 @@ class ExperimentConfig:
     n_games: int = 100_000
     seed: int = 2026
     workers: int = 1
-    innings: int = 9
-    pa_cap: int = 100
+    innings: int = DEFAULT_INNINGS
+    pa_cap: int = PA_CAP_PER_HALF_INNING
 
     def validate(self) -> "ExperimentConfig":
         self.lineup.validate()
@@ -292,9 +297,10 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"config file not found or unreadable: {path} "
+                          f"({exc.strerror})") from exc
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return config_from_json_obj(obj)
 

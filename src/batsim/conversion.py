@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -58,6 +58,21 @@ WOBA_COMPONENTS.flags.writeable = False
 # Acceptance window for synthesized player pools.
 WOBA_RANGE = (0.230, 0.420)
 SHARE_RANGE = (0.35, 0.85)
+
+# Loss-term weights: NEGATIVITY_WEIGHT discourages components the projection
+# would have to clamp; WOBA_CONSISTENCY_WEIGHT ties the predicted vector's
+# wOBA to the requested shift.
+NEGATIVITY_WEIGHT = 0.1
+WOBA_CONSISTENCY_WEIGHT = 0.5
+
+# Training schedule: momentum SGD on mini-batches, validation on a held-out
+# fraction of the pairs, early stopping after PATIENCE epochs without gain.
+LEARNING_RATE = 0.05
+MOMENTUM = 0.9
+BATCH_SIZE = 256
+MAX_EPOCHS = 200
+PATIENCE = 10
+VAL_FRACTION = 0.2
 
 
 class ConversionError(ValueError):
@@ -99,20 +114,6 @@ class PairDataset:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Term weights: negativity discourages components the projection would
-    have to clamp; woba_consistency ties the predicted vector's wOBA to the
-    requested shift."""
-
-    negativity: float = 0.1
-    woba_consistency: float = 0.5
-
-    def __post_init__(self):
-        if self.negativity < 0.0 or self.woba_consistency < 0.0:
-            raise ValueError("loss weights must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -215,24 +216,22 @@ def _unpack_batch(batch) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _mean_loss(x: np.ndarray, y: np.ndarray, out: np.ndarray,
-               weights: LossWeights) -> float:
+def _mean_loss(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> float:
     err = out - y
     sq = np.sum(err * err, axis=1)
     implied = x[:, :7] + out
     hinge = np.sum(np.maximum(-implied, 0.0), axis=1)
     woba_err = err @ WOBA_COMPONENTS
-    per_pair = sq + weights.negativity * hinge \
-        + weights.woba_consistency * woba_err * woba_err
+    per_pair = sq + NEGATIVITY_WEIGHT * hinge \
+        + WOBA_CONSISTENCY_WEIGHT * woba_err * woba_err
     return float(per_pair.mean())
 
 
-def loss(params: ConverterParams, batch,
-         weights: LossWeights = LossWeights()) -> float:
+def loss(params: ConverterParams, batch) -> float:
     """Mean per-pair loss: squared delta error, plus the negativity hinge on
     the implied destination components, plus the squared wOBA mismatch."""
     x, y = _unpack_batch(batch)
-    return _mean_loss(x, y, _forward(params, x), weights)
+    return _mean_loss(x, y, _forward(params, x))
 
 
 class _Workspace:
@@ -255,7 +254,7 @@ class _Workspace:
 
 
 def _backprop(params: ConverterParams, x: np.ndarray, y: np.ndarray,
-              weights: LossWeights, ws: _Workspace) -> None:
+              ws: _Workspace) -> None:
     """Hand-derived backprop for :func:`loss`, written into ws.grads."""
     n = x.shape[0]
     h1, h2, out, err, g_out, woba_err = (
@@ -270,10 +269,10 @@ def _backprop(params: ConverterParams, x: np.ndarray, y: np.ndarray,
     np.multiply(err, 2.0, out=g_out)
     np.add(x[:, :7], out, out=out)  # implied destination components
     np.less(out, 0.0, out=negative)
-    np.multiply(negative, weights.negativity, out=out)
+    np.multiply(negative, NEGATIVITY_WEIGHT, out=out)
     g_out -= out
     np.matmul(err, WOBA_COMPONENTS, out=woba_err)
-    woba_err *= 2.0 * weights.woba_consistency
+    woba_err *= 2.0 * WOBA_CONSISTENCY_WEIGHT
     np.multiply(woba_err[:, None], WOBA_COMPONENTS, out=out)
     g_out += out
     g_out /= n
@@ -294,23 +293,20 @@ def _backprop(params: ConverterParams, x: np.ndarray, y: np.ndarray,
     np.sum(g_a1, axis=0, out=g["b1"])
 
 
-def gradients(params: ConverterParams, batch,
-              weights: LossWeights = LossWeights()) -> dict[str, np.ndarray]:
+def gradients(params: ConverterParams, batch) -> dict[str, np.ndarray]:
     """Hand-derived backprop for :func:`loss`.  The arrays returned belong
     to this call alone."""
     x, y = _unpack_batch(batch)
     ws = _Workspace(x.shape[0])
-    _backprop(params, x, y, weights, ws)
+    _backprop(params, x, y, ws)
     return ws.grads
 
 
-def gradient_check(params: ConverterParams, batch,
-                   weights: LossWeights = LossWeights(), *,
-                   probes: int = 100, step: float = 1e-5,
-                   seed: int = 0) -> float:
+def gradient_check(params: ConverterParams, batch, *, probes: int = 100,
+                   step: float = 1e-5, seed: int = 0) -> float:
     """Compare analytic gradients against central finite differences at
     randomly probed coordinates; returns the worst relative error."""
-    analytic = gradients(params, batch, weights)
+    analytic = gradients(params, batch)
     arrays = params.arrays()
     rng = np.random.default_rng(seed)
     names = sorted(arrays)
@@ -328,7 +324,7 @@ def gradient_check(params: ConverterParams, batch,
         def loss_at(value):
             bumped = arrays[name].copy()
             bumped[coords] = value
-            return loss(replace(params, **{name: bumped}), batch, weights)
+            return loss(replace(params, **{name: bumped}), batch)
 
         base = arrays[name][coords]
         numeric = (loss_at(base + step) - loss_at(base - step)) / (2.0 * step)
@@ -336,25 +332,6 @@ def gradient_check(params: ConverterParams, batch,
         scale = max(abs(numeric) + abs(exact), 1e-8)
         worst = max(worst, abs(numeric - exact) / scale)
     return worst
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    batch_size: int = 256
-    max_epochs: int = 200
-    patience: int = 10
-    val_fraction: float = 0.2
-    loss_weights: LossWeights = field(default_factory=LossWeights)
-
-    def __post_init__(self):
-        if self.learning_rate <= 0 or not 0 <= self.momentum < 1:
-            raise ValueError("bad optimizer settings")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
-            raise ValueError("bad schedule settings")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -368,8 +345,7 @@ class ValidationMetrics:
     best_epoch: int
 
 
-def evaluate(params: ConverterParams, batch,
-             weights: LossWeights = LossWeights()) -> ValidationMetrics:
+def evaluate(params: ConverterParams, batch) -> ValidationMetrics:
     x, y = _unpack_batch(batch)
     out = _forward(params, x)
     err = out - y
@@ -387,25 +363,25 @@ def evaluate(params: ConverterParams, batch,
     return ValidationMetrics(mse_vector=mse_vector, mse_woba=mse_woba,
                              neg_mass_raw=neg_raw,
                              neg_mass_projected=neg_projected,
-                             val_loss=_mean_loss(x, y, out, weights),
+                             val_loss=_mean_loss(x, y, out),
                              epochs_run=0, best_epoch=0)
 
 
-def train(dataset: PairDataset, config: TrainConfig = TrainConfig(),
+def train(dataset: PairDataset,
           seed: int = 0) -> tuple[ConverterParams, ValidationMetrics]:
     """Mini-batch gradient descent with momentum and early stopping.
 
-    The pair set is split 80/20 (by config.val_fraction) with a permutation
-    drawn from the seed; training stops once validation loss has not
-    improved for config.patience epochs and the best-epoch weights are
-    returned.  Fully deterministic in (dataset, config, seed).
+    The pair set is split 80/20 (by VAL_FRACTION) with a permutation drawn
+    from the seed; training stops once validation loss has not improved for
+    PATIENCE epochs and the best-epoch weights are returned.  Fully
+    deterministic in (dataset, seed).
     """
     n = len(dataset)
     if n < 10:
         raise DatasetTooSmallError(f"need at least 10 pairs, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x7A11)))
     perm = rng.permutation(n)
-    n_val = max(1, int(round(n * config.val_fraction)))
+    n_val = max(1, int(round(n * VAL_FRACTION)))
     if n_val >= n:
         raise DatasetTooSmallError("validation split would consume every pair")
     val_idx, train_idx = perm[:n_val], perm[n_val:]
@@ -418,7 +394,7 @@ def train(dataset: PairDataset, config: TrainConfig = TrainConfig(),
     flat = np.concatenate([init[name].ravel() for name, _ in LAYOUT])
     velocity = np.zeros(N_PARAMS)
     live = ConverterParams(**_layer_views(flat))
-    rows = min(config.batch_size, len(train_idx))
+    rows = min(BATCH_SIZE, len(train_idx))
     ws = _Workspace(rows)
     x_batch, y_batch = np.empty((rows, 9)), np.empty((rows, 7))
 
@@ -427,22 +403,22 @@ def train(dataset: PairDataset, config: TrainConfig = TrainConfig(),
     best_epoch = 0
     stale = 0
     epochs_run = 0
-    for epoch in range(1, config.max_epochs + 1):
+    for epoch in range(1, MAX_EPOCHS + 1):
         epochs_run = epoch
         order = rng.permutation(len(train_idx))
-        for start in range(0, len(order), config.batch_size):
-            sel = order[start:start + config.batch_size]
+        for start in range(0, len(order), BATCH_SIZE):
+            sel = order[start:start + BATCH_SIZE]
             xb, yb = x_batch[:len(sel)], y_batch[:len(sel)]
             # "clip" skips the buffered copy "raise" makes; sel is in range
             np.take(x_train, sel, axis=0, out=xb, mode="clip")
             np.take(y_train, sel, axis=0, out=yb, mode="clip")
-            _backprop(live, xb, yb, config.loss_weights, ws)
-            # velocity = momentum * velocity - learning_rate * grad
-            ws.grad *= config.learning_rate
-            velocity *= config.momentum
+            _backprop(live, xb, yb, ws)
+            # velocity = MOMENTUM * velocity - LEARNING_RATE * grad
+            ws.grad *= LEARNING_RATE
+            velocity *= MOMENTUM
             velocity -= ws.grad
             flat += velocity
-        val_loss = loss(live, (x_val, y_val), config.loss_weights)
+        val_loss = loss(live, (x_val, y_val))
         if val_loss < best_loss - 1e-12:
             best_loss = val_loss
             best[:] = flat
@@ -450,16 +426,16 @@ def train(dataset: PairDataset, config: TrainConfig = TrainConfig(),
             stale = 0
         else:
             stale += 1
-            if stale > config.patience:
+            if stale > PATIENCE:
                 break
 
     best_params = ConverterParams(**_layer_views(best))
-    metrics = evaluate(best_params, (x_val, y_val), config.loss_weights)
+    metrics = evaluate(best_params, (x_val, y_val))
     metrics = replace(metrics, epochs_run=epochs_run, best_epoch=best_epoch)
     return best_params, metrics
 
 
-def synthesize_players(n: int = 502, seed: int = 0) -> list[AbilityVector]:
+def synthesize_players(n: int, seed: int) -> list[AbilityVector]:
     """Generate a plausible player pool spanning the on-base/power plane.
 
     Profiles come from two latent traits (overall quality and a
@@ -576,17 +552,15 @@ def convert(params: ConverterParams, vector: AbilityVector,
 
 
 def save_params(params: ConverterParams, path, *,
-                loss_weights: LossWeights | None = None,
                 train_seed: int | None = None) -> None:
     """Write params as JSON: layer arrays, the wOBA weights they were
-    trained under, and a metadata block recording the input ordering and,
-    when known, the loss weights and training seed."""
-    metadata: dict = {"input_order": list(INPUT_ORDER)}
-    if loss_weights is not None:
-        metadata["loss_weights"] = {
-            "negativity": loss_weights.negativity,
-            "woba_consistency": loss_weights.woba_consistency,
-        }
+    trained under, and a metadata block recording the input ordering, the
+    loss weights and, when known, the training seed."""
+    metadata: dict = {
+        "input_order": list(INPUT_ORDER),
+        "loss_weights": {"negativity": NEGATIVITY_WEIGHT,
+                         "woba_consistency": WOBA_CONSISTENCY_WEIGHT},
+    }
     if train_seed is not None:
         metadata["train_seed"] = int(train_seed)
     obj = {

@@ -1,8 +1,10 @@
 """Bundled default assets: the nine-slot lineup, the synthetic empirical
 transition table, and trained converter parameters.
 
-Everything under ``batsim/data`` is reproducible from seeds; see
-``scripts/build_default_assets.py`` for the generation recipe.
+Everything under ``batsim/data`` is regenerated from seeds by
+``scripts/build_default_assets.py``.  The fitted lineup and the transition
+table come out byte for byte; the converter's weights do only on the same
+numpy/BLAS build and CPU, since their last bits depend on both.
 """
 
 from __future__ import annotations

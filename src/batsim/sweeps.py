@@ -122,13 +122,11 @@ def run_threshold_grid(normals, params, table: TransitionTable, *,
                        n_games: int, seed: int, workers: int = 1,
                        innings: int = DEFAULT_INNINGS,
                        pa_cap: int = PA_CAP_PER_HALF_INNING,
-                       re_table: RunExpectancyTable | None = None,
                        ) -> list[SweepRow]:
     """Threshold-activation policy over every valid (theta_o, theta_l) cell
     at one fixed strategy spread. Cells with theta_l >= theta_o are skipped
     and logged rather than simulated."""
-    if re_table is None:
-        re_table = run_expectancy(table, mean_batter(normals))
+    re_table = run_expectancy(table, mean_batter(normals))
     if theta_o_grid is None or theta_l_grid is None:
         derived_o, derived_l = default_theta_grids(re_table)
         theta_o_grid = derived_o if theta_o_grid is None else theta_o_grid

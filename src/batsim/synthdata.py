@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abilities import LEAGUE_AVERAGE, AbilityVector, validate
+from .abilities import LEAGUE_AVERAGE
 from .transitions import (
     HITS,
     OUTCOMES,
@@ -189,16 +189,14 @@ def stochastic_transition(state: GameState, outcome: Outcome,
     return simple_transition(state, outcome)
 
 
-def synthesize_event_log(n_events: int, seed: int,
-                         batter: AbilityVector = LEAGUE_AVERAGE,
-                         ) -> list[TransitionEvent]:
-    """Simulate half-innings with one batter profile at the plate and record
-    every plate appearance as a transition event.  Deterministic in seed."""
+def synthesize_event_log(n_events: int, seed: int) -> list[TransitionEvent]:
+    """Simulate half-innings with the league-average batter at the plate and
+    record every plate appearance as a transition event.  Deterministic in
+    seed."""
     if n_events <= 0:
         raise ValueError("n_events must be positive")
-    validate(batter)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x5EED)))
-    probs = np.asarray(batter.as_tuple())
+    probs = np.asarray(LEAGUE_AVERAGE.as_tuple())
     cum = np.cumsum(probs)
     cum[-1] = 1.0
 

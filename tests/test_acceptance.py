@@ -21,8 +21,6 @@ from batsim.abilities import LEAGUE_AVERAGE, AbilityVector
 from batsim.cli import EXIT_OK, main
 from batsim.config import DEFAULT_D_ALPHA_GRID, DEFAULT_D_WOBA_GRID
 from batsim.conversion import (
-    LossWeights,
-    TrainConfig,
     build_pair_dataset,
     gradient_check,
     init_params,
@@ -121,7 +119,7 @@ def test_criterion_04_converter_validation_metrics():
     t0 = time.monotonic()
     players = synthesize_players(502, seed=0)
     pairs = build_pair_dataset(players)
-    _, metrics = train(pairs, TrainConfig(), seed=0)
+    _, metrics = train(pairs, seed=0)
     elapsed = time.monotonic() - t0
     assert metrics.mse_vector <= 5e-3
     assert metrics.mse_woba <= 2e-3
@@ -136,10 +134,9 @@ def test_criterion_05_gradient_correctness(params):
     pool = synthesize_players(40, seed=5)
     pairs = build_pair_dataset(pool)
     batch = (pairs.inputs[:64], pairs.targets[:64])
-    worst_init = gradient_check(init_params(seed=3), batch, LossWeights(),
+    worst_init = gradient_check(init_params(seed=3), batch,
                                 probes=100, seed=21)
-    worst_trained = gradient_check(params, batch, LossWeights(),
-                                   probes=100, seed=22)
+    worst_trained = gradient_check(params, batch, probes=100, seed=22)
     assert worst_init <= 1e-4
     assert worst_trained <= 1e-4
     print(f"criterion 5 PASS: worst relative error {worst_init:.2e} at init, "

@@ -72,9 +72,10 @@ def test_no_command_prints_help(capsys):
 
 
 def test_missing_config_file(tmp_path, capsys):
-    rc = main(["--config", str(tmp_path / "nope.json"), "--print-config"])
-    assert rc == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    for path in (tmp_path / "nope.json", tmp_path):  # absent, a directory
+        rc = main(["--config", str(path), "--print-config"])
+        assert rc == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
 
 def test_unknown_config_key(tmp_path, capsys):
@@ -86,8 +87,10 @@ def test_unknown_config_key(tmp_path, capsys):
 
 def test_invalid_json_config(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text("{not json")
-    assert main(["--config", str(path), "--print-config"]) == EXIT_CONFIG
+    for body in (b"{not json", b'{"n_games": 1\xff}'):  # the second is not UTF-8
+        path.write_bytes(body)
+        assert main(["--config", str(path), "--print-config"]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
 
 def _malformed_config(case, tmp_path):
@@ -294,6 +297,14 @@ def test_build_transitions(events_csv, tmp_path, capsys):
     assert "coverage" in capsys.readouterr().out
 
 
+def test_build_transitions_missing_events(tmp_path, capsys):
+    for path in (tmp_path / "nope.csv", tmp_path):  # absent, a directory
+        rc = main(["--out", str(tmp_path / "t.json"), "build-transitions",
+                   "--events", str(path)])
+        assert rc == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+
 def test_build_transitions_header_only(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("outs_pre,bases_pre,outcome,outs_post,bases_post,runs\n")
@@ -364,9 +375,17 @@ def test_compute_re_custom_batter(tmp_path):
 
 
 def test_compute_re_missing_batter_file(tmp_path, capsys):
-    rc = main(["--out", str(tmp_path / "re.json"), "compute-re",
-               "--batter", str(tmp_path / "nope.json")])
-    assert rc == EXIT_DATA
+    for path in (tmp_path / "nope.json", tmp_path):  # absent, a directory
+        rc = main(["--out", str(tmp_path / "re.json"), "compute-re",
+                   "--batter", str(path)])
+        assert rc == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+
+def test_output_path_is_a_directory(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "compute-re"]) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no temporary file is left
 
 
 @pytest.mark.parametrize("bad", [[0.15], None, False])
@@ -469,9 +488,10 @@ def test_convert_projection_failure(tmp_path, capsys):
 
 
 def test_convert_missing_batter_file(tmp_path):
-    rc = main(["convert", "--batter", str(tmp_path / "nope.json"),
-               "--d-alpha", "0.1", "--d-woba", "-0.005"])
-    assert rc == EXIT_DATA
+    for path in (tmp_path / "nope.json", tmp_path):  # absent, a directory
+        rc = main(["convert", "--batter", str(path),
+                   "--d-alpha", "0.1", "--d-woba", "-0.005"])
+        assert rc == EXIT_DATA
 
 
 # ---------------------------------------------------------------- sweep
@@ -490,6 +510,21 @@ def test_sweep_strategy_grid(tmp_path, capsys):
     assert lines[1].startswith("baseline,")
     assert a.read_bytes() == b.read_bytes()
     assert "best" in capsys.readouterr().out
+
+
+def test_sweep_integer_grid_entries_write_float_bytes(tmp_path):
+    """A JSON 0 in a float grid is the float 0.0: the same rows, byte for
+    byte, as a config written with 0.0."""
+    written = []
+    for name, zero in (("int", 0), ("float", 0.0)):
+        cfg = write_config(tmp_path / f"{name}.json", n_games=300,
+                           sweep={"d_alpha_grid": [zero, 0.1],
+                                  "d_woba_grid": [zero]})
+        out = tmp_path / f"{name}.csv"
+        assert main(["--config", cfg, "--out", str(out), "sweep"]) == EXIT_OK
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert b"\nstrategy,0.0,0.0," in written[0]
 
 
 def test_sweep_threshold_mode(tmp_path):
@@ -526,9 +561,10 @@ def test_validate_against_own_histogram(cfg_path, tmp_path, capsys):
 
 
 def test_validate_missing_reference(cfg_path, tmp_path):
-    rc = main(["--config", cfg_path, "--out", str(tmp_path / "v.csv"),
-               "validate", "--reference", str(tmp_path / "nope.csv")])
-    assert rc == EXIT_DATA
+    for path in (tmp_path / "nope.csv", tmp_path):  # absent, a directory
+        rc = main(["--config", cfg_path, "--out", str(tmp_path / "v.csv"),
+                   "validate", "--reference", str(path)])
+        assert rc == EXIT_DATA
 
 
 def test_validate_malformed_reference(cfg_path, tmp_path, capsys):

@@ -126,6 +126,19 @@ def test_section_reals_reject_other_types(section, field, value):
         config_from_json_obj({section: {field: value}})
 
 
+def test_section_reals_store_integers_as_floats():
+    cfg = config_from_json_obj({
+        "policy": {"d_alpha": 0, "d_woba": 0, "theta_o": 2},
+        "sweep": {"d_alpha_grid": [0, 0.1], "d_woba_grid": [0],
+                  "theta_l_grid": [1], "threshold_d_woba": 0}})
+    reals = (cfg.policy.d_alpha, cfg.policy.d_woba, cfg.policy.theta_o,
+             *cfg.sweep.d_alpha_grid, *cfg.sweep.d_woba_grid,
+             *cfg.sweep.theta_l_grid, cfg.sweep.threshold_d_woba)
+    assert all(type(v) is float for v in reals)
+    assert cfg.sweep.d_alpha_grid == (0.0, 0.1)
+    assert config_to_json_obj(cfg)["sweep"]["d_woba_grid"] == [0.0]
+
+
 @pytest.mark.parametrize("section,field,value", [
     ("lineup", "targets_path", [1]), ("lineup", "vectors_path", 3.0),
     ("lineup", "source", 3), ("transitions", "event_csv", ["a.csv"]),

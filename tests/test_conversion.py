@@ -2,6 +2,7 @@
 projection, and the convert operation."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from batsim.abilities import (
     validate,
     woba,
 )
+from batsim import conversion
 from batsim.conversion import (
     HIDDEN_WIDTH,
     INPUT_ORDER,
@@ -25,11 +27,9 @@ from batsim.conversion import (
     DatasetTooSmallError,
     EmptyBatchError,
     InsufficientPlayersError,
-    LossWeights,
     PairDataset,
     ProjectionFailureError,
     ShapeMismatchError,
-    TrainConfig,
     ValidationMetrics,
     build_pair_dataset,
     convert,
@@ -46,6 +46,7 @@ from batsim.conversion import (
     synthesize_players,
     train,
 )
+from batsim.defaults import CONVERTER_ASSET
 from batsim.strategies import build_triple, fixed_policy, always_normal
 from batsim.simulation import Lineup, monte_carlo
 from batsim.transitions import TransitionTable
@@ -65,10 +66,18 @@ def pairs(pool):
     return build_pair_dataset(pool)
 
 
+def shorter_schedule(mp: pytest.MonkeyPatch, **constants) -> None:
+    """Set conversion's schedule constants (upper-case names) for a test."""
+    for name, value in constants.items():
+        mp.setattr(conversion, name, value)
+
+
 @pytest.fixture(scope="session")
 def trained(pairs):
     """One real training run shared by the quality tests (a few seconds)."""
-    return train(pairs, TrainConfig(max_epochs=120, patience=15), seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        shorter_schedule(mp, MAX_EPOCHS=120, PATIENCE=15)
+        return train(pairs, seed=0)
 
 
 def zero_params() -> ConverterParams:
@@ -138,18 +147,18 @@ class TestLoss:
     def test_zero_delta_zero_params_is_zero(self):
         x = np.concatenate([LEAGUE_AVERAGE.as_tuple()[:7], [0.0, 0.0]])
         batch = (x[None, :], np.zeros((1, 7)))
-        assert loss(zero_params(), batch, LossWeights()) == 0.0
+        assert loss(zero_params(), batch) == 0.0
 
     def test_zero_prediction_oracle(self):
         # prediction 0 on a single sample: loss = ||y||^2 + w_woba*(y . wvec)^2
         x = np.concatenate([LEAGUE_AVERAGE.as_tuple()[:7], [0.0, 0.0]])
         y = np.array([0.01, -0.002, 0.0, 0.003, -0.01, 0.0, 0.004])
-        lw = LossWeights()
         wvec = np.zeros(7)
         weights = WOBA_WEIGHTS.as_component_array()
         wvec[:5] = weights  # (1b, 2b, 3b, hr, bb) order matches REDUCED_KEYS
-        expected = float(y @ y) + lw.woba_consistency * float(y @ wvec) ** 2
-        got = loss(zero_params(), (x[None, :], y[None, :]), lw)
+        expected = float(y @ y) \
+            + conversion.WOBA_CONSISTENCY_WEIGHT * float(y @ wvec) ** 2
+        got = loss(zero_params(), (x[None, :], y[None, :]))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_negativity_term_oracle(self):
@@ -163,24 +172,18 @@ class TestLoss:
         arrays = {k: v.copy() for k, v in p.arrays().items()}
         arrays["b3"] = y.copy()
         p = ConverterParams(**arrays)
-        lw = LossWeights(negativity=0.1, woba_consistency=0.5)
-        got = loss(p, (x[None, :], y[None, :]), lw)
-        assert got == pytest.approx(0.1 * 0.01, rel=1e-12)
+        got = loss(p, (x[None, :], y[None, :]))
+        assert got == pytest.approx(conversion.NEGATIVITY_WEIGHT * 0.01,
+                                    rel=1e-12)
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatchError):
-            loss(zero_params(), (np.zeros((0, 9)), np.zeros((0, 7))), LossWeights())
+            loss(zero_params(), (np.zeros((0, 9)), np.zeros((0, 7))))
 
     def test_nonnegative_on_real_pairs(self, trained, pairs):
         params, _ = trained
         batch = (pairs.inputs[:128], pairs.targets[:128])
-        assert loss(params, batch, LossWeights()) >= 0.0
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            LossWeights(negativity=-0.1)
-        with pytest.raises(ValueError):
-            LossWeights(woba_consistency=-1.0)
+        assert loss(params, batch) >= 0.0
 
 
 # ---------------------------------------------------------------- gradients
@@ -189,22 +192,22 @@ class TestGradients:
     def test_gradient_check_at_init(self, pairs):
         params = init_params(seed=7)
         batch = (pairs.inputs[:64], pairs.targets[:64])
-        worst = gradient_check(params, batch, LossWeights(), probes=100, seed=11)
+        worst = gradient_check(params, batch, probes=100, seed=11)
         assert worst <= 1e-4
 
     def test_gradient_check_after_training(self, trained, pairs):
         params, _ = trained
         batch = (pairs.inputs[:64], pairs.targets[:64])
-        worst = gradient_check(params, batch, LossWeights(), probes=100, seed=12)
+        worst = gradient_check(params, batch, probes=100, seed=12)
         assert worst <= 1e-4
 
-    def test_returned_arrays_are_not_reused(self, pairs):
+    def test_returned_arrays_are_not_reused(self, pairs, monkeypatch):
         params = init_params(seed=7)
         first = gradients(params, (pairs.inputs[:64], pairs.targets[:64]))
         kept = {k: v.copy() for k, v in first.items()}
         gradients(params, (pairs.inputs[64:128], pairs.targets[64:128]))
-        train(build_pair_dataset(synthesize_players(16, seed=2)),
-              TrainConfig(max_epochs=2), seed=1)
+        shorter_schedule(monkeypatch, MAX_EPOCHS=2)
+        train(build_pair_dataset(synthesize_players(16, seed=2)), seed=1)
         for k, v in kept.items():
             assert first[k].tobytes() == v.tobytes(), k
 
@@ -309,26 +312,27 @@ def reference_forward(p, x):
     return a1, h1, a2, h2, out
 
 
-def reference_loss(p, x, y, wvec, weights):
+def reference_loss(p, x, y, wvec):
     out = reference_forward(p, x)[4]
     err = out - y
     sq = np.sum(err * err, axis=1)
     implied = x[:, :7] + out
     hinge = np.sum(np.maximum(-implied, 0.0), axis=1)
     woba_err = err @ wvec
-    per_pair = sq + weights.negativity * hinge \
-        + weights.woba_consistency * woba_err * woba_err
+    per_pair = sq + conversion.NEGATIVITY_WEIGHT * hinge \
+        + conversion.WOBA_CONSISTENCY_WEIGHT * woba_err * woba_err
     return float(per_pair.mean())
 
 
-def reference_gradients(p, x, y, wvec, weights):
+def reference_gradients(p, x, y, wvec):
     n = x.shape[0]
     a1, h1, a2, h2, out = reference_forward(p, x)
     err = out - y
     implied = x[:, :7] + out
     g_out = 2.0 * err
-    g_out -= weights.negativity * (implied < 0.0)
-    g_out += (2.0 * weights.woba_consistency) * (err @ wvec)[:, None] * wvec
+    g_out -= conversion.NEGATIVITY_WEIGHT * (implied < 0.0)
+    g_out += (2.0 * conversion.WOBA_CONSISTENCY_WEIGHT) \
+        * (err @ wvec)[:, None] * wvec
     g_out /= n
     g_w3 = h2.T @ g_out
     g_b3 = g_out.sum(axis=0)
@@ -344,12 +348,13 @@ def reference_gradients(p, x, y, wvec, weights):
             "w3": g_w3, "b3": g_b3}
 
 
-def reference_train(dataset, config, seed):
-    weights = config.loss_weights
+def reference_train(dataset, seed):
+    """Reads the schedule from conversion's constants when called."""
+    c = conversion
     wvec = np.array(WOBA_WEIGHTS.as_component_array() + (0.0, 0.0))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7A11)))
     perm = rng.permutation(len(dataset))
-    n_val = max(1, int(round(len(dataset) * config.val_fraction)))
+    n_val = max(1, int(round(len(dataset) * c.VAL_FRACTION)))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     x_val, y_val = dataset.inputs[val_idx], dataset.targets[val_idx]
     x_train, y_train = dataset.inputs[train_idx], dataset.targets[train_idx]
@@ -357,17 +362,17 @@ def reference_train(dataset, config, seed):
     velocity = {k: np.zeros_like(v) for k, v in arrays.items()}
     best = {k: v.copy() for k, v in arrays.items()}
     best_loss, best_epoch, stale = math.inf, 0, 0
-    for epoch in range(1, config.max_epochs + 1):
+    for epoch in range(1, c.MAX_EPOCHS + 1):
         order = rng.permutation(len(train_idx))
-        for start in range(0, len(order), config.batch_size):
-            sel = order[start:start + config.batch_size]
+        for start in range(0, len(order), c.BATCH_SIZE):
+            sel = order[start:start + c.BATCH_SIZE]
             grads = reference_gradients(arrays, x_train[sel], y_train[sel],
-                                        wvec, weights)
+                                        wvec)
             for key, g in grads.items():
-                velocity[key] = config.momentum * velocity[key] \
-                    - config.learning_rate * g
+                velocity[key] = c.MOMENTUM * velocity[key] \
+                    - c.LEARNING_RATE * g
                 arrays[key] += velocity[key]
-        val_loss = reference_loss(arrays, x_val, y_val, wvec, weights)
+        val_loss = reference_loss(arrays, x_val, y_val, wvec)
         if val_loss < best_loss - 1e-12:
             best_loss = val_loss
             best = {k: v.copy() for k, v in arrays.items()}
@@ -375,7 +380,7 @@ def reference_train(dataset, config, seed):
             stale = 0
         else:
             stale += 1
-            if stale > config.patience:
+            if stale > c.PATIENCE:
                 break
 
     out = reference_forward(best, x_val)[4]
@@ -390,7 +395,7 @@ def reference_train(dataset, config, seed):
         mse_woba=float((woba_err * woba_err).mean()),
         neg_mass_raw=float(np.maximum(-implied8, 0.0).sum(axis=1).mean()),
         neg_mass_projected=float(np.maximum(-projected, 0.0).sum()),
-        val_loss=reference_loss(best, x_val, y_val, wvec, weights),
+        val_loss=reference_loss(best, x_val, y_val, wvec),
         epochs_run=epoch, best_epoch=best_epoch)
     return best, metrics
 
@@ -402,41 +407,42 @@ class TestTrain:
         assert metrics.mse_woba <= 2e-3
         assert metrics.neg_mass_projected == 0.0
 
-    def test_zero_delta_dataset_learned(self):
+    def test_zero_delta_dataset_learned(self, monkeypatch):
         ds = build_pair_dataset([LEAGUE_AVERAGE] * 30)
-        _, metrics = train(
-            ds, TrainConfig(max_epochs=50, patience=50, batch_size=64), seed=1)
+        shorter_schedule(monkeypatch, MAX_EPOCHS=50, PATIENCE=50, BATCH_SIZE=64)
+        _, metrics = train(ds, seed=1)
         assert metrics.mse_vector < 1e-6
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         ds = build_pair_dataset(synthesize_players(24, seed=6))
-        cfg = TrainConfig(max_epochs=8, patience=8)
-        p1, m1 = train(ds, cfg, seed=5)
-        p2, m2 = train(ds, cfg, seed=5)
+        shorter_schedule(monkeypatch, MAX_EPOCHS=8, PATIENCE=8)
+        p1, m1 = train(ds, seed=5)
+        p2, m2 = train(ds, seed=5)
         for k in ("w1", "b1", "w2", "b2", "w3", "b3"):
             assert np.array_equal(p1.arrays()[k], p2.arrays()[k])
         assert m1 == m2
 
-    def test_dataset_too_small(self):
+    def test_dataset_too_small(self, monkeypatch):
         ds = build_pair_dataset(synthesize_players(4, seed=2))  # 6 pairs
+        shorter_schedule(monkeypatch, MAX_EPOCHS=1)
         with pytest.raises(DatasetTooSmallError):
-            train(ds, TrainConfig(max_epochs=1), seed=0)
+            train(ds, seed=0)
 
-    def test_replays_the_allocating_trainer_bit_for_bit(self):
+    def test_replays_the_allocating_trainer_bit_for_bit(self, monkeypatch):
         ds = build_pair_dataset(synthesize_players(30, seed=4))  # 435 pairs
-        cfg = TrainConfig(max_epochs=3, batch_size=100)
+        shorter_schedule(monkeypatch, MAX_EPOCHS=3, BATCH_SIZE=100)
         # 348 training pairs: three full batches and a short one per epoch
-        assert (len(ds) - round(len(ds) * cfg.val_fraction)) % cfg.batch_size
-        params, metrics = train(ds, cfg, seed=8)
-        ref_params, ref_metrics = reference_train(ds, cfg, seed=8)
+        assert (len(ds) - round(len(ds) * conversion.VAL_FRACTION)) \
+            % conversion.BATCH_SIZE
+        params, metrics = train(ds, seed=8)
+        ref_params, ref_metrics = reference_train(ds, seed=8)
         for k in ("w1", "b1", "w2", "b2", "w3", "b3"):
             assert params.arrays()[k].tobytes() == ref_params[k].tobytes(), k
         assert metrics == ref_metrics
 
     def test_evaluate_consistency(self, trained, pairs):
         params, _ = trained
-        m = evaluate(params, (pairs.inputs[:256], pairs.targets[:256]),
-                     LossWeights())
+        m = evaluate(params, (pairs.inputs[:256], pairs.targets[:256]))
         assert m.mse_vector >= 0.0 and math.isfinite(m.val_loss)
         assert m.neg_mass_projected >= 0.0
 
@@ -508,7 +514,7 @@ class TestPersistence:
     def test_round_trip(self, trained, tmp_path):
         params, _ = trained
         path = tmp_path / "params.json"
-        save_params(params, path, loss_weights=LossWeights(), train_seed=0)
+        save_params(params, path, train_seed=0)
         back = load_params(path)
         for k in ("w1", "b1", "w2", "b2", "w3", "b3"):
             assert np.array_equal(params.arrays()[k], back.arrays()[k])
@@ -518,11 +524,18 @@ class TestPersistence:
 
         params, _ = trained
         path = tmp_path / "params.json"
-        save_params(params, path, loss_weights=LossWeights(), train_seed=42)
+        save_params(params, path, train_seed=42)
         obj = json.loads(path.read_text())
         assert obj["metadata"]["train_seed"] == 42
         assert obj["metadata"]["loss_weights"]["negativity"] == 0.1
         assert obj["metadata"]["input_order"] == list(INPUT_ORDER)
+
+    def test_bundled_file_rewrites_byte_for_byte(self, tmp_path):
+        # pins the whole file, the metadata block with its loss weights too
+        bundled = resources.files("batsim") / "data" / CONVERTER_ASSET
+        path = tmp_path / "params.json"
+        save_params(load_params(bundled), path, train_seed=0)
+        assert path.read_bytes() == bundled.read_bytes()
 
     def test_architecture_mismatch_rejected(self, trained, tmp_path):
         import json

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batsim.abilities import LEAGUE_AVERAGE, AbilityVector
+from batsim.abilities import LEAGUE_AVERAGE
 from batsim.synthdata import (
     ADVANCEMENT,
     stochastic_transition,
@@ -122,9 +122,6 @@ class TestSynthesizeEventLog:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             synthesize_event_log(0, seed=1)
-        with pytest.raises(ValueError):
-            synthesize_event_log(10, seed=1,
-                                 batter=AbilityVector(0, 0, 0, 1.0, 0, 0, 0, 0))
 
     def test_csv_round_trip(self, tmp_path):
         events = synthesize_event_log(1_000, seed=8)
