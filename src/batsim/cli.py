@@ -19,7 +19,6 @@ from dataclasses import replace
 from .abilities import (
     LEAGUE_AVERAGE,
     AbilityVector,
-    AbilityVectorError,
     dump_ability_vector,
     load_ability_vector,
 )
@@ -32,7 +31,6 @@ from .config import (
     with_overrides,
 )
 from .conversion import (
-    ConversionError,
     ProjectionFailureError,
     build_pair_dataset,
     convert,
@@ -66,7 +64,6 @@ from .transitions import (
     GameState,
     NonAbsorbingError,
     TransitionTable,
-    TransitionTableError,
     build_table,
     parse_event_log,
     run_expectancy,
@@ -198,8 +195,8 @@ def cmd_train_converter(cfg: ExperimentConfig, args) -> int:
         dump_pair_csv(pairs, args.pairs_csv)
         print(f"wrote {len(pairs)} training pairs to {args.pairs_csv}")
     params, metrics = train(pairs, seed=seed)
-    save_params(params, out, train_seed=seed)
     metrics_path = out + ".metrics.json"
+    # nested: if either path cannot be written, neither file is replaced
     with atomic_write(metrics_path) as fh:
         json.dump({
             "n_players": n_players,
@@ -211,6 +208,7 @@ def cmd_train_converter(cfg: ExperimentConfig, args) -> int:
             "best_epoch": metrics.best_epoch,
         }, fh, indent=2)
         fh.write("\n")
+        save_params(params, out, train_seed=seed)
     print(f"trained on {len(pairs)} pairs from {n_players} players "
           f"({metrics.epochs_run} epochs)")
     print(f"validation: MSE(vector) {metrics.mse_vector:.3e}, "
@@ -395,8 +393,7 @@ def main(argv=None) -> int:
     except (NonAbsorbingError, ProjectionFailureError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (EventLogError, TransitionTableError, ConversionError,
-            AbilityVectorError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     finally:

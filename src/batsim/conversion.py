@@ -9,13 +9,13 @@ profile plus the (share, wOBA) deltas and regresses the component-wise
 difference to the destination profile.
 
 The network is deliberately small (two ReLU layers of 100) and implemented
-directly in numpy with hand-written backprop; a finite-difference gradient
-check guards the derivation.  One routine, :func:`_backprop`, computes the
-gradients both for :func:`gradients` and inside :func:`train`.  It writes
-the activations and the gradients into a preallocated :class:`_Workspace`,
-so a training step allocates no arrays.  The trainer holds the parameters,
-their gradients and the momentum velocity each as one flat vector of
-``N_PARAMS`` values, with the six layer arrays as views into it.
+directly in numpy with hand-written backprop, guarded by a finite-difference
+gradient check.  One routine, :func:`_backprop`, computes the gradients for
+both :func:`gradients` and :func:`train`, writing into a preallocated
+:class:`_Workspace` so a training step allocates no arrays.  ``LAYOUT``
+states the parameter layout once: a :class:`ConverterParams`, weights or
+gradients alike, is one flat vector in that order with the six layer arrays
+as views into it.  Every batch of pairs is a :class:`PairDataset`.
 Everything is float64 and deterministic in the seeds.
 """
 
@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .abilities import (
+    OUTCOME_KEYS,
     WOBA_WEIGHTS,
     AbilityVector,
     NoOutProbabilityError,
@@ -39,7 +40,7 @@ from .fileio import atomic_write
 
 # The trailing fly-out component is implied by the others, so the network
 # predicts only these seven; inputs append the two requested deltas.
-REDUCED_KEYS = ("1b", "2b", "3b", "hr", "bb", "k", "g")
+REDUCED_KEYS = OUTCOME_KEYS[:7]
 INPUT_ORDER = REDUCED_KEYS + ("d_onbase_share", "d_woba")
 HIDDEN_WIDTH = 100
 
@@ -99,18 +100,26 @@ class ProjectionFailureError(ConversionError):
     """The network output could not be projected to a usable vector."""
 
 
+def _check_inputs(x) -> None:
+    shape = np.shape(x)
+    if len(shape) != 2 or shape[1] != 9:
+        raise ShapeMismatchError(f"inputs must be (N, 9), got {shape}")
+
+
 @dataclass(frozen=True)
 class PairDataset:
-    """Training pairs: inputs (N, 9) and component-delta targets (N, 7)."""
+    """A batch of pairs: inputs (N, 9) and component-delta targets (N, 7),
+    with N at least 1."""
 
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
-        if self.inputs.ndim != 2 or self.inputs.shape[1] != 9:
-            raise ShapeMismatchError(f"inputs must be (N, 9), got {self.inputs.shape}")
+        _check_inputs(self.inputs)
         if self.targets.shape != (self.inputs.shape[0], 7):
             raise ShapeMismatchError(f"targets must be (N, 7), got {self.targets.shape}")
+        if len(self) == 0:
+            raise EmptyBatchError("empty batch")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -118,61 +127,33 @@ class PairDataset:
 
 @dataclass(frozen=True)
 class ConverterParams:
-    """Network weights."""
+    """Network weights: one flat float64 vector of N_PARAMS values in LAYOUT
+    order.  Each layer named in LAYOUT (w1, b1, w2, b2, w3, b3) is also an
+    attribute that views its slice in its shape."""
 
-    w1: np.ndarray  # (9, 100)
-    b1: np.ndarray  # (100,)
-    w2: np.ndarray  # (100, 100)
-    b2: np.ndarray  # (100,)
-    w3: np.ndarray  # (100, 7)
-    b3: np.ndarray  # (7,)
+    flat: np.ndarray
 
     def __post_init__(self):
-        for name, shape in LAYOUT:
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ShapeMismatchError(f"{name} must have shape {shape}, "
-                                         f"got {arr.shape}")
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name, _ in LAYOUT}
-
-
-def _layer_views(flat: np.ndarray) -> dict[str, np.ndarray]:
-    """The six layer arrays as views into one flat vector of N_PARAMS."""
-    views = {}
-    offset = 0
-    for name, shape in LAYOUT:
-        size = math.prod(shape)
-        views[name] = flat[offset:offset + size].reshape(shape)
-        offset += size
-    return views
+        flat = self.flat
+        if flat.dtype != np.float64 or flat.shape != (N_PARAMS,):
+            raise ShapeMismatchError(f"flat must be {N_PARAMS} float64 "
+                                     f"values, got {flat.dtype} {flat.shape}")
+        ends = np.cumsum([math.prod(shape) for _, shape in LAYOUT])
+        for (name, shape), part in zip(LAYOUT, np.split(flat, ends[:-1])):
+            object.__setattr__(self, name, part.reshape(shape))
 
 
 def init_params(seed: int) -> ConverterParams:
     """He-style initialization; the output layer starts small so initial
     predictions sit near zero delta, which is the right prior."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x1217)))
-    w1 = rng.normal(0.0, math.sqrt(2.0 / 9), size=(9, HIDDEN_WIDTH))
-    w2 = rng.normal(0.0, math.sqrt(2.0 / HIDDEN_WIDTH),
-                    size=(HIDDEN_WIDTH, HIDDEN_WIDTH))
-    w3 = rng.normal(0.0, 0.1 * math.sqrt(1.0 / HIDDEN_WIDTH),
-                    size=(HIDDEN_WIDTH, 7))
-    return ConverterParams(w1=w1, b1=np.zeros(HIDDEN_WIDTH), w2=w2,
-                           b2=np.zeros(HIDDEN_WIDTH), w3=w3, b3=np.zeros(7))
-
-
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape != (9,):
-            raise ShapeMismatchError(f"expected 9 inputs, got {arr.shape}")
-        return arr[None, :], True
-    if arr.ndim != 2 or arr.shape[1] != 9:
-        raise ShapeMismatchError(f"expected (N, 9) inputs, got {arr.shape}")
-    if arr.shape[0] == 0:
-        raise EmptyBatchError("empty input batch")
-    return arr, False
+    params = ConverterParams(np.zeros(N_PARAMS))
+    params.w1[...] = rng.normal(0.0, math.sqrt(2.0 / 9), size=(9, HIDDEN_WIDTH))
+    params.w2[...] = rng.normal(0.0, math.sqrt(2.0 / HIDDEN_WIDTH),
+                                size=(HIDDEN_WIDTH, HIDDEN_WIDTH))
+    params.w3[...] = rng.normal(0.0, 0.1 * math.sqrt(1.0 / HIDDEN_WIDTH),
+                                size=(HIDDEN_WIDTH, 7))
+    return params
 
 
 def _forward_into(params: ConverterParams, x: np.ndarray, h1: np.ndarray,
@@ -190,30 +171,12 @@ def _forward_into(params: ConverterParams, x: np.ndarray, h1: np.ndarray,
     return out
 
 
-def _forward(params: ConverterParams, x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
+def forward(params: ConverterParams, x) -> np.ndarray:
+    """Predicted component deltas (N, 7) for input rows x (N, 9)."""
+    _check_inputs(x)
+    n = len(x)
     return _forward_into(params, x, np.empty((n, HIDDEN_WIDTH)),
                          np.empty((n, HIDDEN_WIDTH)), np.empty((n, 7)))
-
-
-def forward(params: ConverterParams, x) -> np.ndarray:
-    """Predicted component deltas for one input row or a batch."""
-    batch, squeeze = _as_batch(x)
-    out = _forward(params, batch)
-    return out[0] if squeeze else out
-
-
-def _unpack_batch(batch) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(batch, PairDataset):
-        return batch.inputs, batch.targets
-    x, y = batch
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 9 or y.shape != (x.shape[0], 7):
-        raise ShapeMismatchError(f"bad batch shapes {x.shape}, {y.shape}")
-    if x.shape[0] == 0:
-        raise EmptyBatchError("empty batch")
-    return x, y
 
 
 def _mean_loss(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> float:
@@ -227,17 +190,17 @@ def _mean_loss(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> float:
     return float(per_pair.mean())
 
 
-def loss(params: ConverterParams, batch) -> float:
+def loss(params: ConverterParams, batch: PairDataset) -> float:
     """Mean per-pair loss: squared delta error, plus the negativity hinge on
     the implied destination components, plus the squared wOBA mismatch."""
-    x, y = _unpack_batch(batch)
-    return _mean_loss(x, y, _forward(params, x))
+    return _mean_loss(batch.inputs, batch.targets,
+                      forward(params, batch.inputs))
 
 
 class _Workspace:
     """Buffers for one backprop over batches of up to `rows` pairs: the
-    forward activations, the output-layer terms and a flat gradient vector
-    with per-layer views.  A shorter batch uses the leading rows.  The two
+    forward activations, the output-layer terms and the gradient, itself a
+    ConverterParams.  A shorter batch uses the leading rows.  The two
     hidden-activation buffers are reused in place for their gradients."""
 
     def __init__(self, rows: int):
@@ -249,18 +212,17 @@ class _Workspace:
         self.g_out = np.empty((rows, 7))
         self.negative = np.empty((rows, 7), dtype=bool)
         self.woba_err = np.empty(rows)
-        self.grad = np.empty(N_PARAMS)
-        self.grads = _layer_views(self.grad)
+        self.grad = ConverterParams(np.empty(N_PARAMS))
 
 
 def _backprop(params: ConverterParams, x: np.ndarray, y: np.ndarray,
               ws: _Workspace) -> None:
-    """Hand-derived backprop for :func:`loss`, written into ws.grads."""
+    """Hand-derived backprop for :func:`loss`, written into ws.grad."""
     n = x.shape[0]
     h1, h2, out, err, g_out, woba_err = (
         a[:n] for a in (ws.h1, ws.h2, ws.out, ws.err, ws.g_out, ws.woba_err))
     relu, negative = ws.relu[:n], ws.negative[:n]
-    g = ws.grads
+    g = ws.grad
     _forward_into(params, x, h1, h2, out)
 
     np.subtract(out, y, out=err)
@@ -279,59 +241,73 @@ def _backprop(params: ConverterParams, x: np.ndarray, y: np.ndarray,
 
     # h2 and then h1 are overwritten by their gradients once their ReLU
     # masks (h > 0 exactly where the pre-activation is) have been taken.
-    np.matmul(h2.T, g_out, out=g["w3"])
-    np.sum(g_out, axis=0, out=g["b3"])
+    np.matmul(h2.T, g_out, out=g.w3)
+    np.sum(g_out, axis=0, out=g.b3)
     np.greater(h2, 0.0, out=relu)
     g_a2 = np.matmul(g_out, params.w3.T, out=h2)
     g_a2 *= relu
-    np.matmul(h1.T, g_a2, out=g["w2"])
-    np.sum(g_a2, axis=0, out=g["b2"])
+    np.matmul(h1.T, g_a2, out=g.w2)
+    np.sum(g_a2, axis=0, out=g.b2)
     np.greater(h1, 0.0, out=relu)
     g_a1 = np.matmul(g_a2, params.w2.T, out=h1)
     g_a1 *= relu
-    np.matmul(x.T, g_a1, out=g["w1"])
-    np.sum(g_a1, axis=0, out=g["b1"])
+    np.matmul(x.T, g_a1, out=g.w1)
+    np.sum(g_a1, axis=0, out=g.b1)
 
 
-def gradients(params: ConverterParams, batch) -> dict[str, np.ndarray]:
-    """Hand-derived backprop for :func:`loss`.  The arrays returned belong
+def gradients(params: ConverterParams, batch: PairDataset) -> ConverterParams:
+    """Hand-derived backprop for :func:`loss`.  The vector returned belongs
     to this call alone."""
-    x, y = _unpack_batch(batch)
-    ws = _Workspace(x.shape[0])
-    _backprop(params, x, y, ws)
-    return ws.grads
+    ws = _Workspace(len(batch))
+    _backprop(params, batch.inputs, batch.targets, ws)
+    return ws.grad
 
 
-def gradient_check(params: ConverterParams, batch, *, probes: int = 100,
-                   step: float = 1e-5, seed: int = 0) -> float:
-    """Compare analytic gradients against central finite differences at
-    randomly probed coordinates; returns the worst relative error."""
-    analytic = gradients(params, batch)
-    arrays = params.arrays()
-    rng = np.random.default_rng(seed)
-    names = sorted(arrays)
-    sizes = np.array([arrays[n].size for n in names])
-    total = int(sizes.sum())
+def _difference_error(params: ConverterParams, batch: PairDataset, coords,
+                      step: float) -> float:
+    """The worst relative error of the analytic gradient against central
+    finite differences at the given flat coordinates.  The loss kinks where
+    a hidden pre-activation or an implied component crosses zero, and a
+    difference across a kink says nothing of the slope at params, so the
+    step shrinks, at most a hundredfold, until both ends lie in the smooth
+    piece that params lie in."""
+    x, y = batch.inputs, batch.targets
+    h1, h2 = np.empty((len(x), HIDDEN_WIDTH)), np.empty((len(x), HIDDEN_WIDTH))
+    out = np.empty((len(x), 7))
+
+    def loss_and_piece(p: ConverterParams) -> tuple[float, np.ndarray]:
+        _forward_into(p, x, h1, h2, out)
+        piece = np.hstack([h1 > 0.0, h2 > 0.0, x[:, :7] + out < 0.0])
+        return _mean_loss(x, y, out), piece
+
+    analytic = gradients(params, batch).flat
+    piece = loss_and_piece(params)[1]
+    bumped = ConverterParams(params.flat.copy())
     worst = 0.0
-    for flat_index in rng.choice(total, size=min(probes, total), replace=False):
-        remaining = int(flat_index)
-        for name, size in zip(names, sizes):
-            if remaining < size:
+    for i in coords:
+        base = bumped.flat[i]
+        for h in (step, step / 10, step / 100):
+            bumped.flat[i] = base + h
+            up, up_piece = loss_and_piece(bumped)
+            bumped.flat[i] = base - h
+            down, down_piece = loss_and_piece(bumped)
+            if (up_piece == piece).all() and (down_piece == piece).all():
                 break
-            remaining -= int(size)
-        coords = np.unravel_index(remaining, arrays[name].shape)
-
-        def loss_at(value):
-            bumped = arrays[name].copy()
-            bumped[coords] = value
-            return loss(replace(params, **{name: bumped}), batch)
-
-        base = arrays[name][coords]
-        numeric = (loss_at(base + step) - loss_at(base - step)) / (2.0 * step)
-        exact = analytic[name][coords]
-        scale = max(abs(numeric) + abs(exact), 1e-8)
-        worst = max(worst, abs(numeric - exact) / scale)
+        bumped.flat[i] = base
+        numeric = (up - down) / (2.0 * h)
+        scale = max(abs(numeric) + abs(analytic[i]), 1e-8)
+        worst = max(worst, abs(numeric - analytic[i]) / scale)
     return worst
+
+
+def gradient_check(params: ConverterParams, batch: PairDataset, *,
+                   probes: int = 100, step: float = 1e-5,
+                   seed: int = 0) -> float:
+    """Compare analytic gradients against central finite differences at
+    randomly probed flat coordinates; returns the worst relative error."""
+    rng = np.random.default_rng(seed)
+    coords = rng.choice(N_PARAMS, size=min(probes, N_PARAMS), replace=False)
+    return _difference_error(params, batch, coords, step)
 
 
 @dataclass(frozen=True)
@@ -345,9 +321,9 @@ class ValidationMetrics:
     best_epoch: int
 
 
-def evaluate(params: ConverterParams, batch) -> ValidationMetrics:
-    x, y = _unpack_batch(batch)
-    out = _forward(params, x)
+def evaluate(params: ConverterParams, batch: PairDataset) -> ValidationMetrics:
+    x, y = batch.inputs, batch.targets
+    out = forward(params, x)
     err = out - y
     mse_vector = float(np.sum(err * err, axis=1).mean())
     woba_err = err @ WOBA_COMPONENTS
@@ -385,26 +361,24 @@ def train(dataset: PairDataset,
     if n_val >= n:
         raise DatasetTooSmallError("validation split would consume every pair")
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    x_val, y_val = dataset.inputs[val_idx], dataset.targets[val_idx]
+    val = PairDataset(dataset.inputs[val_idx], dataset.targets[val_idx])
     x_train, y_train = dataset.inputs[train_idx], dataset.targets[train_idx]
 
-    # flat is the live parameter vector and `live` views it; `best` holds a
-    # copy of flat from the best epoch so far
-    init = init_params(seed).arrays()
-    flat = np.concatenate([init[name].ravel() for name, _ in LAYOUT])
+    # `live` is updated in place through its flat vector; `best` holds a
+    # copy of that vector from the best epoch so far
+    live = init_params(seed)
+    flat = live.flat
     velocity = np.zeros(N_PARAMS)
-    live = ConverterParams(**_layer_views(flat))
     rows = min(BATCH_SIZE, len(train_idx))
     ws = _Workspace(rows)
+    grad = ws.grad.flat
     x_batch, y_batch = np.empty((rows, 9)), np.empty((rows, 7))
 
     best = flat.copy()
     best_loss = math.inf
     best_epoch = 0
     stale = 0
-    epochs_run = 0
     for epoch in range(1, MAX_EPOCHS + 1):
-        epochs_run = epoch
         order = rng.permutation(len(train_idx))
         for start in range(0, len(order), BATCH_SIZE):
             sel = order[start:start + BATCH_SIZE]
@@ -414,11 +388,11 @@ def train(dataset: PairDataset,
             np.take(y_train, sel, axis=0, out=yb, mode="clip")
             _backprop(live, xb, yb, ws)
             # velocity = MOMENTUM * velocity - LEARNING_RATE * grad
-            ws.grad *= LEARNING_RATE
+            grad *= LEARNING_RATE
             velocity *= MOMENTUM
-            velocity -= ws.grad
+            velocity -= grad
             flat += velocity
-        val_loss = loss(live, (x_val, y_val))
+        val_loss = loss(live, val)
         if val_loss < best_loss - 1e-12:
             best_loss = val_loss
             best[:] = flat
@@ -429,9 +403,9 @@ def train(dataset: PairDataset,
             if stale > PATIENCE:
                 break
 
-    best_params = ConverterParams(**_layer_views(best))
-    metrics = evaluate(best_params, (x_val, y_val))
-    metrics = replace(metrics, epochs_run=epochs_run, best_epoch=best_epoch)
+    best_params = ConverterParams(best)
+    metrics = evaluate(best_params, val)
+    metrics = replace(metrics, epochs_run=epoch, best_epoch=best_epoch)
     return best_params, metrics
 
 
@@ -540,7 +514,7 @@ def convert(params: ConverterParams, vector: AbilityVector,
         raise ValueError(f"d_woba must be non-positive, got {d_woba}")
     validate(vector)
     x = np.array(vector.as_tuple()[:7] + (d_onbase_share, d_woba))
-    delta = forward(params, x)
+    delta = forward(params, x[None])[0]
     implied = x[:7] + delta
     raw = tuple(implied) + (1.0 - float(implied.sum()),)
     projected = project_probabilities(raw)
@@ -568,7 +542,7 @@ def save_params(params: ConverterParams, path, *,
         "input_order": list(INPUT_ORDER),
         "metadata": metadata,
         "woba_weights": asdict(WOBA_WEIGHTS),
-        **{name: arr.tolist() for name, arr in params.arrays().items()},
+        **{name: getattr(params, name).tolist() for name, _ in LAYOUT},
     }
     with atomic_write(path) as fh:
         json.dump(obj, fh)
@@ -595,10 +569,15 @@ def load_params(path) -> ConverterParams:
         arrays = {name: np.array(obj[name], dtype=float) for name, _ in LAYOUT}
     except (TypeError, ValueError) as exc:
         raise ConversionError(f"{path}: malformed converter params: {exc}") from exc
+    for name, shape in LAYOUT:
+        if arrays[name].shape != shape:
+            raise ShapeMismatchError(f"{path}: {name} must have shape {shape}, "
+                                     f"got {arrays[name].shape}")
     bad = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
     if bad:
         raise ConversionError(f"{path}: non-finite weights in {bad}")
-    return ConverterParams(**arrays)
+    return ConverterParams(np.concatenate([arrays[name].ravel()
+                                           for name, _ in LAYOUT]))
 
 
 PAIR_CSV_HEADER = ",".join(INPUT_ORDER) + "," + ",".join(

@@ -127,15 +127,16 @@ class RunStats:
         return stats
 
     def save(self, json_path, csv_path=None) -> None:
+        # nested: if either path cannot be written, neither file is replaced
         with atomic_write(json_path) as fh:
             json.dump(self.to_json_dict(), fh, indent=1)
             fh.write("\n")
-        if csv_path is not None:
-            with atomic_write(csv_path, newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("runs", "count"))
-                for r, c in enumerate(self.histogram):
-                    writer.writerow((r, c))
+            if csv_path is not None:
+                with atomic_write(csv_path, newline="") as cf:
+                    writer = csv.writer(cf)
+                    writer.writerow(("runs", "count"))
+                    for r, c in enumerate(self.histogram):
+                        writer.writerow((r, c))
 
     @classmethod
     def load(cls, json_path) -> "RunStats":

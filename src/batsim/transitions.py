@@ -64,7 +64,6 @@ OUTCOMES = (
     Outcome.SINGLE, Outcome.DOUBLE, Outcome.TRIPLE, Outcome.HOME_RUN,
     Outcome.WALK, Outcome.STRIKEOUT, Outcome.GROUND_OUT, Outcome.FLY_OUT,
 )
-OUTCOME_INDEX = {o: i for i, o in enumerate(OUTCOMES)}
 OUTCOME_BY_CODE = {o.value: o for o in OUTCOMES}
 
 HITS = {Outcome.SINGLE: 1, Outcome.DOUBLE: 2, Outcome.TRIPLE: 3,

@@ -21,6 +21,7 @@ from batsim.abilities import LEAGUE_AVERAGE, AbilityVector
 from batsim.cli import EXIT_OK, main
 from batsim.config import DEFAULT_D_ALPHA_GRID, DEFAULT_D_WOBA_GRID
 from batsim.conversion import (
+    PairDataset,
     build_pair_dataset,
     gradient_check,
     init_params,
@@ -133,7 +134,7 @@ def test_criterion_04_converter_validation_metrics():
 def test_criterion_05_gradient_correctness(params):
     pool = synthesize_players(40, seed=5)
     pairs = build_pair_dataset(pool)
-    batch = (pairs.inputs[:64], pairs.targets[:64])
+    batch = PairDataset(pairs.inputs[:64], pairs.targets[:64])
     worst_init = gradient_check(init_params(seed=3), batch,
                                 probes=100, seed=21)
     worst_trained = gradient_check(params, batch, probes=100, seed=22)

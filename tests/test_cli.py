@@ -13,6 +13,7 @@ import pytest
 from batsim.abilities import LEAGUE_AVERAGE, dump_ability_vector
 from batsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from batsim.conversion import (
+    N_PARAMS,
     PAIR_CSV_HEADER,
     ConverterParams,
     load_params,
@@ -227,6 +228,19 @@ def test_simulate_normal_only(cfg_path, tmp_path, capsys):
     assert "mean" in capsys.readouterr().out
 
 
+def test_simulate_failed_histogram_write_leaves_no_stats(cfg_path, tmp_path,
+                                                         capsys):
+    out = tmp_path / "stats.json"
+    hist = tmp_path / "hist"
+    hist.mkdir()
+    rc = main(["--config", cfg_path, "--out", str(out), "simulate",
+               "--histogram-csv", str(hist)])
+    assert rc == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "hist"]
+    assert list(hist.iterdir()) == []
+
+
 def test_simulate_fixed_policy(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", n_games=200)
     out = tmp_path / "stats.json"
@@ -422,6 +436,23 @@ def test_train_converter_reproducible(tmp_path, capsys):
     load_params(a)  # round-trips through the loader's shape checks
 
 
+def test_train_converter_failed_metrics_write_leaves_no_params(tmp_path,
+                                                               capsys):
+    out = tmp_path / "conv.json"
+    (tmp_path / "conv.json.metrics.json").mkdir()
+    rc = main(["--out", str(out), "train-converter", "--players", "5"])
+    assert rc == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["conv.json.metrics.json"]
+
+    out.mkdir()  # and the other way round: the params path is a directory
+    (tmp_path / "conv.json.metrics.json").rmdir()
+    assert main(["--out", str(out), "train-converter",
+                 "--players", "5"]) == EXIT_DATA
+    assert [p.name for p in tmp_path.iterdir()] == ["conv.json"]
+    assert list(out.iterdir()) == []
+
+
 def test_train_converter_seed_changes_params(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -473,10 +504,8 @@ def test_convert_projection_failure(tmp_path, capsys):
     # biases push single mass far past the unit sum and both out components
     # negative, so strikeouts, ground outs, and the fly-out residual all
     # clamp to zero: the projected vector cannot end an inning
-    z = np.zeros
-    b3 = np.array([5.0, 0.0, 0.0, 0.0, 0.0, -1.0, -1.0])
-    broken = ConverterParams(w1=z((9, 100)), b1=z(100), w2=z((100, 100)),
-                             b2=z(100), w3=z((100, 7)), b3=b3)
+    broken = ConverterParams(np.zeros(N_PARAMS))
+    broken.b3[:] = [5.0, 0.0, 0.0, 0.0, 0.0, -1.0, -1.0]
     params_path = tmp_path / "broken.json"
     save_params(broken, params_path)
     cfg = write_config(tmp_path / "cfg.json",

@@ -20,6 +20,8 @@ from batsim import conversion
 from batsim.conversion import (
     HIDDEN_WIDTH,
     INPUT_ORDER,
+    LAYOUT,
+    N_PARAMS,
     PAIR_CSV_HEADER,
     REDUCED_KEYS,
     ConversionError,
@@ -81,63 +83,92 @@ def trained(pairs):
 
 
 def zero_params() -> ConverterParams:
-    return ConverterParams(
-        w1=np.zeros((9, HIDDEN_WIDTH)), b1=np.zeros(HIDDEN_WIDTH),
-        w2=np.zeros((HIDDEN_WIDTH, HIDDEN_WIDTH)), b2=np.zeros(HIDDEN_WIDTH),
-        w3=np.zeros((HIDDEN_WIDTH, 7)), b3=np.zeros(7),
-    )
+    return ConverterParams(np.zeros(N_PARAMS))
+
+
+def one_pair(x, y) -> PairDataset:
+    return PairDataset(np.asarray(x)[None, :], np.asarray(y)[None, :])
+
+
+# ---------------------------------------------------------------- layout
+
+class TestLayout:
+    def test_input_order_and_csv_header_are_pinned(self):
+        # both are written into converter files and pair dumps
+        assert REDUCED_KEYS == ("1b", "2b", "3b", "hr", "bb", "k", "g")
+        assert INPUT_ORDER == REDUCED_KEYS + ("d_onbase_share", "d_woba")
+        assert PAIR_CSV_HEADER == (
+            "1b,2b,3b,hr,bb,k,g,d_onbase_share,d_woba,"
+            "d_1b,d_2b,d_3b,d_hr,d_bb,d_k,d_g")
+
+    def test_layers_view_the_flat_vector_in_layout_order(self):
+        p = ConverterParams(np.arange(N_PARAMS, dtype=float))
+        offset = 0
+        for name, shape in LAYOUT:
+            layer = getattr(p, name)
+            assert layer.shape == shape
+            assert np.shares_memory(layer, p.flat)
+            assert layer.ravel()[0] == offset
+            offset += layer.size
+        assert offset == N_PARAMS
+        p.b3[6] = -1.0
+        assert p.flat[-1] == -1.0
+
+    @pytest.mark.parametrize("flat", [np.zeros(N_PARAMS - 1),
+                                      np.zeros((1, N_PARAMS)),
+                                      np.zeros(N_PARAMS, dtype=np.float32)])
+    def test_wrong_vector_rejected(self, flat):
+        with pytest.raises(ShapeMismatchError):
+            ConverterParams(flat)
 
 
 # ---------------------------------------------------------------- forward
 
 class TestForward:
     def test_zero_params_zero_output(self):
-        out = forward(zero_params(), np.ones(9))
-        assert np.array_equal(out, np.zeros(7))
+        out = forward(zero_params(), np.ones((1, 9)))
+        assert np.array_equal(out, np.zeros((1, 7)))
 
     def test_single_active_path_oracle(self):
         # one nonzero path through the net: hand-checkable scalar chain
         p = zero_params()
-        arrays = {k: v.copy() for k, v in p.arrays().items()}
-        arrays["w1"][0, 0] = 2.0
-        arrays["b1"][0] = 0.5
-        arrays["w2"][0, 0] = 3.0
-        arrays["b2"][0] = -1.0
-        arrays["w3"][0, 0] = 0.25
-        p = ConverterParams(**arrays)
-        x = np.zeros(9)
-        x[0] = 0.4
+        p.w1[0, 0] = 2.0
+        p.b1[0] = 0.5
+        p.w2[0, 0] = 3.0
+        p.b2[0] = -1.0
+        p.w3[0, 0] = 0.25
+        x = np.zeros((1, 9))
+        x[0, 0] = 0.4
         # relu(0.8 + 0.5) = 1.3; relu(3.9 - 1.0) = 2.9; 2.9 * 0.25 = 0.725
-        assert forward(p, x)[0] == pytest.approx(0.725, abs=1e-12)
+        assert forward(p, x)[0, 0] == pytest.approx(0.725, abs=1e-12)
 
     def test_relu_kills_negative_preactivation(self):
         p = zero_params()
-        arrays = {k: v.copy() for k, v in p.arrays().items()}
-        arrays["w1"][0, 0] = 2.0
-        arrays["b1"][0] = 0.5
-        arrays["w3"][0, 0] = 1.0
-        p = ConverterParams(**arrays)
-        x = np.zeros(9)
-        x[0] = -1.0  # preactivation -1.5, clipped to 0
-        assert np.array_equal(forward(p, x), np.zeros(7))
+        p.w1[0, 0] = 2.0
+        p.b1[0] = 0.5
+        p.w3[0, 0] = 1.0
+        x = np.zeros((1, 9))
+        x[0, 0] = -1.0  # preactivation -1.5, clipped to 0
+        assert np.array_equal(forward(p, x), np.zeros((1, 7)))
 
     def test_batch_shape(self, trained):
         params, _ = trained
         out = forward(params, np.zeros((5, 9)))
         assert out.shape == (5, 7)
-        single = forward(params, np.zeros(9))
-        assert single.shape == (7,)
+        single = forward(params, np.zeros((1, 9)))
+        assert single.shape == (1, 7)
         # batched and single matmuls may take different BLAS paths
-        assert np.allclose(out[0], single, rtol=1e-12, atol=1e-15)
+        assert np.allclose(out[:1], single, rtol=1e-12, atol=1e-15)
 
     def test_shape_mismatch(self, trained):
         params, _ = trained
-        with pytest.raises(ShapeMismatchError):
-            forward(params, np.zeros(8))
+        for shape in ((8,), (9,), (1, 8), (2, 10), (1, 1, 9)):
+            with pytest.raises(ShapeMismatchError):
+                forward(params, np.zeros(shape))
 
     def test_deterministic(self, trained):
         params, _ = trained
-        x = np.linspace(0.0, 0.5, 9)
+        x = np.linspace(0.0, 0.5, 9)[None, :]
         assert np.array_equal(forward(params, x), forward(params, x))
 
 
@@ -146,8 +177,7 @@ class TestForward:
 class TestLoss:
     def test_zero_delta_zero_params_is_zero(self):
         x = np.concatenate([LEAGUE_AVERAGE.as_tuple()[:7], [0.0, 0.0]])
-        batch = (x[None, :], np.zeros((1, 7)))
-        assert loss(zero_params(), batch) == 0.0
+        assert loss(zero_params(), one_pair(x, np.zeros(7))) == 0.0
 
     def test_zero_prediction_oracle(self):
         # prediction 0 on a single sample: loss = ||y||^2 + w_woba*(y . wvec)^2
@@ -158,7 +188,7 @@ class TestLoss:
         wvec[:5] = weights  # (1b, 2b, 3b, hr, bb) order matches REDUCED_KEYS
         expected = float(y @ y) \
             + conversion.WOBA_CONSISTENCY_WEIGHT * float(y @ wvec) ** 2
-        got = loss(zero_params(), (x[None, :], y[None, :]))
+        got = loss(zero_params(), one_pair(x, y))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_negativity_term_oracle(self):
@@ -169,20 +199,26 @@ class TestLoss:
         y = np.zeros(7)
         y[0] = -(src[0] + 0.01)
         p = zero_params()
-        arrays = {k: v.copy() for k, v in p.arrays().items()}
-        arrays["b3"] = y.copy()
-        p = ConverterParams(**arrays)
-        got = loss(p, (x[None, :], y[None, :]))
+        p.b3[:] = y
+        got = loss(p, one_pair(x, y))
         assert got == pytest.approx(conversion.NEGATIVITY_WEIGHT * 0.01,
                                     rel=1e-12)
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatchError):
-            loss(zero_params(), (np.zeros((0, 9)), np.zeros((0, 7))))
+            PairDataset(np.zeros((0, 9)), np.zeros((0, 7)))
+
+    @pytest.mark.parametrize("x_shape, y_shape", [((3, 8), (3, 7)),
+                                                  ((3, 9), (3, 6)),
+                                                  ((3, 9), (2, 7)),
+                                                  ((9,), (7,))])
+    def test_batch_shape_mismatch(self, x_shape, y_shape):
+        with pytest.raises(ShapeMismatchError):
+            PairDataset(np.zeros(x_shape), np.zeros(y_shape))
 
     def test_nonnegative_on_real_pairs(self, trained, pairs):
         params, _ = trained
-        batch = (pairs.inputs[:128], pairs.targets[:128])
+        batch = PairDataset(pairs.inputs[:128], pairs.targets[:128])
         assert loss(params, batch) >= 0.0
 
 
@@ -191,25 +227,58 @@ class TestLoss:
 class TestGradients:
     def test_gradient_check_at_init(self, pairs):
         params = init_params(seed=7)
-        batch = (pairs.inputs[:64], pairs.targets[:64])
+        batch = PairDataset(pairs.inputs[:64], pairs.targets[:64])
         worst = gradient_check(params, batch, probes=100, seed=11)
         assert worst <= 1e-4
 
     def test_gradient_check_after_training(self, trained, pairs):
         params, _ = trained
-        batch = (pairs.inputs[:64], pairs.targets[:64])
+        batch = PairDataset(pairs.inputs[:64], pairs.targets[:64])
         worst = gradient_check(params, batch, probes=100, seed=12)
         assert worst <= 1e-4
 
+    def test_every_bias_by_finite_differences(self, trained, pairs):
+        # the random probes above may miss the small bias layers entirely
+        ends = np.cumsum([math.prod(shape) for _, shape in LAYOUT])
+        biases = np.concatenate([np.arange(end - math.prod(shape), end)
+                                 for (name, shape), end in zip(LAYOUT, ends)
+                                 if name.startswith("b")])
+        assert len(biases) == 2 * HIDDEN_WIDTH + 7
+        batch = PairDataset(pairs.inputs[:64], pairs.targets[:64])
+        for params in (init_params(seed=7), trained[0]):
+            worst = conversion._difference_error(params, batch, biases, 1e-5)
+            assert worst <= 1e-4
+
+    def test_a_difference_across_a_kink_shrinks_its_step(self):
+        # the pair's implied single rate sits 3e-7 above zero, so a
+        # 1e-5 step on that output's bias crosses the hinge; the slope
+        # there is the squared-error term's alone, which the check matches
+        x = np.zeros(9)
+        x[0] = 3e-7
+        batch = one_pair(x, np.zeros(7))
+        b3_single = N_PARAMS - 7
+        assert conversion._difference_error(zero_params(), batch,
+                                            [b3_single], 1e-5) <= 1e-4
+
+    def test_gradient_check_leaves_params_unchanged(self, pairs):
+        params = init_params(seed=7)
+        before = params.flat.copy()
+        batch = PairDataset(pairs.inputs[:64], pairs.targets[:64])
+        gradient_check(params, batch, probes=50, seed=3)
+        assert params.flat.tobytes() == before.tobytes()
+
     def test_returned_arrays_are_not_reused(self, pairs, monkeypatch):
         params = init_params(seed=7)
-        first = gradients(params, (pairs.inputs[:64], pairs.targets[:64]))
-        kept = {k: v.copy() for k, v in first.items()}
-        gradients(params, (pairs.inputs[64:128], pairs.targets[64:128]))
+        first = gradients(params,
+                          PairDataset(pairs.inputs[:64], pairs.targets[:64]))
+        kept = first.flat.copy()
+        gradients(params,
+                  PairDataset(pairs.inputs[64:128], pairs.targets[64:128]))
         shorter_schedule(monkeypatch, MAX_EPOCHS=2)
         train(build_pair_dataset(synthesize_players(16, seed=2)), seed=1)
-        for k, v in kept.items():
-            assert first[k].tobytes() == v.tobytes(), k
+        assert first.flat.tobytes() == kept.tobytes()
+        for name, _ in LAYOUT:
+            assert np.shares_memory(getattr(first, name), first.flat), name
 
 
 # ---------------------------------------------------------------- players
@@ -358,7 +427,8 @@ def reference_train(dataset, seed):
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     x_val, y_val = dataset.inputs[val_idx], dataset.targets[val_idx]
     x_train, y_train = dataset.inputs[train_idx], dataset.targets[train_idx]
-    arrays = {k: v.copy() for k, v in init_params(seed).arrays().items()}
+    init = init_params(seed)
+    arrays = {name: getattr(init, name).copy() for name, _ in LAYOUT}
     velocity = {k: np.zeros_like(v) for k, v in arrays.items()}
     best = {k: v.copy() for k, v in arrays.items()}
     best_loss, best_epoch, stale = math.inf, 0, 0
@@ -418,8 +488,7 @@ class TestTrain:
         shorter_schedule(monkeypatch, MAX_EPOCHS=8, PATIENCE=8)
         p1, m1 = train(ds, seed=5)
         p2, m2 = train(ds, seed=5)
-        for k in ("w1", "b1", "w2", "b2", "w3", "b3"):
-            assert np.array_equal(p1.arrays()[k], p2.arrays()[k])
+        assert np.array_equal(p1.flat, p2.flat)
         assert m1 == m2
 
     def test_dataset_too_small(self, monkeypatch):
@@ -436,13 +505,13 @@ class TestTrain:
             % conversion.BATCH_SIZE
         params, metrics = train(ds, seed=8)
         ref_params, ref_metrics = reference_train(ds, seed=8)
-        for k in ("w1", "b1", "w2", "b2", "w3", "b3"):
-            assert params.arrays()[k].tobytes() == ref_params[k].tobytes(), k
+        for k, _ in LAYOUT:
+            assert getattr(params, k).tobytes() == ref_params[k].tobytes(), k
         assert metrics == ref_metrics
 
     def test_evaluate_consistency(self, trained, pairs):
         params, _ = trained
-        m = evaluate(params, (pairs.inputs[:256], pairs.targets[:256]))
+        m = evaluate(params, PairDataset(pairs.inputs[:256], pairs.targets[:256]))
         assert m.mse_vector >= 0.0 and math.isfinite(m.val_loss)
         assert m.neg_mass_projected >= 0.0
 
@@ -516,8 +585,7 @@ class TestPersistence:
         path = tmp_path / "params.json"
         save_params(params, path, train_seed=0)
         back = load_params(path)
-        for k in ("w1", "b1", "w2", "b2", "w3", "b3"):
-            assert np.array_equal(params.arrays()[k], back.arrays()[k])
+        assert np.array_equal(params.flat, back.flat)
 
     def test_metadata_block_written(self, trained, tmp_path):
         import json
@@ -536,6 +604,20 @@ class TestPersistence:
         path = tmp_path / "params.json"
         save_params(load_params(bundled), path, train_seed=0)
         assert path.read_bytes() == bundled.read_bytes()
+
+    def test_layer_shape_mismatch_rejected(self, trained, tmp_path):
+        # a transposed w1 has the right number of values, so only the
+        # per-layer shape check can catch it
+        import json
+
+        params, _ = trained
+        path = tmp_path / "params.json"
+        save_params(params, path)
+        obj = json.loads(path.read_text())
+        obj["w1"] = params.w1.T.tolist()
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ShapeMismatchError, match="w1"):
+            load_params(path)
 
     def test_architecture_mismatch_rejected(self, trained, tmp_path):
         import json

@@ -119,6 +119,6 @@ def test_bundled_table_regenerates_byte_for_byte(tmp_path):
 
 def test_default_converter_params():
     params = default_converter_params()
-    out = forward(params, np.zeros(9))
-    assert out.shape == (7,)
+    out = forward(params, np.zeros((1, 9)))
+    assert out.shape == (1, 7)
     assert np.all(np.isfinite(out))
