@@ -29,8 +29,11 @@ from batsim.conversion import (  # noqa: E402
 )
 from batsim.defaults import (  # noqa: E402
     CONVERTER_ASSET,
+    CONVERTER_SEED,
     FITTED_ASSET,
     TABLE_ASSET,
+    TABLE_EVENTS,
+    TABLE_SEED,
     bundled_lineup_targets,
     fit_lineup,
     lineup_cache_obj,
@@ -52,21 +55,21 @@ def main() -> None:
           f"({time.time() - t0:.1f}s)")
 
     t0 = time.time()
-    # the bundled table is the one transitions.source "synthetic" rebuilds
-    # under the default config
-    tc = TransitionConfig()
-    events = synthesize_event_log(tc.synthetic_events, seed=tc.synthetic_seed)
-    table = build_table(events, min_count=tc.min_count)
+    # the synthetic log's table at the default transitions.min_count, as
+    # transitions.source "event-csv" would build it from that log
+    events = synthesize_event_log(TABLE_EVENTS, seed=TABLE_SEED)
+    table = build_table(events, min_count=TransitionConfig().min_count)
     table.save(DATA_DIR / TABLE_ASSET)
     print(f"transitions: {len(table.rows)} rows, coverage {table.coverage:.3f} "
           f"({time.time() - t0:.1f}s)")
 
     t0 = time.time()
-    cc = ConverterConfig()
-    players = synthesize_players(cc.n_players, seed=cc.train_seed)
+    # what train-converter writes under the default config with
+    # --seed CONVERTER_SEED
+    players = synthesize_players(ConverterConfig().n_players, seed=CONVERTER_SEED)
     pairs = build_pair_dataset(players)
-    params, metrics = train(pairs, seed=cc.train_seed)
-    save_params(params, DATA_DIR / CONVERTER_ASSET, train_seed=cc.train_seed)
+    params, metrics = train(pairs, seed=CONVERTER_SEED)
+    save_params(params, DATA_DIR / CONVERTER_ASSET, train_seed=CONVERTER_SEED)
     print(f"converter: {len(pairs)} pairs, val MSE(vector) {metrics.mse_vector:.2e}, "
           f"val MSE(wOBA) {metrics.mse_woba:.2e}, "
           f"negative mass after projection {metrics.neg_mass_projected:.1e} "

@@ -20,7 +20,6 @@ from .abilities import (
     fit_ability_vector,
     load_ability_vector,
     onbase_share,
-    slash_stats,
     validate,
     woba,
 )
@@ -65,7 +64,6 @@ from .sweeps import (
     SweepRow,
     default_theta_grids,
     mean_batter,
-    read_sweep_csv,
     run_baseline,
     run_strategy_grid,
     run_threshold_grid,
@@ -82,7 +80,6 @@ from .transitions import (
     parse_event_log,
     run_expectancy,
     simple_transition,
-    write_event_csv,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +95,6 @@ __all__ = [
     "fit_ability_vector",
     "load_ability_vector",
     "onbase_share",
-    "slash_stats",
     "validate",
     "woba",
     "ConfigError",
@@ -136,7 +132,6 @@ __all__ = [
     "SweepRow",
     "default_theta_grids",
     "mean_batter",
-    "read_sweep_csv",
     "run_baseline",
     "run_strategy_grid",
     "run_threshold_grid",
@@ -151,6 +146,5 @@ __all__ = [
     "parse_event_log",
     "run_expectancy",
     "simple_transition",
-    "write_event_csv",
     "__version__",
 ]

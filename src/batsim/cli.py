@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
 from .abilities import (
     LEAGUE_AVERAGE,
@@ -23,12 +22,13 @@ from .abilities import (
     load_ability_vector,
 )
 from .config import (
-    MIN_PLAYERS,
+    POLICY_KINDS,
+    SWEEP_MODES,
     ConfigError,
     ExperimentConfig,
     dump_config,
     load_config,
-    with_overrides,
+    with_override,
 )
 from .conversion import (
     ProjectionFailureError,
@@ -58,7 +58,6 @@ from .sweeps import (
     total_variation,
     write_sweep_csv,
 )
-from .synthdata import synthesize_event_log
 from .transitions import (
     EventLogError,
     GameState,
@@ -79,7 +78,7 @@ EXIT_RUNTIME = 4
 
 def _resolve_lineup(cfg: ExperimentConfig):
     lc = cfg.lineup
-    if lc.source == "vectors":
+    if lc.vectors_path is not None:
         with open(lc.vectors_path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         if not isinstance(obj, list) or len(obj) != 9:
@@ -108,10 +107,7 @@ def _resolve_table(cfg: ExperimentConfig) -> TransitionTable:
         return default_transition_table()
     if tc.source == "simple":
         return TransitionTable(rows={})
-    if tc.source == "event-csv":
-        parsed = parse_event_log(tc.event_csv, strict=True)
-        return build_table(parsed.events, min_count=tc.min_count)
-    events = synthesize_event_log(tc.synthetic_events, seed=tc.synthetic_seed)
+    events = parse_event_log(tc.event_csv, strict=True).events
     return build_table(events, min_count=tc.min_count)
 
 
@@ -137,24 +133,17 @@ def _resolve_policy(cfg: ExperimentConfig, table, normals):
 
 
 def _load_batter(path):
-    if path is None:
-        return LEAGUE_AVERAGE
-    return load_ability_vector(path)
+    return LEAGUE_AVERAGE if path is None else load_ability_vector(path)
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_build_transitions(cfg: ExperimentConfig, args) -> int:
     out = args.out or "transitions.json"
-    min_count = cfg.transitions.min_count
-    if args.min_count is not None:
-        if args.min_count < 0:
-            raise ConfigError(f"--min-count must be >= 0, got {args.min_count}")
-        min_count = args.min_count
     parsed = parse_event_log(args.events, strict=not args.lenient)
     if not parsed.events:
         raise EventLogError(f"{args.events}: no usable events")
-    table = build_table(parsed.events, min_count=min_count)
+    table = build_table(parsed.events, min_count=cfg.transitions.min_count)
     table.save(out)
     print(f"built {len(table.rows)} transition rows from "
           f"{len(parsed.events)} events (coverage {table.coverage:.3f})")
@@ -183,20 +172,12 @@ def cmd_compute_re(cfg: ExperimentConfig, args) -> int:
 def cmd_train_converter(cfg: ExperimentConfig, args) -> int:
     out = args.out or "converter_params.json"
     n_players = cfg.converter.n_players
-    if args.players is not None:
-        if args.players < MIN_PLAYERS:
-            raise ConfigError(
-                f"--players must be >= {MIN_PLAYERS}, got {args.players}")
-        n_players = args.players
-    seed = args.seed if args.seed is not None else cfg.converter.train_seed
-    players = synthesize_players(n_players, seed=seed)
+    players = synthesize_players(n_players, seed=cfg.seed)
     pairs = build_pair_dataset(players)
-    if args.pairs_csv:
-        dump_pair_csv(pairs, args.pairs_csv)
-        print(f"wrote {len(pairs)} training pairs to {args.pairs_csv}")
-    params, metrics = train(pairs, seed=seed)
+    params, metrics = train(pairs, seed=cfg.seed)
     metrics_path = out + ".metrics.json"
-    # nested: if either path cannot be written, neither file is replaced
+    # nested: a failed write replaces no metrics file, and a failed params
+    # write no pairs file
     with atomic_write(metrics_path) as fh:
         json.dump({
             "n_players": n_players,
@@ -208,7 +189,11 @@ def cmd_train_converter(cfg: ExperimentConfig, args) -> int:
             "best_epoch": metrics.best_epoch,
         }, fh, indent=2)
         fh.write("\n")
-        save_params(params, out, train_seed=seed)
+        save_params(params, out, train_seed=cfg.seed)
+        if args.pairs_csv:
+            dump_pair_csv(pairs, args.pairs_csv)
+    if args.pairs_csv:
+        print(f"wrote {len(pairs)} training pairs to {args.pairs_csv}")
     print(f"trained on {len(pairs)} pairs from {n_players} players "
           f"({metrics.epochs_run} epochs)")
     print(f"validation: MSE(vector) {metrics.mse_vector:.3e}, "
@@ -238,9 +223,6 @@ def cmd_convert(cfg: ExperimentConfig, args) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     out = args.out or "runstats.json"
-    if args.policy:
-        cfg = replace(cfg, policy=replace(cfg.policy, kind=args.policy))
-        cfg.validate()
     table = _resolve_table(cfg)
     normals = _resolve_lineup(cfg)
     lineup, policy = _resolve_policy(cfg, table, normals)
@@ -259,7 +241,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     out = args.out or "sweep.csv"
-    mode = args.mode or cfg.sweep.mode
+    mode = cfg.sweep.mode
     table = _resolve_table(cfg)
     normals = _resolve_lineup(cfg)
     params = _resolve_params(cfg)
@@ -273,8 +255,8 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         rows = run_threshold_grid(normals, params, table,
                                   theta_o_grid=cfg.sweep.theta_o_grid,
                                   theta_l_grid=cfg.sweep.theta_l_grid,
-                                  d_alpha=cfg.sweep.threshold_d_alpha,
-                                  d_woba=cfg.sweep.threshold_d_woba, **common)
+                                  d_alpha=cfg.policy.d_alpha,
+                                  d_woba=cfg.policy.d_woba, **common)
     write_sweep_csv(rows, out)
     best = max(rows[1:], key=lambda r: r.mean_runs, default=rows[0])
     print(f"{mode}: {len(rows)} rows (baseline {rows[0].mean_runs:.4f}, "
@@ -311,23 +293,36 @@ def cmd_validate(cfg: ExperimentConfig, args) -> int:
 
 # ---------------------------------------------------------------- entry
 
+# each flag that sets a config field, and the field's dotted path
+_FLAG_FIELDS = {"--seed": "seed", "--workers": "workers",
+                "--players": "converter.n_players",
+                "--min-count": "transitions.min_count",
+                "--policy": "policy.kind", "--mode": "sweep.mode"}
+
+
+def _add_override(parser, flag: str, **kwargs) -> None:
+    parser.add_argument(flag, dest=_FLAG_FIELDS[flag],
+                        help=f"override config {_FLAG_FIELDS[flag]}", **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="batsim",
         description="Batting-order strategy simulator.")
     parser.add_argument("--config", help="experiment config JSON")
-    parser.add_argument("--seed", type=int, help="override config seed")
-    parser.add_argument("--workers", type=int, help="override config workers")
+    _add_override(parser, "--seed", type=int)
+    _add_override(parser, "--workers", type=int)
     parser.add_argument("--out", help="primary output path")
     parser.add_argument("--print-config", action="store_true",
-                        help="print the effective config and exit")
+                        help="print the effective config, with every "
+                             "override flag applied, and exit")
 
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("build-transitions",
                        help="estimate a transition table from an event CSV")
     p.add_argument("--events", required=True, help="event log CSV")
-    p.add_argument("--min-count", type=int, default=None)
+    _add_override(p, "--min-count", type=int)
     p.add_argument("--lenient", action="store_true",
                    help="skip malformed rows instead of failing")
 
@@ -336,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-converter",
                        help="train the strategy conversion model")
-    p.add_argument("--players", type=int, default=None,
-                   help="synthetic pool size (default from config)")
+    _add_override(p, "--players", type=int)
     p.add_argument("--pairs-csv", help="also dump the training pairs")
 
     p = sub.add_parser("convert", help="convert one batter's ability vector")
@@ -348,13 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wOBA cost (must be <= 0)")
 
     p = sub.add_parser("simulate", help="simulate games under one policy")
-    p.add_argument("--policy", choices=("normal-only", "fixed", "threshold"),
-                   help="override config policy kind")
+    _add_override(p, "--policy", choices=POLICY_KINDS)
     p.add_argument("--histogram-csv", help="also write the runs histogram CSV")
 
     p = sub.add_parser("sweep", help="run a parameter sweep to CSV")
-    p.add_argument("--mode", choices=("strategy-grid", "threshold-grid"),
-                   help="override config sweep mode")
+    _add_override(p, "--mode", choices=SWEEP_MODES)
 
     p = sub.add_parser("validate",
                        help="compare the baseline run distribution to a reference")
@@ -379,7 +371,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        cfg = with_overrides(cfg, seed=args.seed, workers=args.workers)
+        for flag, path in _FLAG_FIELDS.items():
+            value = getattr(args, path, None)  # None: unset, or another command's
+            try:
+                cfg = cfg if value is None else with_override(cfg, path, value)
+            except ConfigError as exc:
+                raise ConfigError(f"{flag} {value}: {exc}") from None
         if args.print_config:
             dump_config(cfg, sys.stdout)
             return EXIT_OK

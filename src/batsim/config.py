@@ -1,8 +1,11 @@
 """Experiment configuration: one JSON document holding every knob.
 
-The effective config (defaults merged with the user's file) can always be
-dumped back out, so a run is reproducible from a single artifact plus the
-package version.
+Each run setting lives here once.  The command-line flags that set one
+(--seed, --workers, --players, --min-count, --policy, --mode) override its
+field, and the result is checked by the same validate as a config file's.
+The effective config (defaults, then the user's file, then those flags) can
+always be dumped back out with --print-config, so a run is reproducible
+from that single artifact plus the package version.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ class ConfigError(ValueError):
 
 DEFAULT_D_ALPHA_GRID = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
 DEFAULT_D_WOBA_GRID = (0.0, -0.005, -0.01, -0.015)
+
+# the allowed values of the three choice fields, also the CLI flags' choices
+TABLE_SOURCES = ("bundled", "simple", "event-csv")
+POLICY_KINDS = ("normal-only", "fixed", "threshold")
+SWEEP_MODES = ("strategy-grid", "threshold-grid")
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -58,8 +66,9 @@ def _require_types(section, where: str) -> None:
     it.  Each field's type is its annotation: an int takes an int, a float
     a finite int or float, a str a str, and a tuple grid a list of those,
     checked entry by entry; "| None" lets None pass.  A bool is none of
-    these.  An accepted float field or grid is stored as floats, so a JSON
-    0 and 0.0 give the same config and write the same bytes."""
+    these.  An accepted float field is stored as a float and a grid as a
+    tuple of floats, so a JSON 0 and 0.0 give the same config and write the
+    same bytes."""
     for name, kind, grid, optional in _declared(type(section)):
         value = getattr(section, name)
         if value is None and optional:
@@ -82,23 +91,26 @@ def _require_file(path, where: str) -> None:
         raise ConfigError(f"{where}: file not found: {path}")
 
 
+def _require_choice(value, allowed: tuple[str, ...], where: str) -> None:
+    if value not in allowed:
+        raise ConfigError(f"{where} must be one of {', '.join(allowed)}, "
+                          f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class LineupConfig:
-    """source "targets": fit vectors from slash-line targets (bundled file
-    when targets_path is null). source "vectors": load explicit ability
-    vectors from a JSON list."""
+    """Nine explicit ability vectors from the JSON list at vectors_path, or
+    else vectors fitted to the slash-line targets at targets_path (the
+    bundled targets when both are null)."""
 
-    source: str = "targets"
     targets_path: str | None = None
     vectors_path: str | None = None
 
     def validate(self) -> None:
         _require_types(self, "lineup.")
-        if self.source not in ("targets", "vectors"):
-            raise ConfigError(f"lineup.source must be 'targets' or 'vectors', "
-                              f"got {self.source!r}")
-        if self.source == "vectors" and self.vectors_path is None:
-            raise ConfigError("lineup.source 'vectors' needs lineup.vectors_path")
+        if self.targets_path is not None and self.vectors_path is not None:
+            raise ConfigError("lineup.targets_path and lineup.vectors_path "
+                              "cannot both be set")
         _require_file(self.targets_path, "lineup.targets_path")
         _require_file(self.vectors_path, "lineup.vectors_path")
 
@@ -106,19 +118,16 @@ class LineupConfig:
 @dataclass(frozen=True)
 class TransitionConfig:
     """source: "bundled" (shipped synthetic table), "simple" (deterministic
-    advancement), "event-csv" (estimate from event_csv), or "synthetic"
-    (regenerate from synthetic_events/synthetic_seed)."""
+    advancement), or "event-csv" (estimated from event_csv, with min_count
+    events per row before it replaces the simple fallback)."""
 
     source: str = "bundled"
     event_csv: str | None = None
     min_count: int = 5
-    synthetic_events: int = 150_000
-    synthetic_seed: int = 97
 
     def validate(self) -> None:
         _require_types(self, "transitions.")
-        if self.source not in ("bundled", "simple", "event-csv", "synthetic"):
-            raise ConfigError(f"transitions.source {self.source!r} not recognized")
+        _require_choice(self.source, TABLE_SOURCES, "transitions.source")
         if self.source == "event-csv":
             if self.event_csv is None:
                 raise ConfigError("transitions.source 'event-csv' needs "
@@ -126,8 +135,6 @@ class TransitionConfig:
             _require_file(self.event_csv, "transitions.event_csv")
         if self.min_count < 0:
             raise ConfigError("transitions.min_count must be >= 0")
-        if self.synthetic_events < 1:
-            raise ConfigError("transitions.synthetic_events must be >= 1")
 
 
 MIN_PLAYERS = 5  # the fewest whose pairs reach the 10 that training needs
@@ -135,12 +142,11 @@ MIN_PLAYERS = 5  # the fewest whose pairs reach the 10 that training needs
 
 @dataclass(frozen=True)
 class ConverterConfig:
-    """params_path null means the bundled trained model. n_players and
-    train_seed drive the train-converter command."""
+    """params_path null means the bundled trained model. n_players is the
+    synthetic pool size of the train-converter command."""
 
     params_path: str | None = None
     n_players: int = 502
-    train_seed: int = 0
 
     def validate(self) -> None:
         _require_types(self, "converter.")
@@ -159,8 +165,7 @@ class PolicyConfig:
 
     def validate(self) -> None:
         _require_types(self, "policy.")
-        if self.kind not in ("normal-only", "fixed", "threshold"):
-            raise ConfigError(f"policy.kind {self.kind!r} not recognized")
+        _require_choice(self.kind, POLICY_KINDS, "policy.kind")
         if self.d_alpha < 0:
             raise ConfigError("policy.d_alpha must be >= 0")
         if self.d_woba > 0:
@@ -176,20 +181,18 @@ class PolicyConfig:
 @dataclass(frozen=True)
 class SweepConfig:
     """Grids for the two sweep modes. Null theta grids are derived from the
-    run-expectancy quantiles of the active transition table at sweep time."""
+    run-expectancy quantiles of the active transition table at sweep time;
+    the threshold grid plays policy.d_alpha and policy.d_woba."""
 
     mode: str = "strategy-grid"
     d_alpha_grid: tuple[float, ...] = DEFAULT_D_ALPHA_GRID
     d_woba_grid: tuple[float, ...] = DEFAULT_D_WOBA_GRID
     theta_o_grid: tuple[float, ...] | None = None
     theta_l_grid: tuple[float, ...] | None = None
-    threshold_d_alpha: float = 0.1
-    threshold_d_woba: float = -0.005
 
     def validate(self) -> None:
         _require_types(self, "sweep.")
-        if self.mode not in ("strategy-grid", "threshold-grid"):
-            raise ConfigError(f"sweep.mode {self.mode!r} not recognized")
+        _require_choice(self.mode, SWEEP_MODES, "sweep.mode")
         if len(self.d_alpha_grid) == 0 or len(self.d_woba_grid) == 0:
             raise ConfigError("sweep grids must be nonempty")
         if any(a < 0 for a in self.d_alpha_grid):
@@ -200,10 +203,6 @@ class SweepConfig:
             grid = getattr(self, name)
             if grid is not None and len(grid) == 0:
                 raise ConfigError(f"sweep.{name} must be nonempty when given")
-        if self.threshold_d_alpha < 0:
-            raise ConfigError("sweep.threshold_d_alpha must be >= 0")
-        if self.threshold_d_woba > 0:
-            raise ConfigError("sweep.threshold_d_woba must be <= 0")
 
 
 @dataclass(frozen=True)
@@ -220,11 +219,8 @@ class ExperimentConfig:
     pa_cap: int = PA_CAP_PER_HALF_INNING
 
     def validate(self) -> "ExperimentConfig":
-        self.lineup.validate()
-        self.transitions.validate()
-        self.converter.validate()
-        self.policy.validate()
-        self.sweep.validate()
+        for name in _SECTION_TYPES:
+            getattr(self, name).validate()
         _require_types(self, "")
         if self.n_games < 1:
             raise ConfigError("n_games must be >= 1")
@@ -243,44 +239,24 @@ class ExperimentConfig:
         return self
 
 
-_SECTION_TYPES = {
-    "lineup": LineupConfig,
-    "transitions": TransitionConfig,
-    "converter": ConverterConfig,
-    "policy": PolicyConfig,
-    "sweep": SweepConfig,
-}
+_SECTION_TYPES = {name: hint for name, hint
+                  in get_type_hints(ExperimentConfig).items() if is_dataclass(hint)}
 _TOP_LEVEL = {f.name for f in fields(ExperimentConfig)}
-
-
-def _section_from_obj(cls, obj: dict, where: str):
-    _require_keys(obj, {f.name for f in fields(cls)}, where)
-    kwargs = dict(obj)
-    for name, _, grid, _ in _declared(cls):
-        if grid and isinstance(kwargs.get(name), list):
-            kwargs[name] = tuple(kwargs[name])
-    return cls(**kwargs)
 
 
 def config_from_json_obj(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
     _require_keys(obj, _TOP_LEVEL, "config")
-    kwargs = {}
+    kwargs = dict(obj)
     for name, cls in _SECTION_TYPES.items():
         if name in obj:
             section = obj[name]
             if not isinstance(section, dict):
                 raise ConfigError(f"config.{name} must be an object")
-            kwargs[name] = _section_from_obj(cls, section, f"config.{name}")
-    for name in _TOP_LEVEL - set(_SECTION_TYPES):
-        if name in obj:
-            kwargs[name] = obj[name]
-    try:
-        cfg = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg.validate()
+            _require_keys(section, {f.name for f in fields(cls)}, f"config.{name}")
+            kwargs[name] = cls(**section)
+    return ExperimentConfig(**kwargs).validate()
 
 
 def config_to_json_obj(cfg: ExperimentConfig) -> dict:
@@ -310,11 +286,11 @@ def dump_config(cfg: ExperimentConfig, fh) -> None:
     fh.write("\n")
 
 
-def with_overrides(cfg: ExperimentConfig, *, seed: int | None = None,
-                   workers: int | None = None) -> ExperimentConfig:
-    """Apply the CLI-level --seed/--workers overrides."""
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if workers is not None:
-        cfg = replace(cfg, workers=workers)
-    return cfg.validate()
+def with_override(cfg: ExperimentConfig, path: str, value) -> ExperimentConfig:
+    """cfg with the field at a dotted path ("seed", "converter.n_players")
+    set to value, validated."""
+    section, _, name = path.rpartition(".")
+    if section:
+        value = replace(getattr(cfg, section), **{name: value})
+        name = section
+    return replace(cfg, **{name: value}).validate()

@@ -29,6 +29,14 @@ FITTED_ASSET = "lineup_fitted.json"
 TABLE_ASSET = "transitions_default.json"
 CONVERTER_ASSET = "converter_default.json"
 
+# scripts/build_default_assets.py builds the bundled table from a synthetic
+# event log of TABLE_EVENTS events drawn with TABLE_SEED, and trains the
+# bundled converter on a pool of the default converter.n_players players
+# with CONVERTER_SEED
+TABLE_EVENTS = 150_000
+TABLE_SEED = 97
+CONVERTER_SEED = 0
+
 _STAT_KEYS = ("obp", "slg", "woba", "onbase_share")
 
 

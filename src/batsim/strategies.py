@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from . import conversion
 from .abilities import AbilityVector, onbase_share, validate
 from .transitions import (
     NUM_LIVE_STATES,
@@ -113,15 +114,13 @@ def build_triple(normal: AbilityVector, params, d_alpha: float,
     non-positive overall-quality price d_woba.  With d_alpha zero the two
     variants coincide: the profile merely discounted by d_woba.
     """
-    from .conversion import convert  # local import: conversion is heavy
-
     if d_alpha < 0.0:
         raise ValueError(f"d_alpha must be non-negative, got {d_alpha}")
     if d_woba > 0.0:
         raise ValueError(f"d_woba must be non-positive, got {d_woba}")
     validate(normal)
-    on_base = convert(params, normal, d_alpha, d_woba)
-    long_hit = convert(params, normal, -d_alpha, d_woba)
+    on_base = conversion.convert(params, normal, d_alpha, d_woba)
+    long_hit = conversion.convert(params, normal, -d_alpha, d_woba)
     share_n = onbase_share(normal)
     ordering_ok = (
         onbase_share(long_hit) <= share_n + ORDERING_SLACK

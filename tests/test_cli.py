@@ -12,6 +12,7 @@ import pytest
 
 from batsim.abilities import LEAGUE_AVERAGE, dump_ability_vector
 from batsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
+from batsim.config import ExperimentConfig, config_to_json_obj, load_config
 from batsim.conversion import (
     N_PARAMS,
     PAIR_CSV_HEADER,
@@ -19,13 +20,23 @@ from batsim.conversion import (
     load_params,
     save_params,
 )
-from batsim.defaults import default_converter_params
+from batsim.defaults import (
+    default_converter_params,
+    default_transition_table,
+    fitted_lineup,
+)
 from batsim import mcengine
 from batsim.mcengine import BATCH_SIZE
-from batsim.simulation import RunStats
+from batsim.simulation import Lineup, RunStats, monte_carlo
+from batsim.strategies import always_normal
 from batsim.sweeps import SWEEP_CSV_HEADER
 from batsim.synthdata import synthesize_event_log
-from batsim.transitions import TransitionTable, write_event_csv
+from batsim.transitions import (
+    TransitionTable,
+    build_table,
+    parse_event_log,
+    write_event_csv,
+)
 
 
 def write_config(path, **over):
@@ -65,6 +76,37 @@ def test_print_config_applies_overrides(tmp_path, capsys):
     assert obj["seed"] == 7
     assert obj["workers"] == 3
     assert obj["n_games"] == 400
+
+
+@pytest.mark.parametrize("seed, command, flags, extra", [
+    (["--seed", "3"], "train-converter", ["--players", "12"], []),
+    ([], "simulate", ["--policy", "normal-only"], []),
+    ([], "sweep", ["--mode", "threshold-grid"], []),
+    ([], "build-transitions", ["--min-count", "1"], ["--events"]),
+], ids=["train-converter", "simulate", "sweep", "build-transitions"])
+def test_print_config_reproduces_the_run(seed, command, flags, extra, tmp_path,
+                                         events_csv, capsys):
+    """The config that --print-config dumps, with the command's flags
+    applied, runs the command to the same bytes without those flags."""
+    base = write_config(tmp_path / "base.json", n_games=300, seed=4,
+                        policy={"kind": "fixed"},
+                        sweep={"theta_o_grid": [1.5], "theta_l_grid": [0.3]})
+    extra = [*extra, events_csv] if extra else []
+    assert main(["--config", base, *seed, "--print-config", command, *extra,
+                 *flags]) == EXIT_OK
+    effective = tmp_path / "effective.json"
+    effective.write_text(capsys.readouterr().out)
+    a, b = tmp_path / "a.out", tmp_path / "b.out"
+    assert main(["--config", base, *seed, "--out", str(a), command, *extra,
+                 *flags]) == EXIT_OK
+    assert main(["--config", str(effective), "--out", str(b), command,
+                 *extra]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+    if command == "train-converter":
+        assert (tmp_path / "a.out.metrics.json").read_bytes() == \
+            (tmp_path / "b.out.metrics.json").read_bytes()
+    # and the flags did change the config
+    assert json.loads(effective.read_text()) != config_to_json_obj(load_config(base))
 
 
 def test_no_command_prints_help(capsys):
@@ -116,7 +158,7 @@ def _malformed_config(case, tmp_path):
     if case == "vectors-not-objects":
         vectors = tmp_path / "vectors.json"
         vectors.write_text(json.dumps([1] * 9))
-        return {"lineup": {"source": "vectors", "vectors_path": str(vectors)}}
+        return {"lineup": {"vectors_path": str(vectors)}}
     if case.startswith("vector-component-"):
         bad = {"list": [0.15], "null": None, "bool": True, "str": "0.15"}[
             case.removeprefix("vector-component-")]
@@ -124,7 +166,7 @@ def _malformed_config(case, tmp_path):
         vectors.write_text(json.dumps(
             [LEAGUE_AVERAGE.to_json_dict()] * 8
             + [{**LEAGUE_AVERAGE.to_json_dict(), "1b": bad}]))
-        return {"lineup": {"source": "vectors", "vectors_path": str(vectors)}}
+        return {"lineup": {"vectors_path": str(vectors)}}
     if case == "targets_path-int":
         return {"lineup": {"targets_path": 3}}
     if case == "targets_path-list":
@@ -239,6 +281,49 @@ def test_simulate_failed_histogram_write_leaves_no_stats(cfg_path, tmp_path,
     assert "data error" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "hist"]
     assert list(hist.iterdir()) == []
+
+
+def _simulate_normal_only(tmp_path, **over):
+    cfg = write_config(tmp_path / "cfg.json", policy={"kind": "normal-only"},
+                       **over)
+    out = tmp_path / "stats.json"
+    assert main(["--config", cfg, "--out", str(out), "simulate"]) == EXIT_OK
+    return RunStats.load(out)
+
+
+def _expected(vectors, table):
+    return monte_carlo(Lineup.from_vectors(vectors), always_normal, table,
+                       400, 99, workers=1)
+
+
+def test_simulate_simple_table(tmp_path):
+    stats = _simulate_normal_only(tmp_path, transitions={"source": "simple"})
+    table = TransitionTable(rows={})
+    assert stats == _expected(fitted_lineup().vectors, table)
+
+
+def test_simulate_event_csv_table(events_csv, tmp_path):
+    # 3000 events leave rows on either side of 40 events, so min_count
+    # changes the table and the games
+    stats = {}
+    for min_count in (0, 40):
+        stats[min_count] = _simulate_normal_only(tmp_path, transitions={
+            "source": "event-csv", "event_csv": events_csv,
+            "min_count": min_count})
+        table = build_table(parse_event_log(events_csv).events,
+                            min_count=min_count)
+        assert stats[min_count] == _expected(fitted_lineup().vectors, table)
+    assert stats[0] != stats[40]
+
+
+def test_simulate_lineup_vectors(tmp_path):
+    vectors = [LEAGUE_AVERAGE, *fitted_lineup().vectors[1:]]
+    path = tmp_path / "vectors.json"
+    path.write_text(json.dumps([v.to_json_dict() for v in vectors]))
+    stats = _simulate_normal_only(tmp_path, lineup={"vectors_path": str(path)})
+    table = default_transition_table()
+    assert stats == _expected(vectors, table)
+    assert stats != _expected(fitted_lineup().vectors, table)
 
 
 def test_simulate_fixed_policy(tmp_path):
@@ -461,6 +546,31 @@ def test_train_converter_seed_changes_params(tmp_path):
     assert main(["--seed", "2", "--out", str(b), "train-converter",
                  "--players", "30"]) == EXIT_OK
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_train_converter_failed_write_leaves_no_pairs(tmp_path, capsys):
+    """The pairs dump is written with the params and metrics: when the
+    params path cannot be written, no pairs file is left either."""
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["--out", str(out), "train-converter", "--players", "5",
+               "--pairs-csv", str(tmp_path / "p.csv")])
+    assert rc == EXIT_DATA
+    captured = capsys.readouterr()
+    assert "data error" in captured.err
+    assert "training pairs" not in captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list(out.iterdir()) == []
+
+
+def test_train_converter_seed_is_the_config_seed(tmp_path):
+    seed = str(ExperimentConfig().seed)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["--out", str(a), "train-converter", "--players", "5"]) == EXIT_OK
+    assert main(["--seed", seed, "--out", str(b), "train-converter",
+                 "--players", "5"]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(a.read_text())["metadata"]["train_seed"] == int(seed)
 
 
 def test_train_converter_dumps_pairs(tmp_path):

@@ -20,7 +20,7 @@ from batsim.config import (
     config_to_json_obj,
     dump_config,
     load_config,
-    with_overrides,
+    with_override,
 )
 
 
@@ -102,9 +102,7 @@ def test_innings_times_pa_cap_is_bounded(innings, fits, too_large):
 
 
 @pytest.mark.parametrize("section,field,value", [
-    ("transitions", "min_count", True), ("transitions", "synthetic_events", 1e5),
-    ("transitions", "synthetic_seed", "97"), ("converter", "n_players", 80.0),
-    ("converter", "train_seed", False),
+    ("transitions", "min_count", True), ("converter", "n_players", 80.0),
 ])
 def test_section_integers_reject_other_types(section, field, value):
     with pytest.raises(ConfigError, match=f"{section}.{field} must be an integer"):
@@ -117,8 +115,6 @@ def test_section_integers_reject_other_types(section, field, value):
     ("policy", "theta_o", "1.0"), ("policy", "theta_l", float("nan")),
     ("sweep", "d_alpha_grid", ["0.1"]), ("sweep", "d_woba_grid", [float("nan")]),
     ("sweep", "theta_o_grid", [1.0, True]), ("sweep", "theta_l_grid", ["0.2"]),
-    ("sweep", "threshold_d_alpha", "0.1"),
-    ("sweep", "threshold_d_woba", float("-inf")),
 ])
 def test_section_reals_reject_other_types(section, field, value):
     with pytest.raises(ConfigError,
@@ -130,10 +126,10 @@ def test_section_reals_store_integers_as_floats():
     cfg = config_from_json_obj({
         "policy": {"d_alpha": 0, "d_woba": 0, "theta_o": 2},
         "sweep": {"d_alpha_grid": [0, 0.1], "d_woba_grid": [0],
-                  "theta_l_grid": [1], "threshold_d_woba": 0}})
+                  "theta_l_grid": [1]}})
     reals = (cfg.policy.d_alpha, cfg.policy.d_woba, cfg.policy.theta_o,
              *cfg.sweep.d_alpha_grid, *cfg.sweep.d_woba_grid,
-             *cfg.sweep.theta_l_grid, cfg.sweep.threshold_d_woba)
+             *cfg.sweep.theta_l_grid)
     assert all(type(v) is float for v in reals)
     assert cfg.sweep.d_alpha_grid == (0.0, 0.1)
     assert config_to_json_obj(cfg)["sweep"]["d_woba_grid"] == [0.0]
@@ -141,7 +137,7 @@ def test_section_reals_store_integers_as_floats():
 
 @pytest.mark.parametrize("section,field,value", [
     ("lineup", "targets_path", [1]), ("lineup", "vectors_path", 3.0),
-    ("lineup", "source", 3), ("transitions", "event_csv", ["a.csv"]),
+    ("transitions", "source", 3), ("transitions", "event_csv", ["a.csv"]),
     ("transitions", "source", None), ("converter", "params_path", True),
     ("policy", "kind", ["fixed"]), ("sweep", "mode", {}),
 ])
@@ -170,13 +166,27 @@ def test_reals_take_ints_and_optional_none():
 
 
 class TestLineupConfig:
-    def test_bad_source(self):
-        with pytest.raises(ConfigError):
-            LineupConfig(source="random").validate()
+    def test_bad_source(self, tmp_path):
+        # the source is the path that is set: both is an error, and the
+        # source key itself is gone
+        p = tmp_path / "t.json"
+        p.write_text("{}")
+        with pytest.raises(ConfigError, match="cannot both be set"):
+            LineupConfig(targets_path=str(p), vectors_path=str(p)).validate()
+        with pytest.raises(ConfigError, match=r"config.lineup: \['source'\]"):
+            config_from_json_obj({"lineup": {"source": "targets"}})
 
-    def test_vectors_needs_path(self):
-        with pytest.raises(ConfigError):
-            LineupConfig(source="vectors").validate()
+    def test_vectors_needs_path(self, tmp_path):
+        p = tmp_path / "v.json"
+        p.write_text("[]")
+        assert LineupConfig(vectors_path=str(p)).validate() is None
+        with pytest.raises(ConfigError, match="not found"):
+            LineupConfig(vectors_path=str(tmp_path / "nope.json")).validate()
+        # an old config naming the vectors source is rejected, not run on
+        # the fitted targets
+        with pytest.raises(ConfigError, match="source"):
+            config_from_json_obj({"lineup": {"source": "vectors",
+                                             "vectors_path": str(p)}})
 
     def test_missing_file_rejected_at_load(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -190,8 +200,10 @@ class TestLineupConfig:
 
 class TestTransitionConfig:
     def test_bad_source(self):
-        with pytest.raises(ConfigError):
-            TransitionConfig(source="empirical").validate()
+        for source in ("empirical", "synthetic"):
+            with pytest.raises(ConfigError, match="transitions.source must be "
+                               "one of bundled, simple, event-csv"):
+                TransitionConfig(source=source).validate()
 
     def test_event_csv_needs_path(self):
         with pytest.raises(ConfigError):
@@ -202,8 +214,12 @@ class TestTransitionConfig:
             TransitionConfig(min_count=-1).validate()
 
     def test_zero_synthetic_events(self):
-        with pytest.raises(ConfigError):
-            TransitionConfig(source="synthetic", synthetic_events=0).validate()
+        # the synthetic source and its settings are gone: a config asking
+        # for them is rejected, not run on another table
+        for section in ({"source": "synthetic"}, {"synthetic_events": 0},
+                        {"synthetic_seed": 97}):
+            with pytest.raises(ConfigError, match="transitions"):
+                config_from_json_obj({"transitions": section})
 
 
 class TestConverterConfig:
@@ -280,12 +296,14 @@ def test_load_config_invalid_json(tmp_path):
 
 
 def test_with_overrides():
-    cfg = with_overrides(ExperimentConfig(), seed=7, workers=3)
-    assert cfg.seed == 7 and cfg.workers == 3
-    untouched = with_overrides(ExperimentConfig())
-    assert untouched == ExperimentConfig()
-    with pytest.raises(ConfigError):
-        with_overrides(ExperimentConfig(), workers=0)
+    cfg = with_override(ExperimentConfig(), "seed", 7)
+    cfg = with_override(cfg, "converter.n_players", 12)
+    assert cfg.seed == 7 and cfg.converter.n_players == 12
+    assert cfg == ExperimentConfig(seed=7, converter=ConverterConfig(n_players=12))
+    for field, value in (("workers", 0), ("converter.n_players", 4),
+                         ("transitions.min_count", -1), ("sweep.mode", "grid")):
+        with pytest.raises(ConfigError, match=field):
+            with_override(ExperimentConfig(), field, value)
 
 
 def test_dump_is_valid_json():

@@ -107,12 +107,12 @@ def test_default_transition_table():
 
 
 def test_bundled_table_regenerates_byte_for_byte(tmp_path):
-    """The bundled table is the one the default config's synthetic event log
-    builds, so a change to the event generator or the table builder that
-    moves any event shows here."""
-    tc = TransitionConfig()
-    events = synthesize_event_log(tc.synthetic_events, seed=tc.synthetic_seed)
-    build_table(events, min_count=tc.min_count).save(tmp_path / TABLE_ASSET)
+    """The bundled table is the one the bundled synthetic event log builds at
+    the default min_count, so a change to the event generator or the table
+    builder that moves any event shows here."""
+    events = synthesize_event_log(defaults.TABLE_EVENTS, seed=defaults.TABLE_SEED)
+    build_table(events, min_count=TransitionConfig().min_count).save(
+        tmp_path / TABLE_ASSET)
     bundled = (defaults._data_root() / TABLE_ASSET).read_bytes()
     assert (tmp_path / TABLE_ASSET).read_bytes() == bundled
 
