@@ -38,6 +38,7 @@ from batsim.defaults import (  # noqa: E402
     fit_lineup,
     lineup_cache_obj,
 )
+from batsim.fileio import atomic_write  # noqa: E402
 from batsim.synthdata import synthesize_event_log  # noqa: E402
 from batsim.transitions import build_table  # noqa: E402
 
@@ -48,8 +49,8 @@ def main() -> None:
     t0 = time.time()
     targets = bundled_lineup_targets()
     fit = fit_lineup(targets)
-    (DATA_DIR / FITTED_ASSET).write_text(
-        json.dumps(lineup_cache_obj(targets, fit), indent=1) + "\n", encoding="utf-8")
+    with atomic_write(DATA_DIR / FITTED_ASSET) as fh:
+        fh.write(json.dumps(lineup_cache_obj(targets, fit), indent=1) + "\n")
     worst = max(max(abs(r) for r in res.values()) for res in fit.residuals)
     print(f"lineup: fitted {len(fit.vectors)} slots, worst residual {worst:.4f} "
           f"({time.time() - t0:.1f}s)")
@@ -69,7 +70,8 @@ def main() -> None:
     players = synthesize_players(ConverterConfig().n_players, seed=CONVERTER_SEED)
     pairs = build_pair_dataset(players)
     params, metrics = train(pairs, seed=CONVERTER_SEED)
-    save_params(params, DATA_DIR / CONVERTER_ASSET, train_seed=CONVERTER_SEED)
+    with atomic_write(DATA_DIR / CONVERTER_ASSET) as fh:
+        save_params(params, fh, train_seed=CONVERTER_SEED)
     print(f"converter: {len(pairs)} pairs, val MSE(vector) {metrics.mse_vector:.2e}, "
           f"val MSE(wOBA) {metrics.mse_woba:.2e}, "
           f"negative mass after projection {metrics.neg_mass_projected:.1e} "

@@ -13,9 +13,7 @@ from .abilities import (
     LEAGUE_AVERAGE,
     AbilityVector,
     AbilityVectorError,
-    RunValues,
     SlashTargets,
-    WobaWeights,
     dump_ability_vector,
     fit_ability_vector,
     load_ability_vector,
@@ -88,9 +86,7 @@ __all__ = [
     "LEAGUE_AVERAGE",
     "AbilityVector",
     "AbilityVectorError",
-    "RunValues",
     "SlashTargets",
-    "WobaWeights",
     "dump_ability_vector",
     "fit_ability_vector",
     "load_ability_vector",

@@ -134,40 +134,16 @@ def validate(vector: AbilityVector) -> AbilityVector:
     return vector
 
 
-@dataclass(frozen=True)
-class RunValues:
-    """Relative run values of the on-base outcomes.
-
-    Normalized so that a walk's value is the baseline for the share metric's
-    numerator; the extra-base increments are the marginal value over a single.
-    """
-
-    single: float = 0.437
-    walk: float = 0.294
-    extra_double: float = 0.786
-    extra_triple: float = 1.117
-    extra_homer: float = 1.408
-
-
-@dataclass(frozen=True)
-class WobaWeights:
-    """Linear weights for the wOBA-style aggregate rate stat: a widely used
-    published set, increasing bb < 1b < 2b < 3b < hr."""
-
-    walk: float = 0.692
-    single: float = 0.865
-    double: float = 1.334
-    triple: float = 1.725
-    homer: float = 2.065
-
-    def as_component_array(self):
-        """Weights aligned with the (1b, 2b, 3b, hr, bb) component order."""
-        return (self.single, self.double, self.triple, self.homer, self.walk)
-
-
-# The one set of each that every stat, fit and conversion in batsim uses.
-RUN_VALUES = RunValues()
-WOBA_WEIGHTS = WobaWeights()
+# The one set of coefficients of each rate stat in batsim, keyed by the
+# on-base events of AbilityVector.positives.  The wOBA weights are a widely
+# used published set, increasing bb < 1b < 2b < 3b < hr, in the key order
+# converter files record them.  The on-base share is num / (num + extra):
+# num weighs singles and walks by their run values, extra each extra-base
+# hit by its marginal value over a single.
+WOBA_WEIGHTS = {"walk": 0.692, "single": 0.865, "double": 1.334,
+                "triple": 1.725, "homer": 2.065}
+SHARE_NUMERATOR = {"single": 0.437, "walk": 0.294}
+SHARE_EXTRA_BASE = {"double": 0.786, "triple": 1.117, "homer": 1.408}
 
 
 @dataclass(frozen=True)
@@ -194,6 +170,22 @@ FIT_TOL = 0.005
 FIT_MAX_STEPS = 10_000
 
 
+def _rate_stats(p1, p2, p3, ph, pb):
+    """(OBP, SLG, wOBA, on-base share) of the five on-base rates, in
+    AbilityVector.positives order.  SLG is NaN without at-bats (pb == 1) and
+    the share is NaN without on-base mass.  Straight-line arithmetic: the
+    fit calls this for every point of every line search."""
+    w, n, e = WOBA_WEIGHTS, SHARE_NUMERATOR, SHARE_EXTRA_BASE
+    ab = 1.0 - pb
+    num = n["single"] * p1 + n["walk"] * pb
+    den = num + (e["double"] * p2 + e["triple"] * p3 + e["homer"] * ph)
+    return (p1 + p2 + p3 + ph + pb,
+            (p1 + 2.0 * p2 + 3.0 * p3 + 4.0 * ph) / ab if ab > 0.0 else math.nan,
+            (w["single"] * p1 + w["double"] * p2 + w["triple"] * p3
+             + w["homer"] * ph + w["walk"] * pb),
+            num / den if den > 0.0 else math.nan)
+
+
 def onbase_share(vector: AbilityVector) -> float:
     """Fraction of a batter's expected run production owed to singles and walks.
 
@@ -201,24 +193,15 @@ def onbase_share(vector: AbilityVector) -> float:
     values near 0 mark one whose value is almost entirely extra-base power.
     Raises :class:`ZeroDenominatorError` when no on-base outcome has mass.
     """
-    rv = RUN_VALUES
-    num = rv.single * vector.p_1b + rv.walk * vector.p_bb
-    den = num + (rv.extra_double * vector.p_2b
-                 + rv.extra_triple * vector.p_3b
-                 + rv.extra_homer * vector.p_hr)
-    if den <= 0.0:
+    share = _rate_stats(*vector.positives)[3]
+    if math.isnan(share):
         raise ZeroDenominatorError("vector has no on-base probability mass")
-    return num / den
+    return share
 
 
 def woba(vector: AbilityVector) -> float:
     """Weighted on-base average of the vector under WOBA_WEIGHTS."""
-    weights = WOBA_WEIGHTS
-    return (weights.single * vector.p_1b
-            + weights.double * vector.p_2b
-            + weights.triple * vector.p_3b
-            + weights.homer * vector.p_hr
-            + weights.walk * vector.p_bb)
+    return _rate_stats(*vector.positives)[2]
 
 
 def slash_stats(vector: AbilityVector) -> tuple[float, float]:
@@ -228,34 +211,23 @@ def slash_stats(vector: AbilityVector) -> tuple[float, float]:
     where at-bats exclude walks; a vector that walks every time has no
     at-bats and raises :class:`AllWalksError`.
     """
-    obp = math.fsum(vector.positives)
-    ab = 1.0 - vector.p_bb
-    if ab <= 0.0:
+    obp, slg, _, _ = _rate_stats(*vector.positives)
+    if math.isnan(slg):
         raise AllWalksError("walk probability is 1; slugging is undefined")
-    total_bases = (vector.p_1b + 2.0 * vector.p_2b
-                   + 3.0 * vector.p_3b + 4.0 * vector.p_hr)
-    return obp, total_bases / ab
+    return obp, slg
 
 
 def _stat_residuals(x, targets):
     """Residuals (fit minus target) for the four stats, from the five
     positive components x = (p_1b, p_2b, p_3b, p_hr, p_bb)."""
-    rv, w = RUN_VALUES, WOBA_WEIGHTS
-    p1, p2, p3, ph, pb = x
-    obp = p1 + p2 + p3 + ph + pb
-    ab = 1.0 - pb
-    slg = (p1 + 2.0 * p2 + 3.0 * p3 + 4.0 * ph) / ab if ab > 1e-9 else 1e9
-    wv = (w.single * p1 + w.double * p2 + w.triple * p3
-          + w.homer * ph + w.walk * pb)
-    num = rv.single * p1 + rv.walk * pb
-    den = num + rv.extra_double * p2 + rv.extra_triple * p3 + rv.extra_homer * ph
-    share = num / den if den > 0.0 else 0.0
+    obp, slg, wv, share = _rate_stats(*x)
     return (obp - targets.obp, slg - targets.slg,
             wv - targets.woba, share - targets.onbase_share)
 
 
 def _objective(x, targets) -> float:
-    return sum(r * r for r in _stat_residuals(x, targets))
+    r_obp, r_slg, r_woba, r_share = _stat_residuals(x, targets)
+    return r_obp * r_obp + r_slg * r_slg + r_woba * r_woba + r_share * r_share
 
 
 def _line_minimize(f, lo, hi, coarse=33, refine=40):
@@ -358,7 +330,7 @@ def fit_residuals(vector: AbilityVector,
                   targets: SlashTargets) -> dict[str, float]:
     """Signed stat errors (fit minus target) of a fitted vector."""
     res = _stat_residuals(vector.positives, targets)
-    return dict(zip(("obp", "slg", "woba", "onbase_share"), res))
+    return {f.name: r for f, r in zip(fields(SlashTargets), res)}
 
 
 def load_ability_vector(path) -> AbilityVector:

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 from .abilities import (
     LEAGUE_AVERAGE,
@@ -176,9 +177,12 @@ def cmd_train_converter(cfg: ExperimentConfig, args) -> int:
     pairs = build_pair_dataset(players)
     params, metrics = train(pairs, seed=cfg.seed)
     metrics_path = out + ".metrics.json"
-    # nested: a failed write replaces no metrics file, and a failed params
-    # write no pairs file
-    with atomic_write(metrics_path) as fh:
+    # nested: all three files are open before any of them replaces its
+    # target, so a path that cannot be written leaves none of them
+    pairs_file = (atomic_write(args.pairs_csv, newline="") if args.pairs_csv
+                  else nullcontext())
+    with atomic_write(metrics_path) as fh, atomic_write(out) as params_fh, \
+            pairs_file as pairs_fh:
         json.dump({
             "n_players": n_players,
             "n_pairs": len(pairs),
@@ -189,9 +193,9 @@ def cmd_train_converter(cfg: ExperimentConfig, args) -> int:
             "best_epoch": metrics.best_epoch,
         }, fh, indent=2)
         fh.write("\n")
-        save_params(params, out, train_seed=cfg.seed)
+        save_params(params, params_fh, train_seed=cfg.seed)
         if args.pairs_csv:
-            dump_pair_csv(pairs, args.pairs_csv)
+            dump_pair_csv(pairs, pairs_fh)
     if args.pairs_csv:
         print(f"wrote {len(pairs)} training pairs to {args.pairs_csv}")
     print(f"trained on {len(pairs)} pairs from {n_players} players "
@@ -227,8 +231,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     normals = _resolve_lineup(cfg)
     lineup, policy = _resolve_policy(cfg, table, normals)
     stats = monte_carlo(lineup, policy, table, cfg.n_games, cfg.seed,
-                        workers=cfg.workers, innings=cfg.innings,
-                        pa_cap=cfg.pa_cap)
+                        workers=cfg.workers)
     stats.save(out, csv_path=args.histogram_csv)
     print(f"policy {cfg.policy.kind}: mean {stats.mean:.4f} runs/game "
           f"(stderr {stats.stderr:.4f}) over {stats.n_games} games")
@@ -245,8 +248,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     table = _resolve_table(cfg)
     normals = _resolve_lineup(cfg)
     params = _resolve_params(cfg)
-    common = dict(n_games=cfg.n_games, seed=cfg.seed, workers=cfg.workers,
-                  innings=cfg.innings, pa_cap=cfg.pa_cap)
+    common = dict(n_games=cfg.n_games, seed=cfg.seed, workers=cfg.workers)
     if mode == "strategy-grid":
         rows = run_strategy_grid(normals, params, table,
                                  d_alpha_grid=cfg.sweep.d_alpha_grid,
@@ -273,8 +275,7 @@ def cmd_validate(cfg: ExperimentConfig, args) -> int:
     normals = _resolve_lineup(cfg)
     lineup = Lineup.from_vectors(normals)
     stats = monte_carlo(lineup, always_normal, table, cfg.n_games, cfg.seed,
-                        workers=cfg.workers, innings=cfg.innings,
-                        pa_cap=cfg.pa_cap)
+                        workers=cfg.workers)
     tv = total_variation(stats.histogram, reference)
     width = max(len(stats.histogram), len(reference))
     with atomic_write(out, newline="") as fh:

@@ -17,9 +17,6 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
-from .mcengine import count_shifts
-from .simulation import DEFAULT_INNINGS, PA_CAP_PER_HALF_INNING
-
 
 class ConfigError(ValueError):
     pass
@@ -215,8 +212,6 @@ class ExperimentConfig:
     n_games: int = 100_000
     seed: int = 2026
     workers: int = 1
-    innings: int = DEFAULT_INNINGS
-    pa_cap: int = PA_CAP_PER_HALF_INNING
 
     def validate(self) -> "ExperimentConfig":
         for name in _SECTION_TYPES:
@@ -228,14 +223,6 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.innings < 1:
-            raise ConfigError("innings must be >= 1")
-        if self.pa_cap < 1:
-            raise ConfigError("pa_cap must be >= 1")
-        try:
-            count_shifts(self.innings, self.pa_cap)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         return self
 
 

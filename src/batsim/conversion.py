@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .abilities import (
     validate,
     woba,
 )
-from .fileio import atomic_write
 
 # The trailing fly-out component is implied by the others, so the network
 # predicts only these seven; inputs append the two requested deltas.
@@ -53,7 +52,8 @@ LAYOUT = (
 N_PARAMS = sum(math.prod(shape) for _, shape in LAYOUT)
 
 # wOBA coefficients aligned with REDUCED_KEYS; outs carry no weight.
-WOBA_COMPONENTS = np.array(WOBA_WEIGHTS.as_component_array() + (0.0, 0.0))
+WOBA_COMPONENTS = np.array([WOBA_WEIGHTS[k] for k in (
+    "single", "double", "triple", "homer", "walk")] + [0.0, 0.0])
 WOBA_COMPONENTS.flags.writeable = False
 
 # Acceptance window for synthesized player pools.
@@ -525,11 +525,12 @@ def convert(params: ConverterParams, vector: AbilityVector,
             "projected vector has no out probability") from exc
 
 
-def save_params(params: ConverterParams, path, *,
+def save_params(params: ConverterParams, fh, *,
                 train_seed: int | None = None) -> None:
-    """Write params as JSON: layer arrays, the wOBA weights they were
-    trained under, and a metadata block recording the input ordering, the
-    loss weights and, when known, the training seed."""
+    """Write params as JSON to the open text file fh: layer arrays, the
+    wOBA weights they were trained under, and a metadata block recording
+    the input ordering, the loss weights and, when known, the training
+    seed."""
     metadata: dict = {
         "input_order": list(INPUT_ORDER),
         "loss_weights": {"negativity": NEGATIVITY_WEIGHT,
@@ -541,12 +542,11 @@ def save_params(params: ConverterParams, path, *,
         "architecture": [9, HIDDEN_WIDTH, HIDDEN_WIDTH, 7],
         "input_order": list(INPUT_ORDER),
         "metadata": metadata,
-        "woba_weights": asdict(WOBA_WEIGHTS),
+        "woba_weights": WOBA_WEIGHTS,
         **{name: getattr(params, name).tolist() for name, _ in LAYOUT},
     }
-    with atomic_write(path) as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+    json.dump(obj, fh)
+    fh.write("\n")
 
 
 def load_params(path) -> ConverterParams:
@@ -562,7 +562,7 @@ def load_params(path) -> ConverterParams:
         raise ConversionError(f"unsupported architecture {obj['architecture']}")
     if obj["input_order"] != list(INPUT_ORDER):
         raise ConversionError("input order does not match this build")
-    if obj["woba_weights"] != asdict(WOBA_WEIGHTS):
+    if obj["woba_weights"] != WOBA_WEIGHTS:
         raise ConversionError(f"{path}: trained under wOBA weights "
                               f"{obj['woba_weights']}, not this build's")
     try:
@@ -584,10 +584,10 @@ PAIR_CSV_HEADER = ",".join(INPUT_ORDER) + "," + ",".join(
     f"d_{k}" for k in REDUCED_KEYS)
 
 
-def dump_pair_csv(dataset: PairDataset, path) -> None:
-    """Inspection dump: 9 input columns then the 7 target-delta columns."""
-    with atomic_write(path, newline="") as fh:
-        fh.write(PAIR_CSV_HEADER + "\n")
-        for i in range(len(dataset)):
-            row = np.concatenate([dataset.inputs[i], dataset.targets[i]])
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+def dump_pair_csv(dataset: PairDataset, fh) -> None:
+    """Inspection dump to the open text file fh (opened with newline=""):
+    9 input columns then the 7 target-delta columns."""
+    fh.write(PAIR_CSV_HEADER + "\n")
+    for i in range(len(dataset)):
+        row = np.concatenate([dataset.inputs[i], dataset.targets[i]])
+        fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -10,7 +10,7 @@ numpy/BLAS build and CPU, since their last bits depend on both.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 from .abilities import (
@@ -37,8 +37,6 @@ TABLE_EVENTS = 150_000
 TABLE_SEED = 97
 CONVERTER_SEED = 0
 
-_STAT_KEYS = ("obp", "slg", "woba", "onbase_share")
-
 
 def _data_root():
     return resources.files("batsim") / "data"
@@ -50,12 +48,13 @@ def lineup_targets_from_json(obj, where) -> list[SlashTargets]:
     rows = obj.get("targets") if isinstance(obj, dict) else None
     if not isinstance(rows, list):
         raise ConfigError(f"{where}: expected an object with a 'targets' list")
+    stats = [f.name for f in fields(SlashTargets)]
     for i, row in enumerate(rows):
-        if (not isinstance(row, dict) or set(row) != set(_STAT_KEYS)
+        if (not isinstance(row, dict) or set(row) != set(stats)
                 or any(isinstance(v, bool) or not isinstance(v, (int, float))
                        for v in row.values())):
             raise ConfigError(f"{where}: target row {i} must hold exactly the "
-                              f"numbers {', '.join(_STAT_KEYS)}, got {row!r}")
+                              f"numbers {', '.join(stats)}, got {row!r}")
     return [SlashTargets(**row) for row in rows]
 
 
@@ -75,7 +74,7 @@ class LineupFit:
 
 
 def _targets_json(targets: list[SlashTargets]) -> list[dict]:
-    return [{k: getattr(t, k) for k in _STAT_KEYS} for t in targets]
+    return [asdict(t) for t in targets]
 
 
 def fit_lineup(targets: list[SlashTargets]) -> LineupFit:

@@ -17,14 +17,7 @@ import numpy as np
 
 from .abilities import AbilityVector
 from .fileio import atomic_write
-from .simulation import (
-    DEFAULT_INNINGS,
-    PA_CAP_PER_HALF_INNING,
-    Lineup,
-    RunStats,
-    monte_carlo,
-    monte_carlo_cells,
-)
+from .simulation import Lineup, RunStats, monte_carlo, monte_carlo_cells
 from .strategies import always_normal, build_triple, fixed_policy, threshold_policy
 from .transitions import RunExpectancyTable, TransitionTable, run_expectancy
 
@@ -65,31 +58,27 @@ def _stats_row(mode: str, stats: RunStats, baseline_mean: float | None,
 
 
 def run_baseline(normals, table: TransitionTable, *, n_games: int, seed: int,
-                 workers: int = 1, innings: int = DEFAULT_INNINGS,
-                 pa_cap: int = PA_CAP_PER_HALF_INNING) -> SweepRow:
+                 workers: int = 1) -> SweepRow:
     lineup = Lineup.from_vectors(normals)
-    stats = monte_carlo(lineup, always_normal, table, n_games, seed,
-                        workers=workers, innings=innings, pa_cap=pa_cap)
+    stats = monte_carlo(lineup, always_normal, table, n_games, seed, workers=workers)
     return _stats_row("baseline", stats, None)
 
 
 def run_strategy_grid(normals, params, table: TransitionTable, *,
                       d_alpha_grid, d_woba_grid, n_games: int, seed: int,
-                      workers: int = 1, innings: int = DEFAULT_INNINGS,
-                      pa_cap: int = PA_CAP_PER_HALF_INNING) -> list[SweepRow]:
+                      workers: int = 1) -> list[SweepRow]:
     """Fixed-condition policy over every (d_alpha, d_woba) cell.
 
     The baseline row comes first; grid rows follow in parameter-tuple order
     regardless of evaluation order.
     """
     baseline = run_baseline(normals, table, n_games=n_games, seed=seed,
-                            workers=workers, innings=innings, pa_cap=pa_cap)
+                            workers=workers)
     grid = sorted(product(set(d_alpha_grid), set(d_woba_grid)))
     lineups = [Lineup(tuple(build_triple(v, params, d_alpha, d_woba)
                             for v in normals)) for d_alpha, d_woba in grid]
-    stats = monte_carlo_cells(
-        [(lineup, fixed_policy, table) for lineup in lineups], n_games, seed,
-        workers=workers, innings=innings, pa_cap=pa_cap)
+    stats = monte_carlo_cells([(lineup, fixed_policy, table) for lineup in lineups],
+                              n_games, seed, workers=workers)
     return [baseline] + [
         _stats_row("strategy", cell, baseline.mean_runs,
                    d_alpha=d_alpha, d_woba=d_woba,
@@ -119,10 +108,7 @@ def default_theta_grids(re_table: RunExpectancyTable,
 def run_threshold_grid(normals, params, table: TransitionTable, *,
                        theta_o_grid=None, theta_l_grid=None,
                        d_alpha: float, d_woba: float,
-                       n_games: int, seed: int, workers: int = 1,
-                       innings: int = DEFAULT_INNINGS,
-                       pa_cap: int = PA_CAP_PER_HALF_INNING,
-                       ) -> list[SweepRow]:
+                       n_games: int, seed: int, workers: int = 1) -> list[SweepRow]:
     """Threshold-activation policy over every valid (theta_o, theta_l) cell
     at one fixed strategy spread. Cells with theta_l >= theta_o are skipped
     and logged rather than simulated."""
@@ -133,7 +119,7 @@ def run_threshold_grid(normals, params, table: TransitionTable, *,
         theta_l_grid = derived_l if theta_l_grid is None else theta_l_grid
 
     baseline = run_baseline(normals, table, n_games=n_games, seed=seed,
-                            workers=workers, innings=innings, pa_cap=pa_cap)
+                            workers=workers)
     triples = [build_triple(v, params, d_alpha, d_woba) for v in normals]
     infeasible = sum(1 for t in triples if not t.ordering_ok)
     lineup = Lineup(tuple(triples))
@@ -148,7 +134,7 @@ def run_threshold_grid(normals, params, table: TransitionTable, *,
     stats = monte_carlo_cells(
         [(lineup, threshold_policy(theta_o, theta_l, re_table), table)
          for theta_o, theta_l in grid],
-        n_games, seed, workers=workers, innings=innings, pa_cap=pa_cap)
+        n_games, seed, workers=workers)
     return [baseline] + [
         _stats_row("threshold", cell, baseline.mean_runs,
                    d_alpha=d_alpha, d_woba=d_woba,

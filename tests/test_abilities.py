@@ -209,6 +209,14 @@ class TestFitAbilityVector:
         with pytest.raises(AbilityVectorError):
             fit_ability_vector(targets, bad)
 
+    @given(ability_vectors())
+    def test_own_stats_have_zero_residuals(self, vec):
+        """The fit scores a vector with the same formulas that compute its
+        stats, so its own stat line is met exactly, not to the last bit."""
+        targets = SlashTargets(*slash_stats(vec), woba(vec), onbase_share(vec))
+        assert fit_residuals(vec, targets) == {
+            "obp": 0.0, "slg": 0.0, "woba": 0.0, "onbase_share": 0.0}
+
     @settings(max_examples=15, deadline=None)
     @given(ability_vectors())
     def test_round_trip_from_own_stats(self, vec):

@@ -145,7 +145,7 @@ def _malformed_config(case, tmp_path):
         return {"n_games": 100.5}
     if case == "workers-float":
         return {"workers": 1.5}
-    if case == "pa_cap-too-large":
+    if case == "pa_cap-too-large":  # engine parameters: unknown config keys
         return {"innings": 9, "pa_cap": 3641}
     if case == "d_alpha-str":
         return {"policy": {"d_alpha": "0.1"}}
@@ -176,7 +176,8 @@ def _malformed_config(case, tmp_path):
         if case == "params-list":
             params.write_text("[]")
         else:
-            save_params(default_converter_params(), params)
+            with open(params, "w", encoding="utf-8") as fh:
+                save_params(default_converter_params(), fh)
             obj = json.loads(params.read_text())
             if case == "params-nan":  # would be clamped to zero mass
                 obj["b3"][0] = float("nan")
@@ -563,6 +564,19 @@ def test_train_converter_failed_write_leaves_no_pairs(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_train_converter_unwritable_pairs_leaves_no_params(tmp_path, capsys):
+    """A pairs path that cannot be written leaves neither the params nor
+    the metrics file: all three are written together."""
+    pairs = tmp_path / "pairs"
+    pairs.mkdir()
+    rc = main(["--out", str(tmp_path / "x.json"), "train-converter",
+               "--players", "5", "--pairs-csv", str(pairs)])
+    assert rc == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs"]
+    assert list(pairs.iterdir()) == []
+
+
 def test_train_converter_seed_is_the_config_seed(tmp_path):
     seed = str(ExperimentConfig().seed)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -617,7 +631,8 @@ def test_convert_projection_failure(tmp_path, capsys):
     broken = ConverterParams(np.zeros(N_PARAMS))
     broken.b3[:] = [5.0, 0.0, 0.0, 0.0, 0.0, -1.0, -1.0]
     params_path = tmp_path / "broken.json"
-    save_params(broken, params_path)
+    with open(params_path, "w", encoding="utf-8") as fh:
+        save_params(broken, fh)
     cfg = write_config(tmp_path / "cfg.json",
                        converter={"params_path": str(params_path)})
     rc = main(["--config", cfg, "convert", "--d-alpha", "0.0",

@@ -51,8 +51,10 @@ def test_partial_document_gets_defaults():
 
 
 def test_unknown_top_level_key():
-    with pytest.raises(ConfigError, match="ngames"):
-        config_from_json_obj({"ngames": 5})
+    # innings and pa_cap are engine parameters, not config settings
+    for key in ("ngames", "innings", "pa_cap"):
+        with pytest.raises(ConfigError, match=key):
+            config_from_json_obj({key: 5})
 
 
 def test_unknown_nested_key():
@@ -81,24 +83,13 @@ def test_grid_must_be_list():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("n_games", 0), ("seed", -1), ("workers", 0), ("innings", 0), ("pa_cap", 0),
+    ("n_games", 0), ("seed", -1), ("workers", 0),
     ("n_games", "100"), ("n_games", 100.5), ("workers", True), ("seed", 1.0),
     ("n_games", None),
 ])
 def test_top_level_bounds(field, value):
     with pytest.raises(ConfigError):
         config_from_json_obj({field: value})
-
-
-@pytest.mark.parametrize("innings, fits, too_large", [(9, 3640, 3641),
-                                                      (1, 32767, 32768)])
-def test_innings_times_pa_cap_is_bounded(innings, fits, too_large):
-    # the engine packs a game's runs, plate appearances, fallbacks and
-    # innings into one int64; the defaults, 9 x 100, are far inside
-    assert config_from_json_obj({"innings": innings, "pa_cap": fits}).pa_cap == fits
-    bound = f"innings x pa_cap = {innings} x {too_large}"
-    with pytest.raises(ConfigError, match=bound):
-        config_from_json_obj({"innings": innings, "pa_cap": too_large})
 
 
 @pytest.mark.parametrize("section,field,value", [

@@ -55,6 +55,9 @@ from batsim.transitions import TransitionTable
 
 from conftest import ability_vectors
 
+# the wOBA weight keys in AbilityVector.positives order (1b, 2b, 3b, hr, bb)
+ONBASE_EVENTS = ("single", "double", "triple", "homer", "walk")
+
 
 # ---------------------------------------------------------------- fixtures
 
@@ -184,8 +187,8 @@ class TestLoss:
         x = np.concatenate([LEAGUE_AVERAGE.as_tuple()[:7], [0.0, 0.0]])
         y = np.array([0.01, -0.002, 0.0, 0.003, -0.01, 0.0, 0.004])
         wvec = np.zeros(7)
-        weights = WOBA_WEIGHTS.as_component_array()
-        wvec[:5] = weights  # (1b, 2b, 3b, hr, bb) order matches REDUCED_KEYS
+        # (1b, 2b, 3b, hr, bb) order matches REDUCED_KEYS
+        wvec[:5] = [WOBA_WEIGHTS[k] for k in ONBASE_EVENTS]
         expected = float(y @ y) \
             + conversion.WOBA_CONSISTENCY_WEIGHT * float(y @ wvec) ** 2
         got = loss(zero_params(), one_pair(x, y))
@@ -356,7 +359,8 @@ class TestPairDataset:
     def test_csv_dump(self, tmp_path):
         ds = build_pair_dataset(synthesize_players(4, seed=8))
         out = tmp_path / "pairs.csv"
-        dump_pair_csv(ds, out)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            dump_pair_csv(ds, fh)
         lines = out.read_text().splitlines()
         assert lines[0] == PAIR_CSV_HEADER
         assert len(lines) == 1 + len(ds)
@@ -420,7 +424,7 @@ def reference_gradients(p, x, y, wvec):
 def reference_train(dataset, seed):
     """Reads the schedule from conversion's constants when called."""
     c = conversion
-    wvec = np.array(WOBA_WEIGHTS.as_component_array() + (0.0, 0.0))
+    wvec = np.array([WOBA_WEIGHTS[k] for k in ONBASE_EVENTS] + [0.0, 0.0])
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7A11)))
     perm = rng.permutation(len(dataset))
     n_val = max(1, int(round(len(dataset) * c.VAL_FRACTION)))
@@ -583,7 +587,8 @@ class TestPersistence:
     def test_round_trip(self, trained, tmp_path):
         params, _ = trained
         path = tmp_path / "params.json"
-        save_params(params, path, train_seed=0)
+        with open(path, "w", encoding="utf-8") as fh:
+            save_params(params, fh, train_seed=0)
         back = load_params(path)
         assert np.array_equal(params.flat, back.flat)
 
@@ -592,7 +597,8 @@ class TestPersistence:
 
         params, _ = trained
         path = tmp_path / "params.json"
-        save_params(params, path, train_seed=42)
+        with open(path, "w", encoding="utf-8") as fh:
+            save_params(params, fh, train_seed=42)
         obj = json.loads(path.read_text())
         assert obj["metadata"]["train_seed"] == 42
         assert obj["metadata"]["loss_weights"]["negativity"] == 0.1
@@ -602,7 +608,8 @@ class TestPersistence:
         # pins the whole file, the metadata block with its loss weights too
         bundled = resources.files("batsim") / "data" / CONVERTER_ASSET
         path = tmp_path / "params.json"
-        save_params(load_params(bundled), path, train_seed=0)
+        with open(path, "w", encoding="utf-8") as fh:
+            save_params(load_params(bundled), fh, train_seed=0)
         assert path.read_bytes() == bundled.read_bytes()
 
     def test_layer_shape_mismatch_rejected(self, trained, tmp_path):
@@ -612,7 +619,8 @@ class TestPersistence:
 
         params, _ = trained
         path = tmp_path / "params.json"
-        save_params(params, path)
+        with open(path, "w", encoding="utf-8") as fh:
+            save_params(params, fh)
         obj = json.loads(path.read_text())
         obj["w1"] = params.w1.T.tolist()
         path.write_text(json.dumps(obj))
@@ -624,7 +632,8 @@ class TestPersistence:
 
         params, _ = trained
         path = tmp_path / "params.json"
-        save_params(params, path)
+        with open(path, "w", encoding="utf-8") as fh:
+            save_params(params, fh)
         obj = json.loads(path.read_text())
         obj["architecture"] = [9, 50, 50, 7]
         path.write_text(json.dumps(obj))
@@ -636,7 +645,8 @@ class TestPersistence:
 
         params, _ = trained
         path = tmp_path / "params.json"
-        save_params(params, path)
+        with open(path, "w", encoding="utf-8") as fh:
+            save_params(params, fh)
         obj = json.loads(path.read_text())
         obj["input_order"] = list(reversed(obj["input_order"]))
         path.write_text(json.dumps(obj))
@@ -648,7 +658,8 @@ class TestPersistence:
 
         params, _ = trained
         path = tmp_path / "params.json"
-        save_params(params, path)
+        with open(path, "w", encoding="utf-8") as fh:
+            save_params(params, fh)
         obj = json.loads(path.read_text())
         assert obj["woba_weights"] == {
             "walk": 0.692, "single": 0.865, "double": 1.334,

@@ -100,7 +100,8 @@ def _sweep_csv(path):
 
 
 def _params(path):
-    save_params(default_converter_params(), path)
+    with fileio.atomic_write(path) as fh:  # as train-converter writes it
+        save_params(default_converter_params(), fh)
 
 
 def _table(path):
