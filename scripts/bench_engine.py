@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Time the Monte Carlo step loop in-process and print its layer metrics.
 
-Two workloads call mcengine._run_task directly, with no pool and no CLI:
-one cell (the fitted lineup under the fixed policy on the bundled table)
-over 48 batches, as a long simulate runs, and four cells (d_alpha 0, 0.1,
-0.2, 0.3) over 3 batches each, as a sweep task runs.  Cells are compiled
-before timing.  Each workload runs once untimed, to warm up and to count
-steps (calls of mcengine._draw, one per step), then REPEATS timed runs.
+Two workloads call mcengine.run_cells at one worker, so with no pool and
+no CLI: one cell (the fitted lineup under the fixed policy on the bundled
+table) over 48 batches, as a long simulate runs, and four cells (d_alpha
+0, 0.1, 0.2, 0.3) over 3 batches each, as a sweep task runs.  The cells'
+lineups are built before timing, but run_cells compiles each cell inside
+the timed region, as every engine call does (about 1.7 ms a cell on a
+2-core x86_64 host), on both sides of a --baseline comparison.  Each workload
+runs once untimed, to warm up and to count steps (calls of mcengine._draw,
+one per step), then REPEATS timed runs.
 The report gives the median wall time and, from it, ms per batch, steps
 per batch, plate appearances and games per second, plus the host.
 
@@ -59,11 +62,15 @@ def measure(src, repeats, tiny):
     vectors = fitted_lineup().vectors
 
     def cells(d_alphas):
-        return [mcengine.compile_simulation(
-            Lineup(tuple(build_triple(v, params, d_alpha, D_WOBA) for v in vectors)),
-            fixed_policy, table, innings=9, pa_cap=100) for d_alpha in d_alphas]
+        return [(Lineup(tuple(build_triple(v, params, d_alpha, D_WOBA)
+                              for v in vectors)), fixed_policy, table)
+                for d_alpha in d_alphas]
 
-    def steps(compiled, n_games, units):
+    def run(cells, n_games):
+        return mcengine.run_cells(cells, innings=9, pa_cap=100, n_games=n_games,
+                                  seed=SEED, workers=1)
+
+    def steps(cells, n_games):
         """Steps of one run: the kernel searches the table once per step."""
         calls = 0
         draw = mcengine._draw
@@ -75,28 +82,28 @@ def measure(src, repeats, tiny):
 
         mcengine._draw = counted
         try:
-            results = mcengine._run_task(compiled, n_games, SEED, 0, units)
+            results = run(cells, n_games)
         finally:
             mcengine._draw = draw
         return calls, sum(result[3] for result in results)
 
-    def workload(name, compiled, batches):
+    def workload(name, cells, batches):
         n_games = batches * mcengine.BATCH_SIZE
-        units = len(compiled) * batches
-        n_steps, pa = steps(compiled, n_games, units)
+        units = len(cells) * batches
+        n_steps, pa = steps(cells, n_games)
         times = []
         for _ in range(repeats):
             start = time.perf_counter()
-            mcengine._run_task(compiled, n_games, SEED, 0, units)
+            run(cells, n_games)
             times.append(time.perf_counter() - start)
         wall = statistics.median(times)
         return {
-            "workload": name, "cells": len(compiled), "batches_per_cell": batches,
+            "workload": name, "cells": len(cells), "batches_per_cell": batches,
             "units": units, "repeats": repeats, "wall_s_median": wall,
             "wall_s_min": min(times), "wall_s_max": max(times),
             "ms_per_batch": 1e3 * wall / units, "steps": n_steps,
             "steps_per_batch": n_steps / units, "pa": pa, "pa_per_s": pa / wall,
-            "games_per_s": len(compiled) * n_games / wall,
+            "games_per_s": len(cells) * n_games / wall,
         }
 
     one, four = (2, 1) if tiny else (48, 3)

@@ -39,10 +39,11 @@ and check the engine's histograms against it.
 
 A call splits its cells x batches units, cell by cell, into one task of
 near-equal length per process: a task is a group of cells with a range of
-batches (only its first and last cell can have part of theirs).  Tasks
-carry what compiles their cells, not compiled tables, and compile them
-where they run, two at a time, just before running them.  A call that runs
-on one process runs its one task in place.
+batches (only its first and last cell can have part of theirs).  Every
+call, of one cell or many, takes its cells as (lineup, policy, table)
+triples: its tasks carry them, not compiled tables, and compile them where
+they run, two at a time, just before running them.  A call that runs on
+one process runs its one task in place.
 
 Parallel calls share one process pool per process, of min(workers, usable
 cores) processes.  The first call with more than one task starts it;
@@ -63,7 +64,6 @@ import atexit
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -409,14 +409,14 @@ def _merge(results):
     return total, truncated, fallbacks, pa
 
 
-def _run_task(cells, n_games: int, seed: int, first: int, stop: int):
-    """Run the units first..stop-1 of the cells' (cell, batch) units, taken
-    cell by cell; returns the merged result of each cell that has units,
-    in order.  A cell is a CompiledSim or a callable that compiles one.
-    Cells with the same batch range run fused, up to STEP_PAIRS //
-    BATCH_SIZE cells at a time, each group compiled just before it runs; a
-    step holds that many units, so a group of one cell steps as many
-    batches at once."""
+def _run_task(cells, innings: int, pa_cap: int, n_games: int, seed: int,
+              first: int, stop: int):
+    """Run the units first..stop-1 of the (lineup, policy, table) cells'
+    (cell, batch) units, taken cell by cell; returns the merged result of
+    each cell that has units, in order.  Cells with the same batch range
+    run fused, up to STEP_PAIRS // BATCH_SIZE cells at a time, each group
+    compiled just before it runs; a step holds that many units, so a group
+    of one cell steps as many batches at once."""
     sizes = _batch_sizes(n_games)
     b = len(sizes)
     per_step = STEP_PAIRS // BATCH_SIZE
@@ -432,8 +432,8 @@ def _run_task(cells, n_games: int, seed: int, first: int, stop: int):
 
     results = []
     for members, lo, hi in groups:
-        stack = _stack([cells[k] if isinstance(cells[k], CompiledSim)
-                        else cells[k]() for k in members])
+        stack = _stack([compile_simulation(*cells[k], innings=innings,
+                                           pa_cap=pa_cap) for k in members])
         fused = per_step // len(members)
         per_cell = [[] for _ in members]
         for start in range(lo, hi, fused):
@@ -501,19 +501,21 @@ def _shared_pool(processes: int) -> ProcessPoolExecutor:
     return _pool
 
 
-def _run(cells, *, n_games: int, seed: int, workers: int):
-    """Each cell's merged (histogram, truncated, fallbacks, pa), from at
-    most one task per pool process."""
+def run_cells(cells, *, innings: int, pa_cap: int, n_games: int, seed: int,
+              workers: int):
+    """Each (lineup, policy, table) cell's (histogram, truncated,
+    fallbacks, pa) over n_games games, equal to that of a call on that
+    cell alone, from at most one task per pool process."""
     b = len(_batch_sizes(n_games))
     units = len(cells) * b
     processes = pool_size(workers)
     n_tasks = min(processes, units)
     if n_tasks <= 1:
-        return _run_task(cells, n_games, seed, 0, units)
+        return _run_task(cells, innings, pa_cap, n_games, seed, 0, units)
 
     bounds = [-(-units * t // n_tasks) for t in range(n_tasks + 1)]
-    tasks = [(cells[lo // b:-(-hi // b)], n_games, seed, lo % b, hi - lo // b * b)
-             for lo, hi in zip(bounds, bounds[1:])]
+    tasks = [(cells[lo // b:-(-hi // b)], innings, pa_cap, n_games, seed,
+              lo % b, hi - lo // b * b) for lo, hi in zip(bounds, bounds[1:])]
     with _pool_lock:
         pool = _shared_pool(processes)
         try:
@@ -531,17 +533,9 @@ def _run(cells, *, n_games: int, seed: int, workers: int):
     return [_merge(parts) for parts in per_cell]
 
 
-def run_batches(compiled: CompiledSim, *, n_games: int, seed: int, workers: int):
-    """One compiled cell's (histogram, truncated, fallbacks, pa) over
-    n_games games."""
-    return _run([compiled], n_games=n_games, seed=seed, workers=workers)[0]
-
-
-def run_cells(cells, *, innings: int, pa_cap: int, n_games: int, seed: int,
-              workers: int):
-    """Each (lineup, policy, table) cell's (histogram, truncated,
-    fallbacks, pa) over n_games games, equal to run_batches on that cell
-    alone.  The cells are compiled where their tasks run."""
-    return _run([partial(compile_simulation, *cell, innings=innings,
-                         pa_cap=pa_cap) for cell in cells],
-                n_games=n_games, seed=seed, workers=workers)
+def run_batches(cell, *, innings: int, pa_cap: int, n_games: int, seed: int,
+                workers: int):
+    """One (lineup, policy, table) cell's (histogram, truncated, fallbacks,
+    pa) over n_games games."""
+    return run_cells([cell], innings=innings, pa_cap=pa_cap, n_games=n_games,
+                     seed=seed, workers=workers)[0]

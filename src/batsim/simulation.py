@@ -1,12 +1,12 @@
 """Lineups, aggregate run statistics, and monte_carlo, the entry point that
 simulates games on the batched engine in mcengine.
 
-A Lineup is nine strategy triples in batting order.  monte_carlo compiles it
-with a policy (a 24-tuple of StrategyChoice indexed by GameState.index) and
-a transition table, runs the games in seed-determined batches, and returns
-their RunStats: the runs histogram with its mean and standard error, and the
-truncation, fallback and plate-appearance counts.  monte_carlo_cells does
-the same for many (lineup, policy, table) cells in one engine call.
+A Lineup is nine strategy triples in batting order.  monte_carlo runs it
+under a policy (a 24-tuple of StrategyChoice indexed by GameState.index) on
+a transition table, in seed-determined batches, and returns their RunStats:
+the runs histogram with its mean and standard error, and the truncation,
+fallback and plate-appearance counts.  monte_carlo_cells does the same for
+many (lineup, policy, table) cells in one engine call.
 
 A hard cap bounds plate appearances per half-inning so degenerate batter
 profiles (nothing but home runs) cannot loop forever; hitting the cap ends
@@ -197,10 +197,9 @@ def monte_carlo(lineup: Lineup, policy, table: TransitionTable, n_games: int,
     merged by integer addition.  Worker count affects wall time only.
     """
     _check_run_args(n_games, seed, workers)
-    compiled = mcengine.compile_simulation(lineup, policy, table,
-                                           innings=innings, pa_cap=pa_cap)
     return _run_stats(mcengine.run_batches(
-        compiled, n_games=n_games, seed=seed, workers=workers))
+        (lineup, policy, table), innings=innings, pa_cap=pa_cap,
+        n_games=n_games, seed=seed, workers=workers))
 
 
 def monte_carlo_cells(cells, n_games: int, seed: int, *, workers: int = 1,

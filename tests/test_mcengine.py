@@ -4,6 +4,7 @@ shared worker pool: its size, its reuse across calls and its recovery from
 a dead worker."""
 
 import concurrent.futures
+import itertools
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -541,16 +542,23 @@ def test_pool_recovers_from_a_killed_worker(monkeypatch, lineup,
                        workers=2) == serial
     assert victim.pid not in {p.pid for p in multiprocessing.active_children()}
 
-    # a worker killed mid-call fails a multi-cell call and stops the pool;
-    # the next call, multi-cell or one-cell, starts afresh
+    # a worker killed mid-call fails a multi-cell or one-cell call and stops
+    # the pool; the next call, multi-cell or one-cell, starts afresh
     cells = [(lineup, fixed_policy, table), (lineup, always_normal, table)]
     together = monte_carlo_cells(cells, n_games, seed=3, workers=2)
     assert together == [monte_carlo(*cell, n_games, seed=3) for cell in cells]
-    killer = [*cells, (KilledInAWorker(), fixed_policy, table)]
-    for next_call in ("cells", "one cell"):
+    killers = (
+        lambda: monte_carlo_cells(
+            [*cells, (KilledInAWorker(), fixed_policy, table)], n_games,
+            seed=3, workers=2),
+        # a one-cell call compiles its cell in the workers too
+        lambda: monte_carlo(KilledInAWorker(), fixed_policy, table, n_games,
+                            seed=3, workers=2),
+    )
+    for kill, next_call in itertools.product(killers, ("cells", "one cell")):
         workers = multiprocessing.active_children()
         with pytest.raises(BrokenProcessPool):
-            monte_carlo_cells(killer, n_games, seed=3, workers=2)
+            kill()
         assert mcengine._pool is None
         assert not any(p.is_alive() for p in workers)
         if next_call == "cells":
@@ -562,10 +570,12 @@ def test_pool_recovers_from_a_killed_worker(monkeypatch, lineup,
 
 def test_cli_import_loads_no_pool_module():
     # the first call that starts a pool imports it, so a command that runs
-    # in place never pays for it
+    # in place never pays for it; nor does it load synthdata, which the
+    # CLI never uses
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     code = ("import sys, batsim.cli; print([m for m in ('multiprocessing',"
-            " 'concurrent.futures.process') if m in sys.modules])")
+            " 'concurrent.futures.process', 'batsim.synthdata')"
+            " if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           text=True, timeout=120, check=True)
