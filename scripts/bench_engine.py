@@ -6,12 +6,13 @@ no CLI: one cell (the fitted lineup under the fixed policy on the bundled
 table) over 48 batches, as a long simulate runs, and four cells (d_alpha
 0, 0.1, 0.2, 0.3) over 3 batches each, as a sweep task runs.  The cells'
 lineups are built before timing, but run_cells compiles each cell inside
-the timed region, as every engine call does (about 1.7 ms a cell on a
+the timed region, as every engine call does (about 2.5 ms a cell on a
 2-core x86_64 host), on both sides of a --baseline comparison.  Each workload
-runs once untimed, to warm up and to count steps (calls of mcengine._draw,
-one per step), then REPEATS timed runs.
-The report gives the median wall time and, from it, ms per batch, steps
-per batch, plate appearances and games per second, plus the host.
+runs once untimed, to warm up and to count its plate appearances, then
+REPEATS timed runs.  A step plays one half-inning of every game, so a batch
+takes 9 steps, the innings, and the report does not count them.
+The report gives the median wall time and, from it, ms per batch, plate
+appearances and games per second, plus the host.
 
 Usage:
     python3 scripts/bench_engine.py [--tiny] [--out PATH]
@@ -41,7 +42,7 @@ SEED = 2026
 D_WOBA = -0.005
 REPEATS = 7  # timed runs of each workload; one with --tiny
 ROUNDS = 10  # processes on each side with --baseline
-PER_BATCH = ("ms_per_batch", "steps_per_batch", "pa_per_s", "games_per_s")
+PER_BATCH = ("ms_per_batch", "pa_per_s", "games_per_s")
 
 
 def measure(src, repeats, tiny):
@@ -70,27 +71,10 @@ def measure(src, repeats, tiny):
         return mcengine.run_cells(cells, innings=9, pa_cap=100, n_games=n_games,
                                   seed=SEED, workers=1)
 
-    def steps(cells, n_games):
-        """Steps of one run: the kernel searches the table once per step."""
-        calls = 0
-        draw = mcengine._draw
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return draw(*args)
-
-        mcengine._draw = counted
-        try:
-            results = run(cells, n_games)
-        finally:
-            mcengine._draw = draw
-        return calls, sum(result[3] for result in results)
-
     def workload(name, cells, batches):
         n_games = batches * mcengine.BATCH_SIZE
         units = len(cells) * batches
-        n_steps, pa = steps(cells, n_games)
+        pa = sum(result[3] for result in run(cells, n_games))
         times = []
         for _ in range(repeats):
             start = time.perf_counter()
@@ -101,8 +85,7 @@ def measure(src, repeats, tiny):
             "workload": name, "cells": len(cells), "batches_per_cell": batches,
             "units": units, "repeats": repeats, "wall_s_median": wall,
             "wall_s_min": min(times), "wall_s_max": max(times),
-            "ms_per_batch": 1e3 * wall / units, "steps": n_steps,
-            "steps_per_batch": n_steps / units, "pa": pa, "pa_per_s": pa / wall,
+            "ms_per_batch": 1e3 * wall / units, "pa": pa, "pa_per_s": pa / wall,
             "games_per_s": len(cells) * n_games / wall,
         }
 

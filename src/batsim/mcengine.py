@@ -2,40 +2,39 @@
 
 The determinism contract: games are split into fixed-size batches
 (BATCH_SIZE, never a function of worker count), batch i draws from a
-dedicated generator seeded with (seed, i), and every step draws one uniform
-for each of a batch's games whether or not they have finished.  A game
-takes one step from the first step until it ends, so the k-th draw at its
-position feeds its k-th step of one or two plate appearances.  A batch
-stepped beside another may draw past its own last game while the other
-runs on; those draws feed no game.  A batch's histogram therefore depends
-only on its own games, batch histograms are integers, and their sum is
-order-independent, so any degree of parallelism and any grouping of
-batches into steps produce byte-identical aggregates.
+dedicated generator seeded with (seed, i), and a step draws one uniform for
+each of a batch's games.  A game plays one half-inning a step, and every
+game plays exactly innings steps, so the k-th draw at its position feeds its
+k-th half-inning.  A batch's histogram therefore depends only on its own
+games, batch histograms are integers, and their sum is order-independent,
+so any degree of parallelism and any grouping of batches into steps produce
+byte-identical aggregates.
 
 Several cells (lineup, policy and table triples, as in a sweep) run on the
-same batches.  A step of batch i draws its one vector of uniforms
-and every cell's game g uses its g-th entry, so at its k-th step game g
-sees the same uniform in every cell, and each cell's
-histogram and counts are exactly those of a run of that cell alone.  A
-step holds up to STEP_PAIRS // BATCH_SIZE (cell, batch) units: two cells of
-one batch, or two batches of one cell, so its arrays stay as small as two
-batches.
+same batches.  A step of batch i draws its one vector of uniforms and every
+cell's game g uses its g-th entry, so game g's k-th half-inning sees the
+same uniform in every cell, and each cell's histogram and counts are
+exactly those of a run of that cell alone.  A step holds up to
+STEP_PAIRS // BATCH_SIZE (cell, batch) units: two cells of one batch, or
+two batches of one cell, so its arrays stay as small as two batches.
 
-compile_simulation folds the lineup, the policy (a 24-tuple of
-StrategyChoice, one per live state, used as it is) and the transition table
-into one cumulative row per (slot, state) over the merged (post state,
-runs, fallback) outcomes of that plate appearance, so a single uniform
-picks both the batter's outcome and the base-out transition.  A step plays
-two plate appearances on one uniform: _stack folds each row with the rows
-of the next batter it leads to, into a composite row over the merged
-results of both, or of the first alone where it ends the half-inning.  A
-plate-appearance cap per half-inning guards against never-ending innings.
-It counts plate appearances, not steps: a game one short of the cap steps
-on its one-plate-appearance row.  compile_simulation rejects an innings x
-pa_cap whose counts would not fit their packed fields (count_shifts).  The
-reference for these semantics is exact: the tests compute each game's run
-distribution from the same chain by pushing probability mass through it,
-and check the engine's histograms against it.
+Every half-inning starts with the bases empty and no outs, so its whole
+outcome depends only on the slot that leads it off.  compile_simulation
+folds the lineup, the policy (a 24-tuple of StrategyChoice, one per live
+state, used as it is) and the transition table into one cumulative row per
+leadoff slot over the exact distribution of the half-inning's (runs, plate
+appearances, fallbacks, capped) outcomes, so a single uniform plays a whole
+half-inning and names the slot that leads off the next.  The rows are
+ordered by runs first, so a shared draw picks a like half-inning in every
+cell and sweep deltas keep their common random numbers.  A plate-appearance
+cap per half-inning guards against never-ending innings: a half-inning
+still live after pa_cap plate appearances ends there, capped.
+compile_simulation rejects a table entry that does not balance, and an
+innings x pa_cap whose counts would not fit their packed fields
+(count_shifts).  The reference for these semantics is exact: the tests
+compute each game's run distribution from the same chain by pushing
+probability mass through it, without compile_simulation, and check both
+the rows and the engine's histograms against it.
 
 A call splits its cells x batches units, cell by cell, into one task of
 near-equal length per process: a task is a group of cells with a range of
@@ -68,7 +67,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .transitions import INNING_OVER, NUM_LIVE_STATES, TransitionTable
+from .transitions import INNING_OVER, NUM_LIVE_STATES, TransitionTable, check_event
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -78,44 +77,49 @@ BATCH_SIZE = 4096
 # two batches of one cell.  Fusing seven cells per step raised a sweep's peak
 # RSS by 17% in a prototype.
 STEP_PAIRS = 2 * BATCH_SIZE
-NUM_ROWS = 9 * NUM_LIVE_STATES  # row = slot * 24 + state
-GUIDE_SIZE = 64  # guide cells per row; a power of two, so u * GUIDE_SIZE is exact
+# guide cells per row; a power of two, so u * GUIDE_SIZE is exact.  A row
+# holds about 220 outcomes, and with 4096 cells 1% of the guide leaves its
+# draws to search on (23% at 64)
+GUIDE_SIZE = 4096
+# live half-innings whose mass totals below this are dropped: far below
+# the 2^-53 steps of a draw, so no draw could pick what they lead to
+NEGLIGIBLE = 2.0 ** -70
 
 
 @dataclass(frozen=True)
 class CompiledSim:
-    """Lineup, policy, and table fused into one table over (slot, state).
+    """Lineup, policy, and table fused into one table over leadoff slots.
 
-    Row r = slot * 24 + state lists the distinct (post state, runs,
-    fallback) results of that plate appearance, left-justified.  cum holds
+    Row l lists the distinct (runs, plate appearances, fallbacks, capped)
+    outcomes of a half-inning that slot l leads off, ordered by runs, then
+    plate appearances, fallbacks and capped, left-justified.  cum holds
     their cumulative mass; the last real entry is exactly 1.0 and padding
-    columns are 1.0 too, so a unit draw selects a positive-mass entry.
+    columns are 1.0 too, so a unit draw selects a positive-mass entry.  A
+    half-inning of pa plate appearances hands the next to slot (l + pa) % 9.
     """
 
-    cum: np.ndarray        # (216, W) cumulative mass
-    next_row: np.ndarray   # (216, W) row of the next batter: next slot * 24 + post
-    over: np.ndarray       # (216, W) True where the entry ends the inning
-    runs: np.ndarray       # (216, W) runs scored by the entry
-    fallback: np.ndarray   # (216, W) True where the table had no row
+    cum: np.ndarray        # (9, W) cumulative mass
+    runs: np.ndarray       # (9, W) runs scored in the half-inning
+    pa: np.ndarray         # (9, W) its plate appearances
+    fallbacks: np.ndarray  # (9, W) its plate appearances the table had no row for
+    capped: np.ndarray     # (9, W) True where it reached pa_cap
     innings: int
     pa_cap: int
 
 
 def count_shifts(innings: int, pa_cap: int) -> tuple[int, int, int]:
-    """Bit offsets of the plate-appearance, fallback and inning fields of a
-    game's packed count, above its runs.  Each holds a game's most: innings
-    * pa_cap runs, plate appearances and fallbacks (compile_simulation
-    admits no entry that scores more than its batter and the runners it
-    clears, so a half-inning scores at most one run per plate appearance),
-    and, on top, its innings plus one per step it stays parked."""
-    most_pa = innings * pa_cap
-    pa_at = most_pa.bit_length()
-    fallback_at = 2 * pa_at
-    inning_at = 3 * pa_at
-    if inning_at + (innings + most_pa).bit_length() > 63:
+    """Bit offsets of the plate-appearance, fallback and capped fields of a
+    game's packed count, above its runs.  The four fields are as wide as
+    each must be to hold a game's most, innings * pa_cap runs, plate
+    appearances or fallbacks (a half-inning scores at most one run per
+    plate appearance, since every transition balances; the capped field,
+    at most innings, fits too).  So innings * pa_cap is bounded: 9 x 3640
+    is the most at 9 innings."""
+    width = (innings * pa_cap).bit_length()
+    if 4 * width > 63:
         raise ValueError(f"innings x pa_cap = {innings} x {pa_cap} is too large:"
                          f" a game's counts would not fit in 63 bits")
-    return pa_at, fallback_at, inning_at
+    return width, 2 * width, 3 * width
 
 
 def compile_simulation(lineup, policy, table: TransitionTable, *,
@@ -124,181 +128,159 @@ def compile_simulation(lineup, policy, table: TransitionTable, *,
         raise ValueError("innings and pa_cap must be positive")
     if len(policy) != NUM_LIVE_STATES:
         raise ValueError(f"a policy has {NUM_LIVE_STATES} choices, got {len(policy)}")
+    count_shifts(innings, pa_cap)
     # P(outcome | slot, state), shape (9, 24, 8)
     outcome_p = np.array([[triple.vector(choice).as_tuple() for choice in policy]
                           for triple in lineup.slots])
 
-    # every (state, outcome) transition entry, flattened
+    # Every plate appearance puts its batter on base, across the plate or
+    # out, so a half-inning of pa plate appearances that stops with `left`
+    # outs and runners on base scored pa - left runs.  The table must
+    # balance for that to hold: a transition scores 1 + left before - left
+    # after, where an entry that ends the half-inning leaves 3 outs
+    def on_field(outs, bases):
+        return outs + (bases & 1) + (bases >> 1 & 1) + (bases >> 2 & 1)
+
+    outs, bases, outs_after, bases_after, scored = np.array(
+        [(outs, bases, e.outs, e.bases, e.runs)
+         for (outs, bases, _), entries in table.rows.items() for e in entries],
+        dtype=int).reshape(-1, 5).T
+    if np.any(scored != 1 + on_field(outs, bases) - on_field(outs_after, bases_after)):
+        for (outs, bases, outcome), entries in table.rows.items():
+            for e in entries:
+                reason = check_event(outs, bases, outcome, e.outs, e.bases, e.runs)
+                if reason is not None:
+                    raise ValueError(f"transition {outs}-{bases}-{outcome.value}: {reason}")
+    state = np.arange(NUM_LIVE_STATES)
+    left = on_field(state // 8, state % 8)
+
     key, post, runs, prob, fell_back = table.flat()
-    state = key // 8
-    # runners on base by state index; INNING_OVER, 24, has none
-    bases = np.arange(INNING_OVER + 1) % 8
-    on_base = (bases & 1) + (bases >> 1 & 1) + (bases >> 2)
-    if np.any(runs > 1 + on_base[state] - on_base[post]):
-        raise ValueError("a transition scores more runs than its batter and the"
-                         " runners it clears")
-    count_shifts(innings, pa_cap)
-    n_runs = int(runs.max()) + 1
-    code = (post * n_runs + runs) * 2 + fell_back
+    before = key // 8
+    # one plate appearance per (batter's slot, state before): its mass
+    # without a fallback, then with one, each over the states after, where
+    # states 24..27 end the half-inning with 0..3 runners left on base
+    width = NUM_LIVE_STATES + 4
+    after = np.where(post < INNING_OVER, post,
+                     NUM_LIVE_STATES + left[before] - 2 - runs)
+    at = (before * 2 + fell_back) * width + after
+    at = np.arange(9)[:, None] * (NUM_LIVE_STATES * 2 * width) + at
+    one_pa = np.bincount(at.ravel(), (outcome_p[:, before, key % 8] * prob).ravel(),
+                         minlength=9 * NUM_LIVE_STATES * 2 * width)
+    one_pa = one_pa.reshape(9, NUM_LIVE_STATES, 2 * width)
 
-    # joint mass per (row, code): sum over outcomes of P(o) * P(post, runs | o)
-    entry_row = np.arange(9)[:, None] * NUM_LIVE_STATES + state  # (9, entries)
-    mass = np.zeros((NUM_ROWS, (INNING_OVER + 1) * n_runs * 2))
-    np.add.at(mass, (entry_row, code), outcome_p[:, state, key % 8] * prob)
+    # live[l, f, state]: mass of the half-innings led off by slot l still
+    # live in state, with f0 + f fallbacks so far; a fallback count whose
+    # live mass totals below NEGLIGIBLE is dropped.  At its pa-th plate
+    # appearance slot (l + pa - 1) % 9 bats: a rotation of the slots' rows,
+    # a view into them laid out twice.  A block (pa, f0, top, capped,
+    # mass[l, f, k]) holds the half-innings that stop after pa plate
+    # appearances with f0 + f fallbacks, scoring top - k runs
+    one_pa = np.concatenate([one_pa, one_pa])
+    live = np.zeros((9, 1, NUM_LIVE_STATES))
+    live[:, 0, 0] = 1.0
+    f0 = 0
+    blocks = []
+    for pa in range(1, pa_cap + 1):
+        nf = live.shape[1]
+        step = np.zeros((9, nf + 1, 2 * width))
+        np.matmul(live, one_pa[(pa - 1) % 9:][:9], out=step[:, :nf])
+        step[:, 1:, :width] += step[:, :nf, width:]  # a fallback moves f on
+        # ended with k runners left on base
+        blocks.append((pa, f0, pa - 3, False, step[:, :, NUM_LIVE_STATES:width]))
+        live = step[:, :, :NUM_LIVE_STATES]
+        carry = np.flatnonzero(live.sum(axis=(0, 2)) >= NEGLIGIBLE)
+        if not carry.size:
+            break
+        f0 += carry[0]
+        live = live[:, carry[0]:carry[-1] + 1]
+    if carry.size:
+        # still live after pa_cap plate appearances: capped where it
+        # stands, with k outs and runners on base
+        stops = np.zeros((NUM_LIVE_STATES, left.max() + 1))
+        stops[state, left] = 1.0
+        blocks.append((pa_cap, f0, pa_cap, True, live @ stops))
 
-    # left-justify the positive-mass codes of each row
-    filled = mass > 0.0
-    count = filled.sum(axis=1)
-    width = count.max()
-    order = np.argsort(~filled, axis=1, kind="stable")[:, :width]
-    cum = np.minimum(np.cumsum(np.take_along_axis(mass, order, axis=1), axis=1), 1.0)
-    cum[~np.take_along_axis(filled, order, axis=1)] = 1.0
-    cum[np.arange(NUM_ROWS), count - 1] = 1.0  # absorb float crumbs
+    shape = np.array([block[4].shape[1:] for block in blocks])
+    size = 9 * shape.prod(axis=1)
+    i = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    rows, k = np.repeat(shape, size, axis=0).T
+    pa, f0, top, capped = (np.repeat([block[j] for block in blocks], size)
+                           for j in range(4))
+    mass = np.concatenate([block[4].ravel() for block in blocks])
+    drawn = mass > 0.0
+    lead, runs, pa, fallbacks, capped, mass = (
+        a[drawn] for a in (i // (rows * k), top - i % k, pa, f0 + i // k % rows,
+                           capped, mass))
+    order = np.lexsort((capped, fallbacks, pa, runs, lead))
+    n = np.bincount(lead, minlength=9)
+    row = lead[order]
+    col = np.arange(row.size) - (np.cumsum(n) - n)[row]
+    w = n.max()
 
-    post_state = order // (2 * n_runs)
-    over = post_state == INNING_OVER
-    rows = np.arange(NUM_ROWS)[:, None]
-    next_row = ((rows // NUM_LIVE_STATES + 1) % 9 * NUM_LIVE_STATES
-                + np.where(over, 0, post_state))
-    return CompiledSim(cum=cum, next_row=next_row, over=over,
-                       runs=order // 2 % n_runs, fallback=order % 2 == 1,
-                       innings=innings, pa_cap=pa_cap)
+    def table_of(values, dtype):
+        out = np.zeros((9, w), dtype=dtype)
+        out[row, col] = values[order]
+        return out
+
+    cum = np.minimum(np.cumsum(table_of(mass, float), axis=1), 1.0)
+    cum[np.arange(w) >= n[:, None] - 1] = 1.0  # padding, and float crumbs
+    return CompiledSim(cum=cum, runs=table_of(runs, np.int64),
+                       pa=table_of(pa, np.int64),
+                       fallbacks=table_of(fallbacks, np.int64),
+                       capped=table_of(capped, bool), innings=innings,
+                       pa_cap=pa_cap)
 
 
 @dataclass(frozen=True)
 class _Steps:
     """A stack of cells as the step loop reads it, every table flat.  Cell
-    k's composite rows (_two_steps) sit at k * NUM_ROWS; its one-plate-
-    appearance rows, for a game one short of pa_cap, sit a block further
-    on, at single + k * NUM_ROWS (with pa_cap 1 every step plays one, and
-    single is 0: the one-PA rows are the only block).  Every row is padded
-    to the widest with cum 1.0, and a parking row ends the stack.  Rows are
-    addressed by guide offset, row * GUIDE_SIZE, and cum is scaled by
-    GUIDE_SIZE, so a scaled draw indexes the guide.  Every entry leads to a
-    composite row.  A finished game parked on the last row stays there, and
-    its count gains only an inning's end a step, so it is never capped."""
+    k's row for leadoff slot l is row 9 * k + l.  Every row is padded to the
+    widest with cum 1.0, and rows are addressed by guide offset, row *
+    GUIDE_SIZE; cum is scaled by GUIDE_SIZE, so a scaled draw indexes the
+    guide.  An entry's count packs its half-inning's runs, plate
+    appearances, fallbacks and capped flag in a game's count fields, so a
+    game's count is the sum of its innings entries, and its next row is
+    the same cell's row for the slot that leads off the next half-inning."""
 
     cum: np.ndarray     # GUIDE_SIZE * cumulative mass
     guide: np.ndarray   # entry of a scaled draw in [k, k + 1), or ~search start
-    next: np.ndarray    # guide offset of the next batter's composite row
-    count: np.ndarray   # packed runs, plate appearances, fallbacks and inning end
-    single: int         # guide offset of the one-PA block
-    park: int           # guide offset of the parking row
+    next: np.ndarray    # guide offset of the next half-inning's row
+    count: np.ndarray   # packed runs, plate appearances, fallbacks and capped
     shifts: tuple[int, int, int]
     innings: int
-    pa_cap: int
-
-
-def _two_steps(c: CompiledSim, count: np.ndarray):
-    """One cell's composite rows as (cum, next_row, count), each (216, W):
-    a step from row r plays r's plate appearance and, unless that ends the
-    half-inning, one of the next batter's, and the row lists the distinct
-    (next row, count) results of that step, left-justified.  They are
-    ordered by whether the step ends the half-inning, then the base-out
-    state after it, then its count, so that a draw picks a like result in
-    every cell and sweep deltas keep their common random numbers.  count
-    is the packed count of each of c's entries."""
-    w = c.cum.shape[1]
-    nxt, over = c.next_row.ravel(), c.over.ravel()
-    # c's entries, flat, then one that stands for no second plate appearance
-    none = NUM_ROWS * w
-    mass = np.append(np.diff(c.cum, axis=1, prepend=0.0), 1.0)
-    count = np.append(count, 0)
-    # the sort key of a step: its row, the state after it (24 once the
-    # half-inning is over), then its count fields in the count's order, as
-    # one code that adds up over its two entries: a step scores at most 8
-    # runs, so runs + 9 * plate appearances + 27 * fallbacks is below 81
-    codes, afters = 81, NUM_LIVE_STATES + 1
-    code = (c.runs + 9 + 27 * c.fallback).ravel()
-    after = np.where(over, NUM_LIVE_STATES, nxt % NUM_LIVE_STATES)
-    head = np.arange(none) // w * afters * codes + code
-    tail = np.append(after * codes + code, NUM_LIVE_STATES * codes)
-
-    # each drawable first entry with each entry of the row it leads to, up
-    # to its 1.0 entry, or with none after an inning's end; a pair of zero
-    # mass would never be drawn
-    first = np.flatnonzero(mass[:-1])
-    reach = np.count_nonzero(c.cum < 1.0, axis=1) + 1
-    seconds = np.where(over[first], 1, reach[nxt[first]])
-    begin = np.where(over[first], none, nxt[first] * w) - (np.cumsum(seconds) - seconds)
-    second = np.repeat(begin, seconds) + np.arange(seconds.sum())
-    first = np.repeat(first, seconds)
-
-    # merge equal keys, sorted with each pair's index in the low bits,
-    # which is faster than an argsort
-    bits = first.size.bit_length()
-    key = (head[first] + tail[second]) << bits | np.arange(first.size)
-    key.sort()
-    pair = key & ((1 << bits) - 1)
-    key >>= bits
-    merged = np.flatnonzero(np.diff(key, prepend=-1))
-    p = np.add.reduceat(mass[first[pair]] * mass[second[pair]], merged)
-    first, second = first[pair[merged]], second[pair[merged]]
-    row = key[merged] // (afters * codes)
-    n = np.bincount(row, minlength=NUM_ROWS)
-    col = np.arange(row.size) - (np.cumsum(n) - n)[row]
-
-    width = n.max()
-    cum = np.zeros((NUM_ROWS, width))
-    cum[row, col] = p
-    cum = np.minimum(np.cumsum(cum, axis=1), 1.0)
-    cum[np.arange(width) >= n[:, None] - 1] = 1.0  # padding, and float crumbs
-    next_row = np.zeros((NUM_ROWS, width), dtype=np.int64)
-    # a step of one plate appearance leads where its entry does
-    next_row[row, col] = np.where(second == none, nxt[first], nxt[second % none])
-    steps = np.zeros((NUM_ROWS, width), dtype=np.int64)
-    steps[row, col] = count[first] + count[second]
-    return cum, next_row, steps
 
 
 def _stack(cells: list[CompiledSim]) -> _Steps:
-    """The step tables of the cells, which share innings and pa_cap: each
-    cell's composite rows, then, unless pa_cap is 1, each cell's one-PA
-    rows, then the parking row (see _Steps)."""
-    innings, pa_cap = cells[0].innings, cells[0].pa_cap
-    shifts = count_shifts(innings, pa_cap)
-    pa_at, fallback_at, inning_at = shifts
-    one_pa = [(c.cum, c.next_row,
-               c.runs + (1 << pa_at) + (c.fallback.astype(np.int64) << fallback_at)
-               + (c.over.astype(np.int64) << inning_at)) for c in cells]
-    blocks = one_pa
-    if pa_cap > 1:
-        blocks = [_two_steps(c, count) for c, (_, _, count) in zip(cells, one_pa)
-                  ] + one_pa
-    width = max(cum.shape[1] for cum, _, _ in blocks)
-    park = len(blocks) * NUM_ROWS
+    """The step tables of the cells, which share innings and pa_cap."""
+    shifts = count_shifts(cells[0].innings, cells[0].pa_cap)
+    pa_at, fallback_at, capped_at = shifts
+    width = max(c.cum.shape[1] for c in cells)
 
-    def stacked(field, fill, parked):
+    def stacked(field, fill):
         return np.concatenate([
-            np.pad(block[field], ((0, 0), (0, width - block[field].shape[1])),
-                   constant_values=fill) for block in blocks]
-            + [np.full((1, width), parked)])
+            np.pad(field(c), ((0, 0), (0, width - c.cum.shape[1])),
+                   constant_values=fill) for c in cells])
 
-    cum = stacked(0, 1.0, 1.0)
+    cum = stacked(lambda c: c.cum, 1.0)
     cum *= GUIDE_SIZE
-    next_row = stacked(1, 0, park)
-    first_row = np.arange(len(blocks)) % len(cells) * NUM_ROWS  # of each block's cell
-    next_row[:-1] += np.repeat(first_row, NUM_ROWS)[:, None]
-    next_row *= GUIDE_SIZE
-    count = stacked(2, 0, 1 << inning_at)
+    count = stacked(lambda c: c.runs + (c.pa << pa_at) + (c.fallbacks << fallback_at)
+                    + (c.capped.astype(np.int64) << capped_at), 0)
+    rows = len(cells) * 9
+    row = np.arange(rows)[:, None]
+    next_row = row - row % 9 + (row + stacked(lambda c: c.pa, 0)) % 9
     # the draws of guide cell k, in [k, k + 1), start at the first entry e
-    # whose cum exceeds k, the number of entries whose cum rounds up to at
-    # most k; where cum[e] may not exceed them all, the guide holds ~e, and
-    # the draws search on from e.  Built in place: a sweep's peak memory is
-    # a stack's build
-    rows = park + 1
+    # whose cum exceeds k: e counts the earlier rows' entries and those of
+    # its own whose cum rounds up to at most k.  Where cum[e] may not
+    # exceed them all, the guide holds ~e, and the draws search on from e
     up = np.ceil(cum).astype(np.int64)
-    up += np.arange(rows)[:, None] * (GUIDE_SIZE + 1)
-    guide = np.bincount(up.ravel(), minlength=rows * (GUIDE_SIZE + 1)).reshape(rows, -1)
-    np.cumsum(guide, axis=1, out=guide)
-    guide = guide[:, :GUIDE_SIZE] + np.arange(rows)[:, None] * width
+    up += row * (GUIDE_SIZE + 1)
+    guide = np.cumsum(np.bincount(up.ravel(), minlength=rows * (GUIDE_SIZE + 1)))
+    guide = guide.reshape(rows, -1)[:, :GUIDE_SIZE]
     np.invert(guide, out=guide,
               where=cum.ravel()[guide] < np.arange(1, GUIDE_SIZE + 1))
     return _Steps(cum=cum.ravel(), guide=guide.ravel(),
-                  next=next_row.ravel(), count=count.ravel(),
-                  single=GUIDE_SIZE * NUM_ROWS * len(cells) * (pa_cap > 1),
-                  park=park * GUIDE_SIZE, shifts=shifts,
-                  innings=innings, pa_cap=pa_cap)
+                  next=(next_row * GUIDE_SIZE).ravel(), count=count.ravel(),
+                  shifts=shifts, innings=cells[0].innings)
 
 
 def _draw(s: _Steps, row: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -328,66 +310,34 @@ def _simulate_cells(s: _Steps, cells: int, seed: int, batches):
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, i)))
             for i, _ in batches]
     ends = np.cumsum([n for _, n in batches])
-    # one row of draws per cell: the first is drawn, the others copy it
+    # one row of draws per cell: the first is drawn, the others copy it.
+    # Pair p is game p % ends[-1] of cell p // ends[-1], takes that game's
+    # draw, and leads off its first half-inning with slot 0
     u = np.empty((cells, ends[-1]))
     draws = np.split(u[0], ends[:-1])
-    final = np.zeros(u.size, dtype=np.int64)
-    truncated = np.zeros(u.size, dtype=bool)
-    pa_at, fallback_at, inning_at = s.shifts
-    pa_field = (1 << (fallback_at - pa_at)) - 1
-    inning = 1 << inning_at
-    game_over = s.innings * inning
-    slot_rows = NUM_LIVE_STATES * GUIDE_SIZE
-    step = 0
-
-    # per-pair state, compacted to the unfinished pairs now and then; pair
-    # p is game p % ends[-1] of cell p // ends[-1] and takes draw p, and a
-    # finished pair is parked until the next compaction
-    pair = np.arange(u.size)
-    row = pair // ends[-1] * (NUM_ROWS * GUIDE_SIZE)
-    count = np.zeros(pair.size, dtype=np.int64)
-    inning_end = np.zeros(pair.size, dtype=np.int64)  # count as the last inning ended
-
-    while pair.size:
+    row = np.repeat(np.arange(cells) * (9 * GUIDE_SIZE), ends[-1])
+    count = np.zeros(u.size, dtype=np.int64)
+    for _ in range(s.innings):
         for rng, out in zip(rngs, draws):
             rng.random(out=out)
         u[0] *= GUIDE_SIZE
         u[1:] = u[0]
-        step += 1
-        entry = _draw(s, row, u.take(pair))
+        entry = _draw(s, row, u.ravel())
+        count += s.count.take(entry)
         row = s.next.take(entry)
-        counted = s.count.take(entry)
-        count += counted
-        np.maximum(inning_end, (counted >> inning_at) * count, out=inning_end)
-        # a step plays at most two plate appearances, so no half-inning
-        # comes within one of pa_cap sooner
-        if 2 * step >= s.pa_cap - 1:
-            played = (count - inning_end) >> pa_at & pa_field  # this half-inning
-            capped = np.flatnonzero(played >= s.pa_cap)
-            if capped.size:
-                truncated[pair[capped]] = True
-                row[capped] -= row[capped] % slot_rows  # next slot, fresh inning
-                count[capped] += inning
-                inning_end[capped] = count[capped]
-            row[played == s.pa_cap - 1] += s.single  # one plate appearance left
 
-        done = count >= game_over
-        np.maximum(row, done * s.park, out=row)  # the parking row is the last
-        if 4 * np.count_nonzero(done) >= pair.size:
-            gone = np.flatnonzero(done)
-            final[pair.take(gone)] = count.take(gone)
-            keep = np.flatnonzero(~done)
-            pair, row, count, inning_end = (
-                a.take(keep) for a in (pair, row, count, inning_end))
-
-    runs = final & ((1 << pa_at) - 1)
-    pa = final >> pa_at & pa_field
-    fallbacks = final >> fallback_at & ((1 << (inning_at - fallback_at)) - 1)
+    pa_at, fallback_at, capped_at = s.shifts
+    field = (1 << pa_at) - 1
+    runs = count & field
+    pa = count >> pa_at & field
+    fallbacks = count >> fallback_at & field
+    truncated = count >> capped_at > 0
     return [[(np.bincount(runs[unit]), int(np.count_nonzero(truncated[unit])),
               int(fallbacks[unit].sum()), int(pa[unit].sum()))
              for unit in (slice(k * ends[-1] + hi - n, k * ends[-1] + hi)
                           for (_, n), hi in zip(batches, ends))]
             for k in range(cells)]
+
 
 
 def _batch_sizes(n_games: int) -> list[int]:

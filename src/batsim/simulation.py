@@ -9,8 +9,10 @@ fallback and plate-appearance counts.  monte_carlo_cells does the same for
 many (lineup, policy, table) cells in one engine call.
 
 A hard cap bounds plate appearances per half-inning so degenerate batter
-profiles (nothing but home runs) cannot loop forever; hitting the cap ends
-the inning and marks the game truncated.
+profiles (nothing but home runs) cannot loop forever.  The engine draws each
+half-inning whole from its exact distribution, in which a half-inning still
+live after the cap ends there, capped; a game with a capped half-inning is
+counted as truncated.
 """
 
 from __future__ import annotations

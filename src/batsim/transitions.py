@@ -300,6 +300,12 @@ class TransitionEntry:
     runs: int
     prob: float
 
+    def __reduce__(self):
+        # pickled as its constructor call: a parallel engine call sends
+        # every entry of its table to each task, and the default form of a
+        # frozen slotted dataclass takes twice as long to load
+        return TransitionEntry, (self.outs, self.bases, self.runs, self.prob)
+
 
 Key = tuple[int, int, Outcome]
 

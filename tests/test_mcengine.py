@@ -1,7 +1,7 @@
-"""The fused Monte Carlo engine: its compiled (slot, state) table, the draw
-that searches it, exact fallback counts, many cells in one call, and the
-shared worker pool: its size, its reuse across calls and its recovery from
-a dead worker."""
+"""The fused Monte Carlo engine: its compiled half-inning table per leadoff
+slot, the draw that searches it, exact fallback counts, many cells in one
+call, and the shared worker pool: its size, its reuse across calls and its
+recovery from a dead worker."""
 
 import concurrent.futures
 import itertools
@@ -106,88 +106,104 @@ def _expected_masses(lineup, policy, table, slot, state):
     return {k: m for k, m in masses.items() if m > 0.0}
 
 
+def _half_inning_masses(lineup, policy, table, pa_cap):
+    """Per leadoff slot, the mass of each (runs, plate appearances,
+    fallbacks, capped) outcome of a half-inning, found by playing its plate
+    appearances one by one with their runs summed, not inferred."""
+    states = live_states()
+    steps = {(slot, state.index): _expected_masses(lineup, policy, table,
+                                                   slot, state)
+             for slot in range(9) for state in states}
+    rows = []
+    for lead in range(9):
+        outcomes = defaultdict(float)
+        live = {(0, 0, 0): 1.0}  # (state, runs, fallbacks) -> mass
+        for pa in range(1, pa_cap + 1):
+            after = defaultdict(float)
+            for (state, runs, fell), m in live.items():
+                for (post, r, fb), q in steps[((lead + pa - 1) % 9, state)].items():
+                    if post == INNING_OVER:
+                        outcomes[(runs + r, pa, fell + fb, False)] += m * q
+                    else:
+                        after[(post, runs + r, fell + fb)] += m * q
+            live = after
+        for (_, runs, fell), m in live.items():
+            outcomes[(runs, pa_cap, fell, True)] += m
+        rows.append(outcomes)
+    return rows
+
+
+ROW_PA_CAP = 7  # small enough for the brute force, and often reached
+
+
 def test_rows_hold_the_joint_mass(compiled):
-    lineup, table, policy, c = compiled
+    # each leadoff row lists the merged outcomes of a whole half-inning,
+    # capped ones too, ordered by runs, then plate appearances, fallbacks
+    # and capped
+    lineup, table, policy, _ = compiled
+    c = mcengine.compile_simulation(lineup, policy, table, innings=9,
+                                    pa_cap=ROW_PA_CAP)
     width = c.cum.shape[1]
-    for slot in range(9):
-        for state in live_states():
-            r = slot * NUM_LIVE_STATES + state.index
-            expected = _expected_masses(lineup, policy, table, slot, state)
-            k = len(expected)
-            assert k <= width
-            mass = np.diff(c.cum[r, :k], prepend=0.0)
-            got = {}
-            for j in range(k):
-                post = (INNING_OVER if c.over[r, j]
-                        else c.next_row[r, j] % NUM_LIVE_STATES)
-                key = (int(post), int(c.runs[r, j]), bool(c.fallback[r, j]))
-                assert key not in got  # entries are merged
-                got[key] = mass[j]
-                assert c.next_row[r, j] // NUM_LIVE_STATES == (slot + 1) % 9
-            assert got.keys() == expected.keys()
-            for key, m in expected.items():
-                assert got[key] == pytest.approx(m, rel=0, abs=1e-12)
-            assert c.cum[r, k - 1] == 1.0  # the last real entry ends the row
-            assert np.all(c.cum[r, k:] == 1.0)
+    for lead, expected in enumerate(_half_inning_masses(lineup, policy, table,
+                                                        ROW_PA_CAP)):
+        k = len(expected)
+        assert k <= width
+        keys = list(zip(c.runs[lead, :k], c.pa[lead, :k], c.fallbacks[lead, :k],
+                        c.capped[lead, :k]))
+        assert keys == sorted(keys)
+        got = dict(zip(keys, np.diff(c.cum[lead, :k], prepend=0.0)))
+        assert len(got) == k  # merged: k distinct entries
+        assert got.keys() == expected.keys()
+        for key, m in expected.items():
+            assert got[key] == pytest.approx(m, rel=0, abs=1e-12)
+        assert c.cum[lead, k - 1] == 1.0  # the last real entry ends the row
+        assert np.all(c.cum[lead, k:] == 1.0)
 
 
 def _rows(steps):
     """A stack's tables as (rows, width) arrays: cum unscaled, next rows as
     row numbers, and the packed counts."""
-    rows = steps.park // mcengine.GUIDE_SIZE + 1
+    rows = steps.guide.size // mcengine.GUIDE_SIZE
     return (steps.cum.reshape(rows, -1) / mcengine.GUIDE_SIZE,
             steps.next.reshape(rows, -1) // mcengine.GUIDE_SIZE,
             steps.count.reshape(rows, -1))
 
 
-def test_composite_rows_hold_the_two_step_mass(compiled):
-    # a composite row lists the merged (next row, count) results of its
-    # plate appearance and, unless that ends the half-inning, one of the
-    # next batter's; the one-PA block behind it is the compiled table
+def test_stacked_rows_pack_each_outcome(compiled):
+    # in a stack, cell k's row for leadoff l is row 9 * k + l; each entry
+    # packs its half-inning's counts into a game's count fields and leads
+    # to the same cell's row for the slot after its last batter
     *_, c = compiled
-    steps = mcengine._stack([c])
+    other = mcengine.compile_simulation(
+        Lineup.from_vectors([HR_OR_K] * 9), always_normal,
+        TransitionTable.simple(), innings=9, pa_cap=100)
+    steps = mcengine._stack([other, c])
     cum, nxt, count = _rows(steps)
-    pa_at, fallback_at, inning_at = steps.shifts
-    one = (c.runs + (1 << pa_at) + (c.fallback.astype(np.int64) << fallback_at)
-           + (c.over.astype(np.int64) << inning_at))
-    single = steps.single // mcengine.GUIDE_SIZE
-    assert single == mcengine.NUM_ROWS
-    w = c.cum.shape[1]
-    for got, want in ((cum, c.cum), (nxt, c.next_row), (count, one)):
-        np.testing.assert_array_equal(got[single:single + mcengine.NUM_ROWS, :w], want)
-    assert np.all(cum[single:single + mcengine.NUM_ROWS, w:] == 1.0)
-
-    mass = np.diff(c.cum, axis=1, prepend=0.0)
-    for r in range(mcengine.NUM_ROWS):
-        expected = defaultdict(float)
-        for e in np.flatnonzero(mass[r]):
-            after = c.next_row[r, e]
-            if c.over[r, e]:
-                expected[(after, one[r, e])] += mass[r, e]
-                continue
-            for e2 in np.flatnonzero(mass[after]):
-                expected[(c.next_row[after, e2], one[r, e] + one[after, e2])] += (
-                    mass[r, e] * mass[after, e2])
-        k = len(expected)
-        got = dict(zip(zip(nxt[r, :k], count[r, :k]),
-                       np.diff(cum[r, :k], prepend=0.0)))
-        assert got.keys() == expected.keys()  # merged: k distinct entries
-        for key, m in expected.items():
-            assert got[key] == pytest.approx(m, rel=0, abs=1e-12)
-        assert cum[r, k - 1] == 1.0  # the last real entry ends the row
-        assert np.all(cum[r, k:] == 1.0)
-        # ordered by the half-inning's end, the state after, then the count
-        ends = count[r, :k] >> inning_at
-        after = np.where(ends == 1, INNING_OVER, nxt[r, :k] % NUM_LIVE_STATES)
-        order = list(zip(ends, after, count[r, :k]))
-        assert order == sorted(order)
+    assert cum.shape[0] == 18
+    pa_at, fallback_at, capped_at = steps.shifts
+    field = (1 << pa_at) - 1
+    for k, cell in enumerate((other, c)):
+        w = cell.cum.shape[1]
+        rows = slice(9 * k, 9 * k + 9)
+        np.testing.assert_array_equal(cum[rows, :w], cell.cum)
+        assert np.all(cum[rows, w:] == 1.0)
+        packed = count[rows, :w]
+        for got, want in ((packed & field, cell.runs),
+                          (packed >> pa_at & field, cell.pa),
+                          (packed >> fallback_at & field, cell.fallbacks),
+                          (packed >> capped_at, cell.capped)):
+            np.testing.assert_array_equal(got, want)
+        real = cell.pa > 0
+        lead = np.arange(9)[:, None]
+        np.testing.assert_array_equal(
+            nxt[rows, :w][real], (9 * k + (lead + cell.pa) % 9)[real])
 
 
 def test_unit_interval_ends_draw_positive_mass(compiled):
     *_, c = compiled
     steps = mcengine._stack([c])
     cum, _, _ = _rows(steps)
-    rows = np.arange(cum.shape[0])  # both blocks and the parking row
+    rows = np.arange(cum.shape[0])
     width = cum.shape[1]
     mass = np.diff(cum, axis=1, prepend=0.0)
     for u in (0.0, LAST_DRAW):
@@ -195,9 +211,6 @@ def test_unit_interval_ends_draw_positive_mass(compiled):
         entry = mcengine._draw(steps, rows * mcengine.GUIDE_SIZE, x)
         assert np.all(entry // width == rows)
         assert np.all(mass.ravel()[entry] > 0.0)
-        # the parking row draws its one entry, which leads back to it
-        assert entry[-1] == rows[-1] * width
-        assert steps.next[entry[-1]] == steps.park
 
 
 def test_draw_matches_a_full_row_search(compiled):
@@ -210,20 +223,20 @@ def test_draw_matches_a_full_row_search(compiled):
     u = np.concatenate([
         rng.random(20_000), edges, np.nextafter(edges[1:], 0.0), inner,
         np.nextafter(inner, 0.0), [0.0, LAST_DRAW]])
-    rows = rng.integers(0, 2 * mcengine.NUM_ROWS, u.size)  # both blocks
+    rows = rng.integers(0, 9, u.size)
     count = np.count_nonzero(cum[rows] <= u[:, None], axis=1)
     x = u * mcengine.GUIDE_SIZE
     np.testing.assert_array_equal(
         mcengine._draw(alone, rows * mcengine.GUIDE_SIZE, x),
         rows * cum.shape[1] + count)
-    # second in a stack, behind a cell of another width: each block of c
-    # sits one cell further on
+    # second in a stack, behind a cell of another width: its rows sit one
+    # cell further on
     other = mcengine.compile_simulation(
         Lineup.from_vectors([HR_OR_K] * 9), always_normal,
         TransitionTable.simple(), innings=9, pa_cap=100)
     stacked = mcengine._stack([other, c])
     width = _rows(stacked)[0].shape[1]
-    rows += mcengine.NUM_ROWS * (1 + rows // mcengine.NUM_ROWS)
+    rows += 9
     np.testing.assert_array_equal(
         mcengine._draw(stacked, rows * mcengine.GUIDE_SIZE, x),
         rows * width + count)
@@ -240,7 +253,7 @@ def test_compiled_tables_do_not_depend_on_the_flat_cache(lineup):
     for _ in range(2):
         again = mcengine.compile_simulation(lineup, fixed_policy, table,
                                             innings=9, pa_cap=100)
-        for field in ("cum", "next_row", "over", "runs", "fallback"):
+        for field in ("cum", "runs", "pa", "fallbacks", "capped"):
             np.testing.assert_array_equal(getattr(again, field),
                                           getattr(fresh, field))
 
@@ -267,16 +280,23 @@ def test_compile_rejects_counts_that_overflow(lineup, innings, fits,
 
 
 def test_compile_rejects_runs_beyond_the_runners_cleared(lineup):
-    # a game's runs share its plate appearances' field width, so no
-    # transition may score more than its batter and the runners it clears
+    # a half-inning's runs follow from its plate appearances and the outs
+    # and runners it ends with, so every transition must balance: its
+    # runs are its batter and the runners before, less the runners after
+    # and the outs it records
     homer = (0, 0, Outcome.HOME_RUN)
-    for runs, ok in ((1, True), (2, False)):
-        table = TransitionTable(rows={homer: (TransitionEntry(0, 0, runs, 1.0),)})
+    single = (0, 1, Outcome.SINGLE)
+    for key, entry, ok in ((homer, TransitionEntry(0, 0, 1, 1.0), True),
+                           (homer, TransitionEntry(0, 0, 2, 1.0), False),
+                           # the runner on first vanishes
+                           (single, TransitionEntry(0, 1, 0, 1.0), False)):
+        table = TransitionTable(rows={key: (entry,)})
         if ok:
             mcengine.compile_simulation(lineup, fixed_policy, table,
                                         innings=9, pa_cap=100)
         else:
-            with pytest.raises(ValueError, match="more runs than its batter"):
+            name = f"{key[0]}-{key[1]}-{key[2].value}"
+            with pytest.raises(ValueError, match=f"transition {name}: conservation"):
                 mcengine.compile_simulation(lineup, fixed_policy, table,
                                             innings=9, pa_cap=100)
 
@@ -286,16 +306,20 @@ def test_counts_at_the_bound_are_exact():
     # bases empty that falls back to the simple model, so their games are
     # capped in every inning and fill the runs, plate-appearance and
     # fallback fields to innings * pa_cap, the most each field is sized
-    # for; the fifth cell's game ends early and stays parked
-    # for the rest of the loop, one inning a step on top of its count
+    # for; each row is one outcome, built on a fallback axis one wide.
+    # The fifth cell's games, stacked beside them, end as they would alone
     innings, pa_cap = 9, 3640
     homers = mcengine.compile_simulation(
         Lineup.from_vectors([ALL_HR] * 9), always_normal,
         TransitionTable(rows={}), innings=innings, pa_cap=pa_cap)
+    assert homers.cum.shape == (9, 1)
+    for field in (homers.runs, homers.pa, homers.fallbacks):
+        assert np.all(field == pa_cap)
+    assert np.all(homers.capped)
     short = mcengine.compile_simulation(
         Lineup.from_vectors([HR_OR_K] * 9), always_normal,
         TransitionTable.simple(), innings=innings, pa_cap=pa_cap)
-    *long_games, parked = mcengine._simulate_cells(
+    *long_games, beside = mcengine._simulate_cells(
         mcengine._stack([homers] * 4 + [short]), 5, 1, [(0, 1)])
     most = innings * pa_cap
     for [(hist, truncated, fallbacks, pa)] in long_games:
@@ -303,10 +327,10 @@ def test_counts_at_the_bound_are_exact():
         assert (truncated, fallbacks, pa) == (1, most, most)
     [[(hist, *counts)]] = mcengine._simulate_cells(
         mcengine._stack([short]), 1, 1, [(0, 1)])
-    assert tuple(parked[0][0]) == tuple(hist)
-    assert list(parked[0][1:]) == counts
+    assert tuple(beside[0][0]) == tuple(hist)
+    assert list(beside[0][1:]) == counts
     truncated, fallbacks, pa = counts
-    assert pa < most // 100  # parked for all but a few steps
+    assert pa < most // 100  # a short game
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -375,10 +399,10 @@ def test_fused_batches_equal_each_batch_alone(mixed_cells, members):
 
 def test_shared_draws_keep_per_game_runs_correlated(lineup):
     # a sweep's deltas are common-random-number comparisons: game g of the
-    # baseline and of a strategy cell steps on the same draws, and the
-    # composite rows' order (the half-inning's end, the state after, the
-    # count) makes a draw pick a like result in both.  One-game batches
-    # give each game's runs: 0.90 here, where the one-PA kernel gave 0.91
+    # baseline and of a strategy cell plays each half-inning on the same
+    # draw, and rows ordered by the half-inning's runs make a draw pick a
+    # like half-inning in both.  One-game batches give each game's runs:
+    # 0.99 here, where the two-plate-appearance step gave 0.90
     table = default_transition_table()
     baseline = mcengine.compile_simulation(
         Lineup.from_vectors(lineup.normals), always_normal, table,
@@ -388,18 +412,18 @@ def test_shared_draws_keep_per_game_runs_correlated(lineup):
     games = mcengine._simulate_cells(mcengine._stack([baseline, cell]), 2, 99,
                                      [(i, 1) for i in range(4096)])
     runs = [[len(hist) - 1 for hist, *_ in cell_games] for cell_games in games]
-    assert np.corrcoef(runs)[0, 1] >= 0.88
+    assert np.corrcoef(runs)[0, 1] >= 0.95
 
 
 # full RunStats (histogram, truncated, fallbacks, plate appearances) of two
 # small runs, recorded from the engine: a kernel change that alters a byte
 # of a run's output fails here, where comparing reruns would not show it
 PINNED = {
-    "bundled": ((483, 780, 1100, 1141, 1064, 985, 829, 621, 484, 353, 217,
-                 145, 93, 77, 41, 29, 23, 12, 7, 3, 2, 1, 1, 1),
-                0, 0, 341666),
-    "empty-3-innings-cap-5": ((4865, 1884, 1044, 453, 168, 61, 13, 3, 0, 1),
-                              4381, 104533, 104533),
+    "bundled": ((512, 799, 1066, 1169, 1112, 938, 798, 609, 439, 326, 241,
+                 161, 118, 79, 45, 28, 21, 10, 11, 5, 0, 3, 1, 0, 0, 1),
+                0, 0, 341790),
+    "empty-3-innings-cap-5": ((4764, 1888, 1087, 492, 188, 52, 15, 5, 1),
+                              4547, 105076, 105076),
 }
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batsim import mcengine
 from batsim.abilities import LEAGUE_AVERAGE, AbilityVector
 from batsim.defaults import (
     default_converter_params,
@@ -27,11 +28,14 @@ from batsim.strategies import (
     always_normal,
     build_triple,
     fixed_policy,
+    threshold_policy,
 )
+from batsim.sweeps import mean_batter
 from batsim.synthdata import synthesize_event_log
 from batsim.transitions import (
     INNING_OVER,
     NUM_LIVE_STATES,
+    Outcome,
     TransitionTable,
     build_table,
     run_expectancy,
@@ -70,11 +74,12 @@ def converted_lineup():
                         for v in fitted_lineup().vectors))
 
 
-def _game_runs(flow, ends, innings, pa_cap, max_runs):
-    """P(game runs = r) for r <= max_runs; mass past max_runs is dropped."""
+def _half_innings(flow, ends, pa_cap, max_runs):
+    """half[l, m, r]: P(a half-inning led off by slot l scores r runs and
+    slot m leads off the next), for r <= max_runs; mass past max_runs is
+    dropped."""
     n = max_runs + 1
     lead = np.arange(9)
-    # half[l, m, r]: an inning led off by slot l scores r, slot m leads the next
     half = np.zeros((9, 9, n))
     mass = np.zeros((9, NUM_LIVE_STATES, n))  # [leadoff, state, runs so far]
     mass[:, 0, 0] = 1.0
@@ -89,7 +94,12 @@ def _game_runs(flow, ends, innings, pa_cap, max_runs):
         mass = new
     # an inning still live after pa_cap is capped: the next batter leads off
     half[lead, (lead + pa_cap) % 9] += mass.sum(axis=1)
+    return half
 
+
+def _game_runs(half, innings):
+    """P(game runs = r) from the half-innings, over the runs half holds."""
+    n = half.shape[2]
     game = np.zeros((9, n))  # [slot leading off the next inning, runs]
     game[0, 0] = 1.0
     for _ in range(innings):
@@ -100,15 +110,10 @@ def _game_runs(flow, ends, innings, pa_cap, max_runs):
     return game.sum(axis=0)
 
 
-def _exact_run_distribution(lineup, policy, table, *, innings, pa_cap):
-    """P(game runs = r), computed from the chain without compile_simulation
-    or run_batches, so it checks both.
-
-    Per batting slot, flow[slot, k] is the 24x24 live-to-live mass of a
-    plate appearance that scores k runs and ends[slot, k] the mass that
-    ends the inning.  The run cap starts at 80 and grows until the mass
-    beyond it is below 1e-9; no cap past the most runs a game can score is
-    ever needed."""
+def _chain(lineup, policy, table):
+    """Per batting slot, flow[slot, k], the 24x24 live-to-live mass of a
+    plate appearance that scores k runs, and ends[slot, k], the mass that
+    ends the inning, walked entry by entry from the table."""
     key, post, runs, prob, _ = table.flat()
     state = key // 8
     outcome_p = np.array([[triple.vector(choice).as_tuple() for choice in policy]
@@ -120,11 +125,21 @@ def _exact_run_distribution(lineup, policy, table, *, innings, pa_cap):
     for slot in range(9):
         np.add.at(flow[slot], (runs[live], post[live], state[live]), p[slot, live])
         np.add.at(ends[slot], (runs[~live], state[~live]), p[slot, ~live])
+    return flow, ends
 
-    most = int(runs.max()) * pa_cap * innings
+
+def _exact_run_distribution(lineup, policy, table, *, innings, pa_cap):
+    """P(game runs = r), computed from the chain without compile_simulation
+    or run_batches, so it checks both.
+
+    The run cap starts at 80 and grows until the mass beyond it is below
+    1e-9; no cap past the most runs a game can score is ever needed."""
+    flow, ends = _chain(lineup, policy, table)
+    most = (flow.shape[1] - 1) * pa_cap * innings
     max_runs = 80
     while True:
-        dist = _game_runs(flow, ends, innings, pa_cap, min(max_runs, most))
+        dist = _game_runs(_half_innings(flow, ends, pa_cap, min(max_runs, most)),
+                          innings)
         if 1.0 - dist.sum() < 1e-9 or max_runs >= most:
             break
         max_runs *= 4
@@ -363,6 +378,42 @@ def test_stats_are_internally_consistent(seed):
     assert stats.stderr >= 0.0
     total = sum(r * c for r, c in enumerate(stats.histogram))
     assert stats.mean == total / 500
+
+
+def _builder_case(name, converted_lineup):
+    """(lineup, policy, table, innings, pa_cap) of a compiled-row check."""
+    bundled = default_transition_table()
+    if name == "bundled-threshold":
+        re_table = run_expectancy(bundled, mean_batter(converted_lineup.normals))
+        values = sorted(re_table.values)
+        return (converted_lineup, threshold_policy(values[16], values[7], re_table),
+                bundled, 9, 100)
+    if name == "bundled-fixed":
+        return converted_lineup, fixed_policy, bundled, 9, 100
+    if name == "empty-truncated":
+        return converted_lineup, fixed_policy, TransitionTable(rows={}), 3, 5
+    # only the leadoff strikeout of each inning falls back to the simple model
+    rows = dict(SIMPLE.rows)
+    del rows[(0, 0, Outcome.STRIKEOUT)]
+    return (Lineup.from_vectors([ALL_K] * 9), always_normal,
+            TransitionTable(rows=rows), 9, 100)
+
+
+@pytest.mark.parametrize("case", ["bundled-fixed", "bundled-threshold",
+                                  "empty-truncated", "fallback-heavy"])
+def test_compiled_rows_are_the_exact_half_innings(converted_lineup, case):
+    # each leadoff row, summed into (next leadoff, runs), is the oracle's
+    # half-inning distribution; no draw is involved, so the check is exact
+    lineup, policy, table, innings, pa_cap = _builder_case(case, converted_lineup)
+    c = mcengine.compile_simulation(lineup, policy, table, innings=innings,
+                                    pa_cap=pa_cap)
+    flow, ends = _chain(lineup, policy, table)
+    half = _half_innings(flow, ends, pa_cap, pa_cap)  # a run needs a PA
+    mass = np.diff(c.cum, axis=1, prepend=0.0)
+    for lead in range(9):
+        got = np.zeros((9, pa_cap + 1))
+        np.add.at(got, ((lead + c.pa[lead]) % 9, c.runs[lead]), mass[lead])
+        np.testing.assert_allclose(got, half[lead], rtol=0, atol=1e-12)
 
 
 def test_exact_one_inning_mean_is_the_run_expectancy(league_table):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -348,6 +349,14 @@ class TestRunExpectancy:
 TABLES = {"bundled": default_transition_table,
           "empty": lambda: TransitionTable(rows={}),
           "simple": TransitionTable.simple}
+
+
+def test_pickled_table_keeps_its_entries():
+    # a parallel engine call pickles its table into every task
+    table = default_transition_table()
+    again = pickle.loads(pickle.dumps(table))
+    assert again.rows == table.rows
+    assert {type(e) for row in again.rows.values() for e in row} == {TransitionEntry}
 
 
 class TestLookup:
