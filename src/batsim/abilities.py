@@ -156,12 +156,13 @@ class SlashTargets:
     onbase_share: float
 
     def __post_init__(self):
-        for name in ("obp", "woba", "onbase_share"):
+        # the most a valid vector reaches: when every plate appearance is a
+        # homer, SLG is 4 and wOBA the homer weight
+        for name, top in (("obp", 1.0), ("slg", 4.0), ("onbase_share", 1.0),
+                          ("woba", max(WOBA_WEIGHTS.values()))):
             v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-        if not (0.0 <= self.slg <= 4.0):
-            raise ValueError(f"slg must lie in [0, 4], got {self.slg!r}")
+            if not (0.0 <= v <= top):
+                raise ValueError(f"{name} must lie in [0, {top:g}], got {v!r}")
 
 
 # fit_ability_vector's acceptance tolerance on each stat and its budget of

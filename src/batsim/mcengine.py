@@ -29,12 +29,12 @@ ordered by runs first, so a shared draw picks a like half-inning in every
 cell and sweep deltas keep their common random numbers.  A plate-appearance
 cap per half-inning guards against never-ending innings: a half-inning
 still live after pa_cap plate appearances ends there, capped.
-compile_simulation rejects a table entry that does not balance, and an
-innings x pa_cap whose counts would not fit their packed fields
-(count_shifts).  The reference for these semantics is exact: the tests
-compute each game's run distribution from the same chain by pushing
-probability mass through it, without compile_simulation, and check both
-the rows and the engine's histograms against it.
+compile_simulation reads the table only through TransitionTable.flat, whose
+entries all balance, and rejects an innings x pa_cap whose counts would not
+fit their packed fields (count_shifts).  The reference for these semantics
+is exact: the tests compute each game's run distribution from the same
+chain by pushing probability mass through it, without compile_simulation,
+and check both the rows and the engine's histograms against it.
 
 A call splits its cells x batches units, cell by cell, into one task of
 near-equal length per process: a task is a group of cells with a range of
@@ -67,7 +67,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .transitions import INNING_OVER, NUM_LIVE_STATES, TransitionTable, check_event
+from .transitions import INNING_OVER, NUM_LIVE_STATES, TransitionTable, outs_and_runners
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -135,24 +135,11 @@ def compile_simulation(lineup, policy, table: TransitionTable, *,
 
     # Every plate appearance puts its batter on base, across the plate or
     # out, so a half-inning of pa plate appearances that stops with `left`
-    # outs and runners on base scored pa - left runs.  The table must
-    # balance for that to hold: a transition scores 1 + left before - left
-    # after, where an entry that ends the half-inning leaves 3 outs
-    def on_field(outs, bases):
-        return outs + (bases & 1) + (bases >> 1 & 1) + (bases >> 2 & 1)
-
-    outs, bases, outs_after, bases_after, scored = np.array(
-        [(outs, bases, e.outs, e.bases, e.runs)
-         for (outs, bases, _), entries in table.rows.items() for e in entries],
-        dtype=int).reshape(-1, 5).T
-    if np.any(scored != 1 + on_field(outs, bases) - on_field(outs_after, bases_after)):
-        for (outs, bases, outcome), entries in table.rows.items():
-            for e in entries:
-                reason = check_event(outs, bases, outcome, e.outs, e.bases, e.runs)
-                if reason is not None:
-                    raise ValueError(f"transition {outs}-{bases}-{outcome.value}: {reason}")
+    # outs and runners on base scored pa - left runs.  Every table entry
+    # balances, so a transition scores 1 + left before - left after, where
+    # an entry that ends the half-inning leaves 3 outs
     state = np.arange(NUM_LIVE_STATES)
-    left = on_field(state // 8, state % 8)
+    left = outs_and_runners(state // 8, state % 8)
 
     key, post, runs, prob, fell_back = table.flat()
     before = key // 8

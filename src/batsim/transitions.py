@@ -19,8 +19,8 @@ already aboard each end the play on base, scored, or out, so
 
     runners_before + 1 == runners_after + runs_scored + outs_gained
 
-holds exactly.  The parser enforces this identity row by row, which catches
-most hand-edited or corrupted logs immediately.
+holds exactly (outs_and_runners).  check_event checks it: the parser on every
+row of a log, and a TransitionTable on every entry when it is made.
 """
 
 from __future__ import annotations
@@ -138,6 +138,12 @@ def _runner_count(bases: int) -> int:
     return (bases & 1) + ((bases >> 1) & 1) + ((bases >> 2) & 1)
 
 
+def outs_and_runners(outs, bases):
+    """Outs plus runners on base, of ints or integer arrays: a transition
+    balances when outs_and_runners(before) + 1 == outs_and_runners(after) + runs."""
+    return outs + _runner_count(bases)
+
+
 @dataclass(frozen=True, slots=True)
 class TransitionEvent:
     outs_pre: int
@@ -163,9 +169,8 @@ def check_event(outs_pre, bases_pre, outcome, outs_post, bases_post, runs) -> st
     outs_gained = outs_post - outs_pre
     if outs_gained < 0:
         return f"outs decreased from {outs_pre} to {outs_post}"
-    lhs = _runner_count(bases_pre) + 1
-    rhs = _runner_count(bases_post) + runs + outs_gained
-    if lhs != rhs:
+    if (outs_and_runners(outs_pre, bases_pre) + 1
+            != outs_and_runners(outs_post, bases_post) + runs):
         return (f"conservation violated: {_runner_count(bases_pre)} runners + batter"
                 f" != {_runner_count(bases_post)} runners + {runs} runs"
                 f" + {outs_gained} outs")
@@ -319,6 +324,23 @@ class TransitionTable:
 
     rows: dict[Key, tuple[TransitionEntry, ...]]
 
+    def __post_init__(self):
+        """Each row is from a live state, and its entries pass check_event
+        and have positive probabilities summing to 1.  Unpickling skips it."""
+        for (outs, bases, outcome), entries in self.rows.items():
+            key = f"{outs}-{bases}-{outcome.value}"
+            if not (0 <= outs <= 2 and 0 <= bases <= 7):
+                raise TransitionTableError(f"key {key!r} is not a live state")
+            for e in entries:
+                if not e.prob > 0.0:
+                    raise TransitionTableError(f"{key}: non-positive probability")
+                reason = check_event(outs, bases, outcome, e.outs, e.bases, e.runs)
+                if reason is not None:
+                    raise ConservationViolationError(f"{key}: {reason}")
+            total = math.fsum(e.prob for e in entries)
+            if abs(total - 1.0) > 1e-9:
+                raise TransitionTableError(f"{key}: probabilities sum to {total!r}")
+
     def lookup(self, state: GameState, outcome: Outcome,
                ) -> tuple[tuple[TransitionEntry, ...], bool]:
         """The entries for (state, outcome) and whether they fell back: the
@@ -394,23 +416,10 @@ class TransitionTable:
             outcome = OUTCOME_BY_CODE.get(parts[2])
             if outcome is None:
                 raise TransitionTableError(f"unknown outcome in key {key!r}")
-            if not (0 <= outs <= 2 and 0 <= bases <= 7):
-                raise TransitionTableError(f"key {key!r} is not a live state")
-            entries = []
-            for raw in raw_entries:
-                entry = TransitionEntry(int(raw["outs"]), int(raw["bases"]),
-                                        int(raw["runs"]), float(raw["p"]))
-                if entry.prob <= 0.0:
-                    raise TransitionTableError(f"{key}: non-positive probability")
-                reason = check_event(outs, bases, outcome,
-                                     entry.outs, entry.bases, entry.runs)
-                if reason is not None:
-                    raise ConservationViolationError(f"{key}: {reason}")
-                entries.append(entry)
-            total = math.fsum(e.prob for e in entries)
-            if abs(total - 1.0) > 1e-9:
-                raise TransitionTableError(f"{key}: probabilities sum to {total!r}")
-            rows[(outs, bases, outcome)] = tuple(entries)
+            rows[(outs, bases, outcome)] = tuple(
+                TransitionEntry(int(raw["outs"]), int(raw["bases"]),
+                                int(raw["runs"]), float(raw["p"]))
+                for raw in raw_entries)
         return cls(rows=rows)
 
     def save(self, path) -> None:

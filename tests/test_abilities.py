@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from batsim.abilities import (
     LEAGUE_AVERAGE,
@@ -28,6 +28,8 @@ from conftest import ability_vectors
 MIXED = AbilityVector(0.15, 0.05, 0.005, 0.03, 0.08, 0.18, 0.30, 0.205)
 ALL_K = AbilityVector(0, 0, 0, 0, 0, 1.0, 0, 0)
 ALL_HR = AbilityVector(0, 0, 0, 1.0, 0, 0, 0, 0)
+# a valid vector whose wOBA, 1.029, is above 1: 23% of it is homers
+WOBA_ABOVE_ONE = AbilityVector(0.12, 0.12, 0.12, 0.23, 0.12, 0.09, 0.1, 0.1)
 
 
 class TestValidate:
@@ -167,6 +169,10 @@ class TestParameterValidation:
             SlashTargets(obp=1.2, slg=0.4, woba=0.3, onbase_share=0.5)
         with pytest.raises(ValueError):
             SlashTargets(obp=0.3, slg=4.5, woba=0.3, onbase_share=0.5)
+        # wOBA reaches the homer weight, 2.065, and no further
+        SlashTargets(obp=1.0, slg=4.0, woba=2.065, onbase_share=0.0)
+        with pytest.raises(ValueError, match="woba must lie in"):
+            SlashTargets(obp=0.3, slg=0.4, woba=2.07, onbase_share=0.5)
 
 
 class TestFitAbilityVector:
@@ -210,6 +216,7 @@ class TestFitAbilityVector:
             fit_ability_vector(targets, bad)
 
     @given(ability_vectors())
+    @example(WOBA_ABOVE_ONE)
     def test_own_stats_have_zero_residuals(self, vec):
         """The fit scores a vector with the same formulas that compute its
         stats, so its own stat line is met exactly, not to the last bit."""
@@ -219,13 +226,10 @@ class TestFitAbilityVector:
 
     @settings(max_examples=15, deadline=None)
     @given(ability_vectors())
+    @example(WOBA_ABOVE_ONE)
     def test_round_trip_from_own_stats(self, vec):
         """Fitting a vector's own stat line recovers an equivalent stat line."""
-        obp, slg = slash_stats(vec)
-        try:
-            targets = SlashTargets(obp, slg, woba(vec), onbase_share(vec))
-        except ValueError:
-            return  # slg drawn outside the representable target range
+        targets = SlashTargets(*slash_stats(vec), woba(vec), onbase_share(vec))
         fitted = fit_ability_vector(targets, vec)
         res = fit_residuals(fitted, targets)
         assert max(abs(r) for r in res.values()) <= self.TOL

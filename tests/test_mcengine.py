@@ -18,7 +18,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from batsim import mcengine
+from batsim import mcengine, transitions
 from batsim.abilities import AbilityVector
 from batsim.defaults import (
     default_converter_params,
@@ -38,9 +38,13 @@ from batsim.transitions import (
     INNING_OVER,
     NUM_LIVE_STATES,
     OUTCOMES,
+    ConservationViolationError,
+    GameState,
     Outcome,
     TransitionEntry,
+    TransitionEvent,
     TransitionTable,
+    build_table,
     live_states,
     run_expectancy,
     simple_transition,
@@ -279,26 +283,46 @@ def test_compile_rejects_counts_that_overflow(lineup, innings, fits,
                                     innings=innings, pa_cap=too_large)
 
 
-def test_compile_rejects_runs_beyond_the_runners_cleared(lineup):
+HOMER, SINGLE = (0, 0, Outcome.HOME_RUN), (0, 1, Outcome.SINGLE)
+
+
+def _table_made_by(how, key, entry, monkeypatch):
+    """A table whose one row, or in simple()'s case one of its rows, holds
+    the entry for the key, made the given way."""
+    outs, bases, outcome = key
+    if how == "rows":
+        return TransitionTable(rows={key: (entry,)})
+    if how == "json":
+        return TransitionTable.from_json_obj({f"{outs}-{bases}-{outcome.value}": [
+            {"outs": entry.outs, "bases": entry.bases, "runs": entry.runs,
+             "p": entry.prob}]})
+    if how == "events":
+        return build_table([TransitionEvent(outs, bases, outcome, entry.outs,
+                                            entry.bases, entry.runs)], min_count=1)
+    # simple() takes its rows from the fallback rule: answer the key with
+    # the entry
+    monkeypatch.setattr(transitions, "simple_transition", lambda state, o: (
+        (GameState(entry.outs, entry.bases), entry.runs)
+        if (state.outs, state.bases, o) == key else simple_transition(state, o)))
+    return TransitionTable.simple()
+
+
+@pytest.mark.parametrize("how", ["rows", "json", "simple", "events"])
+def test_every_way_of_making_a_table_rejects_an_unbalanced_entry(
+        lineup, monkeypatch, how):
     # a half-inning's runs follow from its plate appearances and the outs
     # and runners it ends with, so every transition must balance: its
     # runs are its batter and the runners before, less the runners after
-    # and the outs it records
-    homer = (0, 0, Outcome.HOME_RUN)
-    single = (0, 1, Outcome.SINGLE)
-    for key, entry, ok in ((homer, TransitionEntry(0, 0, 1, 1.0), True),
-                           (homer, TransitionEntry(0, 0, 2, 1.0), False),
-                           # the runner on first vanishes
-                           (single, TransitionEntry(0, 1, 0, 1.0), False)):
-        table = TransitionTable(rows={key: (entry,)})
-        if ok:
-            mcengine.compile_simulation(lineup, fixed_policy, table,
-                                        innings=9, pa_cap=100)
-        else:
-            name = f"{key[0]}-{key[1]}-{key[2].value}"
-            with pytest.raises(ValueError, match=f"transition {name}: conservation"):
-                mcengine.compile_simulation(lineup, fixed_policy, table,
-                                            innings=9, pa_cap=100)
+    # and the outs it records.  The table checks that when it is made, so
+    # compile_simulation never sees an entry that does not
+    table = _table_made_by(how, HOMER, TransitionEntry(0, 0, 1, 1.0), monkeypatch)
+    mcengine.compile_simulation(lineup, fixed_policy, table, innings=9, pa_cap=100)
+    for key, entry in ((HOMER, TransitionEntry(0, 0, 2, 1.0)),
+                       # the runner on first vanishes
+                       (SINGLE, TransitionEntry(0, 1, 0, 1.0))):
+        name = f"{key[0]}-{key[1]}-{key[2].value}"
+        with pytest.raises(ConservationViolationError, match=f"^{name}: conservation"):
+            _table_made_by(how, key, entry, monkeypatch)
 
 
 def test_counts_at_the_bound_are_exact():

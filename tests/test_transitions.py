@@ -25,6 +25,7 @@ from batsim.transitions import (
     TransitionEntry,
     TransitionEvent,
     TransitionTable,
+    TransitionTableError,
     UnknownOutcomeError,
     _runner_count,
     build_table,
@@ -274,6 +275,10 @@ class TestTableSerialization:
         obj = {"0-0-K": [{"outs": 1, "bases": 0, "runs": 0, "p": 0.9}]}
         with pytest.raises(ValueError):
             TransitionTable.from_json_obj(obj)
+        # a NaN probability fails every comparison: it is not positive
+        with pytest.raises(TransitionTableError, match="non-positive"):
+            TransitionTable.from_json_obj(json.loads(
+                '{"0-0-K": [{"outs": 1, "bases": 0, "runs": 0, "p": NaN}]}'))
 
     def test_rejects_conservation_violations(self):
         obj = {"0-0-SINGLE": [{"outs": 0, "bases": 0, "runs": 2, "p": 1.0}]}
