@@ -370,7 +370,8 @@ def train(dataset: PairDataset,
     flat = live.flat
     velocity = np.zeros(N_PARAMS)
     rows = min(BATCH_SIZE, len(train_idx))
-    ws = _Workspace(rows)
+    # one workspace for the batches' backprop and the validation pass
+    ws = _Workspace(max(rows, n_val))
     grad = ws.grad.flat
     x_batch, y_batch = np.empty((rows, 9)), np.empty((rows, 7))
 
@@ -392,7 +393,8 @@ def train(dataset: PairDataset,
             velocity *= MOMENTUM
             velocity -= grad
             flat += velocity
-        val_loss = loss(live, val)
+        val_loss = _mean_loss(val.inputs, val.targets, _forward_into(
+            live, val.inputs, ws.h1[:n_val], ws.h2[:n_val], ws.out[:n_val]))
         if val_loss < best_loss - 1e-12:
             best_loss = val_loss
             best[:] = flat
@@ -403,6 +405,7 @@ def train(dataset: PairDataset,
             if stale > PATIENCE:
                 break
 
+    del ws  # freed before evaluate allocates its own arrays
     best_params = ConverterParams(best)
     metrics = evaluate(best_params, val)
     metrics = replace(metrics, epochs_run=epoch, best_epoch=best_epoch)
@@ -545,7 +548,7 @@ def save_params(params: ConverterParams, fh, *,
         "woba_weights": WOBA_WEIGHTS,
         **{name: getattr(params, name).tolist() for name, _ in LAYOUT},
     }
-    json.dump(obj, fh)
+    fh.write(json.dumps(obj))
     fh.write("\n")
 
 

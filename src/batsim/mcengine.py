@@ -11,12 +11,12 @@ so any degree of parallelism and any grouping of batches into steps produce
 byte-identical aggregates.
 
 Several cells (lineup, policy and table triples, as in a sweep) run on the
-same batches.  A step of batch i draws its one vector of uniforms and every
-cell's game g uses its g-th entry, so game g's k-th half-inning sees the
-same uniform in every cell, and each cell's histogram and counts are
-exactly those of a run of that cell alone.  A step holds up to
-STEP_PAIRS // BATCH_SIZE (cell, batch) units: two cells of one batch, or
-two batches of one cell, so its arrays stay as small as two batches.
+same batches.  Each cell runs alone, in its own step loop, and batch i of
+every cell draws from the generator seeded with (seed, i), so game g's k-th
+half-inning sees the same uniform in every cell: the per-batch generators
+give the cells their common random numbers.  A step holds up to
+STEP_BATCHES batches of one cell, so its arrays stay as small as two
+batches.
 
 Every half-inning starts with the bases empty and no outs, so its whole
 outcome depends only on the slot that leads it off.  compile_simulation
@@ -41,7 +41,7 @@ near-equal length per process: a task is a group of cells with a range of
 batches (only its first and last cell can have part of theirs).  Every
 call, of one cell or many, takes its cells as (lineup, policy, table)
 triples: its tasks carry them, not compiled tables, and compile them where
-they run, two at a time, just before running them.  A call that runs on
+they run, one at a time, just before running them.  A call that runs on
 one process runs its one task in place.
 
 Parallel calls share one process pool per process, of min(workers, usable
@@ -73,10 +73,11 @@ if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
 BATCH_SIZE = 4096
-# (cell, game) pairs one kernel step may hold: two cells of a full batch, or
-# two batches of one cell.  Fusing seven cells per step raised a sweep's peak
-# RSS by 17% in a prototype.
-STEP_PAIRS = 2 * BATCH_SIZE
+# batches of one cell that one kernel step may hold, each drawn from its own
+# (seed, batch) generator; the cells of a call share their draws through
+# those generators, not through a shared step.  Wider steps cost memory:
+# fusing seven cells per step raised a sweep's peak RSS by 17% in a prototype.
+STEP_BATCHES = 2
 # guide cells per row; a power of two, so u * GUIDE_SIZE is exact.  A row
 # holds about 220 outcomes, and with 4096 cells 1% of the guide leaves its
 # draws to search on (23% at 64)
@@ -94,15 +95,15 @@ class CompiledSim:
     outcomes of a half-inning that slot l leads off, ordered by runs, then
     plate appearances, fallbacks and capped, left-justified.  cum holds
     their cumulative mass; the last real entry is exactly 1.0 and padding
-    columns are 1.0 too, so a unit draw selects a positive-mass entry.  A
-    half-inning of pa plate appearances hands the next to slot (l + pa) % 9.
+    columns are 1.0 too, so a unit draw selects a positive-mass entry.
+    count packs each outcome in a game's count fields (count_shifts; unpack
+    reads them), so a game's count is the sum of its half-innings' entries;
+    padding counts are 0.  A half-inning of pa plate appearances hands the
+    next to slot (l + pa) % 9.
     """
 
-    cum: np.ndarray        # (9, W) cumulative mass
-    runs: np.ndarray       # (9, W) runs scored in the half-inning
-    pa: np.ndarray         # (9, W) its plate appearances
-    fallbacks: np.ndarray  # (9, W) its plate appearances the table had no row for
-    capped: np.ndarray     # (9, W) True where it reached pa_cap
+    cum: np.ndarray    # (9, W) cumulative mass
+    count: np.ndarray  # (9, W) packed runs, plate appearances, fallbacks, capped
     innings: int
     pa_cap: int
 
@@ -122,13 +123,22 @@ def count_shifts(innings: int, pa_cap: int) -> tuple[int, int, int]:
     return width, 2 * width, 3 * width
 
 
+def unpack(count, innings: int, pa_cap: int):
+    """The runs, plate appearances, fallbacks and capped fields of packed
+    counts, as laid out by count_shifts(innings, pa_cap)."""
+    pa_at, fallback_at, capped_at = count_shifts(innings, pa_cap)
+    field = (1 << pa_at) - 1
+    return (count & field, count >> pa_at & field, count >> fallback_at & field,
+            count >> capped_at)
+
+
 def compile_simulation(lineup, policy, table: TransitionTable, *,
                        innings: int, pa_cap: int) -> CompiledSim:
     if innings <= 0 or pa_cap <= 0:
         raise ValueError("innings and pa_cap must be positive")
     if len(policy) != NUM_LIVE_STATES:
         raise ValueError(f"a policy has {NUM_LIVE_STATES} choices, got {len(policy)}")
-    count_shifts(innings, pa_cap)
+    pa_at, fallback_at, capped_at = count_shifts(innings, pa_cap)
     # P(outcome | slot, state), shape (9, 24, 8)
     outcome_p = np.array([[triple.vector(choice).as_tuple() for choice in policy]
                           for triple in lineup.slots])
@@ -211,63 +221,42 @@ def compile_simulation(lineup, policy, table: TransitionTable, *,
 
     cum = np.minimum(np.cumsum(table_of(mass, float), axis=1), 1.0)
     cum[np.arange(w) >= n[:, None] - 1] = 1.0  # padding, and float crumbs
-    return CompiledSim(cum=cum, runs=table_of(runs, np.int64),
-                       pa=table_of(pa, np.int64),
-                       fallbacks=table_of(fallbacks, np.int64),
-                       capped=table_of(capped, bool), innings=innings,
-                       pa_cap=pa_cap)
+    count = (runs + (pa << pa_at) + (fallbacks << fallback_at)
+             + (capped.astype(np.int64) << capped_at))
+    return CompiledSim(cum=cum, count=table_of(count, np.int64),
+                       innings=innings, pa_cap=pa_cap)
 
 
 @dataclass(frozen=True)
 class _Steps:
-    """A stack of cells as the step loop reads it, every table flat.  Cell
-    k's row for leadoff slot l is row 9 * k + l.  Every row is padded to the
-    widest with cum 1.0, and rows are addressed by guide offset, row *
-    GUIDE_SIZE; cum is scaled by GUIDE_SIZE, so a scaled draw indexes the
-    guide.  An entry's count packs its half-inning's runs, plate
-    appearances, fallbacks and capped flag in a game's count fields, so a
-    game's count is the sum of its innings entries, and its next row is
-    the same cell's row for the slot that leads off the next half-inning."""
+    """A cell's rows as the step loop reads them, every table flat and
+    row l addressed by its guide offset, l * GUIDE_SIZE.  cum is scaled by
+    GUIDE_SIZE, so a scaled draw indexes the guide; an entry's next row is
+    that of the slot that leads off the next half-inning."""
 
+    cell: CompiledSim
     cum: np.ndarray     # GUIDE_SIZE * cumulative mass
     guide: np.ndarray   # entry of a scaled draw in [k, k + 1), or ~search start
     next: np.ndarray    # guide offset of the next half-inning's row
-    count: np.ndarray   # packed runs, plate appearances, fallbacks and capped
-    shifts: tuple[int, int, int]
-    innings: int
 
 
-def _stack(cells: list[CompiledSim]) -> _Steps:
-    """The step tables of the cells, which share innings and pa_cap."""
-    shifts = count_shifts(cells[0].innings, cells[0].pa_cap)
-    pa_at, fallback_at, capped_at = shifts
-    width = max(c.cum.shape[1] for c in cells)
-
-    def stacked(field, fill):
-        return np.concatenate([
-            np.pad(field(c), ((0, 0), (0, width - c.cum.shape[1])),
-                   constant_values=fill) for c in cells])
-
-    cum = stacked(lambda c: c.cum, 1.0)
-    cum *= GUIDE_SIZE
-    count = stacked(lambda c: c.runs + (c.pa << pa_at) + (c.fallbacks << fallback_at)
-                    + (c.capped.astype(np.int64) << capped_at), 0)
-    rows = len(cells) * 9
-    row = np.arange(rows)[:, None]
-    next_row = row - row % 9 + (row + stacked(lambda c: c.pa, 0)) % 9
+def _steps(cell: CompiledSim) -> _Steps:
+    """The step tables of the cell."""
+    cum = cell.cum * GUIDE_SIZE
+    row = np.arange(9)[:, None]
+    _, pa, _, _ = unpack(cell.count, cell.innings, cell.pa_cap)
     # the draws of guide cell k, in [k, k + 1), start at the first entry e
     # whose cum exceeds k: e counts the earlier rows' entries and those of
     # its own whose cum rounds up to at most k.  Where cum[e] may not
     # exceed them all, the guide holds ~e, and the draws search on from e
     up = np.ceil(cum).astype(np.int64)
     up += row * (GUIDE_SIZE + 1)
-    guide = np.cumsum(np.bincount(up.ravel(), minlength=rows * (GUIDE_SIZE + 1)))
-    guide = guide.reshape(rows, -1)[:, :GUIDE_SIZE]
+    guide = np.cumsum(np.bincount(up.ravel(), minlength=9 * (GUIDE_SIZE + 1)))
+    guide = guide.reshape(9, -1)[:, :GUIDE_SIZE]
     np.invert(guide, out=guide,
               where=cum.ravel()[guide] < np.arange(1, GUIDE_SIZE + 1))
-    return _Steps(cum=cum.ravel(), guide=guide.ravel(),
-                  next=(next_row * GUIDE_SIZE).ravel(), count=count.ravel(),
-                  shifts=shifts, innings=cells[0].innings)
+    return _Steps(cell=cell, cum=cum.ravel(), guide=guide.ravel(),
+                  next=((row + pa) % 9 * GUIDE_SIZE).ravel())
 
 
 def _draw(s: _Steps, row: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -290,41 +279,31 @@ def _draw(s: _Steps, row: np.ndarray, x: np.ndarray) -> np.ndarray:
     return entry
 
 
-def _simulate_cells(s: _Steps, cells: int, seed: int, batches):
-    """Run each (batch index, games) batch in each of the cells stacked in
-    s, all in one step loop; returns each cell's list of per-batch
-    (histogram, truncated, fallbacks, pa)."""
+def _simulate(s: _Steps, seed: int, batches):
+    """Run each (batch index, games) batch of the cell whose step tables s
+    holds, all in one step loop; returns each batch's (histogram,
+    truncated, fallbacks, pa).  Every game leads off its first half-inning
+    with slot 0."""
+    cell = s.cell
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, i)))
             for i, _ in batches]
     ends = np.cumsum([n for _, n in batches])
-    # one row of draws per cell: the first is drawn, the others copy it.
-    # Pair p is game p % ends[-1] of cell p // ends[-1], takes that game's
-    # draw, and leads off its first half-inning with slot 0
-    u = np.empty((cells, ends[-1]))
-    draws = np.split(u[0], ends[:-1])
-    row = np.repeat(np.arange(cells) * (9 * GUIDE_SIZE), ends[-1])
+    u = np.empty(ends[-1])
+    draws = np.split(u, ends[:-1])
+    row = np.zeros(u.size, dtype=np.int64)
     count = np.zeros(u.size, dtype=np.int64)
-    for _ in range(s.innings):
+    for _ in range(cell.innings):
         for rng, out in zip(rngs, draws):
             rng.random(out=out)
-        u[0] *= GUIDE_SIZE
-        u[1:] = u[0]
-        entry = _draw(s, row, u.ravel())
-        count += s.count.take(entry)
+        u *= GUIDE_SIZE
+        entry = _draw(s, row, u)
+        count += cell.count.take(entry)
         row = s.next.take(entry)
 
-    pa_at, fallback_at, capped_at = s.shifts
-    field = (1 << pa_at) - 1
-    runs = count & field
-    pa = count >> pa_at & field
-    fallbacks = count >> fallback_at & field
-    truncated = count >> capped_at > 0
-    return [[(np.bincount(runs[unit]), int(np.count_nonzero(truncated[unit])),
-              int(fallbacks[unit].sum()), int(pa[unit].sum()))
-             for unit in (slice(k * ends[-1] + hi - n, k * ends[-1] + hi)
-                          for (_, n), hi in zip(batches, ends))]
-            for k in range(cells)]
-
+    runs, pa, fallbacks, capped = unpack(count, cell.innings, cell.pa_cap)
+    return [(np.bincount(runs[unit]), int(np.count_nonzero(capped[unit])),
+             int(fallbacks[unit].sum()), int(pa[unit].sum()))
+            for unit in (slice(hi - n, hi) for (_, n), hi in zip(batches, ends))]
 
 
 def _batch_sizes(n_games: int) -> list[int]:
@@ -350,36 +329,19 @@ def _run_task(cells, innings: int, pa_cap: int, n_games: int, seed: int,
               first: int, stop: int):
     """Run the units first..stop-1 of the (lineup, policy, table) cells'
     (cell, batch) units, taken cell by cell; returns the merged result of
-    each cell that has units, in order.  Cells with the same batch range
-    run fused, up to STEP_PAIRS // BATCH_SIZE cells at a time, each group
-    compiled just before it runs; a step holds that many units, so a group
-    of one cell steps as many batches at once."""
+    each cell that has units, in order.  Each cell is compiled just before
+    it runs, and a step holds up to STEP_BATCHES of its batches."""
     sizes = _batch_sizes(n_games)
     b = len(sizes)
-    per_step = STEP_PAIRS // BATCH_SIZE
-    ranges = [(k, max(first - k * b, 0), min(stop - k * b, b))
-              for k in range(first // b, -(-stop // b))]
-    groups = []
-    for k, lo, hi in ranges:
-        if (groups and groups[-1][1:] == (lo, hi)
-                and len(groups[-1][0]) < per_step):
-            groups[-1][0].append(k)
-        else:
-            groups.append(([k], lo, hi))
-
     results = []
-    for members, lo, hi in groups:
-        stack = _stack([compile_simulation(*cells[k], innings=innings,
-                                           pa_cap=pa_cap) for k in members])
-        fused = per_step // len(members)
-        per_cell = [[] for _ in members]
-        for start in range(lo, hi, fused):
-            batches = [(i, sizes[i]) for i in range(start, min(start + fused, hi))]
-            for part, got in zip(per_cell, _simulate_cells(
-                    stack, len(members), seed, batches)):
-                part.extend(got)
-        results.extend(_merge(part) for part in per_cell)
-        del stack  # freed before the next group's is built
+    for k in range(first // b, -(-stop // b)):
+        s = _steps(compile_simulation(*cells[k], innings=innings, pa_cap=pa_cap))
+        lo, hi = max(first - k * b, 0), min(stop - k * b, b)
+        parts = []
+        for start in range(lo, hi, STEP_BATCHES):
+            step = range(start, min(start + STEP_BATCHES, hi))
+            parts.extend(_simulate(s, seed, [(i, sizes[i]) for i in step]))
+        results.append(_merge(parts))
     return results
 
 

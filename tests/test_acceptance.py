@@ -37,7 +37,7 @@ from batsim.defaults import (
 from batsim.mcengine import (
     BATCH_SIZE,
     _run_task,
-    _stack,
+    _steps,
     compile_simulation,
     pool_size,
     usable_cores,
@@ -339,8 +339,8 @@ def test_criterion_10_throughput(normals, params, table):
     calls = {
         1: lambda: monte_carlo(*cell, GAMES, SEED, workers=1),
         8: lambda: monte_carlo(*cell, GAMES, SEED, workers=8),
-        "build": lambda: _stack([compile_simulation(*cell, innings=9,
-                                                    pa_cap=100)]),
+        "build": lambda: _steps(compile_simulation(*cell, innings=9,
+                                                   pa_cap=100)),
         "task": lambda: _run_task([cell], 9, 100, GAMES, SEED, lo, hi),
     }
 

@@ -1,4 +1,4 @@
-"""The fused Monte Carlo engine: its compiled half-inning table per leadoff
+"""The Monte Carlo engine: its compiled half-inning table per leadoff
 slot, the draw that searches it, exact fallback counts, many cells in one
 call, and the shared worker pool: its size, its reuse across calls and its
 recovery from a dead worker."""
@@ -152,8 +152,7 @@ def test_rows_hold_the_joint_mass(compiled):
                                                         ROW_PA_CAP)):
         k = len(expected)
         assert k <= width
-        keys = list(zip(c.runs[lead, :k], c.pa[lead, :k], c.fallbacks[lead, :k],
-                        c.capped[lead, :k]))
+        keys = list(zip(*mcengine.unpack(c.count[lead, :k], c.innings, c.pa_cap)))
         assert keys == sorted(keys)
         got = dict(zip(keys, np.diff(c.cum[lead, :k], prepend=0.0)))
         assert len(got) == k  # merged: k distinct entries
@@ -162,54 +161,15 @@ def test_rows_hold_the_joint_mass(compiled):
             assert got[key] == pytest.approx(m, rel=0, abs=1e-12)
         assert c.cum[lead, k - 1] == 1.0  # the last real entry ends the row
         assert np.all(c.cum[lead, k:] == 1.0)
-
-
-def _rows(steps):
-    """A stack's tables as (rows, width) arrays: cum unscaled, next rows as
-    row numbers, and the packed counts."""
-    rows = steps.guide.size // mcengine.GUIDE_SIZE
-    return (steps.cum.reshape(rows, -1) / mcengine.GUIDE_SIZE,
-            steps.next.reshape(rows, -1) // mcengine.GUIDE_SIZE,
-            steps.count.reshape(rows, -1))
-
-
-def test_stacked_rows_pack_each_outcome(compiled):
-    # in a stack, cell k's row for leadoff l is row 9 * k + l; each entry
-    # packs its half-inning's counts into a game's count fields and leads
-    # to the same cell's row for the slot after its last batter
-    *_, c = compiled
-    other = mcengine.compile_simulation(
-        Lineup.from_vectors([HR_OR_K] * 9), always_normal,
-        TransitionTable.simple(), innings=9, pa_cap=100)
-    steps = mcengine._stack([other, c])
-    cum, nxt, count = _rows(steps)
-    assert cum.shape[0] == 18
-    pa_at, fallback_at, capped_at = steps.shifts
-    field = (1 << pa_at) - 1
-    for k, cell in enumerate((other, c)):
-        w = cell.cum.shape[1]
-        rows = slice(9 * k, 9 * k + 9)
-        np.testing.assert_array_equal(cum[rows, :w], cell.cum)
-        assert np.all(cum[rows, w:] == 1.0)
-        packed = count[rows, :w]
-        for got, want in ((packed & field, cell.runs),
-                          (packed >> pa_at & field, cell.pa),
-                          (packed >> fallback_at & field, cell.fallbacks),
-                          (packed >> capped_at, cell.capped)):
-            np.testing.assert_array_equal(got, want)
-        real = cell.pa > 0
-        lead = np.arange(9)[:, None]
-        np.testing.assert_array_equal(
-            nxt[rows, :w][real], (9 * k + (lead + cell.pa) % 9)[real])
+        assert np.all(c.count[lead, k:] == 0)
 
 
 def test_unit_interval_ends_draw_positive_mass(compiled):
     *_, c = compiled
-    steps = mcengine._stack([c])
-    cum, _, _ = _rows(steps)
-    rows = np.arange(cum.shape[0])
-    width = cum.shape[1]
-    mass = np.diff(cum, axis=1, prepend=0.0)
+    steps = mcengine._steps(c)
+    rows = np.arange(9)
+    width = c.cum.shape[1]
+    mass = np.diff(c.cum, axis=1, prepend=0.0)
     for u in (0.0, LAST_DRAW):
         x = np.full(rows.size, u * mcengine.GUIDE_SIZE)
         entry = mcengine._draw(steps, rows * mcengine.GUIDE_SIZE, x)
@@ -218,32 +178,24 @@ def test_unit_interval_ends_draw_positive_mass(compiled):
 
 
 def test_draw_matches_a_full_row_search(compiled):
+    # each draw picks the first entry whose cum exceeds it, and that
+    # entry leads to the row of the slot after its half-inning's last batter
     *_, c = compiled
-    alone = mcengine._stack([c])
-    cum, _, _ = _rows(alone)
+    steps = mcengine._steps(c)
     rng = np.random.default_rng(3)
     edges = np.arange(mcengine.GUIDE_SIZE) / mcengine.GUIDE_SIZE
-    inner = cum[cum < 1.0]
+    inner = c.cum[c.cum < 1.0]
     u = np.concatenate([
         rng.random(20_000), edges, np.nextafter(edges[1:], 0.0), inner,
         np.nextafter(inner, 0.0), [0.0, LAST_DRAW]])
     rows = rng.integers(0, 9, u.size)
-    count = np.count_nonzero(cum[rows] <= u[:, None], axis=1)
-    x = u * mcengine.GUIDE_SIZE
-    np.testing.assert_array_equal(
-        mcengine._draw(alone, rows * mcengine.GUIDE_SIZE, x),
-        rows * cum.shape[1] + count)
-    # second in a stack, behind a cell of another width: its rows sit one
-    # cell further on
-    other = mcengine.compile_simulation(
-        Lineup.from_vectors([HR_OR_K] * 9), always_normal,
-        TransitionTable.simple(), innings=9, pa_cap=100)
-    stacked = mcengine._stack([other, c])
-    width = _rows(stacked)[0].shape[1]
-    rows += 9
-    np.testing.assert_array_equal(
-        mcengine._draw(stacked, rows * mcengine.GUIDE_SIZE, x),
-        rows * width + count)
+    count = np.count_nonzero(c.cum[rows] <= u[:, None], axis=1)
+    entry = mcengine._draw(steps, rows * mcengine.GUIDE_SIZE,
+                           u * mcengine.GUIDE_SIZE)
+    np.testing.assert_array_equal(entry, rows * c.cum.shape[1] + count)
+    _, pa, _, _ = mcengine.unpack(c.count.ravel()[entry], c.innings, c.pa_cap)
+    np.testing.assert_array_equal(steps.next[entry] // mcengine.GUIDE_SIZE,
+                                  (rows + pa) % 9)
 
 
 def test_compiled_tables_do_not_depend_on_the_flat_cache(lineup):
@@ -257,7 +209,7 @@ def test_compiled_tables_do_not_depend_on_the_flat_cache(lineup):
     for _ in range(2):
         again = mcengine.compile_simulation(lineup, fixed_policy, table,
                                             innings=9, pa_cap=100)
-        for field in ("cum", "runs", "pa", "fallbacks", "capped"):
+        for field in ("cum", "count"):
             np.testing.assert_array_equal(getattr(again, field),
                                           getattr(fresh, field))
 
@@ -326,35 +278,25 @@ def test_every_way_of_making_a_table_rejects_an_unbalanced_entry(
 
 
 def test_counts_at_the_bound_are_exact():
-    # every plate appearance of the first four cells is a home run with the
-    # bases empty that falls back to the simple model, so their games are
-    # capped in every inning and fill the runs, plate-appearance and
-    # fallback fields to innings * pa_cap, the most each field is sized
-    # for; each row is one outcome, built on a fallback axis one wide.
-    # The fifth cell's games, stacked beside them, end as they would alone
+    # every plate appearance is a home run with the bases empty that falls
+    # back to the simple model, so a game is capped in every inning and
+    # fills the runs, plate-appearance and fallback fields to innings *
+    # pa_cap, the most each field is sized for; each row is one outcome,
+    # built on a fallback axis one wide
     innings, pa_cap = 9, 3640
     homers = mcengine.compile_simulation(
         Lineup.from_vectors([ALL_HR] * 9), always_normal,
         TransitionTable(rows={}), innings=innings, pa_cap=pa_cap)
     assert homers.cum.shape == (9, 1)
-    for field in (homers.runs, homers.pa, homers.fallbacks):
+    *fields, capped = mcengine.unpack(homers.count, innings, pa_cap)
+    for field in fields:
         assert np.all(field == pa_cap)
-    assert np.all(homers.capped)
-    short = mcengine.compile_simulation(
-        Lineup.from_vectors([HR_OR_K] * 9), always_normal,
-        TransitionTable.simple(), innings=innings, pa_cap=pa_cap)
-    *long_games, beside = mcengine._simulate_cells(
-        mcengine._stack([homers] * 4 + [short]), 5, 1, [(0, 1)])
+    assert np.all(capped == 1)
+    [(hist, truncated, fallbacks, pa)] = mcengine._simulate(
+        mcengine._steps(homers), 1, [(0, 1)])
     most = innings * pa_cap
-    for [(hist, truncated, fallbacks, pa)] in long_games:
-        assert tuple(hist) == (0,) * most + (1,)
-        assert (truncated, fallbacks, pa) == (1, most, most)
-    [[(hist, *counts)]] = mcengine._simulate_cells(
-        mcengine._stack([short]), 1, 1, [(0, 1)])
-    assert tuple(beside[0][0]) == tuple(hist)
-    assert list(beside[0][1:]) == counts
-    truncated, fallbacks, pa = counts
-    assert pa < most // 100  # a short game
+    assert tuple(hist) == (0,) * most + (1,)
+    assert (truncated, fallbacks, pa) == (1, most, most)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -403,39 +345,36 @@ def cells_alone(mixed_cells):
     return stats
 
 
-@pytest.mark.parametrize("members", [[0], [0, 2]], ids=["one-cell", "two-cells"])
-def test_fused_batches_equal_each_batch_alone(mixed_cells, members):
+@pytest.mark.parametrize("member", [0], ids=["one-cell"])
+def test_fused_batches_equal_each_batch_alone(mixed_cells, member):
     # cell 0 reaches the cap in most games; the second batch is a short tail
-    compiled = [mcengine.compile_simulation(*mixed_cells[k], innings=9,
-                                            pa_cap=CELL_PA_CAP) for k in members]
+    steps = mcengine._steps(mcengine.compile_simulation(
+        *mixed_cells[member], innings=9, pa_cap=CELL_PA_CAP))
     batches = [(3, mcengine.BATCH_SIZE), (7, 300)]
-    together = mcengine._simulate_cells(mcengine._stack(compiled), len(members),
-                                        21, batches)
-    for c, cell in zip(compiled, together):
-        for batch, (hist, *counts) in zip(batches, cell):
-            [[(hist_alone, *counts_alone)]] = mcengine._simulate_cells(
-                mcengine._stack([c]), 1, 21, [batch])
-            assert tuple(hist) == tuple(hist_alone)
-            assert counts == counts_alone
-    truncated = together[0][0][1]
+    together = mcengine._simulate(steps, 21, batches)
+    for batch, (hist, *counts) in zip(batches, together):
+        [(hist_alone, *counts_alone)] = mcengine._simulate(steps, 21, [batch])
+        assert tuple(hist) == tuple(hist_alone)
+        assert counts == counts_alone
+    truncated = together[0][1]
     assert truncated > mcengine.BATCH_SIZE // 2
 
 
 def test_shared_draws_keep_per_game_runs_correlated(lineup):
     # a sweep's deltas are common-random-number comparisons: game g of the
-    # baseline and of a strategy cell plays each half-inning on the same
-    # draw, and rows ordered by the half-inning's runs make a draw pick a
-    # like half-inning in both.  One-game batches give each game's runs:
-    # 0.99 here, where the two-plate-appearance step gave 0.90
+    # baseline and of a strategy cell, each run in its own step loop, plays
+    # each half-inning on the same draw of its batch's generator, and rows
+    # ordered by the half-inning's runs make a draw pick a like half-inning
+    # in both.  One-game batches give each game's runs: 0.99 here, where
+    # the two-plate-appearance step gave 0.90
     table = default_transition_table()
-    baseline = mcengine.compile_simulation(
-        Lineup.from_vectors(lineup.normals), always_normal, table,
-        innings=9, pa_cap=100)
-    cell = mcengine.compile_simulation(lineup, fixed_policy, table,
-                                       innings=9, pa_cap=100)
-    games = mcengine._simulate_cells(mcengine._stack([baseline, cell]), 2, 99,
-                                     [(i, 1) for i in range(4096)])
-    runs = [[len(hist) - 1 for hist, *_ in cell_games] for cell_games in games]
+    runs = []
+    for cell in ((Lineup.from_vectors(lineup.normals), always_normal, table),
+                 (lineup, fixed_policy, table)):
+        steps = mcengine._steps(mcengine.compile_simulation(
+            *cell, innings=9, pa_cap=100))
+        games = mcengine._simulate(steps, 99, [(i, 1) for i in range(4096)])
+        runs.append([len(hist) - 1 for hist, *_ in games])
     assert np.corrcoef(runs)[0, 1] >= 0.95
 
 

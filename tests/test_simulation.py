@@ -410,9 +410,10 @@ def test_compiled_rows_are_the_exact_half_innings(converted_lineup, case):
     flow, ends = _chain(lineup, policy, table)
     half = _half_innings(flow, ends, pa_cap, pa_cap)  # a run needs a PA
     mass = np.diff(c.cum, axis=1, prepend=0.0)
+    runs, pa, _, _ = mcengine.unpack(c.count, innings, pa_cap)
     for lead in range(9):
         got = np.zeros((9, pa_cap + 1))
-        np.add.at(got, ((lead + c.pa[lead]) % 9, c.runs[lead]), mass[lead])
+        np.add.at(got, ((lead + pa[lead]) % 9, runs[lead]), mass[lead])
         np.testing.assert_allclose(got, half[lead], rtol=0, atol=1e-12)
 
 
