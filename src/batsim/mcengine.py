@@ -36,13 +36,14 @@ is exact: the tests compute each game's run distribution from the same
 chain by pushing probability mass through it, without compile_simulation,
 and check both the rows and the engine's histograms against it.
 
-A call splits its cells x batches units, cell by cell, into one task of
-near-equal length per process: a task is a group of cells with a range of
-batches (only its first and last cell can have part of theirs).  Every
-call, of one cell or many, takes its cells as (lineup, policy, table)
-triples: its tasks carry them, not compiled tables, and compile them where
-they run, one at a time, just before running them.  A call that runs on
-one process runs its one task in place.
+Every call, of one cell or many, compiles each of its (lineup, policy,
+table) cells once, in the caller, before any task starts, so a cell that
+fails to compile raises there.  It then splits its cells x batches units,
+cell by cell, into one task of near-equal length per process: a list of
+(compiled cell, first batch, stop batch) spans, of which only the first and
+last can hold part of a cell's batches.  Tasks carry compiled rows, never
+tables or lineups; the caller merges a cut cell's results.  A call that
+runs on one process runs its one task in place.
 
 Parallel calls share one process pool per process, of min(workers, usable
 cores) processes.  The first call with more than one task starts it;
@@ -325,21 +326,17 @@ def _merge(results):
     return total, truncated, fallbacks, pa
 
 
-def _run_task(cells, innings: int, pa_cap: int, n_games: int, seed: int,
-              first: int, stop: int):
-    """Run the units first..stop-1 of the (lineup, policy, table) cells'
-    (cell, batch) units, taken cell by cell; returns the merged result of
-    each cell that has units, in order.  Each cell is compiled just before
-    it runs, and a step holds up to STEP_BATCHES of its batches."""
+def _run_task(spans, n_games: int, seed: int):
+    """Run each (compiled cell, first batch, stop batch) span; returns each
+    span's merged result, in order.  A step holds up to STEP_BATCHES of a
+    span's batches."""
     sizes = _batch_sizes(n_games)
-    b = len(sizes)
     results = []
-    for k in range(first // b, -(-stop // b)):
-        s = _steps(compile_simulation(*cells[k], innings=innings, pa_cap=pa_cap))
-        lo, hi = max(first - k * b, 0), min(stop - k * b, b)
+    for cell, first, stop in spans:
+        s = _steps(cell)
         parts = []
-        for start in range(lo, hi, STEP_BATCHES):
-            step = range(start, min(start + STEP_BATCHES, hi))
+        for start in range(first, stop, STEP_BATCHES):
+            step = range(start, min(start + STEP_BATCHES, stop))
             parts.extend(_simulate(s, seed, [(i, sizes[i]) for i in step]))
         results.append(_merge(parts))
     return results
@@ -405,16 +402,21 @@ def run_cells(cells, *, innings: int, pa_cap: int, n_games: int, seed: int,
     """Each (lineup, policy, table) cell's (histogram, truncated,
     fallbacks, pa) over n_games games, equal to that of a call on that
     cell alone, from at most one task per pool process."""
+    compiled = [compile_simulation(*cell, innings=innings, pa_cap=pa_cap)
+                for cell in cells]
     b = len(_batch_sizes(n_games))
     units = len(cells) * b
     processes = pool_size(workers)
-    n_tasks = min(processes, units)
-    if n_tasks <= 1:
-        return _run_task(cells, innings, pa_cap, n_games, seed, 0, units)
-
+    n_tasks = max(1, min(processes, units))
     bounds = [-(-units * t // n_tasks) for t in range(n_tasks + 1)]
-    tasks = [(cells[lo // b:-(-hi // b)], innings, pa_cap, n_games, seed,
-              lo % b, hi - lo // b * b) for lo, hi in zip(bounds, bounds[1:])]
+    # each task's (cell index, first batch, stop batch) spans
+    spans = [[(k, max(lo - k * b, 0), min(hi - k * b, b))
+              for k in range(lo // b, -(-hi // b))]
+             for lo, hi in zip(bounds, bounds[1:])]
+    tasks = [([(compiled[k], first, stop) for k, first, stop in task], n_games,
+              seed) for task in spans]
+    if n_tasks == 1:  # every cell whole, in order
+        return _run_task(*tasks[0])
     with _pool_lock:
         pool = _shared_pool(processes)
         try:
@@ -426,8 +428,8 @@ def run_cells(cells, *, innings: int, pa_cap: int, n_games: int, seed: int,
             raise
     # a cell cut between two tasks has a result from each
     per_cell = [[] for _ in cells]
-    for lo, task_results in zip(bounds, results):
-        for k, result in enumerate(task_results, start=lo // b):
+    for task, task_results in zip(spans, results):
+        for (k, _, _), result in zip(task, task_results):
             per_cell[k].append(result)
     return [_merge(parts) for parts in per_cell]
 

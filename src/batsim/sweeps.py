@@ -157,24 +157,24 @@ def write_sweep_csv(rows, path) -> None:
             fh.write(",".join(_cell(v) for v in astuple(r)) + "\n")
 
 
+# the parser of a sweep CSV cell, by the annotation of its SweepRow field
+_PARSERS = {"str": str, "int": int, "float": float,
+            "float | None": lambda s: None if s == "" else float(s)}
+
+
 def read_sweep_csv(path) -> list[SweepRow]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != SWEEP_CSV_HEADER:
         raise ValueError(f"unexpected sweep CSV header in {path}")
-    def opt(s: str):
-        return None if s == "" else float(s)
-
+    parsers = [_PARSERS[f.type] for f in fields(SweepRow)]
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        rows.append(SweepRow(
-            mode=cells[0], d_alpha=opt(cells[1]), d_woba=opt(cells[2]),
-            theta_o=opt(cells[3]), theta_l=opt(cells[4]),
-            mean_runs=float(cells[5]), stderr=float(cells[6]),
-            delta_vs_baseline=float(cells[7]), n_games=int(cells[8]),
-            truncated=int(cells[9]), fallbacks=int(cells[10]),
-            infeasible_triples=int(cells[11])))
+        if len(cells) != len(parsers):
+            raise ValueError(f"{path}:{lineno}: {len(cells)} cells, but the"
+                             f" header has {len(parsers)}")
+        rows.append(SweepRow(*(parse(c) for parse, c in zip(parsers, cells))))
     return rows
 
 

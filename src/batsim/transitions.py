@@ -305,12 +305,6 @@ class TransitionEntry:
     runs: int
     prob: float
 
-    def __reduce__(self):
-        # pickled as its constructor call: a parallel engine call sends
-        # every entry of its table to each task, and the default form of a
-        # frozen slotted dataclass takes twice as long to load
-        return TransitionEntry, (self.outs, self.bases, self.runs, self.prob)
-
 
 Key = tuple[int, int, Outcome]
 
@@ -356,8 +350,7 @@ class TransitionTable:
         key = state index * 8 + outcome index, post index (INNING_OVER
         when the entry ends the inning), runs, probability given the key,
         and whether the entry fell back.  The chain is walked once per
-        table: every call returns the same read-only arrays, and a pickled
-        table carries them."""
+        table: every call returns the same read-only arrays."""
         return self._flat
 
     @cached_property

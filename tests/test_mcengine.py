@@ -4,11 +4,13 @@ call, and the shared worker pool: its size, its reuse across calls and its
 recovery from a dead worker."""
 
 import concurrent.futures
+import io
 import itertools
 import multiprocessing
 import multiprocessing.connection
 import os
 import pathlib
+import pickle
 import signal
 import subprocess
 import sys
@@ -493,18 +495,111 @@ def test_no_cells_is_no_work():
                               workers=2) == []
 
 
+def _pickled_types(obj):
+    """The types of the objects that pickling obj writes, builtin
+    containers and scalars aside."""
+    types = set()
+
+    class Recording(pickle.Pickler):
+        def reducer_override(self, o):
+            types.add(type(o))
+            return NotImplemented
+
+    Recording(io.BytesIO()).dump(obj)
+    return types
+
+
+class InProcessPool:
+    """Stands in for the process pool: runs a call's tasks one by one in
+    this process, so a test sees every task's payload."""
+
+    def __init__(self, *, max_workers):
+        pass
+
+    def map(self, fn, *columns):
+        return map(fn, *columns)
+
+    def shutdown(self, *args, **kwargs):
+        pass
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("call", ["one cell", "cells"])
+def test_each_cell_is_compiled_once_in_the_caller(monkeypatch, mixed_cells,
+                                                  cells_alone, call, workers,
+                                                  no_shared_pool):
+    # a cell split between tasks is still compiled once, and tasks carry its
+    # compiled rows, never its lineup or table
+    compiled, payloads = [], []
+    compile_cell, run_task = mcengine.compile_simulation, mcengine._run_task
+
+    def counted_compile(*cell, **limits):
+        compiled.append(cell)
+        return compile_cell(*cell, **limits)
+
+    def recorded_task(*task):
+        payloads.append(task)
+        return run_task(*task)
+
+    monkeypatch.setattr(mcengine, "usable_cores", lambda: 8)
+    monkeypatch.setattr(mcengine, "compile_simulation", counted_compile)
+    monkeypatch.setattr(mcengine, "_run_task", recorded_task)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    n_cells = 1 if call == "one cell" else 3
+    cells = mixed_cells[:n_cells]
+    if call == "one cell":
+        got = [monte_carlo(*cells[0], CELL_GAMES, seed=21, workers=workers,
+                           pa_cap=CELL_PA_CAP)]
+    else:
+        got = monte_carlo_cells(cells, CELL_GAMES, seed=21, workers=workers,
+                                pa_cap=CELL_PA_CAP)
+    assert got == cells_alone[:n_cells]
+    assert compiled == cells
+    assert len(payloads) == min(workers, 2 * n_cells)  # two batches a cell
+    for spans, *_ in payloads:
+        assert {type(cell) for cell, _, _ in spans} == {mcengine.CompiledSim}
+    types = _pickled_types(payloads)
+    assert mcengine.CompiledSim in types
+    assert not types & {Lineup, TransitionTable, TransitionEntry}
+
+
+def test_a_cell_that_fails_to_compile_raises_in_the_caller(monkeypatch, lineup,
+                                                            no_shared_pool):
+    monkeypatch.setattr(mcengine, "usable_cores", lambda: 2)
+    table = default_transition_table()
+    n_games = mcengine.BATCH_SIZE + 100
+    cells = [(lineup, fixed_policy, table), (lineup, always_normal, table)]
+    together = monte_carlo_cells(cells, n_games, seed=3, workers=2)
+    pool, workers = mcengine._pool, multiprocessing.active_children()
+    assert pool is not None and workers
+    with pytest.raises(ValueError, match="24 choices, got 23"):
+        monte_carlo_cells([*cells, (lineup, fixed_policy[:23], table)], n_games,
+                          seed=3, workers=2)
+    # no task started, so the shared pool runs on as it was
+    assert mcengine._pool is pool
+    assert all(p.is_alive() for p in workers)
+    assert monte_carlo_cells(cells, n_games, seed=3, workers=2) == together
+    assert mcengine._pool is pool
+
+
+def _unpickled(maker, cell):
+    """The cell, when the process that made it loads it; any other process
+    that loads it is killed."""
+    if os.getpid() != maker:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return cell
+
+
 class KilledInAWorker:
-    """Stands in for a lineup.  Compiling it in any process but the one
+    """Stands in for a compiled cell.  Loading it in any process but the one
     that made it kills that process, as a worker dying mid-call would."""
 
-    def __init__(self):
+    def __init__(self, cell):
+        self.cell = cell
         self.maker = os.getpid()
 
-    @property
-    def slots(self):
-        if os.getpid() != self.maker:
-            os.kill(os.getpid(), signal.SIGKILL)
-        raise AssertionError("compiled outside a pool worker")
+    def __reduce__(self):
+        return _unpickled, (self.maker, self.cell)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
@@ -534,13 +629,22 @@ def test_pool_recovers_from_a_killed_worker(monkeypatch, lineup,
     cells = [(lineup, fixed_policy, table), (lineup, always_normal, table)]
     together = monte_carlo_cells(cells, n_games, seed=3, workers=2)
     assert together == [monte_carlo(*cell, n_games, seed=3) for cell in cells]
+    # the caller compiles the doomed lineup, equal to lineup but not it, into
+    # a cell that kills the worker that loads it
+    doomed = Lineup(lineup.slots)
+    compile_cell = mcengine.compile_simulation
+
+    def compile_simulation(cell_lineup, *rest, **limits):
+        cell = compile_cell(cell_lineup, *rest, **limits)
+        return KilledInAWorker(cell) if cell_lineup is doomed else cell
+
+    monkeypatch.setattr(mcengine, "compile_simulation", compile_simulation)
     killers = (
-        lambda: monte_carlo_cells(
-            [*cells, (KilledInAWorker(), fixed_policy, table)], n_games,
-            seed=3, workers=2),
-        # a one-cell call compiles its cell in the workers too
-        lambda: monte_carlo(KilledInAWorker(), fixed_policy, table, n_games,
-                            seed=3, workers=2),
+        lambda: monte_carlo_cells([*cells, (doomed, fixed_policy, table)],
+                                  n_games, seed=3, workers=2),
+        # both tasks of a one-cell call carry its cell
+        lambda: monte_carlo(doomed, fixed_policy, table, n_games, seed=3,
+                            workers=2),
     )
     for kill, next_call in itertools.product(killers, ("cells", "one cell")):
         workers = multiprocessing.active_children()

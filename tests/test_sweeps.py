@@ -229,6 +229,19 @@ def test_read_sweep_csv_rejects_bad_header(tmp_path):
         read_sweep_csv(path)
 
 
+@pytest.mark.parametrize("width", ["long", "short"])
+def test_read_sweep_csv_rejects_a_row_of_another_width(strategy_rows, tmp_path,
+                                                       width):
+    # a long row once lost its extra cell and a short one raised IndexError
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(strategy_rows, path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2] + ",7" if width == "long" else lines[2].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"sweep\.csv:3: "):
+        read_sweep_csv(path)
+
+
 def test_sweep_rows_rewrite_byte_identical(strategy_rows, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -357,7 +357,8 @@ TABLES = {"bundled": default_transition_table,
 
 
 def test_pickled_table_keeps_its_entries():
-    # a parallel engine call pickles its table into every task
+    # the engine never pickles a table, but a table is plain data that
+    # round-trips through pickle with its entries whole
     table = default_transition_table()
     again = pickle.loads(pickle.dumps(table))
     assert again.rows == table.rows
