@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -48,7 +49,7 @@ from .defaults import (
     fitted_lineup,
     lineup_targets_from_json,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, same_output
 from .mcengine import shutdown_pool
 from .simulation import Lineup, RunStats, load_histogram_csv, monte_carlo
 from .strategies import always_normal, build_triple, fixed_policy, threshold_policy
@@ -137,6 +138,15 @@ def _load_batter(path):
     return LEAGUE_AVERAGE if path is None else load_ability_vector(path)
 
 
+def _distinct_outputs(*outputs) -> None:
+    """Reject a command two of whose (flag, path) outputs name one file,
+    where the later write would replace the earlier; None is no output."""
+    named = [(flag, path) for flag, path in outputs if path is not None]
+    for (flag_a, a), (flag_b, b) in itertools.combinations(named, 2):
+        if same_output(a, b):
+            raise ConfigError(f"{flag_a} {a} and {flag_b} {b} name the same file")
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_build_transitions(cfg: ExperimentConfig, args) -> int:
@@ -172,11 +182,13 @@ def cmd_compute_re(cfg: ExperimentConfig, args) -> int:
 
 def cmd_train_converter(cfg: ExperimentConfig, args) -> int:
     out = args.out or "converter_params.json"
+    metrics_path = out + ".metrics.json"
+    _distinct_outputs(("--out", out), ("the --out metrics file", metrics_path),
+                      ("--pairs-csv", args.pairs_csv))
     n_players = cfg.converter.n_players
     players = synthesize_players(n_players, seed=cfg.seed)
     pairs = build_pair_dataset(players)
     params, metrics = train(pairs, seed=cfg.seed)
-    metrics_path = out + ".metrics.json"
     # nested: all three files are open before any of them replaces its
     # target, so a path that cannot be written leaves none of them
     pairs_file = (atomic_write(args.pairs_csv, newline="") if args.pairs_csv
@@ -227,6 +239,7 @@ def cmd_convert(cfg: ExperimentConfig, args) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     out = args.out or "runstats.json"
+    _distinct_outputs(("--out", out), ("--histogram-csv", args.histogram_csv))
     table = _resolve_table(cfg)
     normals = _resolve_lineup(cfg)
     lineup, policy = _resolve_policy(cfg, table, normals)

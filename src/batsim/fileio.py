@@ -3,13 +3,31 @@
 atomic_write writes to a new file beside the target and moves it over the
 target with os.replace only once the whole body has been written, so a run
 that fails or is interrupted part way leaves the previous file (or no
-file) in place, never a truncated one that later loads.
+file) in place, never a truncated one that later loads.  same_output
+says whether two such writes would land in one file.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+
+
+def _written_through(path) -> bool:
+    """Whether path is a device or a pipe, which has no file to replace."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
+def same_output(a, b) -> bool:
+    """Whether atomic_write to a and to b would replace one file.
+
+    Both paths are resolved first, so a relative path, a symlink and the
+    file it points at all name one file.  A device or a pipe, such as
+    /dev/null, is written straight through, not replaced, so any number
+    of outputs may name it.
+    """
+    a, b = os.path.realpath(a), os.path.realpath(b)
+    return a == b and not _written_through(a)
 
 
 @contextmanager
@@ -24,7 +42,7 @@ def atomic_write(path, *, newline: str | None = None):
     and the text goes straight to it.
     """
     path = os.fspath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+    if _written_through(path):
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
         return

@@ -147,7 +147,8 @@ class RunStats:
 
 
 def load_histogram_csv(path) -> tuple[int, ...]:
-    """Read a runs,count reference histogram."""
+    """Read a runs,count reference histogram: two cells a row, blank lines
+    skipped."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -157,9 +158,12 @@ def load_histogram_csv(path) -> tuple[int, ...]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 2:
+                raise ValueError(f"{path}:{lineno}: {len(row)} cells, but the"
+                                 f" header has 2")
             try:
                 runs, count = int(row[0]), int(row[1])
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from exc
             if runs < 0 or count < 0:
                 raise ValueError(f"{path}:{lineno}: negative runs or count")

@@ -25,7 +25,7 @@ from batsim.defaults import (
     default_transition_table,
     fitted_lineup,
 )
-from batsim import mcengine
+from batsim import cli, mcengine
 from batsim.mcengine import BATCH_SIZE
 from batsim.simulation import Lineup, RunStats, monte_carlo
 from batsim.strategies import always_normal
@@ -282,6 +282,28 @@ def test_simulate_failed_histogram_write_leaves_no_stats(cfg_path, tmp_path,
     assert "data error" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "hist"]
     assert list(hist.iterdir()) == []
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command started work")
+
+
+def test_simulate_outputs_must_name_different_files(cfg_path, tmp_path, capsys,
+                                                    monkeypatch):
+    """Two outputs that resolve to one file are rejected before any game
+    is played, so neither replaces the other."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "monte_carlo", _no_work)
+    (tmp_path / "link.csv").symlink_to(tmp_path / "x")
+    cases = [(["--out", "x"], "x"), (["--out", "x"], "./x"),
+             (["--out", str(tmp_path / "x")], "link.csv"),
+             ([], "runstats.json")]  # the default --out
+    for out, hist in cases:
+        rc = main(["--config", cfg_path, *out, "simulate", "--histogram-csv", hist])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--out" in err and f"--histogram-csv {hist} name the same file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "link.csv"]
 
 
 def _simulate_normal_only(tmp_path, **over):
@@ -577,6 +599,22 @@ def test_train_converter_unwritable_pairs_leaves_no_params(tmp_path, capsys):
     assert list(pairs.iterdir()) == []
 
 
+def test_train_converter_outputs_must_name_different_files(tmp_path, capsys,
+                                                           monkeypatch):
+    """The pairs dump may name neither the params file nor its metrics
+    file; the clash is rejected before any player is drawn."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "synthesize_players", _no_work)
+    for pairs, clash in (("p.json", "--out p.json"),
+                         ("./p.json.metrics.json", "metrics file p.json.metrics.json")):
+        rc = main(["--out", "p.json", "train-converter", "--players", "5",
+                   "--pairs-csv", pairs])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{clash} and --pairs-csv {pairs} name the same file" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_converter_seed_is_the_config_seed(tmp_path):
     seed = str(ExperimentConfig().seed)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -723,8 +761,12 @@ def test_validate_missing_reference(cfg_path, tmp_path):
 
 def test_validate_malformed_reference(cfg_path, tmp_path, capsys):
     ref = tmp_path / "ref.csv"
-    ref.write_text("runs,count\n0,ten\n")
-    rc = main(["--config", cfg_path, "--out", str(tmp_path / "v.csv"),
-               "validate", "--reference", str(ref)])
-    assert rc == EXIT_DATA
-    assert ":2:" in capsys.readouterr().err
+    # a count that is not a number; a row with a third cell
+    for text, where in (("runs,count\n0,ten\n", ":2:"),
+                        ("runs,count\n0,5\n1,3,99\n2,2\n", ":3: 3 cells")):
+        ref.write_text(text)
+        rc = main(["--config", cfg_path, "--out", str(tmp_path / "v.csv"),
+                   "validate", "--reference", str(ref)])
+        assert rc == EXIT_DATA
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "v.csv").exists()

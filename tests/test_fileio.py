@@ -1,7 +1,8 @@
 """Atomic artifact writes: a failed write leaves the previous file as it
 was and no temporary file behind, a new file gets the mode a plain
-open(path, "w") would give it, and symlinks and pipes are written the way
-a plain open writes them."""
+open(path, "w") would give it, symlinks and pipes are written the way a
+plain open writes them, and same_output finds two paths that one write
+would replace."""
 
 import os
 import stat
@@ -68,6 +69,20 @@ def test_a_pipe_is_written_through(tmp_path):
     assert got == [b"streamed\n"]
     assert stat.S_ISFIFO(os.stat(pipe).st_mode)
     assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_same_output_compares_resolved_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to(tmp_path / "out")
+    for a, b in (("out", "out"), ("out", "./out"), ("out", tmp_path / "out"),
+                 ("link", "out")):
+        assert fileio.same_output(a, b)
+    assert not fileio.same_output("out", "out.metrics.json")
+    # written straight through, not replaced: two outputs may share it
+    assert not fileio.same_output(os.devnull, os.devnull)
+    if hasattr(os, "mkfifo"):
+        os.mkfifo("pipe")
+        assert not fileio.same_output("pipe", "./pipe")
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])

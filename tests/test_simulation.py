@@ -269,6 +269,15 @@ class TestRunStats:
         with pytest.raises(ValueError):
             load_histogram_csv(path)
 
+    def test_csv_rejects_a_row_that_is_not_two_cells(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for row, cells in (("1,3,99", 3), ("1", 1), ("1,3,", 3)):
+            path.write_text(f"runs,count\n0,5\n{row}\n2,2\n")
+            with pytest.raises(ValueError, match=f"bad.csv:3: {cells} cells"):
+                load_histogram_csv(path)
+        path.write_text("runs,count\n0,5\n\n1,3\n")  # a blank line is skipped
+        assert load_histogram_csv(path) == (5, 3)
+
 
 class TestMonteCarlo:
     def test_argument_validation(self, league_lineup):
