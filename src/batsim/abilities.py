@@ -26,31 +26,12 @@ PARSE_SUM_TOLERANCE = 1e-6
 
 
 class AbilityVectorError(ValueError):
-    """Base for ability-vector validation and fitting failures."""
-
-
-class NegativeComponentError(AbilityVectorError):
-    pass
-
-
-class SumNotOneError(AbilityVectorError):
-    pass
+    """An invalid ability vector, a rate stat whose denominator vanished,
+    or rate-stat targets that no valid vector meets."""
 
 
 class NoOutProbabilityError(AbilityVectorError):
     """All out probabilities are zero: innings would never terminate."""
-
-
-class ZeroDenominatorError(AbilityVectorError):
-    """A rate stat's denominator vanished (e.g. walk probability is 1)."""
-
-
-class AllWalksError(ZeroDenominatorError):
-    pass
-
-
-class InfeasibleTargetsError(AbilityVectorError):
-    """No valid ability vector meets the requested rate-stat targets."""
 
 
 @dataclass(frozen=True)
@@ -106,7 +87,7 @@ class AbilityVector:
         total = math.fsum(vec.as_tuple())
         if abs(total - 1.0) > SUM_TOLERANCE:
             if abs(total - 1.0) > PARSE_SUM_TOLERANCE or total <= 0.0:
-                raise SumNotOneError(f"components sum to {total!r}")
+                raise AbilityVectorError(f"components sum to {total!r}")
             warnings.warn(
                 f"ability vector sums to {total!r}; rescaling to 1",
                 stacklevel=2,
@@ -118,17 +99,17 @@ class AbilityVector:
 def validate(vector: AbilityVector) -> AbilityVector:
     """Check invariants, returning the vector.
 
-    Raises :class:`NegativeComponentError`, :class:`SumNotOneError`, or
-    :class:`NoOutProbabilityError`.
+    Raises :class:`NoOutProbabilityError` where no out has mass, and
+    :class:`AbilityVectorError` for any other broken invariant.
     """
     for key, value in zip(OUTCOME_KEYS, vector.as_tuple()):
         if not math.isfinite(value):
             raise AbilityVectorError(f"component {key} is not finite: {value!r}")
         if value < 0.0:
-            raise NegativeComponentError(f"component {key} is negative: {value!r}")
+            raise AbilityVectorError(f"component {key} is negative: {value!r}")
     total = math.fsum(vector.as_tuple())
     if abs(total - 1.0) > SUM_TOLERANCE:
-        raise SumNotOneError(f"components sum to {total!r}, not 1")
+        raise AbilityVectorError(f"components sum to {total!r}, not 1")
     if vector.out_mass <= 0.0:
         raise NoOutProbabilityError("no probability mass on k, g, or f")
     return vector
@@ -192,11 +173,11 @@ def onbase_share(vector: AbilityVector) -> float:
 
     Values near 1 mark a batter whose value is almost entirely reaching base;
     values near 0 mark one whose value is almost entirely extra-base power.
-    Raises :class:`ZeroDenominatorError` when no on-base outcome has mass.
+    Raises :class:`AbilityVectorError` when no on-base outcome has mass.
     """
     share = _rate_stats(*vector.positives)[3]
     if math.isnan(share):
-        raise ZeroDenominatorError("vector has no on-base probability mass")
+        raise AbilityVectorError("vector has no on-base probability mass")
     return share
 
 
@@ -210,11 +191,11 @@ def slash_stats(vector: AbilityVector) -> tuple[float, float]:
 
     OBP is the total on-base probability.  SLG is total bases per at-bat,
     where at-bats exclude walks; a vector that walks every time has no
-    at-bats and raises :class:`AllWalksError`.
+    at-bats and raises :class:`AbilityVectorError`.
     """
     obp, slg, _, _ = _rate_stats(*vector.positives)
     if math.isnan(slg):
-        raise AllWalksError("walk probability is 1; slugging is undefined")
+        raise AbilityVectorError("walk probability is 1; slugging is undefined")
     return obp, slg
 
 
@@ -271,7 +252,7 @@ def fit_ability_vector(targets: SlashTargets,
     among k/g/f in the league vector's proportions, which leaves every stat
     untouched (outs never enter OBP, SLG, wOBA, or the on-base share).
 
-    Raises :class:`InfeasibleTargetsError` if some stat still misses its
+    Raises :class:`AbilityVectorError` if some stat still misses its
     target by more than FIT_TOL after FIT_MAX_STEPS line minimizations.
     """
     league = validate(league)
@@ -311,7 +292,7 @@ def fit_ability_vector(targets: SlashTargets,
     residuals = _stat_residuals(x, targets)
     worst = max(abs(r) for r in residuals)
     if worst > FIT_TOL:
-        raise InfeasibleTargetsError(
+        raise AbilityVectorError(
             f"no vector within {FIT_TOL} of targets {targets}; "
             f"worst residual {worst:.4f} after {steps} steps"
         )

@@ -80,22 +80,6 @@ class ConversionError(ValueError):
     pass
 
 
-class ShapeMismatchError(ConversionError):
-    pass
-
-
-class EmptyBatchError(ConversionError):
-    pass
-
-
-class DatasetTooSmallError(ConversionError):
-    pass
-
-
-class InsufficientPlayersError(ConversionError):
-    pass
-
-
 class ProjectionFailureError(ConversionError):
     """The network output could not be projected to a usable vector."""
 
@@ -103,7 +87,7 @@ class ProjectionFailureError(ConversionError):
 def _check_inputs(x) -> None:
     shape = np.shape(x)
     if len(shape) != 2 or shape[1] != 9:
-        raise ShapeMismatchError(f"inputs must be (N, 9), got {shape}")
+        raise ConversionError(f"inputs must be (N, 9), got {shape}")
 
 
 @dataclass(frozen=True)
@@ -117,9 +101,9 @@ class PairDataset:
     def __post_init__(self):
         _check_inputs(self.inputs)
         if self.targets.shape != (self.inputs.shape[0], 7):
-            raise ShapeMismatchError(f"targets must be (N, 7), got {self.targets.shape}")
+            raise ConversionError(f"targets must be (N, 7), got {self.targets.shape}")
         if len(self) == 0:
-            raise EmptyBatchError("empty batch")
+            raise ConversionError("empty batch")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -136,8 +120,8 @@ class ConverterParams:
     def __post_init__(self):
         flat = self.flat
         if flat.dtype != np.float64 or flat.shape != (N_PARAMS,):
-            raise ShapeMismatchError(f"flat must be {N_PARAMS} float64 "
-                                     f"values, got {flat.dtype} {flat.shape}")
+            raise ConversionError(f"flat must be {N_PARAMS} float64 "
+                                  f"values, got {flat.dtype} {flat.shape}")
         ends = np.cumsum([math.prod(shape) for _, shape in LAYOUT])
         for (name, shape), part in zip(LAYOUT, np.split(flat, ends[:-1])):
             object.__setattr__(self, name, part.reshape(shape))
@@ -354,12 +338,12 @@ def train(dataset: PairDataset,
     """
     n = len(dataset)
     if n < 10:
-        raise DatasetTooSmallError(f"need at least 10 pairs, got {n}")
+        raise ConversionError(f"need at least 10 pairs, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x7A11)))
     perm = rng.permutation(n)
     n_val = max(1, int(round(n * VAL_FRACTION)))
     if n_val >= n:
-        raise DatasetTooSmallError("validation split would consume every pair")
+        raise ConversionError("validation split would consume every pair")
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     val = PairDataset(dataset.inputs[val_idx], dataset.targets[val_idx])
     x_train, y_train = dataset.inputs[train_idx], dataset.targets[train_idx]
@@ -422,7 +406,7 @@ def synthesize_players(n: int, seed: int) -> list[AbilityVector]:
     little beyond it.
     """
     if n < 2:
-        raise InsufficientPlayersError("need at least 2 players")
+        raise ConversionError("need at least 2 players")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x9A7E)))
     players: list[AbilityVector] = []
     attempts = 0
@@ -430,7 +414,7 @@ def synthesize_players(n: int, seed: int) -> list[AbilityVector]:
     while len(players) < n:
         attempts += 1
         if attempts > max_attempts:
-            raise InsufficientPlayersError(
+            raise ConversionError(
                 f"only {len(players)} of {n} draws landed in the stat window")
         quality = rng.uniform(0.0, 1.0)
         contact = rng.uniform(0.0, 1.0)
@@ -469,7 +453,7 @@ def build_pair_dataset(players) -> PairDataset:
     share shift."""
     players = list(players)
     if len(players) < 2:
-        raise InsufficientPlayersError("need at least 2 players to form pairs")
+        raise ConversionError("need at least 2 players to form pairs")
     comp = np.array([p.as_tuple()[:7] for p in players])
     wob = np.array([woba(p) for p in players])
     share = np.array([onbase_share(p) for p in players])
@@ -494,7 +478,7 @@ def project_probabilities(values) -> tuple[float, ...]:
     idempotent."""
     vals = tuple(float(v) for v in values)
     if len(vals) != 8:
-        raise ShapeMismatchError(f"expected 8 components, got {len(vals)}")
+        raise ConversionError(f"expected 8 components, got {len(vals)}")
     total = math.fsum(vals)
     if min(vals) >= 0.0 and abs(total - 1.0) <= 1e-12:
         return vals
@@ -574,8 +558,8 @@ def load_params(path) -> ConverterParams:
         raise ConversionError(f"{path}: malformed converter params: {exc}") from exc
     for name, shape in LAYOUT:
         if arrays[name].shape != shape:
-            raise ShapeMismatchError(f"{path}: {name} must have shape {shape}, "
-                                     f"got {arrays[name].shape}")
+            raise ConversionError(f"{path}: {name} must have shape {shape}, "
+                                  f"got {arrays[name].shape}")
     bad = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
     if bad:
         raise ConversionError(f"{path}: non-finite weights in {bad}")

@@ -116,18 +116,6 @@ class RunStats:
             "plate_appearances": self.plate_appearances,
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "RunStats":
-        stats = cls.from_histogram(
-            obj["histogram"],
-            truncated_games=int(obj.get("truncated_games", 0)),
-            fallback_transitions=int(obj.get("fallback_transitions", 0)),
-            plate_appearances=int(obj.get("plate_appearances", 0)),
-        )
-        if stats.n_games != int(obj["n_games"]):
-            raise ValueError("histogram does not match the recorded n_games")
-        return stats
-
     def save(self, json_path, csv_path=None) -> None:
         # nested: if either path cannot be written, neither file is replaced
         with atomic_write(json_path) as fh:
@@ -139,11 +127,6 @@ class RunStats:
                     writer.writerow(("runs", "count"))
                     for r, c in enumerate(self.histogram):
                         writer.writerow((r, c))
-
-    @classmethod
-    def load(cls, json_path) -> "RunStats":
-        with open(json_path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def load_histogram_csv(path) -> tuple[int, ...]:

@@ -30,10 +30,6 @@ class StrategyChoice(Enum):
     LONG_HIT = "long_hit"
 
 
-class InvalidThresholdsError(ValueError):
-    pass
-
-
 # How far a converted variant's on-base share may sit on the wrong side of
 # the normal profile's before its triple is flagged (StrategyTriple.ordering_ok).
 ORDERING_SLACK = 0.02
@@ -97,7 +93,7 @@ def threshold_policy(theta_o: float, theta_l: float,
     long-hit at or below theta_l, normal in between.  theta_l must sit
     strictly below theta_o so the two regions cannot overlap."""
     if not theta_l < theta_o:
-        raise InvalidThresholdsError(
+        raise ValueError(
             f"theta_l ({theta_l}) must be below theta_o ({theta_o})")
     return tuple(StrategyChoice.ON_BASE if value >= theta_o
                  else StrategyChoice.LONG_HIT if value <= theta_l

@@ -157,27 +157,6 @@ def write_sweep_csv(rows, path) -> None:
             fh.write(",".join(_cell(v) for v in astuple(r)) + "\n")
 
 
-# the parser of a sweep CSV cell, by the annotation of its SweepRow field
-_PARSERS = {"str": str, "int": int, "float": float,
-            "float | None": lambda s: None if s == "" else float(s)}
-
-
-def read_sweep_csv(path) -> list[SweepRow]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != SWEEP_CSV_HEADER:
-        raise ValueError(f"unexpected sweep CSV header in {path}")
-    parsers = [_PARSERS[f.type] for f in fields(SweepRow)]
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(parsers):
-            raise ValueError(f"{path}:{lineno}: {len(cells)} cells, but the"
-                             f" header has {len(parsers)}")
-        rows.append(SweepRow(*(parse(c) for parse, c in zip(parsers, cells))))
-    return rows
-
-
 def total_variation(hist_a, hist_b) -> float:
     """TV distance between two run histograms (each normalized first)."""
     n = max(len(hist_a), len(hist_b))

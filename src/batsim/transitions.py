@@ -74,28 +74,11 @@ ABSORBING_MARGIN = 1e-9
 
 
 class EventLogError(ValueError):
-    pass
-
-
-class MalformedRowError(EventLogError):
-    pass
-
-
-class UnknownOutcomeError(EventLogError):
-    pass
-
-
-class ConservationViolationError(EventLogError):
-    """A row where batter + runners are not all accounted for, or a walk
-    that records outs or multiple runs."""
-
-
-class EmptyInputError(EventLogError):
-    pass
+    """An event log that is empty, malformed, or holds an impossible event."""
 
 
 class TransitionTableError(ValueError):
-    pass
+    """A malformed transition table, or malformed table JSON."""
 
 
 class NonAbsorbingError(RuntimeError):
@@ -204,36 +187,36 @@ def parse_event_log(source, *, strict: bool = True) -> EventLogParse:
     try:
         header = next(reader)
     except StopIteration:
-        raise EmptyInputError("event log is empty") from None
+        raise EventLogError("event log is empty") from None
     if tuple(h.strip() for h in header) != EVENT_CSV_HEADER:
-        raise MalformedRowError(
+        raise EventLogError(
             f"line 1: expected header {','.join(EVENT_CSV_HEADER)}, got {header!r}")
 
     events: list[TransitionEvent] = []
     rejected: list[tuple[int, str]] = []
 
-    def bad(line_no, reason, exc_type=ConservationViolationError):
+    def bad(line_no, reason):
         if strict:
-            raise exc_type(f"line {line_no}: {reason}")
+            raise EventLogError(f"line {line_no}: {reason}")
         rejected.append((line_no, reason))
 
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 6:
-            bad(line_no, f"expected 6 fields, got {len(row)}", MalformedRowError)
+            bad(line_no, f"expected 6 fields, got {len(row)}")
             continue
         code = row[2].strip()
         outcome = OUTCOME_BY_CODE.get(code)
         if outcome is None:
-            bad(line_no, f"unknown outcome code {code!r}", UnknownOutcomeError)
+            bad(line_no, f"unknown outcome code {code!r}")
             continue
         try:
             outs_pre, bases_pre = int(row[0]), int(row[1])
             outs_post, bases_post = int(row[3]), int(row[4])
             runs = int(row[5])
         except ValueError:
-            bad(line_no, f"non-integer field in {row!r}", MalformedRowError)
+            bad(line_no, f"non-integer field in {row!r}")
             continue
         reason = check_event(outs_pre, bases_pre, outcome, outs_post, bases_post, runs)
         if reason is not None:
@@ -243,7 +226,7 @@ def parse_event_log(source, *, strict: bool = True) -> EventLogParse:
                                       outs_post, bases_post, runs))
 
     if not events and not rejected:
-        raise EmptyInputError("event log has a header but no rows")
+        raise EventLogError("event log has a header but no rows")
     return EventLogParse(tuple(events), tuple(rejected))
 
 
@@ -330,7 +313,7 @@ class TransitionTable:
                     raise TransitionTableError(f"{key}: non-positive probability")
                 reason = check_event(outs, bases, outcome, e.outs, e.bases, e.runs)
                 if reason is not None:
-                    raise ConservationViolationError(f"{key}: {reason}")
+                    raise TransitionTableError(f"{key}: {reason}")
             total = math.fsum(e.prob for e in entries)
             if abs(total - 1.0) > 1e-9:
                 raise TransitionTableError(f"{key}: probabilities sum to {total!r}")
@@ -456,7 +439,7 @@ def build_table(events, min_count: int = 5) -> TransitionTable:
         )
         rows[key] = entries
     if not rows:
-        raise EmptyInputError("no events to build a table from")
+        raise EventLogError("no events to build a table from")
     return TransitionTable(rows=rows)
 
 

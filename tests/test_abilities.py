@@ -8,13 +8,8 @@ from batsim.abilities import (
     LEAGUE_AVERAGE,
     AbilityVector,
     AbilityVectorError,
-    AllWalksError,
-    InfeasibleTargetsError,
-    NegativeComponentError,
     NoOutProbabilityError,
     SlashTargets,
-    SumNotOneError,
-    ZeroDenominatorError,
     fit_ability_vector,
     fit_residuals,
     onbase_share,
@@ -45,11 +40,11 @@ class TestValidate:
             validate(ALL_HR)
 
     def test_negative_component(self):
-        with pytest.raises(NegativeComponentError):
+        with pytest.raises(AbilityVectorError, match="component 1b is negative"):
             validate(AbilityVector(-0.01, 0.06, 0.005, 0.03, 0.08, 0.18, 0.30, 0.255))
 
     def test_sum_off_by_more_than_tolerance(self):
-        with pytest.raises(SumNotOneError):
+        with pytest.raises(AbilityVectorError, match="components sum to .*, not 1"):
             validate(AbilityVector(0.15, 0.05, 0.005, 0.03, 0.08, 0.18, 0.30, 0.2))
 
     def test_sum_within_strict_tolerance_passes(self):
@@ -81,7 +76,7 @@ class TestJsonRoundTrip:
     def test_parse_rejects_large_drift(self):
         obj = MIXED.to_json_dict()
         obj["f"] += 1e-4
-        with pytest.raises(SumNotOneError):
+        with pytest.raises(AbilityVectorError, match="components sum to"):
             AbilityVector.from_json_dict(obj)
 
     def test_parse_rejects_missing_and_unknown_keys(self):
@@ -112,7 +107,7 @@ class TestOnbaseShare:
         assert onbase_share(vec) == 0.0
 
     def test_no_positive_mass_raises(self):
-        with pytest.raises(ZeroDenominatorError):
+        with pytest.raises(AbilityVectorError, match="no on-base probability mass"):
             onbase_share(ALL_K)
 
     @given(ability_vectors())
@@ -150,11 +145,8 @@ class TestSlashStats:
         assert slg == pytest.approx(0.385 / 0.92, abs=1e-12)
 
     def test_all_walk_vector_raises(self):
-        with pytest.raises(AllWalksError):
+        with pytest.raises(AbilityVectorError, match="slugging is undefined"):
             slash_stats(AbilityVector(0, 0, 0, 0, 1.0, 0, 0, 0))
-
-    def test_all_walk_error_is_zero_denominator(self):
-        assert issubclass(AllWalksError, ZeroDenominatorError)
 
     @given(ability_vectors())
     def test_obp_is_positive_mass(self, vec):
@@ -206,7 +198,7 @@ class TestFitAbilityVector:
     def test_contradictory_targets_raise(self):
         # Slugging 1.0 with on-base probability 0 cannot coexist.
         targets = SlashTargets(obp=0.0, slg=1.0, woba=0.0, onbase_share=0.0)
-        with pytest.raises(InfeasibleTargetsError):
+        with pytest.raises(AbilityVectorError, match="no vector within"):
             fit_ability_vector(targets, LEAGUE_AVERAGE)
 
     def test_league_anchor_must_have_out_mass(self):

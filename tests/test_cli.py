@@ -2,6 +2,7 @@
 documented error classes, and reproducibility of file outputs."""
 
 import json
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -27,7 +28,7 @@ from batsim.defaults import (
 )
 from batsim import cli, mcengine
 from batsim.mcengine import BATCH_SIZE
-from batsim.simulation import Lineup, RunStats, monte_carlo
+from batsim.simulation import Lineup, monte_carlo
 from batsim.strategies import always_normal
 from batsim.sweeps import SWEEP_CSV_HEADER
 from batsim.synthdata import synthesize_event_log
@@ -262,9 +263,9 @@ def test_simulate_normal_only(cfg_path, tmp_path, capsys):
     rc = main(["--config", cfg_path, "--out", str(out), "simulate",
                "--histogram-csv", str(hist)])
     assert rc == EXIT_OK
-    stats = RunStats.load(out)
-    assert stats.n_games == 400
-    assert 0.0 < stats.mean < 15.0
+    stats = json.loads(out.read_text())
+    assert stats["n_games"] == 400
+    assert 0.0 < stats["mean"] < 15.0
     lines = hist.read_text().splitlines()
     assert lines[0] == "runs,count"
     assert sum(int(l.split(",")[1]) for l in lines[1:]) == 400
@@ -311,12 +312,12 @@ def _simulate_normal_only(tmp_path, **over):
                        **over)
     out = tmp_path / "stats.json"
     assert main(["--config", cfg, "--out", str(out), "simulate"]) == EXIT_OK
-    return RunStats.load(out)
+    return json.loads(out.read_text())
 
 
 def _expected(vectors, table):
     return monte_carlo(Lineup.from_vectors(vectors), always_normal, table,
-                       400, 99, workers=1)
+                       400, 99, workers=1).to_json_dict()
 
 
 def test_simulate_simple_table(tmp_path):
@@ -353,7 +354,7 @@ def test_simulate_fixed_policy(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", n_games=200)
     out = tmp_path / "stats.json"
     assert main(["--config", cfg, "--out", str(out), "simulate"]) == EXIT_OK
-    assert RunStats.load(out).n_games == 200
+    assert json.loads(out.read_text())["n_games"] == 200
 
 
 def test_simulate_threshold_policy(tmp_path):
@@ -770,3 +771,76 @@ def test_validate_malformed_reference(cfg_path, tmp_path, capsys):
         assert rc == EXIT_DATA
         assert where in capsys.readouterr().err
         assert not (tmp_path / "v.csv").exists()
+
+
+# ---------------------------------------------------------------- every command
+
+# each command with one output naming a file it reads; the config is named
+# for simulate's default --out, and is small enough that a run which
+# replaced it would take well under a second
+_INPUT_CLASHES = {
+    "simulate-config": (["simulate"], "--config", "runstats.json"),
+    "sweep-config": (["--out", "runstats.json", "sweep"], "--config", "runstats.json"),
+    "train-converter-config": (["--out", "p.json", "train-converter",
+                                "--pairs-csv", "runstats.json"],
+                               "--config", "runstats.json"),
+    "build-transitions-events": (["--out", "events.csv", "build-transitions",
+                                  "--events", "events.csv"], "--events", "events.csv"),
+    "validate-reference": (["--out", "ref.csv", "validate", "--reference", "ref.csv"],
+                           "--reference", "ref.csv"),
+    "compute-re-batter": (["--out", "batter.json", "compute-re", "--batter",
+                           "batter.json"], "--batter", "batter.json"),
+    "convert-batter": (["--out", "batter.json", "convert", "--batter", "batter.json",
+                        "--d-alpha", "0.1", "--d-woba", "-0.005"],
+                       "--batter", "batter.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_CLASHES))
+def test_no_command_replaces_a_file_it_reads(case, events_csv, tmp_path, capsys,
+                                             monkeypatch):
+    argv, flag, name = _INPUT_CLASHES[case]
+    monkeypatch.chdir(tmp_path)
+    inputs = {
+        "runstats.json": json.dumps({
+            "n_games": 200, "seed": 1, "workers": 1,
+            "policy": {"kind": "normal-only"},
+            "sweep": {"d_alpha_grid": [0.1], "d_woba_grid": [0.0]},
+            "converter": {"n_players": 5}}).encode(),
+        "events.csv": pathlib.Path(events_csv).read_bytes(),
+        "ref.csv": b"runs,count\n0,3\n1,2\n",
+        "batter.json": json.dumps(LEAGUE_AVERAGE.to_json_dict()).encode(),
+    }
+    for path, body in inputs.items():
+        (tmp_path / path).write_bytes(body)
+    rc = main(["--config", "runstats.json", *argv])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{flag} {name} and " in err and "name the same file" in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == inputs
+
+
+def test_main_leaves_no_pool_worker_alive(tmp_path, monkeypatch):
+    """perfbench reads RUSAGE_CHILDREN for a command's peak RSS once main
+    returns, and that counts only workers that have exited and been
+    reaped: main stops the pool whether the command succeeds or fails."""
+    mcengine.shutdown_pool()  # a pool that another test left running
+    monkeypatch.setattr(mcengine, "usable_cores", lambda: 8)
+    started = []
+    shared_pool = mcengine._shared_pool
+    monkeypatch.setattr(mcengine, "_shared_pool",
+                        lambda n: started.append(n) or shared_pool(n))
+    # two batches, so --workers 2 runs them on a pool of 2
+    cfg = write_config(tmp_path / "cfg.json", n_games=BATCH_SIZE + 300,
+                       policy={"kind": "normal-only"},
+                       sweep={"d_alpha_grid": [0.1], "d_woba_grid": [0.0]})
+    assert main(["--config", cfg, "--workers", "2", "--out",
+                 str(tmp_path / "s.csv"), "sweep"]) == EXIT_OK
+    assert started and multiprocessing.active_children() == []
+    started.clear()
+    # the histogram's directory does not exist: the write fails after the
+    # games were played on the pool
+    assert main(["--config", cfg, "--workers", "2", "--out",
+                 str(tmp_path / "s.json"), "simulate", "--histogram-csv",
+                 str(tmp_path / "missing" / "h.csv")]) == EXIT_DATA
+    assert started and multiprocessing.active_children() == []

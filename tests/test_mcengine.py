@@ -40,12 +40,12 @@ from batsim.transitions import (
     INNING_OVER,
     NUM_LIVE_STATES,
     OUTCOMES,
-    ConservationViolationError,
     GameState,
     Outcome,
     TransitionEntry,
     TransitionEvent,
     TransitionTable,
+    TransitionTableError,
     build_table,
     live_states,
     run_expectancy,
@@ -275,7 +275,7 @@ def test_every_way_of_making_a_table_rejects_an_unbalanced_entry(
                        # the runner on first vanishes
                        (SINGLE, TransitionEntry(0, 1, 0, 1.0))):
         name = f"{key[0]}-{key[1]}-{key[2].value}"
-        with pytest.raises(ConservationViolationError, match=f"^{name}: conservation"):
+        with pytest.raises(TransitionTableError, match=f"^{name}: conservation"):
             _table_made_by(how, key, entry, monkeypatch)
 
 

@@ -2,7 +2,6 @@ import pytest
 
 from batsim.abilities import AbilityVector
 from batsim.strategies import (
-    InvalidThresholdsError,
     StrategyChoice,
     StrategyTriple,
     always_normal,
@@ -37,9 +36,9 @@ class TestThresholdPolicy:
     RE = RunExpectancyTable(values=tuple(i / 10 for i in range(24)))
 
     def test_config_requires_gap(self):
-        with pytest.raises(InvalidThresholdsError):
+        with pytest.raises(ValueError, match=r"theta_l \(0.5\) must be below theta_o"):
             threshold_policy(0.5, 0.5, self.RE)
-        with pytest.raises(InvalidThresholdsError):
+        with pytest.raises(ValueError, match=r"theta_l \(0.9\) must be below theta_o"):
             threshold_policy(0.3, 0.9, self.RE)
         threshold_policy(0.9, 0.3, self.RE)
 

@@ -16,17 +16,14 @@ from batsim.transitions import (
     INNING_OVER,
     NUM_LIVE_STATES,
     OUTCOMES,
-    ConservationViolationError,
-    EmptyInputError,
+    EventLogError,
     GameState,
-    MalformedRowError,
     NonAbsorbingError,
     Outcome,
     TransitionEntry,
     TransitionEvent,
     TransitionTable,
     TransitionTableError,
-    UnknownOutcomeError,
     _runner_count,
     build_table,
     check_event,
@@ -155,44 +152,44 @@ class TestParseEventLog:
         assert parsed.events[0].outcome is Outcome.HOME_RUN
 
     def test_single_from_empty_cannot_score_two(self):
-        with pytest.raises(ConservationViolationError):
+        with pytest.raises(EventLogError, match="line 2: conservation"):
             parse_event_log(_log("0,0,SINGLE,0,0,2"))
 
     def test_single_from_empty_cannot_score_three_either(self):
-        with pytest.raises(ConservationViolationError):
+        with pytest.raises(EventLogError, match="line 2: conservation"):
             parse_event_log(_log("0,0,SINGLE,0,0,3"))
 
     def test_walk_cannot_record_an_out(self):
         # Conserved (runner traded for an out) but illegal for a walk.
-        with pytest.raises(ConservationViolationError):
+        with pytest.raises(EventLogError, match="line 2: a walk cannot record an out"):
             parse_event_log(_log("0,1,BB,1,1,0"))
 
     def test_walk_cannot_force_two_runs(self):
-        with pytest.raises(ConservationViolationError):
+        with pytest.raises(EventLogError, match="line 2: a walk can force in at most one run"):
             parse_event_log(_log("0,7,BB,0,3,2"))
 
     def test_outs_cannot_decrease(self):
-        with pytest.raises(ConservationViolationError):
+        with pytest.raises(EventLogError, match="line 2: outs decreased from 2 to 1"):
             parse_event_log(_log("2,0,SINGLE,1,1,1"))
 
     def test_unknown_outcome_code(self):
-        with pytest.raises(UnknownOutcomeError):
+        with pytest.raises(EventLogError, match="line 2: unknown outcome code 'BUNT'"):
             parse_event_log(_log("0,0,BUNT,0,1,0"))
 
     def test_malformed_rows(self):
-        with pytest.raises(MalformedRowError):
+        with pytest.raises(EventLogError, match="line 2: expected 6 fields, got 5"):
             parse_event_log(_log("0,0,SINGLE,0,1"))
-        with pytest.raises(MalformedRowError):
+        with pytest.raises(EventLogError, match="line 2: non-integer field"):
             parse_event_log(_log("x,0,SINGLE,0,1,0"))
 
     def test_bad_header(self):
-        with pytest.raises(MalformedRowError):
+        with pytest.raises(EventLogError, match="line 1: expected header"):
             parse_event_log(io.StringIO("a,b,c,d,e,f\n0,0,K,1,0,0\n"))
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(EventLogError, match="event log is empty"):
             parse_event_log(io.StringIO(""))
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(EventLogError, match="event log has a header but no rows"):
             parse_event_log(io.StringIO(HEADER + "\n"))
 
     def test_lenient_mode_collects_line_numbers(self):
@@ -206,7 +203,7 @@ class TestParseEventLog:
         assert [line for line, _ in parsed.rejected] == [3, 4]
 
     def test_pre_state_must_be_live(self):
-        with pytest.raises(ConservationViolationError):
+        with pytest.raises(EventLogError, match="line 2: outs_pre must be 0..2, got 3"):
             parse_event_log(_log("3,0,K,3,0,0"))
 
 
@@ -238,7 +235,7 @@ class TestBuildTable:
         assert row == {(0, 1, 0): 0.75, (0, 2, 0): 0.25}
 
     def test_no_events_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(EventLogError, match="no events to build a table from"):
             build_table([], min_count=0)
 
     def test_rows_are_proper_distributions(self, synthetic_table):
@@ -282,7 +279,7 @@ class TestTableSerialization:
 
     def test_rejects_conservation_violations(self):
         obj = {"0-0-SINGLE": [{"outs": 0, "bases": 0, "runs": 2, "p": 1.0}]}
-        with pytest.raises(ConservationViolationError):
+        with pytest.raises(TransitionTableError, match="^0-0-SINGLE: conservation"):
             TransitionTable.from_json_obj(obj)
 
     def test_rejects_bad_keys(self):
