@@ -4,8 +4,9 @@ A batter is modeled by a probability vector over eight mutually exclusive
 plate-appearance outcomes: single, double, triple, home run, walk, strikeout,
 ground out, fly out.  Everything downstream (game simulation, strategy
 conversion, lineup fitting) consumes these vectors, so the invariants are
-enforced here once: components non-negative, components sum to one, and
-at least some probability mass on an out so innings can end.
+enforced here once: each vector checks when made that its components are
+finite, non-negative and sum to one, and :func:`validate` that an out has
+mass, so innings can end.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ class NoOutProbabilityError(AbilityVectorError):
 class AbilityVector:
     """Outcome probabilities for one batter, in a fixed component order.
 
-    Construction performs no validation so that deliberately degenerate
-    vectors (all strikeouts, all home runs) can be built for analysis;
-    call :func:`validate` before feeding a vector to anything that assumes
-    the invariants hold.
+    Construction, direct, from JSON or by dataclasses.replace, rejects a
+    component that is not finite or is negative, and a sum not within
+    SUM_TOLERANCE of one.  Degenerate vectors (all strikeouts, all home
+    runs) can be built; :func:`validate` refuses those without out mass.
     """
 
     p_1b: float
@@ -52,6 +53,16 @@ class AbilityVector:
     p_k: float
     p_g: float
     p_f: float
+
+    def __post_init__(self):
+        for key, value in zip(OUTCOME_KEYS, self.as_tuple()):
+            if not math.isfinite(value):
+                raise AbilityVectorError(f"component {key} is not finite: {value!r}")
+            if value < 0.0:
+                raise AbilityVectorError(f"component {key} is negative: {value!r}")
+        total = math.fsum(self.as_tuple())
+        if abs(total - 1.0) > SUM_TOLERANCE:
+            raise AbilityVectorError(f"components sum to {total!r}, not 1")
 
     def as_tuple(self) -> tuple[float, ...]:
         return (
@@ -83,33 +94,23 @@ class AbilityVector:
             if isinstance(obj[k], bool) or not isinstance(obj[k], (int, float)):
                 raise AbilityVectorError(f"component {k} must be a number, "
                                          f"got {obj[k]!r}")
-        vec = cls(*(float(obj[k]) for k in OUTCOME_KEYS))
-        total = math.fsum(vec.as_tuple())
+        values = [float(obj[k]) for k in OUTCOME_KEYS]
+        total = math.fsum(values)
         if abs(total - 1.0) > SUM_TOLERANCE:
-            if abs(total - 1.0) > PARSE_SUM_TOLERANCE or total <= 0.0:
+            if abs(total - 1.0) > PARSE_SUM_TOLERANCE:
                 raise AbilityVectorError(f"components sum to {total!r}")
             warnings.warn(
                 f"ability vector sums to {total!r}; rescaling to 1",
                 stacklevel=2,
             )
-            vec = cls(*(v / total for v in vec.as_tuple()))
-        return validate(vec)
+            values = [v / total for v in values]
+        return validate(cls(*values))
 
 
 def validate(vector: AbilityVector) -> AbilityVector:
-    """Check invariants, returning the vector.
-
-    Raises :class:`NoOutProbabilityError` where no out has mass, and
-    :class:`AbilityVectorError` for any other broken invariant.
-    """
-    for key, value in zip(OUTCOME_KEYS, vector.as_tuple()):
-        if not math.isfinite(value):
-            raise AbilityVectorError(f"component {key} is not finite: {value!r}")
-        if value < 0.0:
-            raise AbilityVectorError(f"component {key} is negative: {value!r}")
-    total = math.fsum(vector.as_tuple())
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise AbilityVectorError(f"components sum to {total!r}, not 1")
+    """Return the vector if some out has mass, the one invariant that
+    construction leaves unchecked; raise :class:`NoOutProbabilityError` if
+    none has."""
     if vector.out_mass <= 0.0:
         raise NoOutProbabilityError("no probability mass on k, g, or f")
     return vector
@@ -258,7 +259,7 @@ def fit_ability_vector(targets: SlashTargets,
     league = validate(league)
     league_pos = league.positives
     league_obp = math.fsum(league_pos)
-    if league_obp <= 0.0 or league.out_mass <= 0.0:
+    if league_obp <= 0.0:  # validate has refused one without out mass
         raise AbilityVectorError("league vector must have on-base and out mass")
 
     # Start from the league's positive profile scaled toward the target OBP.
@@ -301,11 +302,10 @@ def fit_ability_vector(targets: SlashTargets,
     k_share = league.p_k / league.out_mass
     g_share = league.p_g / league.out_mass
     f_share = 1.0 - k_share - g_share
-    fitted = AbilityVector(
+    return AbilityVector(
         x[0], x[1], x[2], x[3], x[4],
         out * k_share, out * g_share, out * f_share,
     )
-    return validate(fitted)
 
 
 def fit_residuals(vector: AbilityVector,
@@ -331,10 +331,10 @@ def dump_ability_vector(vector: AbilityVector, path) -> None:
 
 # Round-number league-average profile: the default anchor for lineup fitting
 # and the default batter for synthetic event generation.
-LEAGUE_AVERAGE = validate(AbilityVector(
+LEAGUE_AVERAGE = AbilityVector(
     p_1b=0.150, p_2b=0.045, p_3b=0.004, p_hr=0.030,
     p_bb=0.080, p_k=0.170, p_g=0.280, p_f=0.241,
-))
+)
 
 # Keep field order in sync with OUTCOME_KEYS; a handful of places zip them.
 assert tuple(f.name for f in fields(AbilityVector)) == tuple(

@@ -138,15 +138,25 @@ def _load_batter(path):
     return LEAGUE_AVERAGE if path is None else load_ability_vector(path)
 
 
-def _check_outputs(args, *outputs) -> None:
-    """Reject, before any work, a command that would replace a file named
-    on its command line, or two of whose outputs name one file, where the
-    later write would replace the earlier.  outputs are (flag, path) pairs;
-    None is no output."""
+def _check_outputs(cfg: ExperimentConfig, args, reads, *outputs) -> None:
+    """Reject, before any work, a command that would replace a file it
+    reads, or two of whose outputs name one file, where the later write
+    would replace the earlier.  It reads the files its command line names
+    and those cfg names for each part in reads ("table", "lineup",
+    "params") that it resolves.  outputs are (flag, path) pairs; None is
+    no output."""
     named = [(flag, path) for flag, path in outputs if path is not None]
     # None: unset, or another command's
     inputs = [(flag, getattr(args, flag[2:], None))
               for flag in ("--config", "--events", "--reference", "--batter")]
+    tc, lc = cfg.transitions, cfg.lineup
+    config_files = {
+        "table": [("transitions.event_csv", tc.event_csv)]
+        if tc.source == "event-csv" else [],
+        "lineup": [("lineup.vectors_path", lc.vectors_path),
+                   ("lineup.targets_path", lc.targets_path)],
+        "params": [("converter.params_path", cfg.converter.params_path)]}
+    inputs += [pair for part in reads for pair in config_files[part]]
     for (flag_a, a), (flag_b, b) in itertools.chain(
             itertools.product(inputs, named), itertools.combinations(named, 2)):
         if a is not None and same_output(a, b):
@@ -157,7 +167,7 @@ def _check_outputs(args, *outputs) -> None:
 
 def cmd_build_transitions(cfg: ExperimentConfig, args) -> int:
     out = args.out or "transitions.json"
-    _check_outputs(args, ("--out", out))
+    _check_outputs(cfg, args, (), ("--out", out))
     parsed = parse_event_log(args.events, strict=not args.lenient)
     if not parsed.events:
         raise EventLogError(f"{args.events}: no usable events")
@@ -177,7 +187,7 @@ def cmd_build_transitions(cfg: ExperimentConfig, args) -> int:
 
 def cmd_compute_re(cfg: ExperimentConfig, args) -> int:
     out = args.out or "run_expectancy.json"
-    _check_outputs(args, ("--out", out))
+    _check_outputs(cfg, args, ("table",), ("--out", out))
     table = _resolve_table(cfg)
     batter = _load_batter(args.batter)
     re_table = run_expectancy(table, batter)
@@ -191,7 +201,8 @@ def cmd_compute_re(cfg: ExperimentConfig, args) -> int:
 def cmd_train_converter(cfg: ExperimentConfig, args) -> int:
     out = args.out or "converter_params.json"
     metrics_path = out + ".metrics.json"
-    _check_outputs(args, ("--out", out), ("the --out metrics file", metrics_path),
+    _check_outputs(cfg, args, (), ("--out", out),
+                   ("the --out metrics file", metrics_path),
                    ("--pairs-csv", args.pairs_csv))
     n_players = cfg.converter.n_players
     players = synthesize_players(n_players, seed=cfg.seed)
@@ -233,7 +244,7 @@ def cmd_convert(cfg: ExperimentConfig, args) -> int:
             raise ConfigError(f"{flag} must be finite, got {value}")
     if args.d_woba > 0:
         raise ConfigError(f"--d-woba must be <= 0, got {args.d_woba}")
-    _check_outputs(args, ("--out", args.out))
+    _check_outputs(cfg, args, ("params",), ("--out", args.out))
     params = _resolve_params(cfg)
     batter = _load_batter(args.batter)
     result = convert(params, batter, args.d_alpha, args.d_woba)
@@ -248,7 +259,10 @@ def cmd_convert(cfg: ExperimentConfig, args) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     out = args.out or "runstats.json"
-    _check_outputs(args, ("--out", out), ("--histogram-csv", args.histogram_csv))
+    reads = ("table", "lineup") + (() if cfg.policy.kind == "normal-only"
+                                   else ("params",))
+    _check_outputs(cfg, args, reads, ("--out", out),
+                   ("--histogram-csv", args.histogram_csv))
     table = _resolve_table(cfg)
     normals = _resolve_lineup(cfg)
     lineup, policy = _resolve_policy(cfg, table, normals)
@@ -266,7 +280,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     out = args.out or "sweep.csv"
-    _check_outputs(args, ("--out", out))
+    _check_outputs(cfg, args, ("table", "lineup", "params"), ("--out", out))
     mode = cfg.sweep.mode
     table = _resolve_table(cfg)
     normals = _resolve_lineup(cfg)
@@ -292,7 +306,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 def cmd_validate(cfg: ExperimentConfig, args) -> int:
     out = args.out or "validate_hist.csv"
-    _check_outputs(args, ("--out", out))
+    _check_outputs(cfg, args, ("table", "lineup"), ("--out", out))
     reference = load_histogram_csv(args.reference)
     ref_stats = RunStats.from_histogram(reference)  # rejects an all-zero one
     table = _resolve_table(cfg)

@@ -2,7 +2,8 @@
 
 Each run setting lives here once.  The command-line flags that set one
 (--seed, --workers, --players, --min-count, --policy, --mode) override its
-field, and the result is checked by the same validate as a config file's.
+field.  Each section and the config check themselves when made, so a config
+file, a flag, direct construction and dataclasses.replace pass one gate.
 The effective config (defaults, then the user's file, then those flags) can
 always be dumped back out with --print-config, so a run is reproducible
 from that single artifact plus the package version.
@@ -103,7 +104,7 @@ class LineupConfig:
     targets_path: str | None = None
     vectors_path: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _require_types(self, "lineup.")
         if self.targets_path is not None and self.vectors_path is not None:
             raise ConfigError("lineup.targets_path and lineup.vectors_path "
@@ -122,7 +123,7 @@ class TransitionConfig:
     event_csv: str | None = None
     min_count: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _require_types(self, "transitions.")
         _require_choice(self.source, TABLE_SOURCES, "transitions.source")
         if self.source == "event-csv":
@@ -145,7 +146,7 @@ class ConverterConfig:
     params_path: str | None = None
     n_players: int = 502
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _require_types(self, "converter.")
         _require_file(self.params_path, "converter.params_path")
         if self.n_players < MIN_PLAYERS:
@@ -160,7 +161,7 @@ class PolicyConfig:
     theta_o: float | None = None
     theta_l: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _require_types(self, "policy.")
         _require_choice(self.kind, POLICY_KINDS, "policy.kind")
         if self.d_alpha < 0:
@@ -187,7 +188,7 @@ class SweepConfig:
     theta_o_grid: tuple[float, ...] | None = None
     theta_l_grid: tuple[float, ...] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _require_types(self, "sweep.")
         _require_choice(self.mode, SWEEP_MODES, "sweep.mode")
         if len(self.d_alpha_grid) == 0 or len(self.d_woba_grid) == 0:
@@ -213,9 +214,7 @@ class ExperimentConfig:
     seed: int = 2026
     workers: int = 1
 
-    def validate(self) -> "ExperimentConfig":
-        for name in _SECTION_TYPES:
-            getattr(self, name).validate()
+    def __post_init__(self):
         _require_types(self, "")
         if self.n_games < 1:
             raise ConfigError("n_games must be >= 1")
@@ -223,7 +222,6 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        return self
 
 
 _SECTION_TYPES = {name: hint for name, hint
@@ -243,7 +241,7 @@ def config_from_json_obj(obj: dict) -> ExperimentConfig:
                 raise ConfigError(f"config.{name} must be an object")
             _require_keys(section, {f.name for f in fields(cls)}, f"config.{name}")
             kwargs[name] = cls(**section)
-    return ExperimentConfig(**kwargs).validate()
+    return ExperimentConfig(**kwargs)
 
 
 def config_to_json_obj(cfg: ExperimentConfig) -> dict:
@@ -275,9 +273,9 @@ def dump_config(cfg: ExperimentConfig, fh) -> None:
 
 def with_override(cfg: ExperimentConfig, path: str, value) -> ExperimentConfig:
     """cfg with the field at a dotted path ("seed", "converter.n_players")
-    set to value, validated."""
+    set to value, checked as any config is when made."""
     section, _, name = path.rpartition(".")
     if section:
         value = replace(getattr(cfg, section), **{name: value})
         name = section
-    return replace(cfg, **{name: value}).validate()
+    return replace(cfg, **{name: value})

@@ -298,9 +298,7 @@ def gradient_check(params: ConverterParams, batch: PairDataset, *,
 class ValidationMetrics:
     mse_vector: float        # mean squared error summed over the 7 components
     mse_woba: float          # mean squared error of the implied wOBA
-    neg_mass_raw: float      # mean clamped-away mass before projection
     neg_mass_projected: float
-    val_loss: float
     epochs_run: int
     best_epoch: int
 
@@ -316,14 +314,11 @@ def evaluate(params: ConverterParams, batch: PairDataset) -> ValidationMetrics:
     implied7 = x[:, :7] + out
     implied_f = 1.0 - implied7.sum(axis=1, keepdims=True)
     implied8 = np.hstack([implied7, implied_f])
-    neg_raw = float(np.maximum(-implied8, 0.0).sum(axis=1).mean())
     clamped = np.maximum(implied8, 0.0)
     projected = clamped / clamped.sum(axis=1, keepdims=True)
     neg_projected = float(np.maximum(-projected, 0.0).sum())
     return ValidationMetrics(mse_vector=mse_vector, mse_woba=mse_woba,
-                             neg_mass_raw=neg_raw,
                              neg_mass_projected=neg_projected,
-                             val_loss=_mean_loss(x, y, out),
                              epochs_run=0, best_epoch=0)
 
 
@@ -442,7 +437,7 @@ def synthesize_players(n: int, seed: int) -> list[AbilityVector]:
             continue
         if not (SHARE_RANGE[0] <= share <= SHARE_RANGE[1]):
             continue
-        players.append(validate(vec))
+        players.append(vec)
     return players
 
 

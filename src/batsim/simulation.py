@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .abilities import AbilityVector, NoOutProbabilityError, validate
+from .abilities import AbilityVector
 from .fileio import atomic_write
 from .strategies import StrategyTriple
 from .transitions import TransitionTable
@@ -44,11 +44,6 @@ class Lineup:
         for i, triple in enumerate(self.slots):
             if not isinstance(triple, StrategyTriple):
                 raise TypeError(f"slot {i} is not a StrategyTriple")
-            for vec in (triple.normal, triple.on_base, triple.long_hit):
-                try:
-                    validate(vec)
-                except NoOutProbabilityError:
-                    pass  # legal here: the per-inning PA cap guarantees termination
 
     @classmethod
     def from_vectors(cls, vectors) -> "Lineup":

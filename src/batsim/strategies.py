@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import conversion
-from .abilities import AbilityVector, onbase_share, validate
+from .abilities import AbilityVector, onbase_share
 from .transitions import (
     NUM_LIVE_STATES,
     GameState,
@@ -112,9 +112,6 @@ def build_triple(normal: AbilityVector, params, d_alpha: float,
     """
     if d_alpha < 0.0:
         raise ValueError(f"d_alpha must be non-negative, got {d_alpha}")
-    if d_woba > 0.0:
-        raise ValueError(f"d_woba must be non-positive, got {d_woba}")
-    validate(normal)
     on_base = conversion.convert(params, normal, d_alpha, d_woba)
     long_hit = conversion.convert(params, normal, -d_alpha, d_woba)
     share_n = onbase_share(normal)

@@ -409,7 +409,7 @@ class TransitionTable:
             return cls.from_json_obj(json.load(fh))
 
 
-def build_table(events, min_count: int = 5) -> TransitionTable:
+def build_table(events, *, min_count: int) -> TransitionTable:
     """Estimate a transition table from parsed events.
 
     Each (outs, bases, outcome) row is the empirical distribution of its

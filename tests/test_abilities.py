@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -41,19 +42,50 @@ class TestValidate:
 
     def test_negative_component(self):
         with pytest.raises(AbilityVectorError, match="component 1b is negative"):
-            validate(AbilityVector(-0.01, 0.06, 0.005, 0.03, 0.08, 0.18, 0.30, 0.255))
+            AbilityVector(-0.01, 0.06, 0.005, 0.03, 0.08, 0.18, 0.30, 0.255)
 
     def test_sum_off_by_more_than_tolerance(self):
         with pytest.raises(AbilityVectorError, match="components sum to .*, not 1"):
-            validate(AbilityVector(0.15, 0.05, 0.005, 0.03, 0.08, 0.18, 0.30, 0.2))
+            AbilityVector(0.15, 0.05, 0.005, 0.03, 0.08, 0.18, 0.30, 0.2)
 
     def test_sum_within_strict_tolerance_passes(self):
         nudged = AbilityVector(0.15, 0.05, 0.005, 0.03, 0.08, 0.18, 0.30, 0.205 + 5e-10)
-        validate(nudged)
+        assert validate(nudged) is nudged
 
     @given(ability_vectors())
     def test_generated_vectors_validate(self, vec):
         assert validate(vec) is vec
+
+
+# Each invalid vector, as the components it changes in MIXED, and its
+# message.  The negative one still sums to 1; the last sums to 1 - 1e-5.
+_INVALID = [({"1b": math.nan}, "component 1b is not finite"),
+            ({"1b": -0.01, "f": MIXED.p_f + MIXED.p_1b + 0.01},
+             "component 1b is negative"),
+            ({"f": MIXED.p_f - 1e-5}, "components sum to 0.9999")]
+
+
+def _direct(changes):
+    return AbilityVector(**{**dataclasses.asdict(MIXED),
+                            **{"p_" + k: v for k, v in changes.items()}})
+
+
+def _from_json(changes):
+    return AbilityVector.from_json_dict({**MIXED.to_json_dict(), **changes})
+
+
+def _replace(changes):
+    return dataclasses.replace(MIXED, **{"p_" + k: v for k, v in changes.items()})
+
+
+@pytest.mark.parametrize("make", [_direct, _from_json, _replace])
+@pytest.mark.parametrize("changes,message", _INVALID)
+def test_every_way_of_making_a_vector_checks_it(make, changes, message):
+    """A vector is checked when it is made, however it is made, so no
+    consumer (run expectancy, a lineup, a sweep's mean batter) can receive
+    one that is not finite, has a negative rate or does not sum to one."""
+    with pytest.raises(AbilityVectorError, match=message):
+        make(changes)
 
 
 class TestJsonRoundTrip:

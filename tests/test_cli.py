@@ -820,6 +820,59 @@ def test_no_command_replaces_a_file_it_reads(case, events_csv, tmp_path, capsys,
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == inputs
 
 
+_DATA = pathlib.Path(cli.__file__).parent / "data"
+
+# each config field that names a file a command reads, with the config
+# section that names in.json there, the command whose --out is in.json,
+# and the file that in.json holds
+_CONFIG_INPUT_CLASHES = {
+    "lineup.vectors_path": (
+        {"lineup": {"vectors_path": "in.json"}}, ["simulate"],
+        json.dumps([v.to_json_dict() for v in fitted_lineup().vectors]).encode()),
+    "lineup.targets_path": (
+        {"lineup": {"targets_path": "in.json"}}, ["simulate"],
+        (_DATA / "lineup_targets.json").read_bytes()),
+    "converter.params_path": (
+        {"converter": {"params_path": "in.json"}},
+        ["convert", "--d-alpha", "0.1", "--d-woba", "-0.005"],
+        (_DATA / "converter_default.json").read_bytes()),
+    "transitions.event_csv": (
+        {"transitions": {"source": "event-csv", "event_csv": "in.json"}},
+        ["compute-re"], None),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_CONFIG_INPUT_CLASHES))
+def test_no_command_replaces_a_file_its_config_names(field, events_csv, tmp_path,
+                                                     capsys, monkeypatch):
+    section, argv, body = _CONFIG_INPUT_CLASHES[field]
+    monkeypatch.chdir(tmp_path)
+    if body is None:
+        body = pathlib.Path(events_csv).read_bytes()
+    (tmp_path / "in.json").write_bytes(body)
+    cfg = write_config(tmp_path / "cfg.json", policy={"kind": "normal-only"},
+                       **section)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["--config", cfg, "--out", "in.json", *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{field} in.json and --out in.json name the same file" in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_config_file_that_a_command_does_not_read_may_be_replaced(tmp_path,
+                                                                    monkeypatch):
+    """train-converter reads no converter, so its --out may be the one that
+    the config names as converter.params_path."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.json").write_bytes((_DATA / "converter_default.json").read_bytes())
+    cfg = write_config(tmp_path / "cfg.json",
+                       converter={"params_path": "p.json", "n_players": 5})
+    assert main(["--config", cfg, "--out", "p.json", "train-converter"]) == EXIT_OK
+    assert load_params("p.json").flat.shape == (N_PARAMS,)
+    assert (tmp_path / "p.json").read_bytes() \
+        != (_DATA / "converter_default.json").read_bytes()
+
+
 def test_main_leaves_no_pool_worker_alive(tmp_path, monkeypatch):
     """perfbench reads RUSAGE_CHILDREN for a command's peak RSS once main
     returns, and that counts only workers that have exited and been

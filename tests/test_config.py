@@ -1,5 +1,6 @@
 """Experiment-config loading, validation, and round trips."""
 
+import dataclasses
 import io
 import json
 import os
@@ -25,7 +26,7 @@ from batsim.config import (
 
 
 def test_defaults_validate():
-    cfg = ExperimentConfig().validate()
+    cfg = ExperimentConfig()
     assert cfg.n_games == 100_000
     assert cfg.sweep.d_alpha_grid == DEFAULT_D_ALPHA_GRID
     assert cfg.sweep.d_woba_grid == DEFAULT_D_WOBA_GRID
@@ -90,6 +91,47 @@ def test_grid_must_be_list():
 def test_top_level_bounds(field, value):
     with pytest.raises(ConfigError):
         config_from_json_obj({field: value})
+
+
+def _from_json(path, value):
+    section, _, name = path.rpartition(".")
+    return config_from_json_obj({section: {name: value}} if section
+                                else {name: value})
+
+
+def _direct(path, value):
+    section, _, name = path.rpartition(".")
+    if not section:
+        return ExperimentConfig(**{name: value})
+    cls = type(getattr(ExperimentConfig(), section))
+    return ExperimentConfig(**{section: cls(**{name: value})})
+
+
+def _replace(path, value):
+    cfg = ExperimentConfig()
+    section, _, name = path.rpartition(".")
+    if not section:
+        return dataclasses.replace(cfg, **{name: value})
+    return dataclasses.replace(cfg, **{section: dataclasses.replace(
+        getattr(cfg, section), **{name: value})})
+
+
+def _override(path, value):
+    return with_override(ExperimentConfig(), path, value)
+
+
+@pytest.mark.parametrize("make", [_from_json, _override, _direct, _replace])
+@pytest.mark.parametrize("path,value,message", [
+    ("n_games", 0, "n_games must be >= 1"),
+    ("workers", 0, "workers must be >= 1"),
+    ("policy.d_woba", 0.1, "policy.d_woba must be <= 0"),
+    ("transitions.min_count", -1, "transitions.min_count must be >= 0"),
+])
+def test_every_way_of_making_a_config_checks_it(make, path, value, message):
+    """A config is checked when it is made: a file, a flag's override,
+    direct construction and dataclasses.replace pass one gate."""
+    with pytest.raises(ConfigError, match=message):
+        make(path, value)
 
 
 @pytest.mark.parametrize("section,field,value", [
@@ -163,16 +205,16 @@ class TestLineupConfig:
         p = tmp_path / "t.json"
         p.write_text("{}")
         with pytest.raises(ConfigError, match="cannot both be set"):
-            LineupConfig(targets_path=str(p), vectors_path=str(p)).validate()
+            LineupConfig(targets_path=str(p), vectors_path=str(p))
         with pytest.raises(ConfigError, match=r"config.lineup: \['source'\]"):
             config_from_json_obj({"lineup": {"source": "targets"}})
 
     def test_vectors_needs_path(self, tmp_path):
         p = tmp_path / "v.json"
         p.write_text("[]")
-        assert LineupConfig(vectors_path=str(p)).validate() is None
+        assert LineupConfig(vectors_path=str(p)).vectors_path == str(p)
         with pytest.raises(ConfigError, match="not found"):
-            LineupConfig(vectors_path=str(tmp_path / "nope.json")).validate()
+            LineupConfig(vectors_path=str(tmp_path / "nope.json"))
         # an old config naming the vectors source is rejected, not run on
         # the fitted targets
         with pytest.raises(ConfigError, match="source"):
@@ -181,12 +223,12 @@ class TestLineupConfig:
 
     def test_missing_file_rejected_at_load(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
-            LineupConfig(targets_path=str(tmp_path / "nope.json")).validate()
+            LineupConfig(targets_path=str(tmp_path / "nope.json"))
 
     def test_existing_file_accepted(self, tmp_path):
         p = tmp_path / "t.json"
         p.write_text("{}")
-        LineupConfig(targets_path=str(p)).validate()
+        LineupConfig(targets_path=str(p))
 
 
 class TestTransitionConfig:
@@ -194,15 +236,15 @@ class TestTransitionConfig:
         for source in ("empirical", "synthetic"):
             with pytest.raises(ConfigError, match="transitions.source must be "
                                "one of bundled, simple, event-csv"):
-                TransitionConfig(source=source).validate()
+                TransitionConfig(source=source)
 
     def test_event_csv_needs_path(self):
         with pytest.raises(ConfigError):
-            TransitionConfig(source="event-csv").validate()
+            TransitionConfig(source="event-csv")
 
     def test_negative_min_count(self):
         with pytest.raises(ConfigError):
-            TransitionConfig(min_count=-1).validate()
+            TransitionConfig(min_count=-1)
 
     def test_zero_synthetic_events(self):
         # the synthetic source and its settings are gone: a config asking
@@ -218,60 +260,60 @@ class TestConverterConfig:
         # 4 players give 6 pairs; training needs 10
         for n in (1, 4):
             with pytest.raises(ConfigError, match="converter.n_players"):
-                ConverterConfig(n_players=n).validate()
-        ConverterConfig(n_players=5).validate()
+                ConverterConfig(n_players=n)
+        ConverterConfig(n_players=5)
 
     def test_missing_params_file(self, tmp_path):
         with pytest.raises(ConfigError):
-            ConverterConfig(params_path=str(tmp_path / "p.json")).validate()
+            ConverterConfig(params_path=str(tmp_path / "p.json"))
 
 
 class TestPolicyConfig:
     def test_bad_kind(self):
         with pytest.raises(ConfigError):
-            PolicyConfig(kind="aggressive").validate()
+            PolicyConfig(kind="aggressive")
 
     def test_negative_spread(self):
         with pytest.raises(ConfigError):
-            PolicyConfig(d_alpha=-0.1).validate()
+            PolicyConfig(d_alpha=-0.1)
 
     def test_positive_cost(self):
         with pytest.raises(ConfigError):
-            PolicyConfig(d_woba=0.01).validate()
+            PolicyConfig(d_woba=0.01)
 
     def test_threshold_needs_thetas(self):
         with pytest.raises(ConfigError):
-            PolicyConfig(kind="threshold").validate()
+            PolicyConfig(kind="threshold")
 
     def test_threshold_ordering(self):
         with pytest.raises(ConfigError):
-            PolicyConfig(kind="threshold", theta_o=0.3, theta_l=0.5).validate()
-        PolicyConfig(kind="threshold", theta_o=1.0, theta_l=0.3).validate()
+            PolicyConfig(kind="threshold", theta_o=0.3, theta_l=0.5)
+        PolicyConfig(kind="threshold", theta_o=1.0, theta_l=0.3)
 
 
 class TestSweepConfig:
     def test_bad_mode(self):
         with pytest.raises(ConfigError):
-            SweepConfig(mode="grid").validate()
+            SweepConfig(mode="grid")
 
     def test_empty_grid(self):
         with pytest.raises(ConfigError):
-            SweepConfig(d_alpha_grid=()).validate()
+            SweepConfig(d_alpha_grid=())
 
     def test_negative_alpha_grid(self):
         with pytest.raises(ConfigError):
-            SweepConfig(d_alpha_grid=(-0.1, 0.0)).validate()
+            SweepConfig(d_alpha_grid=(-0.1, 0.0))
 
     def test_positive_woba_grid(self):
         with pytest.raises(ConfigError):
-            SweepConfig(d_woba_grid=(0.005,)).validate()
+            SweepConfig(d_woba_grid=(0.005,))
 
     def test_empty_theta_grid_when_given(self):
         with pytest.raises(ConfigError):
-            SweepConfig(theta_o_grid=()).validate()
+            SweepConfig(theta_o_grid=())
 
     def test_null_theta_grids_allowed(self):
-        SweepConfig(theta_o_grid=None, theta_l_grid=None).validate()
+        SweepConfig(theta_o_grid=None, theta_l_grid=None)
 
 
 def test_load_config_missing_file(tmp_path):

@@ -196,9 +196,10 @@ class TestLineup:
             Lineup.from_vectors([LEAGUE_AVERAGE] * 10)
 
     def test_rejects_invalid_vectors(self):
-        bad = AbilityVector(0.5, 0, 0, 0, 0, 0.4, 0, 0)  # sums to 0.9
-        with pytest.raises(ValueError):
-            Lineup.from_vectors([LEAGUE_AVERAGE] * 8 + [bad])
+        # no lineup can hold one: the vector fails when it is made
+        with pytest.raises(ValueError, match="components sum to 0.9"):
+            Lineup.from_vectors([LEAGUE_AVERAGE] * 8
+                                + [AbilityVector(0.5, 0, 0, 0, 0, 0.4, 0, 0)])
 
     def test_rejects_non_triples(self):
         with pytest.raises(TypeError):
