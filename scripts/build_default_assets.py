@@ -48,11 +48,12 @@ DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "src" / "batsim" / "
 def main() -> None:
     t0 = time.time()
     targets = bundled_lineup_targets()
-    fit = fit_lineup(targets)
+    vectors, residuals = fit_lineup(targets)
     with atomic_write(DATA_DIR / FITTED_ASSET) as fh:
-        fh.write(json.dumps(lineup_cache_obj(targets, fit), indent=1) + "\n")
-    worst = max(max(abs(r) for r in res.values()) for res in fit.residuals)
-    print(f"lineup: fitted {len(fit.vectors)} slots, worst residual {worst:.4f} "
+        fh.write(json.dumps(lineup_cache_obj(targets, vectors, residuals),
+                            indent=1) + "\n")
+    worst = max(max(abs(r) for r in res.values()) for res in residuals)
+    print(f"lineup: fitted {len(vectors)} slots, worst residual {worst:.4f} "
           f"({time.time() - t0:.1f}s)")
 
     t0 = time.time()

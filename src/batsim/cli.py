@@ -17,6 +17,7 @@ import math
 import sys
 from contextlib import nullcontext
 
+# perfbench/op.py patches several of the names below as attributes of cli
 from .abilities import (
     LEAGUE_AVERAGE,
     AbilityVector,
@@ -100,7 +101,7 @@ def _resolve_lineup(cfg: ExperimentConfig):
                               f"got {len(targets)}")
     else:
         targets = bundled_lineup_targets()
-    return list(fitted_lineup(targets).vectors)
+    return list(fitted_lineup(targets))
 
 
 def _resolve_table(cfg: ExperimentConfig) -> TransitionTable:
@@ -109,7 +110,7 @@ def _resolve_table(cfg: ExperimentConfig) -> TransitionTable:
         return default_transition_table()
     if tc.source == "simple":
         return TransitionTable(rows={})
-    events = parse_event_log(tc.event_csv, strict=True).events
+    events, _ = parse_event_log(tc.event_csv, strict=True)
     return build_table(events, min_count=tc.min_count)
 
 
@@ -168,19 +169,19 @@ def _check_outputs(cfg: ExperimentConfig, args, reads, *outputs) -> None:
 def cmd_build_transitions(cfg: ExperimentConfig, args) -> int:
     out = args.out or "transitions.json"
     _check_outputs(cfg, args, (), ("--out", out))
-    parsed = parse_event_log(args.events, strict=not args.lenient)
-    if not parsed.events:
+    events, rejected = parse_event_log(args.events, strict=not args.lenient)
+    if not events:
         raise EventLogError(f"{args.events}: no usable events")
-    table = build_table(parsed.events, min_count=cfg.transitions.min_count)
+    table = build_table(events, min_count=cfg.transitions.min_count)
     table.save(out)
     print(f"built {len(table.rows)} transition rows from "
-          f"{len(parsed.events)} events (coverage {table.coverage:.3f})")
-    if parsed.rejected:
-        print(f"rejected {len(parsed.rejected)} rows:")
-        for lineno, reason in parsed.rejected[:10]:
+          f"{len(events)} events (coverage {table.coverage:.3f})")
+    if rejected:
+        print(f"rejected {len(rejected)} rows:")
+        for lineno, reason in rejected[:10]:
             print(f"  line {lineno}: {reason}")
-        if len(parsed.rejected) > 10:
-            print(f"  ... and {len(parsed.rejected) - 10} more")
+        if len(rejected) > 10:
+            print(f"  ... and {len(rejected) - 10} more")
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -126,11 +126,10 @@ class TransitionConfig:
     def __post_init__(self):
         _require_types(self, "transitions.")
         _require_choice(self.source, TABLE_SOURCES, "transitions.source")
-        if self.source == "event-csv":
-            if self.event_csv is None:
-                raise ConfigError("transitions.source 'event-csv' needs "
-                                  "transitions.event_csv")
-            _require_file(self.event_csv, "transitions.event_csv")
+        if self.source == "event-csv" and self.event_csv is None:
+            raise ConfigError("transitions.source 'event-csv' needs "
+                              "transitions.event_csv")
+        _require_file(self.event_csv, "transitions.event_csv")
         if self.min_count < 0:
             raise ConfigError("transitions.min_count must be >= 0")
 
@@ -168,12 +167,12 @@ class PolicyConfig:
             raise ConfigError("policy.d_alpha must be >= 0")
         if self.d_woba > 0:
             raise ConfigError("policy.d_woba must be <= 0")
-        if self.kind == "threshold":
-            if self.theta_o is None or self.theta_l is None:
+        if self.theta_o is None or self.theta_l is None:
+            if self.kind == "threshold":
                 raise ConfigError("threshold policy needs policy.theta_o "
                                   "and policy.theta_l")
-            if not self.theta_l < self.theta_o:
-                raise ConfigError("policy.theta_l must be < policy.theta_o")
+        elif not self.theta_l < self.theta_o:
+            raise ConfigError("policy.theta_l must be < policy.theta_o")
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,9 @@ def forward(params: ConverterParams, x) -> np.ndarray:
 
 
 def _mean_loss(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> float:
+    """Mean per-pair loss of the predictions out for inputs x and target
+    deltas y: squared delta error, plus the negativity hinge on the implied
+    destination components, plus the squared wOBA mismatch."""
     err = out - y
     sq = np.sum(err * err, axis=1)
     implied = x[:, :7] + out
@@ -172,13 +175,6 @@ def _mean_loss(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> float:
     per_pair = sq + NEGATIVITY_WEIGHT * hinge \
         + WOBA_CONSISTENCY_WEIGHT * woba_err * woba_err
     return float(per_pair.mean())
-
-
-def loss(params: ConverterParams, batch: PairDataset) -> float:
-    """Mean per-pair loss: squared delta error, plus the negativity hinge on
-    the implied destination components, plus the squared wOBA mismatch."""
-    return _mean_loss(batch.inputs, batch.targets,
-                      forward(params, batch.inputs))
 
 
 class _Workspace:
@@ -201,7 +197,7 @@ class _Workspace:
 
 def _backprop(params: ConverterParams, x: np.ndarray, y: np.ndarray,
               ws: _Workspace) -> None:
-    """Hand-derived backprop for :func:`loss`, written into ws.grad."""
+    """Hand-derived backprop for :func:`_mean_loss`, written into ws.grad."""
     n = x.shape[0]
     h1, h2, out, err, g_out, woba_err = (
         a[:n] for a in (ws.h1, ws.h2, ws.out, ws.err, ws.g_out, ws.woba_err))
@@ -240,8 +236,8 @@ def _backprop(params: ConverterParams, x: np.ndarray, y: np.ndarray,
 
 
 def gradients(params: ConverterParams, batch: PairDataset) -> ConverterParams:
-    """Hand-derived backprop for :func:`loss`.  The vector returned belongs
-    to this call alone."""
+    """Hand-derived backprop for :func:`_mean_loss` at forward(params,
+    batch.inputs).  The vector returned belongs to this call alone."""
     ws = _Workspace(len(batch))
     _backprop(params, batch.inputs, batch.targets, ws)
     return ws.grad
@@ -507,19 +503,16 @@ def convert(params: ConverterParams, vector: AbilityVector,
             "projected vector has no out probability") from exc
 
 
-def save_params(params: ConverterParams, fh, *,
-                train_seed: int | None = None) -> None:
+def save_params(params: ConverterParams, fh, *, train_seed: int) -> None:
     """Write params as JSON to the open text file fh: layer arrays, the
     wOBA weights they were trained under, and a metadata block recording
-    the input ordering, the loss weights and, when known, the training
-    seed."""
-    metadata: dict = {
+    the input ordering, the loss weights and the training seed."""
+    metadata = {
         "input_order": list(INPUT_ORDER),
         "loss_weights": {"negativity": NEGATIVITY_WEIGHT,
                          "woba_consistency": WOBA_CONSISTENCY_WEIGHT},
+        "train_seed": int(train_seed),
     }
-    if train_seed is not None:
-        metadata["train_seed"] = int(train_seed)
     obj = {
         "architecture": [9, HIDDEN_WIDTH, HIDDEN_WIDTH, 7],
         "input_order": list(INPUT_ORDER),

@@ -1,6 +1,10 @@
 """Bundled default assets: the nine-slot lineup, the synthetic empirical
 transition table, and trained converter parameters.
 
+fitted_lineup returns the lineup's ability vectors, read from the fitted
+cache when its targets match and refitted in memory otherwise; fit_lineup
+also returns each slot's fit residuals, which the cache records.
+
 Everything under ``batsim/data`` is regenerated from seeds by
 ``scripts/build_default_assets.py``.  The fitted lineup and the transition
 table come out byte for byte; the converter's weights do only on the same
@@ -10,7 +14,7 @@ numpy/BLAS build and CPU, since their last bits depend on both.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from importlib import resources
 
 from .abilities import (
@@ -63,42 +67,31 @@ def bundled_lineup_targets() -> list[SlashTargets]:
     return lineup_targets_from_json(obj, TARGETS_ASSET)
 
 
-@dataclass(frozen=True)
-class LineupFit:
-    """Fitted lineup vectors plus the per-slot fit residuals (absolute
-    differences on each targeted stat)."""
-
-    vectors: tuple[AbilityVector, ...]
-    residuals: tuple[dict, ...]
-    refitted: bool  # False when served straight from the bundled cache
-
-
 def _targets_json(targets: list[SlashTargets]) -> list[dict]:
     return [asdict(t) for t in targets]
 
 
-def fit_lineup(targets: list[SlashTargets]) -> LineupFit:
-    """Fit one ability vector per target, bypassing the bundled cache."""
-    vectors = []
-    residuals = []
-    for t in targets:
-        v = fit_ability_vector(t, LEAGUE_AVERAGE)
-        vectors.append(v)
-        residuals.append(fit_residuals(v, t))
-    return LineupFit(tuple(vectors), tuple(residuals), refitted=True)
+def fit_lineup(targets: list[SlashTargets],
+               ) -> tuple[tuple[AbilityVector, ...], tuple[dict, ...]]:
+    """Fit one ability vector per target, bypassing the bundled cache.
+    Returns the vectors and, per slot, the fit residuals (absolute
+    differences on each targeted stat)."""
+    vectors = tuple(fit_ability_vector(t, LEAGUE_AVERAGE) for t in targets)
+    return vectors, tuple(fit_residuals(v, t) for v, t in zip(vectors, targets))
 
 
-def lineup_cache_obj(targets: list[SlashTargets], fit: LineupFit) -> dict:
+def lineup_cache_obj(targets: list[SlashTargets], vectors, residuals) -> dict:
     """The JSON object of the fitted-lineup cache that fitted_lineup reads."""
     return {
         "targets": _targets_json(targets),
-        "vectors": [v.to_json_dict() for v in fit.vectors],
-        "residuals": list(fit.residuals),
+        "vectors": [v.to_json_dict() for v in vectors],
+        "residuals": list(residuals),
     }
 
 
-def fitted_lineup(targets: list[SlashTargets] | None = None) -> LineupFit:
-    """The default lineup's fitted ability vectors.
+def fitted_lineup(targets: list[SlashTargets] | None = None,
+                  ) -> tuple[AbilityVector, ...]:
+    """The default lineup's fitted ability vectors, one per target.
 
     Served from the bundled cache when it matches the requested targets and
     refitted in memory otherwise.  Never writes: only
@@ -111,9 +104,8 @@ def fitted_lineup(targets: list[SlashTargets] | None = None) -> LineupFit:
     except (FileNotFoundError, json.JSONDecodeError):
         obj = None
     if obj is not None and obj.get("targets") == _targets_json(targets):
-        vectors = tuple(AbilityVector.from_json_dict(d) for d in obj["vectors"])
-        return LineupFit(vectors, tuple(obj["residuals"]), refitted=False)
-    return fit_lineup(targets)
+        return tuple(AbilityVector.from_json_dict(d) for d in obj["vectors"])
+    return fit_lineup(targets)[0]
 
 
 def default_transition_table() -> TransitionTable:

@@ -22,7 +22,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from .abilities import AbilityVector
 from .fileio import atomic_write
 from .strategies import StrategyTriple
 from .transitions import TransitionTable
@@ -50,10 +49,6 @@ class Lineup:
         """A lineup that ignores strategy calls (each slot's three profiles
         are the same measured vector)."""
         return cls(slots=tuple(StrategyTriple.constant(v) for v in vectors))
-
-    @property
-    def normals(self) -> tuple[AbilityVector, ...]:
-        return tuple(t.normal for t in self.slots)
 
 
 @dataclass(frozen=True)

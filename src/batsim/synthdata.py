@@ -4,14 +4,13 @@ Real play-by-play feeds are licensed, so the bundled pipeline estimates its
 transition table from events produced here instead.  The advancement model is
 deliberately richer than the deterministic fallback: runners take extra bases,
 get thrown out stretching, ground into double plays, and score on sacrifice
-flies, all at plausible league-ish rates.  Every branch is constructed so the
-runner-accounting identity holds exactly (each runner ends the play on base,
-scored, or out), which the tests hammer with large random samples.
+flies, at plausible league-ish rates, the thirteen branch-rate constants
+below.  Every branch is constructed so the runner-accounting identity holds
+exactly (each runner ends the play on base, scored, or out), which the tests
+hammer with large random samples.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,41 +26,36 @@ from .transitions import (
 )
 
 
-@dataclass(frozen=True)
-class AdvancementModel:
-    """Branch rates for runner advancement.  All values are probabilities;
-    mutually exclusive branches of one decision must sum below 1, the
-    remainder being the conservative default (station-to-station)."""
+# Branch rates for runner advancement.  All are probabilities; the mutually
+# exclusive branches of one decision sum below 1, the remainder being the
+# conservative default (station to station).
 
-    # Singles: batter to first; the runner from second may score, be thrown
-    # out at home, or stop at third; the runner from first may reach third,
-    # be cut down advancing, or stop at second.
-    single_second_scores: float = 0.62
-    single_second_thrown_out: float = 0.02
-    single_first_to_third: float = 0.28
-    single_first_thrown_out: float = 0.01
+# Singles: batter to first; the runner from second may score, be thrown out
+# at home, or stop at third; the runner from first may reach third, be cut
+# down advancing, or stop at second.
+SINGLE_SECOND_SCORES = 0.62
+SINGLE_SECOND_THROWN_OUT = 0.02
+SINGLE_FIRST_TO_THIRD = 0.28
+SINGLE_FIRST_THROWN_OUT = 0.01
 
-    # Doubles: batter to second; the runner from first may score, be thrown
-    # out at home, or stop at third.
-    double_first_scores: float = 0.44
-    double_first_thrown_out: float = 0.02
+# Doubles: batter to second; the runner from first may score, be thrown out
+# at home, or stop at third.
+DOUBLE_FIRST_SCORES = 0.44
+DOUBLE_FIRST_THROWN_OUT = 0.02
 
-    # Ground balls: occasional batter-reaches-on-error; with a runner on
-    # first and fewer than two outs, a double play or a force at second;
-    # otherwise the batter is retired and runners may move up one.
-    ground_reach_error: float = 0.045
-    ground_double_play: float = 0.36
-    ground_force_at_second: float = 0.12
-    ground_runners_advance: float = 0.30
+# Ground balls: occasional batter-reaches-on-error; with a runner on first
+# and fewer than two outs, a double play or a force at second; otherwise the
+# batter is retired and runners may move up one.
+GROUND_REACH_ERROR = 0.045
+GROUND_DOUBLE_PLAY = 0.36
+GROUND_FORCE_AT_SECOND = 0.12
+GROUND_RUNNERS_ADVANCE = 0.30
 
-    # Fly balls: occasional drop; with fewer than two outs the runner from
-    # third tags and scores, and the runner from second sometimes moves up.
-    fly_reach_error: float = 0.03
-    fly_third_tags: float = 0.74
-    fly_second_tags: float = 0.12
-
-
-ADVANCEMENT = AdvancementModel()
+# Fly balls: occasional drop; with fewer than two outs the runner from third
+# tags and scores, and the runner from second sometimes moves up.
+FLY_REACH_ERROR = 0.03
+FLY_THIRD_TAGS = 0.74
+FLY_SECOND_TAGS = 0.12
 
 
 def _hit_transition(state: GameState, n: int, rng) -> tuple[GameState, int]:
@@ -70,7 +64,6 @@ def _hit_transition(state: GameState, n: int, rng) -> tuple[GameState, int]:
     dead, and any unresolved trailing runner takes the forced base just
     vacated ahead of it, so nobody is ever lost from the accounting or
     doubled up on a base."""
-    m = ADVANCEMENT
     outs = state.outs
     runs = 0
     on1 = bool(state.bases & 1)
@@ -82,9 +75,9 @@ def _hit_transition(state: GameState, n: int, rng) -> tuple[GameState, int]:
         runs += on3 + on2
         if on1:
             u = rng.random()
-            if u < m.double_first_scores:
+            if u < DOUBLE_FIRST_SCORES:
                 runs += 1
-            elif u < m.double_first_scores + m.double_first_thrown_out:
+            elif u < DOUBLE_FIRST_SCORES + DOUBLE_FIRST_THROWN_OUT:
                 outs += 1
             else:
                 new |= 4
@@ -96,9 +89,9 @@ def _hit_transition(state: GameState, n: int, rng) -> tuple[GameState, int]:
         runs += 1
     if on2:
         u = rng.random()
-        if u < m.single_second_scores:
+        if u < SINGLE_SECOND_SCORES:
             runs += 1
-        elif u < m.single_second_scores + m.single_second_thrown_out:
+        elif u < SINGLE_SECOND_SCORES + SINGLE_SECOND_THROWN_OUT:
             outs += 1
         else:
             new |= 4
@@ -107,9 +100,9 @@ def _hit_transition(state: GameState, n: int, rng) -> tuple[GameState, int]:
             new |= 2  # play already dead; second is free, the forced spot
         else:
             u = rng.random()
-            if u < m.single_first_to_third:
+            if u < SINGLE_FIRST_TO_THIRD:
                 new |= 4 if not new & 4 else 2  # third blocked: stop at second
-            elif u < m.single_first_to_third + m.single_first_thrown_out:
+            elif u < SINGLE_FIRST_TO_THIRD + SINGLE_FIRST_THROWN_OUT:
                 outs += 1
             else:
                 new |= 2
@@ -118,18 +111,17 @@ def _hit_transition(state: GameState, n: int, rng) -> tuple[GameState, int]:
 
 
 def _ground_transition(state: GameState, rng) -> tuple[GameState, int]:
-    m = ADVANCEMENT
     outs = state.outs
     bases = state.bases
     on1 = bool(bases & 1)
     u = rng.random()
 
-    if u < m.ground_reach_error:  # everyone moves up one, as on a single
+    if u < GROUND_REACH_ERROR:  # everyone moves up one, as on a single
         return simple_transition(state, Outcome.SINGLE)
 
     if on1 and outs <= 1:
         v = rng.random()
-        if v < m.ground_double_play:
+        if v < GROUND_DOUBLE_PLAY:
             # Batter and the runner from first are both retired.
             new, runs = 0, 0
             if outs == 0:
@@ -140,34 +132,33 @@ def _ground_transition(state: GameState, rng) -> tuple[GameState, int]:
             else:  # second out plus one ends the inning; nobody else moves
                 new = bases & ~1
             return GameState(min(outs + 2, 3), new), runs
-        if v < m.ground_double_play + m.ground_force_at_second:
+        if v < GROUND_DOUBLE_PLAY + GROUND_FORCE_AT_SECOND:
             # Force at second, batter safe at first, everyone else holds.
             return GameState(outs + 1, bases), 0
 
     # Batter out at first.
-    if outs <= 1 and rng.random() < m.ground_runners_advance:
+    if outs <= 1 and rng.random() < GROUND_RUNNERS_ADVANCE:
         new, runs = _advance_all(bases, 1)
         return GameState(outs + 1, new), runs
     return GameState(outs + 1, bases), 0
 
 
 def _fly_transition(state: GameState, rng) -> tuple[GameState, int]:
-    m = ADVANCEMENT
     outs = state.outs
     bases = state.bases
     u = rng.random()
 
-    if u < m.fly_reach_error:  # everyone moves up one, as on a single
+    if u < FLY_REACH_ERROR:  # everyone moves up one, as on a single
         return simple_transition(state, Outcome.SINGLE)
 
     if outs >= 2:
         return GameState(3, bases), 0
 
     new, runs = bases, 0
-    if bases & 4 and rng.random() < m.fly_third_tags:
+    if bases & 4 and rng.random() < FLY_THIRD_TAGS:
         new &= ~4
         runs += 1
-    if bases & 2 and not (new & 4) and rng.random() < m.fly_second_tags:
+    if bases & 2 and not (new & 4) and rng.random() < FLY_SECOND_TAGS:
         new = (new & ~2) | 4
     return GameState(outs + 1, new), runs
 

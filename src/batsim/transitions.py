@@ -7,7 +7,9 @@ is over once the post state reaches 3 outs; the bases mask of an inning-ending
 row records the runners stranded at that moment.
 
 A transition table holds the observed distribution of post states for each
-(state, outcome) key.  TransitionTable.lookup is the one place that answers a
+(state, outcome) key.  parse_event_log reads a CSV event log into its events
+and the rows it rejected, and build_table estimates a table from the events.
+TransitionTable.lookup is the one place that answers a
 key the table lacks: it falls back to the deterministic simple_transition.
 TransitionTable.flat walks every key through lookup into parallel arrays,
 the Markov chain that the Monte Carlo engine samples and run_expectancy
@@ -38,7 +40,6 @@ import numpy as np
 from .abilities import AbilityVector
 from .fileio import atomic_write
 
-NUM_BASES_MASKS = 8
 NUM_LIVE_STATES = 24  # 3 out counts x 8 masks
 INNING_OVER = 24      # collapsed index for any 3-out state
 
@@ -165,18 +166,13 @@ def check_event(outs_pre, bases_pre, outcome, outs_post, bases_post, runs) -> st
     return None
 
 
-@dataclass(frozen=True)
-class EventLogParse:
-    events: tuple[TransitionEvent, ...]
-    rejected: tuple[tuple[int, str], ...]  # (1-based file line, reason)
-
-
-def parse_event_log(source, *, strict: bool = True) -> EventLogParse:
-    """Parse a transition event CSV.
+def parse_event_log(source, *, strict: bool = True,
+                    ) -> tuple[list[TransitionEvent], list[tuple[int, str]]]:
+    """Parse a transition event CSV into (events, rejected).
 
     source may be a path or any iterable of text lines.  In strict mode the
-    first invalid row raises; otherwise invalid rows are collected in
-    .rejected with their file line numbers.  A bad header or an empty log
+    first invalid row raises; otherwise each invalid row is collected in
+    rejected as (1-based file line, reason).  A bad header or an empty log
     always raises.
     """
     if isinstance(source, (str, os.PathLike)):
@@ -227,7 +223,7 @@ def parse_event_log(source, *, strict: bool = True) -> EventLogParse:
 
     if not events and not rejected:
         raise EventLogError("event log has a header but no rows")
-    return EventLogParse(tuple(events), tuple(rejected))
+    return events, rejected
 
 
 def write_event_csv(events, path) -> None:

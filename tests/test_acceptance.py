@@ -66,7 +66,7 @@ SEED = 2026
 
 @pytest.fixture(scope="session")
 def normals():
-    return fitted_lineup().vectors
+    return fitted_lineup()
 
 
 @pytest.fixture(scope="session")

@@ -178,7 +178,7 @@ def _malformed_config(case, tmp_path):
             params.write_text("[]")
         else:
             with open(params, "w", encoding="utf-8") as fh:
-                save_params(default_converter_params(), fh)
+                save_params(default_converter_params(), fh, train_seed=0)
             obj = json.loads(params.read_text())
             if case == "params-nan":  # would be clamped to zero mass
                 obj["b3"][0] = float("nan")
@@ -323,7 +323,7 @@ def _expected(vectors, table):
 def test_simulate_simple_table(tmp_path):
     stats = _simulate_normal_only(tmp_path, transitions={"source": "simple"})
     table = TransitionTable(rows={})
-    assert stats == _expected(fitted_lineup().vectors, table)
+    assert stats == _expected(fitted_lineup(), table)
 
 
 def test_simulate_event_csv_table(events_csv, tmp_path):
@@ -334,20 +334,20 @@ def test_simulate_event_csv_table(events_csv, tmp_path):
         stats[min_count] = _simulate_normal_only(tmp_path, transitions={
             "source": "event-csv", "event_csv": events_csv,
             "min_count": min_count})
-        table = build_table(parse_event_log(events_csv).events,
+        table = build_table(parse_event_log(events_csv)[0],
                             min_count=min_count)
-        assert stats[min_count] == _expected(fitted_lineup().vectors, table)
+        assert stats[min_count] == _expected(fitted_lineup(), table)
     assert stats[0] != stats[40]
 
 
 def test_simulate_lineup_vectors(tmp_path):
-    vectors = [LEAGUE_AVERAGE, *fitted_lineup().vectors[1:]]
+    vectors = [LEAGUE_AVERAGE, *fitted_lineup()[1:]]
     path = tmp_path / "vectors.json"
     path.write_text(json.dumps([v.to_json_dict() for v in vectors]))
     stats = _simulate_normal_only(tmp_path, lineup={"vectors_path": str(path)})
     table = default_transition_table()
     assert stats == _expected(vectors, table)
-    assert stats != _expected(fitted_lineup().vectors, table)
+    assert stats != _expected(fitted_lineup(), table)
 
 
 def test_simulate_fixed_policy(tmp_path):
@@ -370,6 +370,20 @@ def test_simulate_threshold_override_needs_thetas(cfg_path, tmp_path, capsys):
                "simulate", "--policy", "threshold"])
     assert rc == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", [
+    {"transitions": {"event_csv": "missing.csv"}},
+    {"policy": {"kind": "fixed", "theta_o": 0.3, "theta_l": 0.5}}],
+    ids=["event_csv", "thetas"])
+def test_simulate_rejects_a_bad_value_it_would_not_read(section, tmp_path,
+                                                         capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "cfg.json", **section)
+    assert main(["--config", cfg, "simulate"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and next(iter(section)) in err
+    assert not (tmp_path / "runstats.json").exists()
 
 
 def test_simulate_seed_changes_histogram(cfg_path, tmp_path):
@@ -671,7 +685,7 @@ def test_convert_projection_failure(tmp_path, capsys):
     broken.b3[:] = [5.0, 0.0, 0.0, 0.0, 0.0, -1.0, -1.0]
     params_path = tmp_path / "broken.json"
     with open(params_path, "w", encoding="utf-8") as fh:
-        save_params(broken, fh)
+        save_params(broken, fh, train_seed=0)
     cfg = write_config(tmp_path / "cfg.json",
                        converter={"params_path": str(params_path)})
     rc = main(["--config", cfg, "convert", "--d-alpha", "0.0",
@@ -828,7 +842,7 @@ _DATA = pathlib.Path(cli.__file__).parent / "data"
 _CONFIG_INPUT_CLASHES = {
     "lineup.vectors_path": (
         {"lineup": {"vectors_path": "in.json"}}, ["simulate"],
-        json.dumps([v.to_json_dict() for v in fitted_lineup().vectors]).encode()),
+        json.dumps([v.to_json_dict() for v in fitted_lineup()]).encode()),
     "lineup.targets_path": (
         {"lineup": {"targets_path": "in.json"}}, ["simulate"],
         (_DATA / "lineup_targets.json").read_bytes()),

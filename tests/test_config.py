@@ -198,6 +198,21 @@ def test_reals_take_ints_and_optional_none():
     assert cfg.policy.theta_o == 2 and cfg.sweep.d_alpha_grid == (0, 0.1)
 
 
+# a value that the config's choice of source or policy kind leaves unread is
+# still checked: a run never holds a setting it could not use
+@pytest.mark.parametrize("obj, message", [
+    ({"transitions": {"event_csv": "missing.csv"}},
+     "transitions.event_csv: file not found"),
+    ({"policy": {"kind": "fixed", "theta_o": 0.3, "theta_l": 0.5}},
+     "policy.theta_l must be < policy.theta_o"),
+], ids=["event_csv", "thetas"])
+def test_a_value_is_checked_whenever_it_is_set(obj, message, tmp_path,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)  # missing.csv is missing here
+    with pytest.raises(ConfigError, match=message):
+        config_from_json_obj(obj)
+
+
 class TestLineupConfig:
     def test_bad_source(self, tmp_path):
         # the source is the path that is set: both is an error, and the

@@ -36,9 +36,9 @@ from batsim.conversion import (
     forward,
     gradient_check,
     gradients,
+    _mean_loss,
     init_params,
     load_params,
-    loss,
     project_probabilities,
     save_params,
     synthesize_players,
@@ -175,31 +175,31 @@ class TestForward:
 
 class TestLoss:
     def test_zero_delta_zero_params_is_zero(self):
-        x = np.concatenate([LEAGUE_AVERAGE.as_tuple()[:7], [0.0, 0.0]])
-        assert loss(zero_params(), one_pair(x, np.zeros(7))) == 0.0
+        x = np.concatenate([LEAGUE_AVERAGE.as_tuple()[:7], [0.0, 0.0]])[None, :]
+        assert _mean_loss(x, np.zeros((1, 7)), forward(zero_params(), x)) == 0.0
 
     def test_zero_prediction_oracle(self):
         # prediction 0 on a single sample: loss = ||y||^2 + w_woba*(y . wvec)^2
-        x = np.concatenate([LEAGUE_AVERAGE.as_tuple()[:7], [0.0, 0.0]])
+        x = np.concatenate([LEAGUE_AVERAGE.as_tuple()[:7], [0.0, 0.0]])[None, :]
         y = np.array([0.01, -0.002, 0.0, 0.003, -0.01, 0.0, 0.004])
         wvec = np.zeros(7)
         # (1b, 2b, 3b, hr, bb) order matches REDUCED_KEYS
         wvec[:5] = [WOBA_WEIGHTS[k] for k in ONBASE_EVENTS]
         expected = float(y @ y) \
             + conversion.WOBA_CONSISTENCY_WEIGHT * float(y @ wvec) ** 2
-        got = loss(zero_params(), one_pair(x, y))
+        got = _mean_loss(x, y[None, :], forward(zero_params(), x))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_negativity_term_oracle(self):
         # bias-only net predicts exactly the target, but the implied result
         # dips one component to -0.01: loss is w_neg * 0.01 alone
         src = LEAGUE_AVERAGE.as_tuple()[:7]
-        x = np.concatenate([src, [0.0, 0.0]])
-        y = np.zeros(7)
-        y[0] = -(src[0] + 0.01)
+        x = np.concatenate([src, [0.0, 0.0]])[None, :]
+        y = np.zeros((1, 7))
+        y[0, 0] = -(src[0] + 0.01)
         p = zero_params()
-        p.b3[:] = y
-        got = loss(p, one_pair(x, y))
+        p.b3[:] = y[0]
+        got = _mean_loss(x, y, forward(p, x))
         assert got == pytest.approx(conversion.NEGATIVITY_WEIGHT * 0.01,
                                     rel=1e-12)
 
@@ -217,8 +217,8 @@ class TestLoss:
 
     def test_nonnegative_on_real_pairs(self, trained, pairs):
         params, _ = trained
-        batch = PairDataset(pairs.inputs[:128], pairs.targets[:128])
-        assert loss(params, batch) >= 0.0
+        x, y = pairs.inputs[:128], pairs.targets[:128]
+        assert _mean_loss(x, y, forward(params, x)) >= 0.0
 
 
 # ---------------------------------------------------------------- gradients
@@ -614,7 +614,7 @@ class TestPersistence:
         params, _ = trained
         path = tmp_path / "params.json"
         with open(path, "w", encoding="utf-8") as fh:
-            save_params(params, fh)
+            save_params(params, fh, train_seed=0)
         obj = json.loads(path.read_text())
         obj["w1"] = params.w1.T.tolist()
         path.write_text(json.dumps(obj))
@@ -627,7 +627,7 @@ class TestPersistence:
         params, _ = trained
         path = tmp_path / "params.json"
         with open(path, "w", encoding="utf-8") as fh:
-            save_params(params, fh)
+            save_params(params, fh, train_seed=0)
         obj = json.loads(path.read_text())
         obj["architecture"] = [9, 50, 50, 7]
         path.write_text(json.dumps(obj))
@@ -640,7 +640,7 @@ class TestPersistence:
         params, _ = trained
         path = tmp_path / "params.json"
         with open(path, "w", encoding="utf-8") as fh:
-            save_params(params, fh)
+            save_params(params, fh, train_seed=0)
         obj = json.loads(path.read_text())
         obj["input_order"] = list(reversed(obj["input_order"]))
         path.write_text(json.dumps(obj))
@@ -653,7 +653,7 @@ class TestPersistence:
         params, _ = trained
         path = tmp_path / "params.json"
         with open(path, "w", encoding="utf-8") as fh:
-            save_params(params, fh)
+            save_params(params, fh, train_seed=0)
         obj = json.loads(path.read_text())
         assert obj["woba_weights"] == {
             "walk": 0.692, "single": 0.865, "double": 1.334,

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from batsim import defaults
-from batsim.abilities import SlashTargets, onbase_share, validate, woba
+from batsim.abilities import (
+    LEAGUE_AVERAGE,
+    SlashTargets,
+    fit_ability_vector,
+    fit_residuals,
+    onbase_share,
+    validate,
+    woba,
+)
 from batsim.config import TransitionConfig
 from batsim.conversion import forward
 from batsim.defaults import (
@@ -34,17 +42,25 @@ def test_bundled_targets():
         assert 0.3 < t.onbase_share < 0.9
 
 
-def test_fitted_lineup_served_from_cache():
-    fit = fitted_lineup()
-    assert not fit.refitted  # the shipped cache must match the shipped targets
-    assert len(fit.vectors) == 9
-    for v in fit.vectors:
+def _no_fit(*args, **kwargs):
+    raise AssertionError("the lineup was refitted")
+
+
+def test_fitted_lineup_served_from_cache(monkeypatch):
+    # the shipped cache must match the shipped targets: nothing is refitted
+    monkeypatch.setattr(defaults, "fit_ability_vector", _no_fit)
+    vectors = fitted_lineup()
+    assert len(vectors) == 9
+    for v in vectors:
         validate(v)
 
 
 def test_fitted_lineup_residuals_within_fit_tolerance():
-    fit = fitted_lineup()
-    for res in fit.residuals:
+    cached = json.loads(
+        (defaults._data_root() / FITTED_ASSET).read_text(encoding="utf-8"))
+    for v, t, res in zip(fitted_lineup(), bundled_lineup_targets(),
+                         cached["residuals"], strict=True):
+        assert fit_residuals(v, t) == res
         assert set(res) == {"obp", "slg", "woba", "onbase_share"}
         assert max(abs(x) for x in res.values()) <= 0.005
 
@@ -52,8 +68,7 @@ def test_fitted_lineup_residuals_within_fit_tolerance():
 def test_fitted_vectors_hit_targets():
     from batsim.abilities import slash_stats
 
-    fit = fitted_lineup()
-    for v, t in zip(fit.vectors, bundled_lineup_targets()):
+    for v, t in zip(fitted_lineup(), bundled_lineup_targets()):
         obp, slg = slash_stats(v)
         assert obp == pytest.approx(t.obp, abs=0.005)
         assert slg == pytest.approx(t.slg, abs=0.005)
@@ -61,13 +76,13 @@ def test_fitted_vectors_hit_targets():
         assert onbase_share(v) == pytest.approx(t.onbase_share, abs=0.005)
 
 
-def test_custom_targets_refit_without_touching_cache():
+def test_custom_targets_refit_without_touching_cache(monkeypatch):
     custom = [SlashTargets(obp=0.330, slg=0.400, woba=0.320, onbase_share=0.60)]
-    fit = fitted_lineup(custom)
-    assert fit.refitted
-    assert len(fit.vectors) == 1
+    vectors = fitted_lineup(custom)
+    assert vectors == (fit_ability_vector(custom[0], LEAGUE_AVERAGE),)
     # bundled cache still intact afterwards
-    assert not fitted_lineup().refitted
+    monkeypatch.setattr(defaults, "fit_ability_vector", _no_fit)
+    assert len(fitted_lineup()) == 9
 
 
 def _snapshot(directory):
@@ -90,11 +105,10 @@ def test_refit_never_writes_the_data_directory(tmp_path, monkeypatch, cache):
     monkeypatch.setattr(defaults, "_data_root", lambda: data)
     before = _snapshot(data)
 
-    fit = fitted_lineup()
-    assert fit.refitted
-    assert len(fit.vectors) == 1
-    assert fit.vectors[0].as_tuple() == pytest.approx(
-        bundled.vectors[0].as_tuple(), abs=1e-12)
+    vectors = fitted_lineup()
+    assert len(vectors) == 1
+    assert vectors[0].as_tuple() == pytest.approx(bundled[0].as_tuple(),
+                                                  abs=1e-12)
     assert _snapshot(data) == before
 
 

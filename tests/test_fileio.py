@@ -116,7 +116,7 @@ def _sweep_csv(path):
 
 def _params(path):
     with fileio.atomic_write(path) as fh:  # as train-converter writes it
-        save_params(default_converter_params(), fh)
+        save_params(default_converter_params(), fh, train_seed=0)
 
 
 def _table(path):

@@ -62,7 +62,7 @@ LAST_DRAW = 1.0 - 2.0 ** -53  # the largest double numpy's random() returns
 def lineup():
     params = default_converter_params()
     return Lineup(tuple(build_triple(v, params, 0.1, -0.005)
-                        for v in fitted_lineup().vectors))
+                        for v in fitted_lineup()))
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ def policies(lineup):
     """The three policy kinds.  The threshold policy splits the 24 states
     into thirds by the bundled table's run expectancy for the mean batter."""
     re_table = run_expectancy(default_transition_table(),
-                              mean_batter(lineup.normals))
+                              mean_batter(fitted_lineup()))
     values = sorted(re_table.values)
     threshold = threshold_policy(values[16], values[7], re_table)
     assert set(threshold) == set(StrategyChoice)
@@ -330,7 +330,7 @@ def mixed_cells(lineup, policies):
     bundled = default_transition_table()
     return [
         (Lineup.from_vectors([HR_OR_K] * 9), always_normal, TransitionTable.simple()),
-        (Lineup.from_vectors(lineup.normals), always_normal, TransitionTable(rows={})),
+        (Lineup.from_vectors(fitted_lineup()), always_normal, TransitionTable(rows={})),
         (lineup, policies["fixed"], bundled),
         (lineup, policies["threshold"], TransitionTable(rows=rows)),
         (lineup, always_normal, bundled),
@@ -371,7 +371,7 @@ def test_shared_draws_keep_per_game_runs_correlated(lineup):
     # the two-plate-appearance step gave 0.90
     table = default_transition_table()
     runs = []
-    for cell in ((Lineup.from_vectors(lineup.normals), always_normal, table),
+    for cell in ((Lineup.from_vectors(fitted_lineup()), always_normal, table),
                  (lineup, fixed_policy, table)):
         steps = mcengine._steps(mcengine.compile_simulation(
             *cell, innings=9, pa_cap=100))
@@ -467,7 +467,7 @@ def test_one_pool_per_worker_count(monkeypatch, lineup, no_shared_pool):
     assert (started, stopped) == ([8, 2], [8, 2])
 
     # a sweep's baseline and grid calls run on one pool
-    normals = fitted_lineup().vectors
+    normals = fitted_lineup()
     params = default_converter_params()
     grids = dict(d_alpha_grid=(0.0, 0.1), d_woba_grid=(0.0, -0.005))
     serial_rows = run_strategy_grid(normals, params, table, n_games=three,

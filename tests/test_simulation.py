@@ -71,7 +71,7 @@ def converted_lineup():
     policy's choice changes the batter."""
     params = default_converter_params()
     return Lineup(tuple(build_triple(v, params, 0.1, -0.005)
-                        for v in fitted_lineup().vectors))
+                        for v in fitted_lineup()))
 
 
 def _half_innings(flow, ends, pa_cap, max_runs):
@@ -206,7 +206,7 @@ class TestLineup:
             Lineup(slots=tuple([LEAGUE_AVERAGE] * 9))
 
     def test_normals(self, league_lineup):
-        assert league_lineup.normals == (LEAGUE_AVERAGE,) * 9
+        assert tuple(t.normal for t in league_lineup.slots) == (LEAGUE_AVERAGE,) * 9
 
     def test_all_strikeout_lineup_is_legal(self):
         Lineup.from_vectors([ALL_K] * 9)
@@ -391,7 +391,7 @@ def _builder_case(name, converted_lineup):
     """(lineup, policy, table, innings, pa_cap) of a compiled-row check."""
     bundled = default_transition_table()
     if name == "bundled-threshold":
-        re_table = run_expectancy(bundled, mean_batter(converted_lineup.normals))
+        re_table = run_expectancy(bundled, mean_batter(fitted_lineup()))
         values = sorted(re_table.values)
         return (converted_lineup, threshold_policy(values[16], values[7], re_table),
                 bundled, 9, 100)

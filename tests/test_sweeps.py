@@ -14,7 +14,7 @@ from batsim.defaults import (
     fitted_lineup,
 )
 from batsim.simulation import Lineup, monte_carlo
-from batsim.strategies import always_normal
+from batsim.strategies import always_normal, build_triple, fixed_policy
 from batsim.sweeps import (
     SWEEP_CSV_HEADER,
     default_theta_grids,
@@ -34,7 +34,7 @@ SEED = 404
 
 @pytest.fixture(scope="session")
 def normals():
-    return fitted_lineup().vectors
+    return fitted_lineup()
 
 
 @pytest.fixture(scope="session")
@@ -103,6 +103,27 @@ def test_strategy_grid_deltas_exact(strategy_rows):
     base = strategy_rows[0].mean_runs
     for r in strategy_rows[1:]:
         assert r.delta_vs_baseline == r.mean_runs - base
+
+
+@pytest.fixture(scope="module")
+def pooled_strategy_rows(normals, params, table):
+    # 2 workers run the grid's cells in pool tasks
+    return run_strategy_grid(normals, params, table, d_alpha_grid=(0.1, 0.3),
+                             d_woba_grid=(-0.005, 0.0), n_games=3000,
+                             seed=SEED, workers=2)
+
+
+@pytest.mark.parametrize("d_alpha, d_woba", [(0.1, -0.005), (0.3, 0.0)])
+def test_strategy_row_matches_direct_simulation(pooled_strategy_rows, normals,
+                                                params, table, d_alpha, d_woba):
+    [row] = [r for r in pooled_strategy_rows[1:]
+             if (r.d_alpha, r.d_woba) == (d_alpha, d_woba)]
+    lineup = Lineup(tuple(build_triple(v, params, d_alpha, d_woba)
+                          for v in normals))
+    stats = monte_carlo(lineup, fixed_policy, table, 3000, SEED)
+    assert (row.mean_runs, row.stderr, row.truncated, row.fallbacks) == (
+        stats.mean, stats.stderr, stats.truncated_games,
+        stats.fallback_transitions)
 
 
 def test_strategy_grid_deduplicates_cells(normals, params, table):

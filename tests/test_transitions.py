@@ -136,20 +136,20 @@ class TestSimpleTransition:
 
 class TestParseEventLog:
     def test_accepts_valid_rows(self):
-        parsed = parse_event_log(_log(
+        events, rejected = parse_event_log(_log(
             "0,0,SINGLE,0,1,0",
             "0,1,BB,0,3,0",
             "0,3,HR,0,0,3",
             "0,0,K,1,0,0",
             "2,6,FO,3,6,0",
         ))
-        assert len(parsed.events) == 5
-        assert parsed.rejected == ()
-        assert parsed.events[2].runs == 3
+        assert len(events) == 5
+        assert rejected == []
+        assert events[2].runs == 3
 
     def test_solo_homer_is_conserved(self):
-        parsed = parse_event_log(_log("0,0,HR,0,0,1"))
-        assert parsed.events[0].outcome is Outcome.HOME_RUN
+        events, _ = parse_event_log(_log("0,0,HR,0,0,1"))
+        assert events[0].outcome is Outcome.HOME_RUN
 
     def test_single_from_empty_cannot_score_two(self):
         with pytest.raises(EventLogError, match="line 2: conservation"):
@@ -193,14 +193,14 @@ class TestParseEventLog:
             parse_event_log(io.StringIO(HEADER + "\n"))
 
     def test_lenient_mode_collects_line_numbers(self):
-        parsed = parse_event_log(_log(
+        events, rejected = parse_event_log(_log(
             "0,0,SINGLE,0,1,0",
             "0,0,SINGLE,0,0,2",
             "0,0,XX,0,1,0",
             "1,0,K,2,0,0",
         ), strict=False)
-        assert len(parsed.events) == 2
-        assert [line for line, _ in parsed.rejected] == [3, 4]
+        assert len(events) == 2
+        assert [line for line, _ in rejected] == [3, 4]
 
     def test_pre_state_must_be_live(self):
         with pytest.raises(EventLogError, match="line 2: outs_pre must be 0..2, got 3"):
@@ -438,7 +438,7 @@ def _replayed_run_expectancy(table, batter):
 def test_run_expectancy_replays_bit_for_bit(table_name, batter_name):
     table = TABLES[table_name]()
     batter = {"league": LEAGUE_AVERAGE, "homer-or-k": HOMER_OR_K,
-              "mean-lineup": mean_batter(fitted_lineup().vectors)}[batter_name]
+              "mean-lineup": mean_batter(fitted_lineup())}[batter_name]
     assert run_expectancy(table, batter).values == _replayed_run_expectancy(table, batter)
 
 
