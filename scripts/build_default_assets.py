@@ -10,23 +10,21 @@ converter_default.json that differs in the last digits.
   lineup_fitted.json        ability vectors fitted to the slash targets
   transitions_default.json  transition table from a synthetic event log
   converter_default.json    strategy conversion model trained on the
-                            502-player synthetic pool
+                            502-player synthetic pool, exactly as
+                            `batsim --seed CONVERTER_SEED train-converter`
+                            trains it
 """
 
 import json
 import pathlib
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from batsim.config import ConverterConfig, TransitionConfig  # noqa: E402
-from batsim.conversion import (  # noqa: E402
-    build_pair_dataset,
-    save_params,
-    synthesize_players,
-    train,
-)
+from batsim import cli  # noqa: E402
+from batsim.config import TransitionConfig  # noqa: E402
 from batsim.defaults import (  # noqa: E402
     CONVERTER_ASSET,
     CONVERTER_SEED,
@@ -66,17 +64,17 @@ def main() -> None:
           f"({time.time() - t0:.1f}s)")
 
     t0 = time.time()
-    # what train-converter writes under the default config with
-    # --seed CONVERTER_SEED
-    players = synthesize_players(ConverterConfig().n_players, seed=CONVERTER_SEED)
-    pairs = build_pair_dataset(players)
-    params, metrics = train(pairs, seed=CONVERTER_SEED)
-    with atomic_write(DATA_DIR / CONVERTER_ASSET) as fh:
-        save_params(params, fh, train_seed=CONVERTER_SEED)
-    print(f"converter: {len(pairs)} pairs, val MSE(vector) {metrics.mse_vector:.2e}, "
-          f"val MSE(wOBA) {metrics.mse_woba:.2e}, "
-          f"negative mass after projection {metrics.neg_mass_projected:.1e} "
-          f"({time.time() - t0:.0f}s)")
+    # trained by the CLI under the default config; its metrics file stays
+    # behind in the temporary directory
+    with tempfile.TemporaryDirectory() as tmp:
+        trained = pathlib.Path(tmp) / CONVERTER_ASSET
+        status = cli.main(["--seed", str(CONVERTER_SEED), "--out", str(trained),
+                           "train-converter"])
+        if status:
+            sys.exit(f"train-converter failed with exit code {status}")
+        with atomic_write(DATA_DIR / CONVERTER_ASSET) as fh:
+            fh.write(trained.read_text(encoding="utf-8"))
+    print(f"converter: copied to {CONVERTER_ASSET} ({time.time() - t0:.0f}s)")
 
 
 if __name__ == "__main__":

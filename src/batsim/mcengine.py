@@ -2,21 +2,19 @@
 
 The determinism contract: games are split into fixed-size batches
 (BATCH_SIZE, never a function of worker count), batch i draws from a
-dedicated generator seeded with (seed, i), and a step draws one uniform for
-each of a batch's games.  A game plays one half-inning a step, and every
-game plays exactly innings steps, so the k-th draw at its position feeds its
-k-th half-inning.  A batch's histogram therefore depends only on its own
-games, batch histograms are integers, and their sum is order-independent,
-so any degree of parallelism and any grouping of batches into steps produce
-byte-identical aggregates.
+dedicated generator seeded with (seed, i), and a step plays one batch,
+drawing one uniform for each of its games.  A game plays one half-inning a
+step, and every game plays exactly innings steps, so the k-th draw at its
+position feeds its k-th half-inning.  A batch's histogram therefore depends
+only on its own games, batch histograms are integers, and their sum is
+order-independent, so any degree of parallelism produces byte-identical
+aggregates.
 
 Several cells (lineup, policy and table triples, as in a sweep) run on the
 same batches.  Each cell runs alone, in its own step loop, and batch i of
 every cell draws from the generator seeded with (seed, i), so game g's k-th
 half-inning sees the same uniform in every cell: the per-batch generators
-give the cells their common random numbers.  A step holds up to
-STEP_BATCHES batches of one cell, so its arrays stay as small as two
-batches.
+give the cells their common random numbers.
 
 Every half-inning starts with the bases empty and no outs, so its whole
 outcome depends only on the slot that leads it off.  compile_simulation
@@ -30,11 +28,12 @@ cell and sweep deltas keep their common random numbers.  A plate-appearance
 cap per half-inning guards against never-ending innings: a half-inning
 still live after pa_cap plate appearances ends there, capped.
 compile_simulation reads the table only through TransitionTable.flat, whose
-entries all balance, and rejects an innings x pa_cap whose counts would not
-fit their packed fields (count_shifts).  The reference for these semantics
-is exact: the tests compute each game's run distribution from the same
-chain by pushing probability mass through it, without compile_simulation,
-and check both the rows and the engine's histograms against it.
+entries all balance.  A game's counts are packed in one int64 as four
+15-bit fields (unpack), so compile_simulation rejects an innings x pa_cap
+whose counts would overflow them.  The reference for these semantics is
+exact: the tests compute each game's run distribution from the same chain
+by pushing probability mass through it, without compile_simulation, and
+check both the rows and the engine's histograms against it.
 
 Every call, of one cell or many, compiles each of its (lineup, policy,
 table) cells once, in the caller, before any task starts, so a cell that
@@ -74,11 +73,13 @@ if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
 BATCH_SIZE = 4096
-# batches of one cell that one kernel step may hold, each drawn from its own
-# (seed, batch) generator; the cells of a call share their draws through
-# those generators, not through a shared step.  Wider steps cost memory:
-# fusing seven cells per step raised a sweep's peak RSS by 17% in a prototype.
-STEP_BATCHES = 2
+# a game's packed count: runs in the low 15 bits, then plate appearances,
+# fallbacks and capped half-innings, each field 15 bits wide.  A
+# half-inning scores at most one run per plate appearance, since every
+# transition balances, so innings * pa_cap bounds the first three fields
+# (and innings the last): 9 x 3640 is the most at 9 innings
+FIELD_BITS = 15
+FIELD_MAX = (1 << FIELD_BITS) - 1
 # guide cells per row; a power of two, so u * GUIDE_SIZE is exact.  A row
 # holds about 220 outcomes, and with 4096 cells 1% of the guide leaves its
 # draws to search on (23% at 64)
@@ -97,40 +98,22 @@ class CompiledSim:
     plate appearances, fallbacks and capped, left-justified.  cum holds
     their cumulative mass; the last real entry is exactly 1.0 and padding
     columns are 1.0 too, so a unit draw selects a positive-mass entry.
-    count packs each outcome in a game's count fields (count_shifts; unpack
-    reads them), so a game's count is the sum of its half-innings' entries;
-    padding counts are 0.  A half-inning of pa plate appearances hands the
-    next to slot (l + pa) % 9.
+    count packs each outcome in a game's count fields (unpack reads them),
+    so a game's count is the sum of its half-innings' entries; padding
+    counts are 0.  A half-inning of pa plate appearances hands the next to
+    slot (l + pa) % 9.
     """
 
     cum: np.ndarray    # (9, W) cumulative mass
     count: np.ndarray  # (9, W) packed runs, plate appearances, fallbacks, capped
     innings: int
-    pa_cap: int
 
 
-def count_shifts(innings: int, pa_cap: int) -> tuple[int, int, int]:
-    """Bit offsets of the plate-appearance, fallback and capped fields of a
-    game's packed count, above its runs.  The four fields are as wide as
-    each must be to hold a game's most, innings * pa_cap runs, plate
-    appearances or fallbacks (a half-inning scores at most one run per
-    plate appearance, since every transition balances; the capped field,
-    at most innings, fits too).  So innings * pa_cap is bounded: 9 x 3640
-    is the most at 9 innings."""
-    width = (innings * pa_cap).bit_length()
-    if 4 * width > 63:
-        raise ValueError(f"innings x pa_cap = {innings} x {pa_cap} is too large:"
-                         f" a game's counts would not fit in 63 bits")
-    return width, 2 * width, 3 * width
-
-
-def unpack(count, innings: int, pa_cap: int):
+def unpack(count):
     """The runs, plate appearances, fallbacks and capped fields of packed
-    counts, as laid out by count_shifts(innings, pa_cap)."""
-    pa_at, fallback_at, capped_at = count_shifts(innings, pa_cap)
-    field = (1 << pa_at) - 1
-    return (count & field, count >> pa_at & field, count >> fallback_at & field,
-            count >> capped_at)
+    counts."""
+    return (count & FIELD_MAX, count >> FIELD_BITS & FIELD_MAX,
+            count >> 2 * FIELD_BITS & FIELD_MAX, count >> 3 * FIELD_BITS)
 
 
 def compile_simulation(lineup, policy, table: TransitionTable, *,
@@ -139,7 +122,9 @@ def compile_simulation(lineup, policy, table: TransitionTable, *,
         raise ValueError("innings and pa_cap must be positive")
     if len(policy) != NUM_LIVE_STATES:
         raise ValueError(f"a policy has {NUM_LIVE_STATES} choices, got {len(policy)}")
-    pa_at, fallback_at, capped_at = count_shifts(innings, pa_cap)
+    if innings * pa_cap > FIELD_MAX:
+        raise ValueError(f"innings x pa_cap = {innings} x {pa_cap} is too large:"
+                         f" a game's counts would not fit in 63 bits")
     # P(outcome | slot, state), shape (9, 24, 8)
     outcome_p = np.array([[triple.vector(choice).as_tuple() for choice in policy]
                           for triple in lineup.slots])
@@ -222,10 +207,9 @@ def compile_simulation(lineup, policy, table: TransitionTable, *,
 
     cum = np.minimum(np.cumsum(table_of(mass, float), axis=1), 1.0)
     cum[np.arange(w) >= n[:, None] - 1] = 1.0  # padding, and float crumbs
-    count = (runs + (pa << pa_at) + (fallbacks << fallback_at)
-             + (capped.astype(np.int64) << capped_at))
-    return CompiledSim(cum=cum, count=table_of(count, np.int64),
-                       innings=innings, pa_cap=pa_cap)
+    count = (runs + (pa << FIELD_BITS) + (fallbacks << 2 * FIELD_BITS)
+             + (capped.astype(np.int64) << 3 * FIELD_BITS))
+    return CompiledSim(cum=cum, count=table_of(count, np.int64), innings=innings)
 
 
 @dataclass(frozen=True)
@@ -245,7 +229,7 @@ def _steps(cell: CompiledSim) -> _Steps:
     """The step tables of the cell."""
     cum = cell.cum * GUIDE_SIZE
     row = np.arange(9)[:, None]
-    _, pa, _, _ = unpack(cell.count, cell.innings, cell.pa_cap)
+    _, pa, _, _ = unpack(cell.count)
     # the draws of guide cell k, in [k, k + 1), start at the first entry e
     # whose cum exceeds k: e counts the earlier rows' entries and those of
     # its own whose cum rounds up to at most k.  Where cum[e] may not
@@ -280,31 +264,26 @@ def _draw(s: _Steps, row: np.ndarray, x: np.ndarray) -> np.ndarray:
     return entry
 
 
-def _simulate(s: _Steps, seed: int, batches):
-    """Run each (batch index, games) batch of the cell whose step tables s
-    holds, all in one step loop; returns each batch's (histogram,
-    truncated, fallbacks, pa).  Every game leads off its first half-inning
-    with slot 0."""
+def _simulate(s: _Steps, seed: int, batch: int, n_games: int):
+    """Play batch `batch`, of n_games games, of the cell whose step tables
+    s holds, on the batch's own (seed, batch) generator; returns its
+    (histogram, truncated, fallbacks, pa).  Every game leads off its first
+    half-inning with slot 0."""
     cell = s.cell
-    rngs = [np.random.default_rng(np.random.SeedSequence((seed, i)))
-            for i, _ in batches]
-    ends = np.cumsum([n for _, n in batches])
-    u = np.empty(ends[-1])
-    draws = np.split(u, ends[:-1])
-    row = np.zeros(u.size, dtype=np.int64)
-    count = np.zeros(u.size, dtype=np.int64)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, batch)))
+    u = np.empty(n_games)
+    row = np.zeros(n_games, dtype=np.int64)
+    count = np.zeros(n_games, dtype=np.int64)
     for _ in range(cell.innings):
-        for rng, out in zip(rngs, draws):
-            rng.random(out=out)
+        rng.random(out=u)
         u *= GUIDE_SIZE
         entry = _draw(s, row, u)
         count += cell.count.take(entry)
         row = s.next.take(entry)
 
-    runs, pa, fallbacks, capped = unpack(count, cell.innings, cell.pa_cap)
-    return [(np.bincount(runs[unit]), int(np.count_nonzero(capped[unit])),
-             int(fallbacks[unit].sum()), int(pa[unit].sum()))
-            for unit in (slice(hi - n, hi) for (_, n), hi in zip(batches, ends))]
+    runs, pa, fallbacks, capped = unpack(count)
+    return (np.bincount(runs), int(np.count_nonzero(capped)),
+            int(fallbacks.sum()), int(pa.sum()))
 
 
 def _batch_sizes(n_games: int) -> list[int]:
@@ -327,18 +306,14 @@ def _merge(results):
 
 
 def _run_task(spans, n_games: int, seed: int):
-    """Run each (compiled cell, first batch, stop batch) span; returns each
-    span's merged result, in order.  A step holds up to STEP_BATCHES of a
-    span's batches."""
+    """Run each (compiled cell, first batch, stop batch) span, one batch at
+    a time; returns each span's merged result, in order."""
     sizes = _batch_sizes(n_games)
     results = []
     for cell, first, stop in spans:
         s = _steps(cell)
-        parts = []
-        for start in range(first, stop, STEP_BATCHES):
-            step = range(start, min(start + STEP_BATCHES, stop))
-            parts.extend(_simulate(s, seed, [(i, sizes[i]) for i in step]))
-        results.append(_merge(parts))
+        results.append(_merge([_simulate(s, seed, i, sizes[i])
+                               for i in range(first, stop)]))
     return results
 
 
@@ -402,6 +377,12 @@ def run_cells(cells, *, innings: int, pa_cap: int, n_games: int, seed: int,
     """Each (lineup, policy, table) cell's (histogram, truncated,
     fallbacks, pa) over n_games games, equal to that of a call on that
     cell alone, from at most one task per pool process."""
+    if n_games <= 0:
+        raise ValueError("n_games must be positive")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     compiled = [compile_simulation(*cell, innings=innings, pa_cap=pa_cap)
                 for cell in cells]
     b = len(_batch_sizes(n_games))

@@ -120,14 +120,15 @@ class RunStats:
 
 
 def load_histogram_csv(path) -> tuple[int, ...]:
-    """Read a runs,count reference histogram: two cells a row, blank lines
-    skipped."""
+    """Read a runs,count reference histogram: two cells a row, each runs
+    value on one row, blank lines skipped."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != ("runs", "count"):
             raise ValueError(f"{path}: expected header runs,count")
         counts: dict[int, int] = {}
+        lines: dict[int, int] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -140,22 +141,16 @@ def load_histogram_csv(path) -> tuple[int, ...]:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from exc
             if runs < 0 or count < 0:
                 raise ValueError(f"{path}:{lineno}: negative runs or count")
-            counts[runs] = counts.get(runs, 0) + count
+            if runs in counts:
+                raise ValueError(f"{path}:{lineno}: runs {runs} again, first"
+                                 f" given on line {lines[runs]}")
+            counts[runs], lines[runs] = count, lineno
     if not counts:
         raise ValueError(f"{path}: no rows")
     hist = [0] * (max(counts) + 1)
     for r, c in counts.items():
         hist[r] = c
     return tuple(hist)
-
-
-def _check_run_args(n_games: int, seed: int, workers: int) -> None:
-    if n_games <= 0:
-        raise ValueError("n_games must be positive")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
 
 
 def _run_stats(result) -> RunStats:
@@ -175,7 +170,6 @@ def monte_carlo(lineup: Lineup, policy, table: TransitionTable, n_games: int,
     own child stream seeded by (seed, batch index), and batch histograms are
     merged by integer addition.  Worker count affects wall time only.
     """
-    _check_run_args(n_games, seed, workers)
     return _run_stats(mcengine.run_batches(
         (lineup, policy, table), innings=innings, pa_cap=pa_cap,
         n_games=n_games, seed=seed, workers=workers))
@@ -190,7 +184,6 @@ def monte_carlo_cells(cells, n_games: int, seed: int, *, workers: int = 1,
     same n_games and seed: the cells share each batch's draws, so their
     deltas are common-random-number comparisons.
     """
-    _check_run_args(n_games, seed, workers)
     return [_run_stats(result) for result in mcengine.run_cells(
         cells, innings=innings, pa_cap=pa_cap, n_games=n_games, seed=seed,
         workers=workers)]

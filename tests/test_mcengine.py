@@ -154,7 +154,7 @@ def test_rows_hold_the_joint_mass(compiled):
                                                         ROW_PA_CAP)):
         k = len(expected)
         assert k <= width
-        keys = list(zip(*mcengine.unpack(c.count[lead, :k], c.innings, c.pa_cap)))
+        keys = list(zip(*mcengine.unpack(c.count[lead, :k])))
         assert keys == sorted(keys)
         got = dict(zip(keys, np.diff(c.cum[lead, :k], prepend=0.0)))
         assert len(got) == k  # merged: k distinct entries
@@ -195,7 +195,7 @@ def test_draw_matches_a_full_row_search(compiled):
     entry = mcengine._draw(steps, rows * mcengine.GUIDE_SIZE,
                            u * mcengine.GUIDE_SIZE)
     np.testing.assert_array_equal(entry, rows * c.cum.shape[1] + count)
-    _, pa, _, _ = mcengine.unpack(c.count.ravel()[entry], c.innings, c.pa_cap)
+    _, pa, _, _ = mcengine.unpack(c.count.ravel()[entry])
     np.testing.assert_array_equal(steps.next[entry] // mcengine.GUIDE_SIZE,
                                   (rows + pa) % 9)
 
@@ -283,19 +283,19 @@ def test_counts_at_the_bound_are_exact():
     # every plate appearance is a home run with the bases empty that falls
     # back to the simple model, so a game is capped in every inning and
     # fills the runs, plate-appearance and fallback fields to innings *
-    # pa_cap, the most each field is sized for; each row is one outcome,
+    # pa_cap, the most compile_simulation allows; each row is one outcome,
     # built on a fallback axis one wide
     innings, pa_cap = 9, 3640
     homers = mcengine.compile_simulation(
         Lineup.from_vectors([ALL_HR] * 9), always_normal,
         TransitionTable(rows={}), innings=innings, pa_cap=pa_cap)
     assert homers.cum.shape == (9, 1)
-    *fields, capped = mcengine.unpack(homers.count, innings, pa_cap)
+    *fields, capped = mcengine.unpack(homers.count)
     for field in fields:
         assert np.all(field == pa_cap)
     assert np.all(capped == 1)
-    [(hist, truncated, fallbacks, pa)] = mcengine._simulate(
-        mcengine._steps(homers), 1, [(0, 1)])
+    hist, truncated, fallbacks, pa = mcengine._simulate(
+        mcengine._steps(homers), 1, 0, 1)
     most = innings * pa_cap
     assert tuple(hist) == (0,) * most + (1,)
     assert (truncated, fallbacks, pa) == (1, most, most)
@@ -347,35 +347,20 @@ def cells_alone(mixed_cells):
     return stats
 
 
-@pytest.mark.parametrize("member", [0], ids=["one-cell"])
-def test_fused_batches_equal_each_batch_alone(mixed_cells, member):
-    # cell 0 reaches the cap in most games; the second batch is a short tail
-    steps = mcengine._steps(mcengine.compile_simulation(
-        *mixed_cells[member], innings=9, pa_cap=CELL_PA_CAP))
-    batches = [(3, mcengine.BATCH_SIZE), (7, 300)]
-    together = mcengine._simulate(steps, 21, batches)
-    for batch, (hist, *counts) in zip(batches, together):
-        [(hist_alone, *counts_alone)] = mcengine._simulate(steps, 21, [batch])
-        assert tuple(hist) == tuple(hist_alone)
-        assert counts == counts_alone
-    truncated = together[0][1]
-    assert truncated > mcengine.BATCH_SIZE // 2
-
-
 def test_shared_draws_keep_per_game_runs_correlated(lineup):
     # a sweep's deltas are common-random-number comparisons: game g of the
     # baseline and of a strategy cell, each run in its own step loop, plays
     # each half-inning on the same draw of its batch's generator, and rows
     # ordered by the half-inning's runs make a draw pick a like half-inning
-    # in both.  One-game batches give each game's runs: 0.99 here, where
-    # the two-plate-appearance step gave 0.90
+    # in both.  One-game batches, each run alone, give each game's runs:
+    # 0.99 here, where the two-plate-appearance step gave 0.90
     table = default_transition_table()
     runs = []
     for cell in ((Lineup.from_vectors(fitted_lineup()), always_normal, table),
                  (lineup, fixed_policy, table)):
         steps = mcengine._steps(mcengine.compile_simulation(
             *cell, innings=9, pa_cap=100))
-        games = mcengine._simulate(steps, 99, [(i, 1) for i in range(4096)])
+        games = [mcengine._simulate(steps, 99, i, 1) for i in range(4096)]
         runs.append([len(hist) - 1 for hist, *_ in games])
     assert np.corrcoef(runs)[0, 1] >= 0.95
 
@@ -493,6 +478,23 @@ def test_cells_equal_each_cell_alone(monkeypatch, mixed_cells, cells_alone,
 def test_no_cells_is_no_work():
     assert mcengine.run_cells([], innings=9, pa_cap=100, n_games=10, seed=1,
                               workers=2) == []
+
+
+@pytest.mark.parametrize("n_games, seed, workers, message", [
+    (-5, 1, 1, "n_games must be positive"),
+    (0, 1, 1, "n_games must be positive"),
+    (10, -1, 1, "seed must be non-negative"),
+    (10, 1, 0, "workers must be at least 1"),
+    (10, 1, -3, "workers must be at least 1"),
+])
+def test_engine_rejects_a_bad_run(lineup, monkeypatch, n_games, seed, workers,
+                                  message):
+    # checked where the engine is entered, before any cell is compiled
+    monkeypatch.setattr(mcengine, "compile_simulation", None)
+    with pytest.raises(ValueError, match=message):
+        mcengine.run_batches((lineup, fixed_policy, TransitionTable.simple()),
+                             innings=9, pa_cap=100, n_games=n_games, seed=seed,
+                             workers=workers)
 
 
 def _pickled_types(obj):

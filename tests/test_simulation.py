@@ -276,6 +276,13 @@ class TestRunStats:
         path.write_text("runs,count\n0,5\n\n1,3\n")  # a blank line is skipped
         assert load_histogram_csv(path) == (5, 3)
 
+    def test_csv_rejects_a_runs_value_given_twice(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("runs,count\n0,5\n1,3\n1,2\n")
+        with pytest.raises(ValueError, match="bad.csv:4: runs 1 again, first"
+                                             " given on line 3"):
+            load_histogram_csv(path)
+
 
 class TestMonteCarlo:
     def test_argument_validation(self, league_lineup):
@@ -417,7 +424,7 @@ def test_compiled_rows_are_the_exact_half_innings(converted_lineup, case):
     flow, ends = _chain(lineup, policy, table)
     half = _half_innings(flow, ends, pa_cap, pa_cap)  # a run needs a PA
     mass = np.diff(c.cum, axis=1, prepend=0.0)
-    runs, pa, _, _ = mcengine.unpack(c.count, innings, pa_cap)
+    runs, pa, _, _ = mcengine.unpack(c.count)
     for lead in range(9):
         got = np.zeros((9, pa_cap + 1))
         np.add.at(got, ((lead + pa[lead]) % 9, runs[lead]), mass[lead])
