@@ -309,7 +309,7 @@ def cmd_validate(cfg: ExperimentConfig, args) -> int:
     out = args.out or "validate_hist.csv"
     _check_outputs(cfg, args, ("table", "lineup"), ("--out", out))
     reference = load_histogram_csv(args.reference)
-    ref_stats = RunStats.from_histogram(reference)  # rejects an all-zero one
+    ref_stats = RunStats(reference)  # rejects an all-zero one
     table = _resolve_table(cfg)
     normals = _resolve_lineup(cfg)
     lineup = Lineup.from_vectors(normals)

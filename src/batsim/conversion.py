@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -299,23 +299,19 @@ class ValidationMetrics:
     best_epoch: int
 
 
-def evaluate(params: ConverterParams, batch: PairDataset) -> ValidationMetrics:
-    x, y = batch.inputs, batch.targets
-    out = forward(params, x)
-    err = out - y
-    mse_vector = float(np.sum(err * err, axis=1).mean())
+def evaluate(params: ConverterParams, batch: PairDataset, *, epochs_run: int,
+             best_epoch: int) -> ValidationMetrics:
+    """Metrics of params on batch.  Projection (clamp, renormalise) leaves no
+    negative mass in a finite output, whose eight implied rates sum to 1;
+    a non-finite output's mass reads NaN."""
+    out = forward(params, batch.inputs)
+    err = out - batch.targets
     woba_err = err @ WOBA_COMPONENTS
-    mse_woba = float((woba_err * woba_err).mean())
-
-    implied7 = x[:, :7] + out
-    implied_f = 1.0 - implied7.sum(axis=1, keepdims=True)
-    implied8 = np.hstack([implied7, implied_f])
-    clamped = np.maximum(implied8, 0.0)
-    projected = clamped / clamped.sum(axis=1, keepdims=True)
-    neg_projected = float(np.maximum(-projected, 0.0).sum())
-    return ValidationMetrics(mse_vector=mse_vector, mse_woba=mse_woba,
-                             neg_mass_projected=neg_projected,
-                             epochs_run=0, best_epoch=0)
+    return ValidationMetrics(
+        mse_vector=float(np.sum(err * err, axis=1).mean()),
+        mse_woba=float((woba_err * woba_err).mean()),
+        neg_mass_projected=0.0 if np.isfinite(out).all() else math.nan,
+        epochs_run=epochs_run, best_epoch=best_epoch)
 
 
 def train(dataset: PairDataset,
@@ -382,9 +378,8 @@ def train(dataset: PairDataset,
 
     del ws  # freed before evaluate allocates its own arrays
     best_params = ConverterParams(best)
-    metrics = evaluate(best_params, val)
-    metrics = replace(metrics, epochs_run=epoch, best_epoch=best_epoch)
-    return best_params, metrics
+    return best_params, evaluate(best_params, val, epochs_run=epoch,
+                                 best_epoch=best_epoch)
 
 
 def synthesize_players(n: int, seed: int) -> list[AbilityVector]:

@@ -74,8 +74,8 @@ def _targets_json(targets: list[SlashTargets]) -> list[dict]:
 def fit_lineup(targets: list[SlashTargets],
                ) -> tuple[tuple[AbilityVector, ...], tuple[dict, ...]]:
     """Fit one ability vector per target, bypassing the bundled cache.
-    Returns the vectors and, per slot, the fit residuals (absolute
-    differences on each targeted stat)."""
+    Returns the vectors and, per slot, the fit residuals (signed errors,
+    fit minus target, on each targeted stat)."""
     vectors = tuple(fit_ability_vector(t, LEAGUE_AVERAGE) for t in targets)
     return vectors, tuple(fit_residuals(v, t) for v, t in zip(vectors, targets))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fileio import atomic_write
 from .strategies import StrategyTriple
@@ -29,6 +29,9 @@ from . import mcengine
 
 PA_CAP_PER_HALF_INNING = 100
 DEFAULT_INNINGS = 9
+# a run is scored by a batter who came to the plate in its half-inning, so
+# no game scores more runs than it has plate appearances
+MAX_GAME_RUNS = DEFAULT_INNINGS * PA_CAP_PER_HALF_INNING
 
 
 @dataclass(frozen=True)
@@ -55,25 +58,22 @@ class Lineup:
 class RunStats:
     """Aggregate scoring distribution over simulated games.
 
-    mean and stderr are always recomputed from the histogram, so the
-    histogram is the single source of truth and reruns that produce the
-    same histogram report byte-identical statistics.
+    n_games, mean, stderr and stderr_defined are derived from the histogram
+    when the value is made, so they cannot disagree with it and reruns with
+    the same histogram report byte-identical statistics.
     """
 
-    n_games: int
-    mean: float
-    stderr: float
     histogram: tuple[int, ...]
-    stderr_defined: bool
     truncated_games: int = 0
     fallback_transitions: int = 0
     plate_appearances: int = 0
+    n_games: int = field(init=False)
+    mean: float = field(init=False)
+    stderr: float = field(init=False)
+    stderr_defined: bool = field(init=False)
 
-    @classmethod
-    def from_histogram(cls, histogram, *, truncated_games: int = 0,
-                       fallback_transitions: int = 0,
-                       plate_appearances: int = 0) -> "RunStats":
-        hist = tuple(int(c) for c in histogram)
+    def __post_init__(self):
+        hist = tuple(int(c) for c in self.histogram)
         if any(c < 0 for c in hist):
             raise ValueError("histogram counts must be non-negative")
         n = sum(hist)
@@ -85,14 +85,11 @@ class RunStats:
         if n >= 2:
             var = (total_sq - n * mean * mean) / (n - 1)
             stderr = math.sqrt(max(var, 0.0) / n)
-            defined = True
         else:
-            stderr = 0.0
-            defined = False
-        return cls(n_games=n, mean=mean, stderr=stderr, histogram=hist,
-                   stderr_defined=defined, truncated_games=truncated_games,
-                   fallback_transitions=fallback_transitions,
-                   plate_appearances=plate_appearances)
+            stderr = 0.0  # undefined for a single game
+        for name, value in (("histogram", hist), ("n_games", n), ("mean", mean),
+                            ("stderr", stderr), ("stderr_defined", n >= 2)):
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,7 +118,7 @@ class RunStats:
 
 def load_histogram_csv(path) -> tuple[int, ...]:
     """Read a runs,count reference histogram: two cells a row, each runs
-    value on one row, blank lines skipped."""
+    value (at most MAX_GAME_RUNS) on one row, blank lines skipped."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -141,6 +138,9 @@ def load_histogram_csv(path) -> tuple[int, ...]:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from exc
             if runs < 0 or count < 0:
                 raise ValueError(f"{path}:{lineno}: negative runs or count")
+            if runs > MAX_GAME_RUNS:
+                raise ValueError(f"{path}:{lineno}: runs {runs} is more than"
+                                 f" a game can score ({MAX_GAME_RUNS})")
             if runs in counts:
                 raise ValueError(f"{path}:{lineno}: runs {runs} again, first"
                                  f" given on line {lines[runs]}")
@@ -153,13 +153,6 @@ def load_histogram_csv(path) -> tuple[int, ...]:
     return tuple(hist)
 
 
-def _run_stats(result) -> RunStats:
-    hist, truncated, fallbacks, pa = result
-    return RunStats.from_histogram(hist, truncated_games=truncated,
-                                   fallback_transitions=fallbacks,
-                                   plate_appearances=pa)
-
-
 def monte_carlo(lineup: Lineup, policy, table: TransitionTable, n_games: int,
                 seed: int, *, workers: int = 1, innings: int = DEFAULT_INNINGS,
                 pa_cap: int = PA_CAP_PER_HALF_INNING) -> RunStats:
@@ -170,7 +163,7 @@ def monte_carlo(lineup: Lineup, policy, table: TransitionTable, n_games: int,
     own child stream seeded by (seed, batch index), and batch histograms are
     merged by integer addition.  Worker count affects wall time only.
     """
-    return _run_stats(mcengine.run_batches(
+    return RunStats(*mcengine.run_batches(
         (lineup, policy, table), innings=innings, pa_cap=pa_cap,
         n_games=n_games, seed=seed, workers=workers))
 
@@ -184,6 +177,6 @@ def monte_carlo_cells(cells, n_games: int, seed: int, *, workers: int = 1,
     same n_games and seed: the cells share each batch's draws, so their
     deltas are common-random-number comparisons.
     """
-    return [_run_stats(result) for result in mcengine.run_cells(
+    return [RunStats(*result) for result in mcengine.run_cells(
         cells, innings=innings, pa_cap=pa_cap, n_games=n_games, seed=seed,
         workers=workers)]

@@ -11,11 +11,11 @@ trained conversion model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import conversion
-from .abilities import AbilityVector, onbase_share
+from .abilities import AbilityVector, AbilityVectorError, onbase_share
 from .transitions import (
     NUM_LIVE_STATES,
     GameState,
@@ -39,15 +39,26 @@ ORDERING_SLACK = 0.02
 class StrategyTriple:
     """One batter's three selectable profiles.
 
-    ordering_ok records whether the converted variants kept the intended
-    on-base-share ordering (long_hit <= normal <= on_base, with slack);
-    a False value flags the batter for reporting but never blocks play.
+    ordering_ok is derived from the three profiles when the triple is made:
+    whether they keep the intended on-base-share ordering (long_hit <=
+    normal <= on_base, each within ORDERING_SLACK).  A profile with no
+    on-base mass has no share, so its triple is flagged too.  A False value
+    flags the batter for reporting but never blocks play.
     """
 
     normal: AbilityVector
     on_base: AbilityVector
     long_hit: AbilityVector
-    ordering_ok: bool = True
+    ordering_ok: bool = field(init=False)
+
+    def __post_init__(self):
+        try:
+            share_n = onbase_share(self.normal)
+            ok = (onbase_share(self.long_hit) <= share_n + ORDERING_SLACK
+                  and share_n <= onbase_share(self.on_base) + ORDERING_SLACK)
+        except AbilityVectorError:  # a profile without on-base mass
+            ok = False
+        object.__setattr__(self, "ordering_ok", ok)
 
     def vector(self, choice: StrategyChoice) -> AbilityVector:
         if choice is StrategyChoice.ON_BASE:
@@ -114,10 +125,4 @@ def build_triple(normal: AbilityVector, params, d_alpha: float,
         raise ValueError(f"d_alpha must be non-negative, got {d_alpha}")
     on_base = conversion.convert(params, normal, d_alpha, d_woba)
     long_hit = conversion.convert(params, normal, -d_alpha, d_woba)
-    share_n = onbase_share(normal)
-    ordering_ok = (
-        onbase_share(long_hit) <= share_n + ORDERING_SLACK
-        and share_n <= onbase_share(on_base) + ORDERING_SLACK
-    )
-    return StrategyTriple(normal=normal, on_base=on_base, long_hit=long_hit,
-                          ordering_ok=ordering_ok)
+    return StrategyTriple(normal=normal, on_base=on_base, long_hit=long_hit)

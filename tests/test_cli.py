@@ -1,6 +1,7 @@
 """End-to-end CLI tests: every subcommand through main(), exit codes on the
 documented error classes, and reproducibility of file outputs."""
 
+import csv
 import json
 import multiprocessing
 import os
@@ -746,6 +747,36 @@ def test_sweep_threshold_mode(tmp_path):
     assert lines[2].startswith("threshold,")
 
 
+def test_a_batter_without_on_base_mass_plays_and_is_counted(tmp_path):
+    """A strikeout-only batter has no on-base share, so every triple made
+    from that batter fails the ordering check: the sweep rows count it, and
+    play goes on."""
+    all_k = dict.fromkeys(LEAGUE_AVERAGE.to_json_dict(), 0.0) | {"k": 1.0}
+    vectors = tmp_path / "vectors.json"
+    vectors.write_text(json.dumps(
+        [all_k] + [v.to_json_dict() for v in fitted_lineup()[1:]]))
+    cfg = write_config(tmp_path / "cfg.json", n_games=300,
+                       lineup={"vectors_path": str(vectors)},
+                       sweep={"d_alpha_grid": [0.0, 0.1], "d_woba_grid": [0.0],
+                              "theta_o_grid": [1.5], "theta_l_grid": [0.3]})
+    stats = tmp_path / "stats.json"
+    assert main(["--config", cfg, "--out", str(stats), "simulate",
+                 "--policy", "fixed"]) == EXIT_OK
+    assert json.loads(stats.read_text())["n_games"] == 300
+    infeasible = {}
+    for mode in ("strategy-grid", "threshold-grid"):
+        out = tmp_path / f"{mode}.csv"
+        assert main(["--config", cfg, "--out", str(out), "sweep",
+                     "--mode", mode]) == EXIT_OK
+        with open(out, encoding="utf-8", newline="") as fh:
+            infeasible.update({(r["mode"], r["d_alpha"], r["theta_o"]):
+                               int(r["infeasible_triples"])
+                               for r in csv.DictReader(fh)})
+    assert infeasible[("strategy", "0.1", "")] == 1
+    assert infeasible[("strategy", "0.0", "")] >= 1
+    assert infeasible[("threshold", "0.1", "1.5")] >= 1
+
+
 # ---------------------------------------------------------------- validate
 
 def test_validate_against_own_histogram(cfg_path, tmp_path, capsys):
@@ -776,9 +807,11 @@ def test_validate_missing_reference(cfg_path, tmp_path):
 
 def test_validate_malformed_reference(cfg_path, tmp_path, capsys):
     ref = tmp_path / "ref.csv"
-    # a count that is not a number; a row with a third cell
+    # a count that is not a number; a row with a third cell; more runs
+    # than a game can score
     for text, where in (("runs,count\n0,ten\n", ":2:"),
-                        ("runs,count\n0,5\n1,3,99\n2,2\n", ":3: 3 cells")):
+                        ("runs,count\n0,5\n1,3,99\n2,2\n", ":3: 3 cells"),
+                        ("runs,count\n0,5\n1000000,1\n", ":3: runs 1000000")):
         ref.write_text(text)
         rc = main(["--config", cfg_path, "--out", str(tmp_path / "v.csv"),
                    "validate", "--reference", str(ref)])

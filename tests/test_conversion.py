@@ -509,9 +509,35 @@ class TestTrain:
 
     def test_evaluate_consistency(self, trained, pairs):
         params, _ = trained
-        m = evaluate(params, PairDataset(pairs.inputs[:256], pairs.targets[:256]))
+        m = evaluate(params, PairDataset(pairs.inputs[:256], pairs.targets[:256]),
+                     epochs_run=7, best_epoch=3)
         assert m.mse_vector >= 0.0 and math.isfinite(m.mse_woba)
         assert m.neg_mass_projected >= 0.0
+        assert (m.epochs_run, m.best_epoch) == (7, 3)
+
+    def test_projected_mass_is_the_clamp_and_renormalise_sum(self, pairs):
+        batch = PairDataset(pairs.inputs[:256], pairs.targets[:256])
+
+        def clamped_mass(params):
+            implied7 = batch.inputs[:, :7] + forward(params, batch.inputs)
+            implied8 = np.hstack([implied7,
+                                  1.0 - implied7.sum(axis=1, keepdims=True)])
+            clamped = np.maximum(implied8, 0.0)
+            projected = clamped / clamped.sum(axis=1, keepdims=True)
+            return float(np.maximum(-projected, 0.0).sum()), (implied8 < 0).any()
+
+        rng = np.random.default_rng(12)
+        for scale in (0.1, 1.0, 10.0):
+            params = ConverterParams(rng.normal(scale=scale, size=N_PARAMS))
+            mass, clamps = clamped_mass(params)
+            assert evaluate(params, batch, epochs_run=1,
+                            best_epoch=1).neg_mass_projected == mass
+        assert clamps  # the widest weights imply negative rates to clamp
+        params.b3[0] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(clamped_mass(params)[0])
+        assert math.isnan(evaluate(params, batch, epochs_run=1,
+                                   best_epoch=1).neg_mass_projected)
 
 
 # ---------------------------------------------------------------- projection

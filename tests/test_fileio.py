@@ -101,12 +101,12 @@ def test_new_file_mode_follows_the_umask(tmp_path, umask):
 
 
 def _stats_json(path):
-    RunStats.from_histogram([1, 2, 3]).save(path)
+    RunStats((1, 2, 3)).save(path)
 
 
 def _stats_csv(path):
     json_path = path.parent.parent / "stats.json"
-    RunStats.from_histogram([1, 2, 3]).save(json_path, csv_path=path)
+    RunStats((1, 2, 3)).save(json_path, csv_path=path)
 
 
 def _sweep_csv(path):

@@ -6,6 +6,7 @@ chain it samples: (batting slot, base-out state) is a finite Markov chain
 P(game runs = r) can be computed by pushing probability mass through it.
 """
 
+import dataclasses
 import json
 import math
 
@@ -21,7 +22,13 @@ from batsim.defaults import (
     default_transition_table,
     fitted_lineup,
 )
-from batsim.simulation import Lineup, RunStats, load_histogram_csv, monte_carlo
+from batsim.simulation import (
+    MAX_GAME_RUNS,
+    Lineup,
+    RunStats,
+    load_histogram_csv,
+    monte_carlo,
+)
 from batsim.strategies import (
     StrategyChoice,
     StrategyTriple,
@@ -215,7 +222,7 @@ class TestLineup:
 class TestRunStats:
     def test_moments_match_expanded_sample(self):
         hist = (5, 3, 2)
-        stats = RunStats.from_histogram(hist)
+        stats = RunStats(hist)
         sample = np.repeat(np.arange(3), hist)
         assert stats.mean == pytest.approx(sample.mean(), abs=1e-15)
         assert stats.stderr == pytest.approx(
@@ -223,29 +230,37 @@ class TestRunStats:
         assert stats.stderr_defined
 
     def test_single_game_has_undefined_stderr(self):
-        stats = RunStats.from_histogram((0, 1))
+        stats = RunStats((0, 1))
         assert stats.n_games == 1
         assert stats.stderr == 0.0
         assert not stats.stderr_defined
 
     def test_degenerate_histogram(self):
-        stats = RunStats.from_histogram((1000,))
+        stats = RunStats((1000,))
         assert stats.mean == 0.0
         assert stats.stderr == 0.0
         assert stats.stderr_defined
 
     def test_rejects_bad_histograms(self):
         with pytest.raises(ValueError):
-            RunStats.from_histogram(())
+            RunStats(())
         with pytest.raises(ValueError):
-            RunStats.from_histogram((0, 0))
+            RunStats((0, 0))
         with pytest.raises(ValueError):
-            RunStats.from_histogram((3, -1))
+            RunStats((3, -1))
+
+    def test_derived_fields_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            RunStats((5, 3, 2), mean=9.0)
+
+    def test_replace_recomputes_the_derived_fields(self):
+        stats = dataclasses.replace(RunStats((5, 3, 2)), histogram=(0, 0, 4))
+        assert (stats.n_games, stats.mean, stats.stderr) == (4, 2.0, 0.0)
+        assert stats == RunStats((0, 0, 4))
 
     def test_json_round_trip(self, tmp_path):
-        stats = RunStats.from_histogram((5, 3, 2), truncated_games=1,
-                                        fallback_transitions=7,
-                                        plate_appearances=390)
+        stats = RunStats((5, 3, 2), truncated_games=1, fallback_transitions=7,
+                         plate_appearances=390)
         path = tmp_path / "stats.json"
         stats.save(path)
         # stderr: sqrt((11 - 10 * 0.7 ** 2) / 9 / 10)
@@ -257,7 +272,7 @@ class TestRunStats:
         assert json.loads(path.read_text()) == stats.to_json_dict()
 
     def test_csv_round_trip(self, tmp_path):
-        stats = RunStats.from_histogram((5, 0, 2, 1))
+        stats = RunStats((5, 0, 2, 1))
         stats.save(tmp_path / "s.json", tmp_path / "s.csv")
         assert load_histogram_csv(tmp_path / "s.csv") == (5, 0, 2, 1)
 
@@ -275,6 +290,17 @@ class TestRunStats:
                 load_histogram_csv(path)
         path.write_text("runs,count\n0,5\n\n1,3\n")  # a blank line is skipped
         assert load_histogram_csv(path) == (5, 3)
+
+    def test_csv_rejects_more_runs_than_a_game_can_score(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"runs,count\n0,5\n{MAX_GAME_RUNS},1\n")
+        assert load_histogram_csv(path)[MAX_GAME_RUNS] == 1
+        assert MAX_GAME_RUNS == 900
+        for runs in (MAX_GAME_RUNS + 1, 10 ** 30):
+            path.write_text(f"runs,count\n0,5\n{runs},1\n")
+            with pytest.raises(ValueError, match=f"bad.csv:3: runs {runs} is"
+                                                 " more than a game can score"):
+                load_histogram_csv(path)
 
     def test_csv_rejects_a_runs_value_given_twice(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
-from batsim.abilities import AbilityVector
+from batsim.abilities import AbilityVector, onbase_share
 from batsim.strategies import (
+    ORDERING_SLACK,
     StrategyChoice,
     StrategyTriple,
     always_normal,
@@ -79,3 +82,33 @@ class TestStrategyTriple:
         triple = StrategyTriple.constant(self.C)
         assert triple.vector(N) is triple.vector(O) is triple.vector(L) is self.C
         assert triple.ordering_ok
+
+    def test_ordering_is_derived_from_the_profiles(self):
+        # A leans on singles and walks, B on power: the ordering holds with
+        # A as the on-base variant and fails with B there
+        assert onbase_share(self.B) + ORDERING_SLACK < onbase_share(self.C)
+        assert onbase_share(self.C) + ORDERING_SLACK < onbase_share(self.A)
+        assert StrategyTriple(normal=self.C, on_base=self.A,
+                              long_hit=self.B).ordering_ok
+        assert not StrategyTriple(normal=self.C, on_base=self.B,
+                                  long_hit=self.B).ordering_ok
+        assert not StrategyTriple(normal=self.C, on_base=self.A,
+                                  long_hit=self.A).ordering_ok
+
+    def test_ordering_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            StrategyTriple(normal=self.C, on_base=self.B, long_hit=self.B,
+                           ordering_ok=True)
+
+    def test_replace_recomputes_ordering(self):
+        triple = StrategyTriple(normal=self.C, on_base=self.A, long_hit=self.B)
+        assert not dataclasses.replace(triple, on_base=self.B).ordering_ok
+        assert dataclasses.replace(triple, on_base=self.C).ordering_ok
+
+    def test_a_profile_without_on_base_mass_is_flagged(self):
+        all_k = AbilityVector(0, 0, 0, 0, 0, 1.0, 0, 0)
+        assert not StrategyTriple.constant(all_k).ordering_ok
+        for slot in ("normal", "on_base", "long_hit"):
+            triple = StrategyTriple(**{"normal": self.C, "on_base": self.A,
+                                       "long_hit": self.B, slot: all_k})
+            assert not triple.ordering_ok
