@@ -127,6 +127,13 @@ WOBA_WEIGHTS = {"walk": 0.692, "single": 0.865, "double": 1.334,
 SHARE_NUMERATOR = {"single": 0.437, "walk": 0.294}
 SHARE_EXTRA_BASE = {"double": 0.786, "triple": 1.117, "homer": 1.408}
 
+# The widest shifts any profile can make.  An on-base share lies in [0, 1],
+# so a share shift lies in [-MAX_SHARE_SHIFT, MAX_SHARE_SHIFT].  A wOBA lies
+# in [0, MAX_WOBA], reached when every plate appearance is a homer, so a
+# wOBA cost lies in [-MAX_WOBA, 0].
+MAX_SHARE_SHIFT = 1.0
+MAX_WOBA = max(WOBA_WEIGHTS.values())
+
 
 @dataclass(frozen=True)
 class SlashTargets:
@@ -139,9 +146,9 @@ class SlashTargets:
 
     def __post_init__(self):
         # the most a valid vector reaches: when every plate appearance is a
-        # homer, SLG is 4 and wOBA the homer weight
+        # homer, SLG is 4 and wOBA is MAX_WOBA
         for name, top in (("obp", 1.0), ("slg", 4.0), ("onbase_share", 1.0),
-                          ("woba", max(WOBA_WEIGHTS.values()))):
+                          ("woba", MAX_WOBA)):
             v = getattr(self, name)
             if not (0.0 <= v <= top):
                 raise ValueError(f"{name} must lie in [0, {top:g}], got {v!r}")

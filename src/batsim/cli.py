@@ -20,6 +20,8 @@ from contextlib import nullcontext
 # perfbench/op.py patches several of the names below as attributes of cli
 from .abilities import (
     LEAGUE_AVERAGE,
+    MAX_SHARE_SHIFT,
+    MAX_WOBA,
     AbilityVector,
     dump_ability_vector,
     load_ability_vector,
@@ -31,6 +33,7 @@ from .config import (
     ExperimentConfig,
     dump_config,
     load_config,
+    require_range,
     with_override,
 )
 from .conversion import (
@@ -243,8 +246,8 @@ def cmd_convert(cfg: ExperimentConfig, args) -> int:
     for flag, value in (("--d-alpha", args.d_alpha), ("--d-woba", args.d_woba)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
-    if args.d_woba > 0:
-        raise ConfigError(f"--d-woba must be <= 0, got {args.d_woba}")
+    require_range("--d-alpha", (args.d_alpha,), -MAX_SHARE_SHIFT, MAX_SHARE_SHIFT)
+    require_range("--d-woba", (args.d_woba,), -MAX_WOBA, 0.0)
     _check_outputs(cfg, args, ("params",), ("--out", args.out))
     params = _resolve_params(cfg)
     batter = _load_batter(args.batter)

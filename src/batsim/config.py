@@ -18,6 +18,8 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
+from .abilities import MAX_SHARE_SHIFT, MAX_WOBA
+
 
 class ConfigError(ValueError):
     pass
@@ -87,6 +89,16 @@ def _require_types(section, where: str) -> None:
 def _require_file(path, where: str) -> None:
     if path is not None and not os.path.isfile(path):
         raise ConfigError(f"{where}: file not found: {path}")
+
+
+def require_range(where: str, values, low: float, high: float) -> None:
+    """Reject a value below low or above high, naming the bound it
+    crosses."""
+    for v in values:
+        if v < low:
+            raise ConfigError(f"{where} must be >= {low:g}, got {v!r}")
+        if v > high:
+            raise ConfigError(f"{where} must be <= {high:g}, got {v!r}")
 
 
 def _require_choice(value, allowed: tuple[str, ...], where: str) -> None:
@@ -163,10 +175,8 @@ class PolicyConfig:
     def __post_init__(self):
         _require_types(self, "policy.")
         _require_choice(self.kind, POLICY_KINDS, "policy.kind")
-        if self.d_alpha < 0:
-            raise ConfigError("policy.d_alpha must be >= 0")
-        if self.d_woba > 0:
-            raise ConfigError("policy.d_woba must be <= 0")
+        require_range("policy.d_alpha", (self.d_alpha,), 0.0, MAX_SHARE_SHIFT)
+        require_range("policy.d_woba", (self.d_woba,), -MAX_WOBA, 0.0)
         if self.theta_o is None or self.theta_l is None:
             if self.kind == "threshold":
                 raise ConfigError("threshold policy needs policy.theta_o "
@@ -192,10 +202,9 @@ class SweepConfig:
         _require_choice(self.mode, SWEEP_MODES, "sweep.mode")
         if len(self.d_alpha_grid) == 0 or len(self.d_woba_grid) == 0:
             raise ConfigError("sweep grids must be nonempty")
-        if any(a < 0 for a in self.d_alpha_grid):
-            raise ConfigError("sweep.d_alpha_grid values must be >= 0")
-        if any(w > 0 for w in self.d_woba_grid):
-            raise ConfigError("sweep.d_woba_grid values must be <= 0")
+        require_range("sweep.d_alpha_grid values", self.d_alpha_grid, 0.0,
+                      MAX_SHARE_SHIFT)
+        require_range("sweep.d_woba_grid values", self.d_woba_grid, -MAX_WOBA, 0.0)
         for name in ("theta_o_grid", "theta_l_grid"):
             grid = getattr(self, name)
             if grid is not None and len(grid) == 0:

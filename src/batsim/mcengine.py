@@ -125,9 +125,12 @@ def compile_simulation(lineup, policy, table: TransitionTable, *,
     if innings * pa_cap > FIELD_MAX:
         raise ValueError(f"innings x pa_cap = {innings} x {pa_cap} is too large:"
                          f" a game's counts would not fit in 63 bits")
-    # P(outcome | slot, state), shape (9, 24, 8)
-    outcome_p = np.array([[triple.vector(choice).as_tuple() for choice in policy]
-                          for triple in lineup.slots])
+    # P(outcome | slot, state), shape (9, 24, 8): the slots' (normal,
+    # on_base, long_hit) profiles, (9, 3, 8), at the policy's choices, whose
+    # values index that order
+    profiles = np.array([[v.as_tuple() for v in (t.normal, t.on_base, t.long_hit)]
+                         for t in lineup.slots])
+    outcome_p = profiles[:, [choice.value for choice in policy]]
 
     # Every plate appearance puts its batter on base, across the plate or
     # out, so a half-inning of pa plate appearances that stops with `left`

@@ -25,9 +25,12 @@ from .transitions import (
 
 
 class StrategyChoice(Enum):
-    NORMAL = "normal"
-    ON_BASE = "on_base"
-    LONG_HIT = "long_hit"
+    """Each choice's value is its profile's index in a triple's (normal,
+    on_base, long_hit) order."""
+
+    NORMAL = 0
+    ON_BASE = 1
+    LONG_HIT = 2
 
 
 # How far a converted variant's on-base share may sit on the wrong side of

@@ -4,7 +4,9 @@ Every sweep re-simulates its own baseline (normal-only lineup) under the
 same seed, so row deltas are common-random-number comparisons: game i sees
 identical uniforms in every row, and the baseline row is identical across
 sweep modes given the same lineup, table, and seed.  The baseline runs
-first; the grid cells then run together in one monte_carlo_cells call.
+first, as its own engine call; each mode then hands its labelled (lineup,
+policy) cells to one runner, which plays them in one monte_carlo_cells call
+and builds every row.
 """
 
 from __future__ import annotations
@@ -43,17 +45,16 @@ class SweepRow:
 SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
-def _stats_row(mode: str, stats: RunStats, baseline_mean: float | None,
-               *, d_alpha=None, d_woba=None, theta_o=None, theta_l=None,
-               infeasible=0) -> SweepRow:
-    delta = 0.0 if baseline_mean is None else stats.mean - baseline_mean
+def _row(mode: str, labels, lineup: Lineup, stats: RunStats,
+         baseline_mean: float) -> SweepRow:
+    """The row of one played cell: its (d_alpha, d_woba, theta_o, theta_l)
+    labels, None where unset, its statistics, and the batters of its lineup
+    whose triples fail the on-base-share ordering."""
     return SweepRow(
-        mode=mode, d_alpha=d_alpha, d_woba=d_woba,
-        theta_o=theta_o, theta_l=theta_l,
-        mean_runs=stats.mean, stderr=stats.stderr,
-        delta_vs_baseline=delta, n_games=stats.n_games,
+        mode, *labels, mean_runs=stats.mean, stderr=stats.stderr,
+        delta_vs_baseline=stats.mean - baseline_mean, n_games=stats.n_games,
         truncated=stats.truncated_games, fallbacks=stats.fallback_transitions,
-        infeasible_triples=infeasible,
+        infeasible_triples=sum(not t.ordering_ok for t in lineup.slots),
     )
 
 
@@ -61,7 +62,17 @@ def run_baseline(normals, table: TransitionTable, *, n_games: int, seed: int,
                  workers: int = 1) -> SweepRow:
     lineup = Lineup.from_vectors(normals)
     stats = monte_carlo(lineup, always_normal, table, n_games, seed, workers=workers)
-    return _stats_row("baseline", stats, None)
+    return _row("baseline", (None,) * 4, lineup, stats, stats.mean)
+
+
+def _run_grid(mode: str, baseline: SweepRow, cells, table: TransitionTable, *,
+              n_games: int, seed: int, workers: int) -> list[SweepRow]:
+    """The baseline row, then one row per (labels, lineup, policy) cell, in
+    the given order; the cells play in one monte_carlo_cells call."""
+    stats = monte_carlo_cells([(lineup, policy, table) for _, lineup, policy in cells],
+                              n_games, seed, workers=workers)
+    return [baseline] + [_row(mode, labels, lineup, cell, baseline.mean_runs)
+                         for (labels, lineup, _), cell in zip(cells, stats)]
 
 
 def run_strategy_grid(normals, params, table: TransitionTable, *,
@@ -74,16 +85,12 @@ def run_strategy_grid(normals, params, table: TransitionTable, *,
     """
     baseline = run_baseline(normals, table, n_games=n_games, seed=seed,
                             workers=workers)
-    grid = sorted(product(set(d_alpha_grid), set(d_woba_grid)))
-    lineups = [Lineup(tuple(build_triple(v, params, d_alpha, d_woba)
-                            for v in normals)) for d_alpha, d_woba in grid]
-    stats = monte_carlo_cells([(lineup, fixed_policy, table) for lineup in lineups],
-                              n_games, seed, workers=workers)
-    return [baseline] + [
-        _stats_row("strategy", cell, baseline.mean_runs,
-                   d_alpha=d_alpha, d_woba=d_woba,
-                   infeasible=sum(not t.ordering_ok for t in lineup.slots))
-        for (d_alpha, d_woba), lineup, cell in zip(grid, lineups, stats)]
+    cells = [((d_alpha, d_woba, None, None),
+              Lineup(tuple(build_triple(v, params, d_alpha, d_woba) for v in normals)),
+              fixed_policy)
+             for d_alpha, d_woba in sorted(product(set(d_alpha_grid), set(d_woba_grid)))]
+    return _run_grid("strategy", baseline, cells, table, n_games=n_games,
+                     seed=seed, workers=workers)
 
 
 def mean_batter(normals) -> AbilityVector:
@@ -120,26 +127,17 @@ def run_threshold_grid(normals, params, table: TransitionTable, *,
 
     baseline = run_baseline(normals, table, n_games=n_games, seed=seed,
                             workers=workers)
-    triples = [build_triple(v, params, d_alpha, d_woba) for v in normals]
-    infeasible = sum(1 for t in triples if not t.ordering_ok)
-    lineup = Lineup(tuple(triples))
-
-    grid = []
+    lineup = Lineup(tuple(build_triple(v, params, d_alpha, d_woba) for v in normals))
+    cells = []
     for theta_o, theta_l in sorted(product(set(theta_o_grid), set(theta_l_grid))):
         if theta_l < theta_o:
-            grid.append((theta_o, theta_l))
+            cells.append(((d_alpha, d_woba, theta_o, theta_l), lineup,
+                          threshold_policy(theta_o, theta_l, re_table)))
         else:
             log.warning("skipping threshold cell theta_o=%s theta_l=%s: "
                         "theta_l must be < theta_o", theta_o, theta_l)
-    stats = monte_carlo_cells(
-        [(lineup, threshold_policy(theta_o, theta_l, re_table), table)
-         for theta_o, theta_l in grid],
-        n_games, seed, workers=workers)
-    return [baseline] + [
-        _stats_row("threshold", cell, baseline.mean_runs,
-                   d_alpha=d_alpha, d_woba=d_woba,
-                   theta_o=theta_o, theta_l=theta_l, infeasible=infeasible)
-        for (theta_o, theta_l), cell in zip(grid, stats)]
+    return _run_grid("threshold", baseline, cells, table, n_games=n_games,
+                     seed=seed, workers=workers)
 
 
 def _cell(value) -> str:

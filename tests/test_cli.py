@@ -1,20 +1,39 @@
 """End-to-end CLI tests: every subcommand through main(), exit codes on the
 documented error classes, and reproducibility of file outputs."""
 
+import contextlib
+import copy
 import csv
+import functools
+import io
 import json
+import math
 import multiprocessing
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from batsim.abilities import LEAGUE_AVERAGE, dump_ability_vector
+from batsim.abilities import (
+    LEAGUE_AVERAGE,
+    AbilityVector,
+    dump_ability_vector,
+    load_ability_vector,
+)
 from batsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
-from batsim.config import ExperimentConfig, config_to_json_obj, load_config
+from batsim.config import (
+    POLICY_KINDS,
+    SWEEP_MODES,
+    ExperimentConfig,
+    config_to_json_obj,
+    load_config,
+)
 from batsim.conversion import (
     N_PARAMS,
     PAIR_CSV_HEADER,
@@ -29,11 +48,13 @@ from batsim.defaults import (
 )
 from batsim import cli, mcengine
 from batsim.mcengine import BATCH_SIZE
-from batsim.simulation import Lineup, monte_carlo
+from batsim.simulation import Lineup, RunStats, load_histogram_csv, monte_carlo
 from batsim.strategies import always_normal
 from batsim.sweeps import SWEEP_CSV_HEADER
 from batsim.synthdata import synthesize_event_log
 from batsim.transitions import (
+    EVENT_CSV_HEADER,
+    RunExpectancyTable,
     TransitionTable,
     build_table,
     parse_event_log,
@@ -678,6 +699,36 @@ def test_convert_rejects_positive_dwoba(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d_alpha, d_woba, flag", [
+    ("1e308", "0", "--d-alpha"), ("-1.5", "0", "--d-alpha"),
+    ("0.1", "-3", "--d-woba"),
+])
+def test_convert_rejects_a_shift_no_profile_can_make(d_alpha, d_woba, flag,
+                                                     tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert main(["--out", str(out), "convert", f"--d-alpha={d_alpha}",
+                 f"--d-woba={d_woba}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"config error: {flag} must be" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", [
+    {"policy": {"kind": "fixed", "d_alpha": 1e300, "d_woba": 0}},
+    {"sweep": {"d_alpha_grid": [0.1], "d_woba_grid": [-3.0]}},
+])
+def test_configs_reject_a_shift_no_profile_can_make(section, tmp_path, capsys):
+    """Before, the fixed policy at d_alpha 1e300 played 2000 games and
+    reported 10.5 runs a game."""
+    cfg = write_config(tmp_path / "cfg.json", n_games=2000, **section)
+    for command in (["simulate"], ["sweep"]):
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), *command]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_convert_projection_failure(tmp_path, capsys):
     # biases push single mass far past the unit sum and both out components
     # negative, so strikeouts, ground outs, and the fly-out residual all
@@ -749,8 +800,8 @@ def test_sweep_threshold_mode(tmp_path):
 
 def test_a_batter_without_on_base_mass_plays_and_is_counted(tmp_path):
     """A strikeout-only batter has no on-base share, so every triple made
-    from that batter fails the ordering check: the sweep rows count it, and
-    play goes on."""
+    from that batter, the baseline's constant one too, fails the ordering
+    check: every sweep row counts it, and play goes on."""
     all_k = dict.fromkeys(LEAGUE_AVERAGE.to_json_dict(), 0.0) | {"k": 1.0}
     vectors = tmp_path / "vectors.json"
     vectors.write_text(json.dumps(
@@ -772,6 +823,7 @@ def test_a_batter_without_on_base_mass_plays_and_is_counted(tmp_path):
             infeasible.update({(r["mode"], r["d_alpha"], r["theta_o"]):
                                int(r["infeasible_triples"])
                                for r in csv.DictReader(fh)})
+    assert infeasible[("baseline", "", "")] == 1  # every row counts the batter
     assert infeasible[("strategy", "0.1", "")] == 1
     assert infeasible[("strategy", "0.0", "")] >= 1
     assert infeasible[("threshold", "0.1", "1.5")] >= 1
@@ -944,3 +996,226 @@ def test_main_leaves_no_pool_worker_alive(tmp_path, monkeypatch):
                  str(tmp_path / "s.json"), "simulate", "--histogram-csv",
                  str(tmp_path / "missing" / "h.csv")]) == EXIT_DATA
     assert started and multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------- the contract
+
+def _leaves(obj, path=()):
+    """The path of every scalar in a JSON value."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else None
+    if items is None:
+        return [path]
+    return [leaf for key, value in items for leaf in _leaves(value, (*path, key))]
+
+
+def _containers(obj, path=()):
+    """The path of every list and object in a JSON value."""
+    if not isinstance(obj, (dict, list)):
+        return []
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    return [path] + [c for key, value in items for c in _containers(value, (*path, key))]
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@functools.cache
+def _valid_inputs():
+    """Every file a command can read, by name: a JSON value, or CSV rows."""
+    params = io.StringIO()
+    save_params(default_converter_params(), params, train_seed=0)
+    events = [list(EVENT_CSV_HEADER)] + [
+        [str(e.outs_pre), str(e.bases_pre), e.outcome.value, str(e.outs_post),
+         str(e.bases_post), str(e.runs)] for e in synthesize_event_log(200, seed=3)]
+    return {
+        "events.csv": events,
+        "ref.csv": [["runs", "count"], ["0", "40"], ["3", "35"], ["7", "25"]],
+        "batter.json": LEAGUE_AVERAGE.to_json_dict(),
+        "vectors.json": [v.to_json_dict() for v in fitted_lineup()],
+        "targets.json": json.loads((_DATA / "lineup_targets.json").read_text()),
+        "params.json": json.loads(params.getvalue()),
+    }
+
+
+# values that no field takes, or that a reader must check; none of them is
+# a valid game count, so no run plays more than the config's 300 games
+_BAD_VALUES = ("x", None, [], {}, True, math.nan, math.inf, -math.inf, -1, -1e9,
+               1e308)
+_BAD_CELLS = ("x", "", "nan", "inf", "-1", "1.5", "1e308", "9" * 30)
+
+# each output's reader, by the flag that names it (--out: by command); it
+# raises on a file that does not load
+_READERS = {
+    "build-transitions": TransitionTable.load,
+    "compute-re": lambda p: RunExpectancyTable(tuple(json.loads(p.read_text()).values())),
+    "train-converter": load_params,
+    "convert": load_ability_vector,
+    "simulate": lambda p: RunStats(json.loads(p.read_text())["histogram"]),
+    "sweep": lambda p: [float(row["mean_runs"])
+                        for row in csv.DictReader(io.StringIO(p.read_text()))],
+    "validate": lambda p: np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2),
+    "--histogram-csv": load_histogram_csv,
+    "--pairs-csv": lambda p: np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2),
+    "metrics": lambda p: json.loads(p.read_text())["mse_vector"],
+}
+
+
+_OUTPUT_FLAGS = ("--out", "--histogram-csv", "--pairs-csv")
+# the config sections whose files each command reads
+_CONFIG_READS = {"build-transitions": (), "compute-re": ("transitions",),
+                 "train-converter": (), "convert": ("converter",),
+                 "simulate": ("transitions", "lineup", "converter"),
+                 "sweep": ("transitions", "lineup", "converter"),
+                 "validate": ("transitions", "lineup")}
+
+
+def _serialize(name, body) -> str:
+    if isinstance(body, str):
+        return body
+    if name.endswith(".csv"):
+        return "".join(",".join(row) + "\n" for row in body)
+    return json.dumps(body)
+
+
+@st.composite
+def cli_runs(draw):
+    """A command line for one of the seven subcommands, the files it reads,
+    by name, each a JSON value, CSV rows or text (None: missing), and the
+    outputs it names.  At most one input is mutated, or one output is
+    named as an input or as another output."""
+    cfg = {
+        "n_games": draw(st.integers(1, 300)), "seed": draw(st.integers(0, 2**40)),
+        "workers": 1,
+        "policy": {"d_alpha": draw(st.sampled_from([0.0, 0.1, 0.3])),
+                   "d_woba": draw(st.sampled_from([0.0, -0.005])),
+                   "theta_o": 1.5, "theta_l": 0.3},
+        "sweep": {"d_alpha_grid": [0.0, 0.1], "d_woba_grid": [-0.005],
+                  "theta_o_grid": [0.4, 1.5], "theta_l_grid": [0.3, 0.9]},
+        "transitions": draw(st.sampled_from([
+            {}, {"source": "simple"}, {"source": "event-csv", "event_csv": "events.csv"}])),
+        "lineup": draw(st.sampled_from([
+            {}, {"vectors_path": "vectors.json"}, {"targets_path": "targets.json"}])),
+        "converter": draw(st.sampled_from([{}, {"params_path": "params.json"}])),
+    }
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    maybe = lambda *tokens: list(tokens) if draw(st.booleans()) else []  # noqa: E731
+    out = {"build-transitions": "out.table", "compute-re": "out.re",
+           "train-converter": "out.params", "convert": "out.vector",
+           "simulate": "out.stats", "sweep": "out.sweep",
+           "validate": "out.validate"}[command]
+    if command == "convert" and draw(st.booleans()):
+        out = None  # to stdout
+    argv = ["--config", "cfg.json", *maybe(f"--seed={draw(st.integers(-1, 2**70))}"),
+            *maybe(f"--workers={draw(st.sampled_from([0, 1, 2, 10**9]))}"),
+            *(["--out", out] if out else []), command]
+    reals = st.sampled_from([0.0, 0.1, -0.1, 1.0, 1.5, -1e308, 1e308, math.nan, math.inf])
+    argv += {
+        "build-transitions": ["--events", "events.csv",
+                              *maybe(f"--min-count={draw(st.integers(-2, 10**9))}"),
+                              *maybe("--lenient")],
+        "compute-re": maybe("--batter", "batter.json"),
+        "train-converter": ["--players=12", *maybe("--pairs-csv", "out.pairs")],
+        "convert": [f"--d-alpha={draw(reals)}", f"--d-woba={-draw(reals)}",
+                    *maybe("--batter", "batter.json")],
+        "simulate": ["--policy", draw(st.sampled_from(POLICY_KINDS)),
+                     *maybe("--histogram-csv", "out.hist")],
+        "sweep": ["--mode", draw(st.sampled_from(SWEEP_MODES))],
+        "validate": ["--reference", "ref.csv"],
+    }[command]
+    # every file the config names must exist, but a command reads only
+    # those of the config sections it resolves
+    read = _CONFIG_READS[command] if "normal-only" not in argv else ("transitions", "lineup")
+    named = {path: section in read for section, fields in cfg.items()
+             if isinstance(fields, dict)
+             for key, path in fields.items() if key.endswith(("_path", "_csv"))}
+    inputs = {"cfg.json": cfg} | {name: _valid_inputs()[name]
+                                  for name in {*argv, *named} if name in _valid_inputs()}
+    reads = [name for name in inputs if named.get(name, True)]
+
+    mutation = draw(st.sampled_from(["none", "missing", "truncate", "value",
+                                     "extra", "twice"]))
+    name = draw(st.sampled_from(sorted(inputs)))
+    body = copy.deepcopy(inputs[name])
+    if mutation == "missing":
+        body = None
+    elif mutation == "truncate":
+        text = _serialize(name, body)
+        body = text[:draw(st.integers(0, len(text) - 1))]
+    elif mutation in ("value", "extra") and name.endswith(".csv"):  # a cell
+        row = draw(st.sampled_from(body))
+        cell = draw(st.sampled_from(_BAD_CELLS))
+        if mutation == "value":
+            row[draw(st.integers(0, len(row) - 1))] = cell
+        else:
+            row.append(cell)
+    elif mutation == "value":
+        *parent, key = draw(st.sampled_from(_leaves(body)))
+        _at(body, parent)[key] = draw(st.sampled_from(_BAD_VALUES))
+    elif mutation == "extra":
+        container = _at(body, draw(st.sampled_from(_containers(body))))
+        if isinstance(container, dict):
+            container["extra"] = draw(st.sampled_from(_BAD_VALUES))
+        else:
+            container.append(copy.deepcopy(container[0]) if container else 1)
+    elif mutation == "twice":
+        at = [i + 1 for i, flag in enumerate(argv) if flag in _OUTPUT_FLAGS]
+        if at:
+            argv[draw(st.sampled_from(at))] = draw(st.sampled_from(
+                sorted(inputs) + [argv[i] for i in at]))
+    inputs[name] = body
+    event(f"mutation {mutation}")
+    outputs = {argv[i + 1]: _READERS[command if flag == "--out" else flag]
+               for i, flag in enumerate(argv) if flag in _OUTPUT_FLAGS}
+    if command == "train-converter":
+        outputs[argv[argv.index("--out") + 1] + ".metrics.json"] = _READERS["metrics"]
+    return argv, inputs, reads, outputs
+
+
+def _contract_settings():
+    """cli-contract-deep when pytest loaded it (--hypothesis-profile), else
+    the Tier-1 profile cli-contract; both are registered in conftest.py."""
+    name = settings.get_current_profile_name()
+    return settings.get_profile(name if name == "cli-contract-deep" else "cli-contract")
+
+
+@_contract_settings()
+@given(run=cli_runs())
+def test_cli_contract(run, tmp_path_factory):
+    """Every command, on valid inputs or on inputs with one mutation,
+    either exits 0 having written every output it names, each loading with
+    its reader, or exits 2, 3 or 4 with a one-line message and writes
+    nothing.  No command changes a file it reads."""
+    argv, inputs, reads, outputs = run
+    work = tmp_path_factory.mktemp("contract")
+    for name, body in inputs.items():
+        if body is not None:
+            (work / name).write_text(_serialize(name, body), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    read = {name: body for name, body in before.items() if name in reads}
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(argv)
+        after = {p.name: p.read_bytes() for p in work.iterdir()}
+        assert {name: after.get(name) for name in read} == read
+        message = err.getvalue()
+        event(f"{next(a for a in argv if a in cli._COMMANDS)} exits {rc}")
+        if rc == EXIT_OK:
+            assert set(after) == set(before) | set(outputs)
+            for name, reader in outputs.items():
+                reader(work / name)
+            if "--out" not in argv:  # convert printed its vector
+                AbilityVector.from_json_dict(json.loads(out.getvalue()))
+        else:
+            assert rc in (EXIT_CONFIG, EXIT_DATA, EXIT_RUNTIME), message
+            assert after == before
+            assert message.count("\n") == 1 and "Traceback" not in message, message
+    finally:
+        os.chdir(cwd)
+        shutil.rmtree(work)

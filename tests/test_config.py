@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from batsim.abilities import MAX_SHARE_SHIFT, MAX_WOBA
 from batsim.config import (
     DEFAULT_D_ALPHA_GRID,
     DEFAULT_D_WOBA_GRID,
@@ -296,6 +297,17 @@ class TestPolicyConfig:
         with pytest.raises(ConfigError):
             PolicyConfig(d_woba=0.01)
 
+    @pytest.mark.parametrize("shift, message", [
+        ({"d_alpha": 1e300, "d_woba": 0.0}, "policy.d_alpha must be <= 1"),
+        ({"d_alpha": 1.0 + 1e-9}, "policy.d_alpha must be <= 1"),
+        ({"d_woba": -2.0651}, "policy.d_woba must be >= -2.065"),
+    ])
+    def test_shift_no_profile_can_make(self, shift, message):
+        """An on-base share lies in [0, 1] and a wOBA in [0, MAX_WOBA]."""
+        with pytest.raises(ConfigError, match=message):
+            PolicyConfig(**shift)
+        PolicyConfig(d_alpha=MAX_SHARE_SHIFT, d_woba=-MAX_WOBA)
+
     def test_threshold_needs_thetas(self):
         with pytest.raises(ConfigError):
             PolicyConfig(kind="threshold")
@@ -322,6 +334,15 @@ class TestSweepConfig:
     def test_positive_woba_grid(self):
         with pytest.raises(ConfigError):
             SweepConfig(d_woba_grid=(0.005,))
+
+    @pytest.mark.parametrize("grids, message", [
+        ({"d_alpha_grid": (0.1, 1e308)}, "sweep.d_alpha_grid values must be <= 1"),
+        ({"d_woba_grid": (0.0, -3.0)}, "sweep.d_woba_grid values must be >= -2.065"),
+    ])
+    def test_grid_shift_no_profile_can_make(self, grids, message):
+        with pytest.raises(ConfigError, match=message):
+            SweepConfig(**grids)
+        SweepConfig(d_alpha_grid=(0.0, MAX_SHARE_SHIFT), d_woba_grid=(-MAX_WOBA,))
 
     def test_empty_theta_grid_when_given(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,11 @@ from batsim.transitions import (
     OUTCOMES,
     GameState,
     Outcome,
+    TransitionEntry,
+    TransitionTable,
+    build_table,
     check_event,
+    live_states,
     parse_event_log,
     write_event_csv,
 )
@@ -128,3 +135,104 @@ class TestSynthesizeEventLog:
         path = tmp_path / "events.csv"
         write_event_csv(events, path)
         assert parse_event_log(path) == (events, [])
+
+
+# ---------------------------------------------------------------- exact table
+
+class _Uniform:
+    """A draw known only to lie in [lo, hi).  A comparison with a constant
+    inside the interval takes the side its walker names and narrows the
+    interval to that side."""
+
+    def __init__(self, walker):
+        self.lo, self.hi, self.walker = 0.0, 1.0, walker
+
+    def __lt__(self, c):
+        if not self.lo < c < self.hi:
+            return c >= self.hi
+        below = self.walker.side()
+        self.lo, self.hi = (self.lo, c) if below else (c, self.hi)
+        return below
+
+
+class _Walker:
+    """A stand-in generator whose draws are _Uniforms.  The comparisons
+    that split a draw take the sides in script, then the lower side."""
+
+    def __init__(self, script):
+        self.script, self.sides, self.draws = script, [], []
+
+    def side(self) -> bool:
+        i = len(self.sides)
+        self.sides.append(self.script[i] if i < len(self.script) else True)
+        return self.sides[-1]
+
+    def random(self):
+        self.draws.append(_Uniform(self))
+        return self.draws[-1]
+
+
+def _exact_row(state, outcome) -> dict:
+    """{(outs, bases, runs): probability} of one plate appearance: a
+    depth-first walk over every interval between the branch constants
+    that each draw is compared with.  A path's probability is the product
+    of its draws' interval widths."""
+    row, scripts = {}, [[]]
+    while scripts:
+        script = scripts.pop()
+        walker = _Walker(script)
+        post, runs = stochastic_transition(state, outcome, walker)
+        # the upper side of each comparison past the script is one more path
+        scripts += [walker.sides[:i] + [False]
+                    for i in range(len(script), len(walker.sides))]
+        dest = (post.outs, post.bases, runs)
+        row[dest] = row.get(dest, 0.0) + math.prod(d.hi - d.lo for d in walker.draws)
+    return row
+
+
+@pytest.fixture(scope="module")
+def exact_rows():
+    return {(s.outs, s.bases, outcome): _exact_row(s, outcome)
+            for s in live_states() for outcome in OUTCOMES}
+
+
+def test_exact_rows_form_a_transition_table(exact_rows):
+    table = TransitionTable(rows={
+        key: tuple(TransitionEntry(*dest, p) for dest, p in sorted(row.items()))
+        for key, row in exact_rows.items()})
+    assert len(table.rows) == 192
+    assert sum(len(entries) for entries in table.rows.values()) == 360
+
+
+def _binomial_tails(n: int, p: float, c: int) -> tuple[float, float]:
+    """P(X <= c) and P(X >= c) for X ~ Binomial(n, p), 0 < p < 1."""
+    k = np.arange(n)
+    log_ratio = np.log((n - k) / (k + 1)) + math.log(p / (1 - p))
+    pmf = np.exp(n * math.log1p(-p) + np.concatenate([[0.0], np.cumsum(log_ratio)]))
+    return float(pmf[:c + 1].sum()), float(pmf[c:].sum())
+
+
+MIN_EVENTS = 100
+
+
+def test_sampled_table_agrees_with_the_exact_one(exact_rows):
+    """Every (key, destination) of each row with at least MIN_EVENTS
+    events passes a two-sided exact binomial test at 1e-6 over the number
+    of comparisons (Bonferroni), so the whole test fails by chance with
+    probability at most 1e-6.  An exact test, not Z_MAX on a z score, as
+    many destinations expect fewer than one event in a row."""
+    events = synthesize_event_log(40_000, seed=2)
+    n = Counter((e.outs_pre, e.bases_pre, e.outcome) for e in events)
+    table = build_table(events, min_count=MIN_EVENTS)
+    observed = {key: {(e.outs, e.bases, e.runs): round(e.prob * n[key]) for e in entries}
+                for key, entries in table.rows.items() if n[key] >= MIN_EVENTS}
+    compared = [(key, dest) for key, row in observed.items()
+                for dest in row.keys() | exact_rows[key].keys()]
+    assert len(observed) >= 60  # of the 192 rows, those 40,000 events fill
+    alpha = 1e-6 / len(compared)
+    for key, dest in compared:
+        p, c = exact_rows[key].get(dest, 0.0), observed[key].get(dest, 0)
+        if not 0.0 < p < 1.0:
+            assert c == n[key] * p, (key, dest)
+            continue
+        assert min(_binomial_tails(n[key], p, c)) > alpha / 2, (key, dest, c, n[key] * p)
