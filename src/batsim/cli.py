@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import sys
-from contextlib import nullcontext
+from dataclasses import asdict
 
 # perfbench/op.py patches several of the names below as attributes of cli
 from .abilities import (
@@ -53,7 +53,7 @@ from .defaults import (
     fitted_lineup,
     lineup_targets_from_json,
 )
-from .fileio import atomic_write, same_output
+from .fileio import atomic_write, same_output, write_csv
 from .mcengine import shutdown_pool
 from .simulation import Lineup, RunStats, load_histogram_csv, monte_carlo
 from .strategies import always_normal, build_triple, fixed_policy, threshold_policy
@@ -212,25 +212,16 @@ def cmd_train_converter(cfg: ExperimentConfig, args) -> int:
     players = synthesize_players(n_players, seed=cfg.seed)
     pairs = build_pair_dataset(players)
     params, metrics = train(pairs, seed=cfg.seed)
-    # nested: all three files are open before any of them replaces its
-    # target, so a path that cannot be written leaves none of them
-    pairs_file = (atomic_write(args.pairs_csv, newline="") if args.pairs_csv
-                  else nullcontext())
-    with atomic_write(metrics_path) as fh, atomic_write(out) as params_fh, \
-            pairs_file as pairs_fh:
-        json.dump({
-            "n_players": n_players,
-            "n_pairs": len(pairs),
-            "mse_vector": metrics.mse_vector,
-            "mse_woba": metrics.mse_woba,
-            "neg_mass_projected": metrics.neg_mass_projected,
-            "epochs_run": metrics.epochs_run,
-            "best_epoch": metrics.best_epoch,
-        }, fh, indent=2)
+    # nested: the params and metrics files are open before the pairs dump
+    # starts and replace their targets after it, so a path that cannot be
+    # written leaves none of the three
+    with atomic_write(metrics_path) as fh, atomic_write(out) as params_fh:
+        json.dump({"n_players": n_players, "n_pairs": len(pairs),
+                   **asdict(metrics)}, fh, indent=2)
         fh.write("\n")
         save_params(params, params_fh, train_seed=cfg.seed)
         if args.pairs_csv:
-            dump_pair_csv(pairs, pairs_fh)
+            dump_pair_csv(pairs, args.pairs_csv)
     if args.pairs_csv:
         print(f"wrote {len(pairs)} training pairs to {args.pairs_csv}")
     print(f"trained on {len(pairs)} pairs from {n_players} players "
@@ -319,13 +310,9 @@ def cmd_validate(cfg: ExperimentConfig, args) -> int:
     stats = monte_carlo(lineup, always_normal, table, cfg.n_games, cfg.seed,
                         workers=cfg.workers)
     tv = total_variation(stats.histogram, reference)
-    width = max(len(stats.histogram), len(reference))
-    with atomic_write(out, newline="") as fh:
-        fh.write("runs,count_sim,count_ref\n")
-        for r in range(width):
-            sim = stats.histogram[r] if r < len(stats.histogram) else 0
-            ref = reference[r] if r < len(reference) else 0
-            fh.write(f"{r},{sim},{ref}\n")
+    counts = itertools.zip_longest(stats.histogram, reference, fillvalue=0)
+    write_csv(out, ("runs", "count_sim", "count_ref"),
+              ((r, sim, ref) for r, (sim, ref) in enumerate(counts)))
     print(f"simulated mean {stats.mean:.4f} over {stats.n_games} games; "
           f"reference mean {ref_stats.mean:.4f} over {ref_stats.n_games}")
     print(f"mean difference {stats.mean - ref_stats.mean:+.4f}; "

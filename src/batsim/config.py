@@ -252,16 +252,6 @@ def config_from_json_obj(obj: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def config_to_json_obj(cfg: ExperimentConfig) -> dict:
-    obj = asdict(cfg)
-    for section in obj.values():
-        if isinstance(section, dict):
-            for k, v in section.items():
-                if isinstance(v, tuple):
-                    section[k] = list(v)
-    return obj
-
-
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -275,7 +265,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def dump_config(cfg: ExperimentConfig, fh) -> None:
-    json.dump(config_to_json_obj(cfg), fh, indent=2)
+    json.dump(asdict(cfg), fh, indent=2)
     fh.write("\n")
 
 

@@ -36,6 +36,7 @@ from .abilities import (
     validate,
     woba,
 )
+from .fileio import write_csv
 
 # The trailing fly-out component is implied by the others, so the network
 # predicts only these seven; inputs append the two requested deltas.
@@ -461,13 +462,20 @@ def build_pair_dataset(players) -> PairDataset:
 def project_probabilities(values) -> tuple[float, ...]:
     """Clamp negatives to zero and renormalize to a unit sum.  Vectors that
     are already valid pass through untouched, so the projection is exactly
-    idempotent."""
+    idempotent.  A non-finite value, or a clamp that removes more mass than
+    a whole distribution holds, is no small correction and fails."""
     vals = tuple(float(v) for v in values)
     if len(vals) != 8:
         raise ConversionError(f"expected 8 components, got {len(vals)}")
+    if not all(map(math.isfinite, vals)):
+        raise ProjectionFailureError(f"non-finite component in {vals}")
     total = math.fsum(vals)
     if min(vals) >= 0.0 and abs(total - 1.0) <= 1e-12:
         return vals
+    removed = -math.fsum(v for v in vals if v < 0.0)
+    if removed > 1.0:
+        raise ProjectionFailureError(f"clamping negatives removes {removed:.6g} "
+                                     "of probability mass, more than 1")
     clamped = tuple(v if v > 0.0 else 0.0 for v in vals)
     total = math.fsum(clamped)
     if total <= 1e-9:
@@ -550,14 +558,9 @@ def load_params(path) -> ConverterParams:
                                            for name, _ in LAYOUT]))
 
 
-PAIR_CSV_HEADER = ",".join(INPUT_ORDER) + "," + ",".join(
-    f"d_{k}" for k in REDUCED_KEYS)
+PAIR_CSV_HEADER = INPUT_ORDER + tuple(f"d_{k}" for k in REDUCED_KEYS)
 
 
-def dump_pair_csv(dataset: PairDataset, fh) -> None:
-    """Inspection dump to the open text file fh (opened with newline=""):
-    9 input columns then the 7 target-delta columns."""
-    fh.write(PAIR_CSV_HEADER + "\n")
-    for i in range(len(dataset)):
-        row = np.concatenate([dataset.inputs[i], dataset.targets[i]])
-        fh.write(",".join(repr(float(v)) for v in row) + "\n")
+def dump_pair_csv(dataset: PairDataset, path) -> None:
+    """Inspection dump: 9 input columns then the 7 target-delta columns."""
+    write_csv(path, PAIR_CSV_HEADER, np.hstack([dataset.inputs, dataset.targets]))

@@ -3,12 +3,14 @@
 atomic_write writes to a new file beside the target and moves it over the
 target with os.replace only once the whole body has been written, so a run
 that fails or is interrupted part way leaves the previous file (or no
-file) in place, never a truncated one that later loads.  same_output
-says whether two such writes would land in one file.
+file) in place, never a truncated one that later loads.  write_csv is the
+one CSV writer, so every CSV artifact has one dialect.  same_output says
+whether two such writes would land in one file.
 """
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager
 
@@ -60,3 +62,13 @@ def atomic_write(path, *, newline: str | None = None):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write header, then rows, to path through atomic_write: comma
+    separated, each line ending in a line feed, None as an empty cell, and
+    floats (numpy's included) as their shortest round-trip repr."""
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .fileio import atomic_write
+from .fileio import atomic_write, write_csv
 from .strategies import StrategyTriple
 from .transitions import TransitionTable
 from . import mcengine
@@ -109,11 +109,7 @@ class RunStats:
             json.dump(self.to_json_dict(), fh, indent=1)
             fh.write("\n")
             if csv_path is not None:
-                with atomic_write(csv_path, newline="") as cf:
-                    writer = csv.writer(cf)
-                    writer.writerow(("runs", "count"))
-                    for r, c in enumerate(self.histogram):
-                        writer.writerow((r, c))
+                write_csv(csv_path, ("runs", "count"), enumerate(self.histogram))
 
 
 def load_histogram_csv(path) -> tuple[int, ...]:

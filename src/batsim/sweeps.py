@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .abilities import AbilityVector
-from .fileio import atomic_write
+from .fileio import write_csv
 from .simulation import Lineup, RunStats, monte_carlo, monte_carlo_cells
 from .strategies import always_normal, build_triple, fixed_policy, threshold_policy
 from .transitions import RunExpectancyTable, TransitionTable, run_expectancy
@@ -40,9 +40,6 @@ class SweepRow:
     truncated: int
     fallbacks: int
     infeasible_triples: int
-
-
-SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def _row(mode: str, labels, lineup: Lineup, stats: RunStats,
@@ -140,19 +137,8 @@ def run_threshold_grid(normals, params, table: TransitionTable, *,
                      seed=seed, workers=workers)
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_sweep_csv(rows, path) -> None:
-    with atomic_write(path, newline="") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join(_cell(v) for v in astuple(r)) + "\n")
+    write_csv(path, [f.name for f in fields(SweepRow)], map(astuple, rows))
 
 
 def total_variation(hist_a, hist_b) -> float:

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .abilities import AbilityVector
-from .fileio import atomic_write
+from .fileio import atomic_write, write_csv
 
 NUM_LIVE_STATES = 24  # 3 out counts x 8 masks
 INNING_OVER = 24      # collapsed index for any 3-out state
@@ -227,12 +227,9 @@ def parse_event_log(source, *, strict: bool = True,
 
 
 def write_event_csv(events, path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_CSV_HEADER)
-        for e in events:
-            writer.writerow((e.outs_pre, e.bases_pre, e.outcome.value,
-                             e.outs_post, e.bases_post, e.runs))
+    write_csv(path, EVENT_CSV_HEADER,
+              ((e.outs_pre, e.bases_pre, e.outcome.value, e.outs_post,
+                e.bases_post, e.runs) for e in events))
 
 
 def _advance_all(bases: int, n: int) -> tuple[int, int]:

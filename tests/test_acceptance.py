@@ -22,6 +22,7 @@ from batsim.cli import EXIT_OK, main
 from batsim.config import DEFAULT_D_ALPHA_GRID, DEFAULT_D_WOBA_GRID
 from batsim.conversion import (
     PairDataset,
+    ProjectionFailureError,
     build_pair_dataset,
     gradient_check,
     init_params,
@@ -302,9 +303,14 @@ def test_criterion_09_invariant_suites(normals, table):
         v2 = re_table.value(GameState(2, bases))
         assert v0 >= v1 >= v2
 
-    # projection is exactly idempotent
+    # projection is exactly idempotent, and refuses a clamp that would
+    # remove more than a whole distribution's mass
     draws = np.random.default_rng(17).uniform(-0.5, 1.5, size=(2000, 8))
     for row in draws:
+        if -row[row < 0].sum() > 1.0:
+            with pytest.raises(ProjectionFailureError):
+                project_probabilities(row)
+            continue
         once = project_probabilities(row)
         assert project_probabilities(once) == once
 

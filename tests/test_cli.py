@@ -14,10 +14,11 @@ import pathlib
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from batsim.abilities import (
@@ -31,7 +32,6 @@ from batsim.config import (
     POLICY_KINDS,
     SWEEP_MODES,
     ExperimentConfig,
-    config_to_json_obj,
     load_config,
 )
 from batsim.conversion import (
@@ -50,7 +50,7 @@ from batsim import cli, mcengine
 from batsim.mcengine import BATCH_SIZE
 from batsim.simulation import Lineup, RunStats, load_histogram_csv, monte_carlo
 from batsim.strategies import always_normal
-from batsim.sweeps import SWEEP_CSV_HEADER
+from batsim.sweeps import SweepRow
 from batsim.synthdata import synthesize_event_log
 from batsim.transitions import (
     EVENT_CSV_HEADER,
@@ -129,7 +129,7 @@ def test_print_config_reproduces_the_run(seed, command, flags, extra, tmp_path,
         assert (tmp_path / "a.out.metrics.json").read_bytes() == \
             (tmp_path / "b.out.metrics.json").read_bytes()
     # and the flags did change the config
-    assert json.loads(effective.read_text()) != config_to_json_obj(load_config(base))
+    assert load_config(effective) != load_config(base)
 
 
 def test_no_command_prints_help(capsys):
@@ -668,7 +668,7 @@ def test_train_converter_dumps_pairs(tmp_path):
                "--players", "12", "--pairs-csv", str(pairs)])
     assert rc == EXIT_OK
     lines = pairs.read_text().splitlines()
-    assert lines[0] == PAIR_CSV_HEADER
+    assert lines[0] == ",".join(PAIR_CSV_HEADER)
     assert len(lines) == 12 * 11 // 2 + 1
 
 
@@ -746,6 +746,32 @@ def test_convert_projection_failure(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("layer,index,weight", [
+    ("b3", 0, 1e308), ("b3", 0, 1e3), ("b3", 5, -50.0)])
+def test_convert_through_a_huge_weight_fails(layer, index, weight, tmp_path,
+                                             capsys):
+    """One huge finite weight in a copy of the bundled converter.  Before,
+    convert printed a degenerate batter and exited 0: 1b 1.0 at b3[0] =
+    1e308, 1b 0.9994 at 1e3, and f 0.989 at b3[5] = -50."""
+    params = tmp_path / "params.json"
+    with open(params, "w", encoding="utf-8") as fh:
+        save_params(default_converter_params(), fh, train_seed=0)
+    obj = json.loads(params.read_text())
+    obj[layer][index] = weight
+    params.write_text(json.dumps(obj))
+    cfg = write_config(tmp_path / "cfg.json", converter={"params_path": str(params)})
+    before = sorted(tmp_path.iterdir())
+    for out in ([], ["--out", str(tmp_path / "v.json")]):
+        rc = main(["--config", cfg, *out, "convert", "--d-alpha", "0.1",
+                   "--d-woba", "0"])
+        assert rc == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "more than 1" in captured.err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_convert_missing_batter_file(tmp_path):
     for path in (tmp_path / "nope.json", tmp_path):  # absent, a directory
         rc = main(["convert", "--batter", str(path),
@@ -764,7 +790,7 @@ def test_sweep_strategy_grid(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(a), "sweep"]) == EXIT_OK
     assert main(["--config", cfg, "--out", str(b), "sweep"]) == EXIT_OK
     lines = a.read_text().splitlines()
-    assert lines[0] == SWEEP_CSV_HEADER
+    assert lines[0] == ",".join(f.name for f in fields(SweepRow))
     assert len(lines) == 4  # header + baseline + 2 cells
     assert lines[1].startswith("baseline,")
     assert a.read_bytes() == b.read_bytes()
@@ -796,6 +822,26 @@ def test_sweep_threshold_mode(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 3
     assert lines[2].startswith("threshold,")
+
+
+def test_threshold_grid_cell_equals_simulate(tmp_path):
+    """A threshold-grid row plays the same games as simulate --policy
+    threshold at its (theta_o, theta_l): equal mean and stderr."""
+    thetas = {"theta_o": 1.6, "theta_l": 0.3}
+    cfg = write_config(tmp_path / "cfg.json", n_games=3000, seed=5,
+                       policy={"d_alpha": 0.1, "d_woba": -0.005, **thetas},
+                       sweep={"theta_o_grid": [1.2, 1.6], "theta_l_grid": [0.3, 0.5]})
+    sweep, stats = tmp_path / "sweep.csv", tmp_path / "stats.json"
+    assert main(["--config", cfg, "--out", str(sweep), "sweep",
+                 "--mode", "threshold-grid"]) == EXIT_OK
+    assert main(["--config", cfg, "--out", str(stats), "simulate",
+                 "--policy", "threshold"]) == EXIT_OK
+    with open(sweep, encoding="utf-8", newline="") as fh:
+        [row] = [r for r in csv.DictReader(fh)
+                 if (r["theta_o"], r["theta_l"]) == ("1.6", "0.3")]
+    simulated = json.loads(stats.read_text())
+    assert (float(row["mean_runs"]), float(row["stderr"])) == (
+        simulated["mean"], simulated["stderr"])
 
 
 def test_a_batter_without_on_base_mass_plays_and_is_counted(tmp_path):
@@ -873,6 +919,39 @@ def test_validate_malformed_reference(cfg_path, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- every command
+
+def test_every_csv_artifact_has_one_dialect(events_csv, tmp_path):
+    """Every CSV the package writes: comma separated, lines ending in a
+    line feed alone, the header first, and readable by its reader."""
+    cfg = write_config(tmp_path / "cfg.json", n_games=300,
+                       sweep={"d_alpha_grid": [0.0, 0.1], "d_woba_grid": [-0.005],
+                              "theta_o_grid": [1.5], "theta_l_grid": [0.3]})
+    run = lambda *argv: main(["--config", cfg, *argv])  # noqa: E731
+    path = {name: tmp_path / f"{name}.csv" for name in (
+        "histogram", "validate", "strategy", "threshold", "pairs", "events")}
+    assert run("--out", str(tmp_path / "s.json"), "simulate", "--histogram-csv",
+               str(path["histogram"])) == EXIT_OK
+    assert run("--out", str(path["validate"]), "validate", "--reference",
+               str(path["histogram"])) == EXIT_OK
+    for mode in ("strategy", "threshold"):
+        assert run("--out", str(path[mode]), "sweep", "--mode",
+                   f"{mode}-grid") == EXIT_OK
+    assert run("--out", str(tmp_path / "p.json"), "train-converter", "--players",
+               "5", "--pairs-csv", str(path["pairs"])) == EXIT_OK
+    events, _ = parse_event_log(events_csv)
+    write_event_csv(events, path["events"])
+    sweep_header = ",".join(f.name for f in fields(SweepRow))
+    headers = {"histogram": "runs,count", "validate": "runs,count_sim,count_ref",
+               "strategy": sweep_header, "threshold": sweep_header,
+               "pairs": ",".join(PAIR_CSV_HEADER),
+               "events": ",".join(EVENT_CSV_HEADER)}
+    for name, p in path.items():
+        data = p.read_bytes()
+        assert b"\r" not in data, name
+        assert data.decode("utf-8").split("\n", 1)[0] == headers[name], name
+    assert sum(load_histogram_csv(path["histogram"])) == 300
+    assert parse_event_log(str(path["events"]))[0] == events
+
 
 # each command with one output naming a file it reads; the config is named
 # for simulate's default --out, and is small enough that a run which
@@ -1046,6 +1125,9 @@ def _valid_inputs():
 _BAD_VALUES = ("x", None, [], {}, True, math.nan, math.inf, -math.inf, -1, -1e9,
                1e308)
 _BAD_CELLS = ("x", "", "nan", "inf", "-1", "1.5", "1e308", "9" * 30)
+# finite output-layer weights that push the network's answer far from any
+# distribution, so that converting through them must fail (exit 4)
+_HUGE_WEIGHTS = (1e308, -1e308, 1e3, -50.0)
 
 # each output's reader, by the flag that names it (--out: by command); it
 # raises on a file that does not load
@@ -1086,7 +1168,12 @@ def cli_runs(draw):
     """A command line for one of the seven subcommands, the files it reads,
     by name, each a JSON value, CSV rows or text (None: missing), and the
     outputs it names.  At most one input is mutated, or one output is
-    named as an input or as another output."""
+    named as an input or as another output.  A "weight" mutation runs a
+    command that reads the converter, names params.json in the config, and
+    sets one of its output-layer weights (b3 or w3) to a huge finite
+    value."""
+    mutation = draw(st.sampled_from(["none", "missing", "truncate", "value",
+                                     "extra", "twice", "weight"]))
     cfg = {
         "n_games": draw(st.integers(1, 300)), "seed": draw(st.integers(0, 2**40)),
         "workers": 1,
@@ -1099,9 +1186,11 @@ def cli_runs(draw):
             {}, {"source": "simple"}, {"source": "event-csv", "event_csv": "events.csv"}])),
         "lineup": draw(st.sampled_from([
             {}, {"vectors_path": "vectors.json"}, {"targets_path": "targets.json"}])),
-        "converter": draw(st.sampled_from([{}, {"params_path": "params.json"}])),
+        "converter": {"params_path": "params.json"} if mutation == "weight"
+        else draw(st.sampled_from([{}, {"params_path": "params.json"}])),
     }
-    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    command = draw(st.sampled_from(sorted(cli._COMMANDS) if mutation != "weight"
+                                   else ["convert", "simulate", "sweep"]))
     maybe = lambda *tokens: list(tokens) if draw(st.booleans()) else []  # noqa: E731
     out = {"build-transitions": "out.table", "compute-re": "out.re",
            "train-converter": "out.params", "convert": "out.vector",
@@ -1136,11 +1225,13 @@ def cli_runs(draw):
                                   for name in {*argv, *named} if name in _valid_inputs()}
     reads = [name for name in inputs if named.get(name, True)]
 
-    mutation = draw(st.sampled_from(["none", "missing", "truncate", "value",
-                                     "extra", "twice"]))
-    name = draw(st.sampled_from(sorted(inputs)))
+    name = "params.json" if mutation == "weight" else draw(st.sampled_from(sorted(inputs)))
     body = copy.deepcopy(inputs[name])
-    if mutation == "missing":
+    if mutation == "weight":
+        layer = body[draw(st.sampled_from(["b3", "w3"]))]
+        *parent, key = draw(st.sampled_from(_leaves(layer)))
+        _at(layer, parent)[key] = draw(st.sampled_from(_HUGE_WEIGHTS))
+    elif mutation == "missing":
         body = None
     elif mutation == "truncate":
         text = _serialize(name, body)
@@ -1182,8 +1273,19 @@ def _contract_settings():
     return settings.get_profile(name if name == "cli-contract-deep" else "cli-contract")
 
 
+def _huge_bias_run():
+    """convert through the bundled converter with b3[0] at 1e308, which
+    once printed a batter of nothing but singles and exited 0."""
+    params = copy.deepcopy(_valid_inputs()["params.json"])
+    params["b3"][0] = 1e308
+    return (["--config", "cfg.json", "convert", "--d-alpha=0.1", "--d-woba=0"],
+            {"cfg.json": {"converter": {"params_path": "params.json"}},
+             "params.json": params}, ["cfg.json", "params.json"], {})
+
+
 @_contract_settings()
 @given(run=cli_runs())
+@example(run=_huge_bias_run())
 def test_cli_contract(run, tmp_path_factory):
     """Every command, on valid inputs or on inputs with one mutation,
     either exits 0 having written every output it names, each loading with

@@ -96,7 +96,7 @@ class TestLayout:
         # both are written into converter files and pair dumps
         assert REDUCED_KEYS == ("1b", "2b", "3b", "hr", "bb", "k", "g")
         assert INPUT_ORDER == REDUCED_KEYS + ("d_onbase_share", "d_woba")
-        assert PAIR_CSV_HEADER == (
+        assert ",".join(PAIR_CSV_HEADER) == (
             "1b,2b,3b,hr,bb,k,g,d_onbase_share,d_woba,"
             "d_1b,d_2b,d_3b,d_hr,d_bb,d_k,d_g")
 
@@ -355,10 +355,9 @@ class TestPairDataset:
     def test_csv_dump(self, tmp_path):
         ds = build_pair_dataset(synthesize_players(4, seed=8))
         out = tmp_path / "pairs.csv"
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            dump_pair_csv(ds, fh)
+        dump_pair_csv(ds, out)
         lines = out.read_text().splitlines()
-        assert lines[0] == PAIR_CSV_HEADER
+        assert lines[0] == ",".join(PAIR_CSV_HEADER)
         assert len(lines) == 1 + len(ds)
         first = [float(v) for v in lines[1].split(",")]
         assert first == pytest.approx(
@@ -563,6 +562,18 @@ class TestProjection:
     def test_vanishing_mass_fails(self):
         with pytest.raises(ProjectionFailureError):
             project_probabilities((1e-12, 0, 0, 0, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fails(self, bad):
+        # a NaN was clamped to zero; an inf ended in a data error
+        with pytest.raises(ProjectionFailureError, match="non-finite"):
+            project_probabilities((bad, 0.2, 0.1, 0.1, 0.1, 0.2, 0.2, 0.1))
+
+    def test_clamping_more_than_a_distribution_fails(self):
+        # removing exactly 1 of mass is still a projection; more is not
+        assert project_probabilities((-1.0, 2.0, 0, 0, 0, 0, 0, 0))[1] == 1.0
+        with pytest.raises(ProjectionFailureError, match="more than 1"):
+            project_probabilities((-1.5, 2.5, 0, 0, 0, 0, 0, 0))
 
 
 # ---------------------------------------------------------------- convert

@@ -16,7 +16,7 @@ from batsim.defaults import (
 from batsim.simulation import Lineup, monte_carlo
 from batsim.strategies import always_normal, build_triple, fixed_policy
 from batsim.sweeps import (
-    SWEEP_CSV_HEADER,
+    SweepRow,
     default_theta_grids,
     mean_batter,
     run_baseline,
@@ -214,10 +214,23 @@ def test_baseline_identical_across_sweep_modes(strategy_rows, threshold_rows):
 
 # ---------------------------------------------------------------- CSV
 
-def test_sweep_csv_header_exact():
-    assert SWEEP_CSV_HEADER == (
-        "mode,d_alpha,d_woba,theta_o,theta_l,mean_runs,stderr,"
-        "delta_vs_baseline,n_games,truncated,fallbacks,infeasible_triples")
+SWEEP_CSV_HEADER = ("mode,d_alpha,d_woba,theta_o,theta_l,mean_runs,stderr,"
+                    "delta_vs_baseline,n_games,truncated,fallbacks,infeasible_triples")
+
+
+def test_sweep_csv_header_exact(strategy_rows, tmp_path):
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(strategy_rows, path)
+    assert path.read_text().splitlines()[0] == SWEEP_CSV_HEADER
+
+
+def test_sweep_csv_line_exact(tmp_path):
+    # None as an empty cell, ints as digits, floats as their shortest repr
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv([SweepRow("strategy", 0.1, -0.005, None, None, 4.5, 1e-17,
+                              -0.005, 300, 0, 2, 1)], path)
+    assert path.read_bytes().split(b"\n")[1] == (
+        b"strategy,0.1,-0.005,,,4.5,1e-17,-0.005,300,0,2,1")
 
 
 def _assert_round_trip(rows, path):
