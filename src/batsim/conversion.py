@@ -341,25 +341,21 @@ def train(dataset: PairDataset,
     live = init_params(seed)
     flat = live.flat
     velocity = np.zeros(N_PARAMS)
-    rows = min(BATCH_SIZE, len(train_idx))
     # one workspace for the batches' backprop and the validation pass
-    ws = _Workspace(max(rows, n_val))
+    ws = _Workspace(max(min(BATCH_SIZE, len(train_idx)), n_val))
     grad = ws.grad.flat
-    x_batch, y_batch = np.empty((rows, 9)), np.empty((rows, 7))
 
     best = flat.copy()
     best_loss = math.inf
     best_epoch = 0
     stale = 0
     for epoch in range(1, MAX_EPOCHS + 1):
+        # the epoch's shuffled pairs, gathered once; its batches are slices
         order = rng.permutation(len(train_idx))
+        xs, ys = x_train[order], y_train[order]
         for start in range(0, len(order), BATCH_SIZE):
-            sel = order[start:start + BATCH_SIZE]
-            xb, yb = x_batch[:len(sel)], y_batch[:len(sel)]
-            # "clip" skips the buffered copy "raise" makes; sel is in range
-            np.take(x_train, sel, axis=0, out=xb, mode="clip")
-            np.take(y_train, sel, axis=0, out=yb, mode="clip")
-            _backprop(live, xb, yb, ws)
+            _backprop(live, xs[start:start + BATCH_SIZE],
+                      ys[start:start + BATCH_SIZE], ws)
             # velocity = MOMENTUM * velocity - LEARNING_RATE * grad
             grad *= LEARNING_RATE
             velocity *= MOMENTUM

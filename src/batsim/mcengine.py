@@ -36,30 +36,32 @@ by pushing probability mass through it, without compile_simulation, and
 check both the rows and the engine's histograms against it.
 
 Every call, of one cell or many, compiles each of its (lineup, policy,
-table) cells once, in the caller, before any task starts, so a cell that
-fails to compile raises there.  It then splits its cells x batches units,
-cell by cell, into one task of near-equal length per process: a list of
-(compiled cell, first batch, stop batch) spans, of which only the first and
-last can hold part of a cell's batches.  Tasks carry compiled rows, never
-tables or lineups; the caller merges a cut cell's results.  A call that
-runs on one process runs its one task in place.
+table) cells once, in the caller, before any batch is played, so a cell
+that fails to compile raises there.  Its units are its (compiled cell,
+batch) pairs, cell by cell.  A call that runs on one process plays them in
+place; any other deals them to the pool's processes in chunks of
+ceil(units / processes) units, the last possibly shorter.  Units carry
+compiled rows, never tables or lineups.  A process keeps the step tables
+of the last cell it played, so it builds them once for a run of that
+cell's units.  The caller merges each cell's batch results in batch order.
 
 Parallel calls share one process pool per process, of min(workers, usable
-cores) processes.  The first call with more than one task starts it;
-every later call at the same worker count sends its tasks to the same
-workers, whatever its number of units, so a program pays the pool's start
-once rather than once per call.  A worker keeps no state between tasks.
-A call at another worker count shuts the pool down and starts one of its
-own size; a call that raises (a worker that died, an interrupt) shuts it
-down before the exception propagates, and the next call starts afresh.
-shutdown_pool stops it on demand, and at the latest when the interpreter
-exits.  The pool module is imported by the call that starts a pool, so a
-program that runs in place never loads it.
+cores) processes.  The first call with more than one unit on more than one
+process starts it; every later call at the same worker count deals its
+units to the same workers, whatever their number, so a program pays the
+pool's start once rather than once per call.  A call at another worker
+count shuts the pool down and starts one of its own size; a call that
+raises (a worker that died, an interrupt) shuts it down before the
+exception propagates, and the next call starts afresh.  shutdown_pool
+stops it on demand, and at the latest when the interpreter exits.  The
+pool module is imported by the call that starts a pool, so a program that
+runs in place never loads it.
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -89,7 +91,8 @@ GUIDE_SIZE = 4096
 NEGLIGIBLE = 2.0 ** -70
 
 
-@dataclass(frozen=True)
+# eq=False: a cell hashes by identity, which is what _steps caches on
+@dataclass(frozen=True, eq=False)
 class CompiledSim:
     """Lineup, policy, and table fused into one table over leadoff slots.
 
@@ -186,17 +189,17 @@ def compile_simulation(lineup, policy, table: TransitionTable, *,
         stops[state, left] = 1.0
         blocks.append((pa_cap, f0, pa_cap, True, live @ stops))
 
-    shape = np.array([block[4].shape[1:] for block in blocks])
-    size = 9 * shape.prod(axis=1)
-    i = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-    rows, k = np.repeat(shape, size, axis=0).T
-    pa, f0, top, capped = (np.repeat([block[j] for block in blocks], size)
-                           for j in range(4))
-    mass = np.concatenate([block[4].ravel() for block in blocks])
-    drawn = mass > 0.0
-    lead, runs, pa, fallbacks, capped, mass = (
-        a[drawn] for a in (i // (rows * k), top - i % k, pa, f0 + i // k % rows,
-                           capped, mass))
+    # every block's mass in one zero-padded (block, l, f, k) grid, whose
+    # nonzero entries are the half-innings a draw can pick
+    *keys, masses = zip(*blocks)
+    pa, f0, top, capped = map(np.array, keys)
+    grid = np.zeros((len(blocks), 9, max(m.shape[1] for m in masses),
+                     left.max() + 1))
+    for at, m in zip(grid, masses):
+        at[:, :m.shape[1], :m.shape[2]] = m
+    b, lead, f, k = np.nonzero(grid)
+    mass = grid[b, lead, f, k]
+    pa, fallbacks, runs, capped = pa[b], f0[b] + f, top[b] - k, capped[b]
     order = np.lexsort((capped, fallbacks, pa, runs, lead))
     n = np.bincount(lead, minlength=9)
     row = lead[order]
@@ -215,21 +218,15 @@ def compile_simulation(lineup, policy, table: TransitionTable, *,
     return CompiledSim(cum=cum, count=table_of(count, np.int64), innings=innings)
 
 
-@dataclass(frozen=True)
-class _Steps:
-    """A cell's rows as the step loop reads them, every table flat and
-    row l addressed by its guide offset, l * GUIDE_SIZE.  cum is scaled by
-    GUIDE_SIZE, so a scaled draw indexes the guide; an entry's next row is
-    that of the slot that leads off the next half-inning."""
-
-    cell: CompiledSim
-    cum: np.ndarray     # GUIDE_SIZE * cumulative mass
-    guide: np.ndarray   # entry of a scaled draw in [k, k + 1), or ~search start
-    next: np.ndarray    # guide offset of the next half-inning's row
-
-
-def _steps(cell: CompiledSim) -> _Steps:
-    """The step tables of the cell."""
+@functools.lru_cache(maxsize=1)
+def _steps(cell: CompiledSim):
+    """The cell's (cum, guide, next) step tables, every table flat and row l
+    addressed by its guide offset, l * GUIDE_SIZE: cum is scaled by
+    GUIDE_SIZE, so a scaled draw indexes the guide, the guide gives the
+    entry of a scaled draw in [k, k + 1), or ~search start, and next gives
+    the guide offset of the row of the slot that leads off the next
+    half-inning.  Only the last cell's are kept, so a process holds one
+    cell's tables at a time and builds them once for a run of its units."""
     cum = cell.cum * GUIDE_SIZE
     row = np.arange(9)[:, None]
     _, pa, _, _ = unpack(cell.count)
@@ -243,36 +240,35 @@ def _steps(cell: CompiledSim) -> _Steps:
     guide = guide.reshape(9, -1)[:, :GUIDE_SIZE]
     np.invert(guide, out=guide,
               where=cum.ravel()[guide] < np.arange(1, GUIDE_SIZE + 1))
-    return _Steps(cell=cell, cum=cum.ravel(), guide=guide.ravel(),
-                  next=((row + pa) % 9 * GUIDE_SIZE).ravel())
+    return cum.ravel(), guide.ravel(), ((row + pa) % 9 * GUIDE_SIZE).ravel()
 
 
-def _draw(s: _Steps, row: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Flat entry drawn by each scaled draw x = GUIDE_SIZE * u, u in [0, 1),
-    from the row at guide offset row: the first entry whose scaled cum
-    exceeds x.  The guide gives that entry for most draws, and for the
-    rest ~start, a start at or before it, from which they step forward;
-    the row's last real entry is 1.0, so no search leaves its row."""
+def _draw(cell: CompiledSim, row: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Flat entry of the cell drawn by each scaled draw x = GUIDE_SIZE * u,
+    u in [0, 1), from the row at guide offset row: the first entry whose
+    scaled cum exceeds x.  The guide gives that entry for most draws, and
+    for the rest ~start, a start at or before it, from which they step
+    forward; the row's last real entry is 1.0, so no search leaves its row."""
+    cum, guide, _ = _steps(cell)
     start = x.astype(np.int64)
     start += row
-    entry = s.guide.take(start)
+    entry = guide.take(start)
     behind = np.flatnonzero(entry < 0)
     if behind.size:
         at, x = ~entry[behind], x[behind]
-        short = s.cum.take(at) <= x
+        short = cum.take(at) <= x
         while short.any():
             at += short
-            short = s.cum.take(at) <= x
+            short = cum.take(at) <= x
         entry[behind] = at
     return entry
 
 
-def _simulate(s: _Steps, seed: int, batch: int, n_games: int):
-    """Play batch `batch`, of n_games games, of the cell whose step tables
-    s holds, on the batch's own (seed, batch) generator; returns its
-    (histogram, truncated, fallbacks, pa).  Every game leads off its first
-    half-inning with slot 0."""
-    cell = s.cell
+def _simulate(cell: CompiledSim, seed: int, batch: int, n_games: int):
+    """Play batch `batch`, of n_games games, of the cell on the batch's own
+    (seed, batch) generator; returns its (histogram, truncated, fallbacks,
+    pa).  Every game leads off its first half-inning with slot 0."""
+    _, _, next_row = _steps(cell)
     rng = np.random.default_rng(np.random.SeedSequence((seed, batch)))
     u = np.empty(n_games)
     row = np.zeros(n_games, dtype=np.int64)
@@ -280,9 +276,9 @@ def _simulate(s: _Steps, seed: int, batch: int, n_games: int):
     for _ in range(cell.innings):
         rng.random(out=u)
         u *= GUIDE_SIZE
-        entry = _draw(s, row, u)
+        entry = _draw(cell, row, u)
         count += cell.count.take(entry)
-        row = s.next.take(entry)
+        row = next_row.take(entry)
 
     runs, pa, fallbacks, capped = unpack(count)
     return (np.bincount(runs), int(np.count_nonzero(capped)),
@@ -308,18 +304,6 @@ def _merge(results):
     return total, truncated, fallbacks, pa
 
 
-def _run_task(spans, n_games: int, seed: int):
-    """Run each (compiled cell, first batch, stop batch) span, one batch at
-    a time; returns each span's merged result, in order."""
-    sizes = _batch_sizes(n_games)
-    results = []
-    for cell, first, stop in spans:
-        s = _steps(cell)
-        results.append(_merge([_simulate(s, seed, i, sizes[i])
-                               for i in range(first, stop)]))
-    return results
-
-
 def usable_cores() -> int:
     """Cores this process may run on: its CPU affinity where the platform
     reports one, else the machine's core count."""
@@ -330,8 +314,8 @@ def usable_cores() -> int:
 
 def pool_size(workers: int) -> int:
     """Processes of the shared pool at the given worker count: no more
-    than the cores they can run on.  A call splits its (cell, batch) units
-    into min(pool_size(workers), units) tasks and runs in place when that
+    than the cores they can run on.  A call deals its (cell, batch) units
+    to min(pool_size(workers), units) processes and runs in place when that
     is one."""
     return max(1, min(workers, usable_cores()))
 
@@ -339,7 +323,7 @@ def pool_size(workers: int) -> int:
 # The process's one worker pool and its size.  The first parallel call
 # starts it; later calls at the same pool size reuse it.  The lock is held
 # for a whole parallel call, so no caller replaces or stops the pool while
-# another caller's tasks run on it.
+# another caller's units run on it.
 _pool_lock = threading.RLock()
 _pool: ProcessPoolExecutor | None = None
 _pool_processes = 0
@@ -379,7 +363,8 @@ def run_cells(cells, *, innings: int, pa_cap: int, n_games: int, seed: int,
               workers: int):
     """Each (lineup, policy, table) cell's (histogram, truncated,
     fallbacks, pa) over n_games games, equal to that of a call on that
-    cell alone, from at most one task per pool process."""
+    cell alone, whether its (cell, batch) units run in place or in chunks
+    on the pool."""
     if n_games <= 0:
         raise ValueError("n_games must be positive")
     if workers < 1:
@@ -388,34 +373,26 @@ def run_cells(cells, *, innings: int, pa_cap: int, n_games: int, seed: int,
         raise ValueError("seed must be non-negative")
     compiled = [compile_simulation(*cell, innings=innings, pa_cap=pa_cap)
                 for cell in cells]
-    b = len(_batch_sizes(n_games))
-    units = len(cells) * b
-    processes = pool_size(workers)
-    n_tasks = max(1, min(processes, units))
-    bounds = [-(-units * t // n_tasks) for t in range(n_tasks + 1)]
-    # each task's (cell index, first batch, stop batch) spans
-    spans = [[(k, max(lo - k * b, 0), min(hi - k * b, b))
-              for k in range(lo // b, -(-hi // b))]
-             for lo, hi in zip(bounds, bounds[1:])]
-    tasks = [([(compiled[k], first, stop) for k, first, stop in task], n_games,
-              seed) for task in spans]
-    if n_tasks == 1:  # every cell whole, in order
-        return _run_task(*tasks[0])
-    with _pool_lock:
-        pool = _shared_pool(processes)
-        try:
-            results = list(pool.map(_run_task, *zip(*tasks)))
-        except BaseException:
-            # a dead worker, an interrupt or a failing task leaves the pool
-            # in an unknown state: stop it, so the next call starts afresh
-            shutdown_pool()
-            raise
-    # a cell cut between two tasks has a result from each
-    per_cell = [[] for _ in cells]
-    for task, task_results in zip(spans, results):
-        for (k, _, _), result in zip(task, task_results):
-            per_cell[k].append(result)
-    return [_merge(parts) for parts in per_cell]
+    sizes = _batch_sizes(n_games)
+    units = [(cell, seed, batch, size) for cell in compiled
+             for batch, size in enumerate(sizes)]
+    processes = min(pool_size(workers), len(units))
+    if processes <= 1:
+        results = [_simulate(*unit) for unit in units]
+    else:
+        with _pool_lock:
+            pool = _shared_pool(pool_size(workers))
+            try:
+                results = list(pool.map(_simulate, *zip(*units),
+                                        chunksize=-(-len(units) // processes)))
+            except BaseException:
+                # a dead worker, an interrupt or a failing unit leaves the
+                # pool in an unknown state: stop it, so the next call
+                # starts afresh
+                shutdown_pool()
+                raise
+    b = len(sizes)
+    return [_merge(results[k:k + b]) for k in range(0, len(results), b)]
 
 
 def run_batches(cell, *, innings: int, pa_cap: int, n_games: int, seed: int,

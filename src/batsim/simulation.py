@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .fileio import atomic_write, write_csv
 from .strategies import StrategyTriple
@@ -63,14 +63,15 @@ class RunStats:
     the same histogram report byte-identical statistics.
     """
 
-    histogram: tuple[int, ...]
-    truncated_games: int = 0
-    fallback_transitions: int = 0
-    plate_appearances: int = 0
+    # the derived fields come first, so the saved JSON leads with them
     n_games: int = field(init=False)
     mean: float = field(init=False)
     stderr: float = field(init=False)
     stderr_defined: bool = field(init=False)
+    histogram: tuple[int, ...]
+    truncated_games: int = 0
+    fallback_transitions: int = 0
+    plate_appearances: int = 0
 
     def __post_init__(self):
         hist = tuple(int(c) for c in self.histogram)
@@ -91,22 +92,10 @@ class RunStats:
                             ("stderr", stderr), ("stderr_defined", n >= 2)):
             object.__setattr__(self, name, value)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_games": self.n_games,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "stderr_defined": self.stderr_defined,
-            "histogram": list(self.histogram),
-            "truncated_games": self.truncated_games,
-            "fallback_transitions": self.fallback_transitions,
-            "plate_appearances": self.plate_appearances,
-        }
-
     def save(self, json_path, csv_path=None) -> None:
         # nested: if either path cannot be written, neither file is replaced
         with atomic_write(json_path) as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
+            json.dump(asdict(self), fh, indent=1)
             fh.write("\n")
             if csv_path is not None:
                 write_csv(csv_path, ("runs", "count"), enumerate(self.histogram))

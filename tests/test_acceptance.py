@@ -36,8 +36,8 @@ from batsim.defaults import (
     fitted_lineup,
 )
 from batsim.mcengine import (
-    BATCH_SIZE,
-    _run_task,
+    _batch_sizes,
+    _simulate,
     _steps,
     compile_simulation,
     pool_size,
@@ -337,19 +337,25 @@ def test_criterion_10_throughput(normals, params, table):
     cell = (Lineup(triples), fixed_policy, table)
     compiled = compile_simulation(*cell, innings=9, pa_cap=100)
     # the serial share of the 8-worker call: the cell's compile, once in the
-    # caller; the step-table build, which every task repeats; and the call's
-    # time outside its tasks (the compile, pool dispatch and merge), its
-    # time less that of its longest task run in place
-    units = -(-GAMES // BATCH_SIZE)
-    tasks = min(pool_size(8), units)
-    bounds = [-(-units * t // tasks) for t in range(tasks + 1)]
-    lo, hi = max(zip(bounds, bounds[1:]), key=lambda task: task[1] - task[0])
+    # caller; the step-table build, which every chunk repeats; and the
+    # call's time outside its chunks (the compile, pool dispatch and merge),
+    # its time less that of its longest chunk, the first, run in place
+    # from an empty step-table cache
+    sizes = _batch_sizes(GAMES)
+    per_chunk = -(-len(sizes) // min(pool_size(8), len(sizes)))
+    chunks = -(-len(sizes) // per_chunk)
+
+    def first_chunk():
+        _steps.cache_clear()
+        return [_simulate(compiled, SEED, i, size)
+                for i, size in enumerate(sizes[:per_chunk])]
+
     calls = {
         1: lambda: monte_carlo(*cell, GAMES, SEED, workers=1),
         8: lambda: monte_carlo(*cell, GAMES, SEED, workers=8),
         "compile": lambda: compile_simulation(*cell, innings=9, pa_cap=100),
-        "steps": lambda: _steps(compiled),
-        "task": lambda: _run_task([(compiled, lo, hi)], GAMES, SEED),
+        "steps": lambda: _steps.__wrapped__(compiled),
+        "chunk": first_chunk,
     }
 
     # best of 5 per call, the calls taken in turn so all see the same load
@@ -372,9 +378,9 @@ def test_criterion_10_throughput(normals, params, table):
     bar = 3.0 * min(8, cores) / 8
     print(f"criterion 10: best of 5, single-thread {t_single:.3f}s for {GAMES} "
           f"games; 8 workers {t_eight:.3f}s in a pool of "
-          f"{pool_size(8)}, {(t_eight - best['task']) * 1e3:.1f} ms outside "
-          f"its {tasks} tasks; compile {best['compile'] * 1e3:.2f} ms once, in "
-          f"the caller; step tables {best['steps'] * 1e3:.2f} ms in every task; "
+          f"{pool_size(8)}, {(t_eight - best['chunk']) * 1e3:.1f} ms outside "
+          f"its {chunks} chunks; compile {best['compile'] * 1e3:.2f} ms once, in "
+          f"the caller; step tables {best['steps'] * 1e3:.2f} ms in every chunk; "
           f"speedup {speedup:.2f}x on {cores} usable core(s), bar {bar:.3f}x")
     if cores < 2:
         pytest.skip(f"{cores} usable core: no parallel speed-up to measure")

@@ -14,7 +14,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -338,8 +338,9 @@ def _simulate_normal_only(tmp_path, **over):
 
 
 def _expected(vectors, table):
-    return monte_carlo(Lineup.from_vectors(vectors), always_normal, table,
-                       400, 99, workers=1).to_json_dict()
+    stats = monte_carlo(Lineup.from_vectors(vectors), always_normal, table,
+                        400, 99, workers=1)
+    return {**asdict(stats), "histogram": list(stats.histogram)}
 
 
 def test_simulate_simple_table(tmp_path):

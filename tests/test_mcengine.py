@@ -168,13 +168,12 @@ def test_rows_hold_the_joint_mass(compiled):
 
 def test_unit_interval_ends_draw_positive_mass(compiled):
     *_, c = compiled
-    steps = mcengine._steps(c)
     rows = np.arange(9)
     width = c.cum.shape[1]
     mass = np.diff(c.cum, axis=1, prepend=0.0)
     for u in (0.0, LAST_DRAW):
         x = np.full(rows.size, u * mcengine.GUIDE_SIZE)
-        entry = mcengine._draw(steps, rows * mcengine.GUIDE_SIZE, x)
+        entry = mcengine._draw(c, rows * mcengine.GUIDE_SIZE, x)
         assert np.all(entry // width == rows)
         assert np.all(mass.ravel()[entry] > 0.0)
 
@@ -183,7 +182,7 @@ def test_draw_matches_a_full_row_search(compiled):
     # each draw picks the first entry whose cum exceeds it, and that
     # entry leads to the row of the slot after its half-inning's last batter
     *_, c = compiled
-    steps = mcengine._steps(c)
+    _, _, next_row = mcengine._steps(c)
     rng = np.random.default_rng(3)
     edges = np.arange(mcengine.GUIDE_SIZE) / mcengine.GUIDE_SIZE
     inner = c.cum[c.cum < 1.0]
@@ -192,11 +191,11 @@ def test_draw_matches_a_full_row_search(compiled):
         np.nextafter(inner, 0.0), [0.0, LAST_DRAW]])
     rows = rng.integers(0, 9, u.size)
     count = np.count_nonzero(c.cum[rows] <= u[:, None], axis=1)
-    entry = mcengine._draw(steps, rows * mcengine.GUIDE_SIZE,
+    entry = mcengine._draw(c, rows * mcengine.GUIDE_SIZE,
                            u * mcengine.GUIDE_SIZE)
     np.testing.assert_array_equal(entry, rows * c.cum.shape[1] + count)
     _, pa, _, _ = mcengine.unpack(c.count.ravel()[entry])
-    np.testing.assert_array_equal(steps.next[entry] // mcengine.GUIDE_SIZE,
+    np.testing.assert_array_equal(next_row[entry] // mcengine.GUIDE_SIZE,
                                   (rows + pa) % 9)
 
 
@@ -294,8 +293,7 @@ def test_counts_at_the_bound_are_exact():
     for field in fields:
         assert np.all(field == pa_cap)
     assert np.all(capped == 1)
-    hist, truncated, fallbacks, pa = mcengine._simulate(
-        mcengine._steps(homers), 1, 0, 1)
+    hist, truncated, fallbacks, pa = mcengine._simulate(homers, 1, 0, 1)
     most = innings * pa_cap
     assert tuple(hist) == (0,) * most + (1,)
     assert (truncated, fallbacks, pa) == (1, most, most)
@@ -358,9 +356,8 @@ def test_shared_draws_keep_per_game_runs_correlated(lineup):
     runs = []
     for cell in ((Lineup.from_vectors(fitted_lineup()), always_normal, table),
                  (lineup, fixed_policy, table)):
-        steps = mcengine._steps(mcengine.compile_simulation(
-            *cell, innings=9, pa_cap=100))
-        games = [mcengine._simulate(steps, 99, i, 1) for i in range(4096)]
+        c = mcengine.compile_simulation(*cell, innings=9, pa_cap=100)
+        games = [mcengine._simulate(c, 99, i, 1) for i in range(4096)]
         runs.append([len(hist) - 1 for hist, *_ in games])
     assert np.corrcoef(runs)[0, 1] >= 0.95
 
@@ -426,7 +423,7 @@ def test_one_pool_per_worker_count(monkeypatch, lineup, no_shared_pool):
     monkeypatch.setattr(mcengine, "usable_cores", lambda: 8)
 
     # calls of two and three batches at one worker count share one pool of
-    # min(workers, cores), each with one task per batch
+    # min(workers, cores), each with one unit per batch
     for n in (two, three, two):
         assert monte_carlo(lineup, fixed_policy, table, n, seed=8,
                            workers=8) == serial[n]
@@ -464,11 +461,14 @@ def test_one_pool_per_worker_count(monkeypatch, lineup, no_shared_pool):
     assert started == [8]
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("n_cells", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_cells, workers", [
+    *itertools.product([1, 2, 3, 5], [1, 2, 3]),
+    (5, 4),  # 10 units on 4 processes: chunks of 3, 3, 3 and 1
+    (1, 4),  # 2 units on 4 processes: a chunk each
+])
 def test_cells_equal_each_cell_alone(monkeypatch, mixed_cells, cells_alone,
                                      n_cells, workers, no_shared_pool):
-    # at 2 and 3 workers some cells' batches are split between two tasks
+    # at 2, 3 and 4 workers some cells' batches are split between two chunks
     monkeypatch.setattr(mcengine, "usable_cores", lambda: 8)
     got = monte_carlo_cells(mixed_cells[:n_cells], CELL_GAMES, seed=21,
                             workers=workers, pa_cap=CELL_PA_CAP)
@@ -511,42 +511,54 @@ def _pickled_types(obj):
     return types
 
 
-class InProcessPool:
-    """Stands in for the process pool: runs a call's tasks one by one in
-    this process, so a test sees every task's payload."""
+@pytest.fixture()
+def pool_chunks(monkeypatch, no_shared_pool):
+    """Stand the process pool in with one that plays a call's units in this
+    process, each chunk as a worker would, from its pickled bytes; returns
+    the list of every chunk the pool is handed, which calls fill."""
+    chunks = []
 
-    def __init__(self, *, max_workers):
-        pass
+    class InProcessPool:
+        def __init__(self, *, max_workers):
+            pass
 
-    def map(self, fn, *columns):
-        return map(fn, *columns)
+        def map(self, fn, *columns, chunksize):
+            units = list(zip(*columns))
+            results = []
+            for start in range(0, len(units), chunksize):
+                chunks.append(units[start:start + chunksize])
+                results += itertools.starmap(
+                    fn, pickle.loads(pickle.dumps(chunks[-1])))
+            return results
 
-    def shutdown(self, *args, **kwargs):
-        pass
+        def shutdown(self, *args, **kwargs):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return chunks
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("call", ["one cell", "cells"])
 def test_each_cell_is_compiled_once_in_the_caller(monkeypatch, mixed_cells,
                                                   cells_alone, call, workers,
-                                                  no_shared_pool):
-    # a cell split between tasks is still compiled once, and tasks carry its
-    # compiled rows, never its lineup or table
-    compiled, payloads = [], []
-    compile_cell, run_task = mcengine.compile_simulation, mcengine._run_task
+                                                  pool_chunks):
+    # a cell split between chunks is still compiled once, and chunks carry
+    # its compiled rows, never its lineup or table
+    compiled, units = [], []
+    compile_cell, simulate = mcengine.compile_simulation, mcengine._simulate
 
     def counted_compile(*cell, **limits):
         compiled.append(cell)
         return compile_cell(*cell, **limits)
 
-    def recorded_task(*task):
-        payloads.append(task)
-        return run_task(*task)
+    def recorded_simulate(*unit):
+        units.append(unit)
+        return simulate(*unit)
 
     monkeypatch.setattr(mcengine, "usable_cores", lambda: 8)
     monkeypatch.setattr(mcengine, "compile_simulation", counted_compile)
-    monkeypatch.setattr(mcengine, "_run_task", recorded_task)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(mcengine, "_simulate", recorded_simulate)
     n_cells = 1 if call == "one cell" else 3
     cells = mixed_cells[:n_cells]
     if call == "one cell":
@@ -557,12 +569,33 @@ def test_each_cell_is_compiled_once_in_the_caller(monkeypatch, mixed_cells,
                                 pa_cap=CELL_PA_CAP)
     assert got == cells_alone[:n_cells]
     assert compiled == cells
-    assert len(payloads) == min(workers, 2 * n_cells)  # two batches a cell
-    for spans, *_ in payloads:
-        assert {type(cell) for cell, _, _ in spans} == {mcengine.CompiledSim}
-    types = _pickled_types(payloads)
+    n_units = 2 * n_cells  # two batches a cell
+    assert len(units) == n_units
+    assert {type(cell) for cell, *_ in units} == {mcengine.CompiledSim}
+    if workers == 1:  # in place: the pool is not used
+        assert pool_chunks == []
+        return
+    chunk = -(-n_units // workers)
+    assert [len(c) for c in pool_chunks] == [
+        min(chunk, n_units - start) for start in range(0, n_units, chunk)]
+    types = _pickled_types(pool_chunks)
     assert mcengine.CompiledSim in types
     assert not types & {Lineup, TransitionTable, TransitionEntry}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_call_builds_each_cells_step_tables_once(monkeypatch, mixed_cells,
+                                                   pool_chunks, workers):
+    # in place, and in chunks of 4, 4 and 2 units that cut no cell: a cell
+    # cut between two chunks would be built once in each.  Only the last
+    # cell's tables are kept
+    monkeypatch.setattr(mcengine, "usable_cores", lambda: 8)
+    mcengine._steps.cache_clear()
+    monte_carlo_cells(mixed_cells, CELL_GAMES, seed=21, workers=workers,
+                      pa_cap=CELL_PA_CAP)
+    info = mcengine._steps.cache_info()
+    assert (info.misses, info.currsize) == (len(mixed_cells), 1)
+    assert [len(c) for c in pool_chunks] == ([] if workers == 1 else [4, 4, 2])
 
 
 def test_a_cell_that_fails_to_compile_raises_in_the_caller(monkeypatch, lineup,
